@@ -50,8 +50,10 @@ from .conditions import (
 )
 from .controlloop import (
     LoopTrace,
+    Plan,
     Scenario,
     SimConfig,
+    compile_plan,
     run_dual_channel,
     run_mismatch_demo,
     run_output_ack,
@@ -64,9 +66,7 @@ from .dos import (
     duration_count,
     frequency_count,
     generate,
-    read_pattern,
     validate,
-    write_pattern,
 )
 from .matrixcore import (
     gelfand_radius,
@@ -87,7 +87,6 @@ from .quantizer import (
     derive_input_range,
     encode,
     initial_ranges,
-    quantization_error_bound,
     update_range,
 )
 

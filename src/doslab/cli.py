@@ -1,10 +1,11 @@
 """Configuration-driven command line entry point.
 
 ``doslab run|check|tradeoff <scenario.json>`` loads a JSON scenario,
-synthesizes or verifies gains, evaluates the stability conditions, runs
-the requested simulation, and emits trace CSVs, condition reports, and SVG
-charts.  Exit codes: 0 success, 2 configuration error, 3 condition check
-failed, 4 saturation or synchronization failure, 5 numerical failure.
+compiles its plan (sampled plant, synthesized or verified gains, decay
+constants), evaluates the stability conditions, runs the requested
+simulation, and emits trace CSVs, condition reports, and SVG charts.
+Exit codes: 0 success, 2 configuration error, 3 condition check failed,
+4 saturation or synchronization failure, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import jsonschema
 import numpy as np
 
 from .conditions import (
-    ThetaVariant,
     build_report,
     report_rows,
     report_text,
@@ -27,9 +27,10 @@ from .conditions import (
 from .controlloop import (
     Scenario,
     SimConfig,
+    compile_plan,
     run_scenario,
 )
-from .discretize import ContinuousPlant, sample_plant, sample_plant_single_rate
+from .discretize import ContinuousPlant
 from .dos import DoSParams, pattern_from_bools
 from .errors import (
     DeadbeatContractError,
@@ -38,16 +39,7 @@ from .errors import (
     SaturationError,
     ScenarioError,
 )
-from .gains import (
-    derive_decay_constants,
-    design_deadbeat_gain,
-    design_deadbeat_observer,
-    design_observer_gain,
-    design_stabilizing_gain,
-    make_gain_set,
-    verify_nilpotent,
-)
-from .matrixcore import gelfand_radius, inf_norm
+from .matrixcore import inf_norm
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -180,14 +172,6 @@ SCENARIO_SCHEMA = {
     },
 }
 
-_VARIANTS = {
-    Scenario.DUAL_CHANNEL: ThetaVariant.DUAL,
-    Scenario.OUTPUT_ACK: ThetaVariant.ACK,
-    Scenario.OUTPUT_ACK_FREE: ThetaVariant.ACK_FREE,
-    Scenario.MISMATCH_DEMO: ThetaVariant.ACK,
-}
-
-
 def load_scenario(path) -> dict:
     try:
         with open(path) as fh:
@@ -234,7 +218,7 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     if seed_override is not None:
         seed = seed_override
 
-    cfg = SimConfig(
+    return SimConfig(
         plant=plant,
         big_delta=doc["big_delta"],
         x0=np.array(doc["x0"], dtype=float),
@@ -251,86 +235,30 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
         oversample=doc.get("oversample", 1),
         attack_slot=doc.get("attack_slot"),
     )
-    if scenario is Scenario.MISMATCH_DEMO and cfg.attack_slot is None:
-        raise ScenarioError("mismatch_demo scenarios need attack_slot")
-    return cfg
 
 
-def _prepare_gains(doc: dict, cfg: SimConfig):
-    """Build (discrete plant, gain set, provenance string) for the scenario.
-
-    Missing pieces of an injected gain object are synthesized; injected
-    pieces are verified against the scenario's requirements before use.
-    """
-    scenario = cfg.scenario
-    protocol = scenario in (Scenario.DUAL_CHANNEL, Scenario.OUTPUT_ACK_FREE)
-    if protocol:
-        dp = sample_plant(cfg.plant, cfg.big_delta)
-    else:
-        dp = sample_plant_single_rate(cfg.plant, cfg.big_delta)
-    gains_doc = doc.get("gains", "synthesize")
-    if gains_doc == "synthesize":
-        gains_doc = {}
-    injected = sorted(set(gains_doc) & {"k", "m"})
-    tol = gains_doc.get("nilpotency_tol", 5e-2)
-
-    if "k" in gains_doc:
-        k = np.array(gains_doc["k"], dtype=float)
-        if protocol:
-            residual = verify_nilpotent(dp.a_d, dp.b_d, k, dp.eta)
-            bound = tol * inf_norm(dp.a_d) ** dp.eta
-            if residual > bound:
-                raise DoslabError(
-                    f"injected feedback gain is not deadbeat: residual "
-                    f"{residual:.3e} > {bound:.3e}"
-                )
-        elif gelfand_radius(dp.a_d + dp.b_d @ k, 512) >= 1.0:
-            raise DoslabError("injected feedback gain not certified stable")
-    elif protocol:
-        k = design_deadbeat_gain(dp)
-    else:
-        k = design_stabilizing_gain(dp.a_d, dp.b_d, cfg.control_weight)
-
-    if "m" in gains_doc:
-        m = np.array(gains_doc["m"], dtype=float)
-        deadbeat_observer = False
-    elif cfg.observer == "deadbeat":
-        m = design_deadbeat_observer(dp.a_lift, dp.c, dp.mu)
-        deadbeat_observer = True
-    else:
-        m = design_observer_gain(dp.a_lift, dp.c)
-        deadbeat_observer = False
-    gs = make_gain_set(dp, k, m, deadbeat_observer)
-    err_bound = gelfand_radius(gs.error_transition, 512)
-    if err_bound >= 1.0:
-        raise DoslabError(
-            f"observer gain not certified stable (Gelfand bound "
-            f"{err_bound:.4f})"
-        )
-    source = f"injected ({', '.join(injected)})" if injected else "synthesized"
-    return dp, gs, source
+def _compile(args):
+    """Scenario document, config and compiled plan for a command."""
+    doc = load_scenario(args.scenario)
+    cfg = _build_config(doc, args.seed)
+    return doc, cfg, compile_plan(cfg, doc.get("gains"))
 
 
-def _condition_report(cfg: SimConfig, dp, gs):
-    variant = _VARIANTS[cfg.scenario]
-    if variant is ThetaVariant.ACK:
-        l_obs = dp.a_d @ gs.observer_gain
-        dc = derive_decay_constants(gs, dp, l_obs=l_obs)
-    else:
-        dc = derive_decay_constants(gs, dp)
-    params = cfg.dos_params
-    if params is None:
-        # pattern-only or demo scenarios: report against a unit budget
-        params = DoSParams(kappa_f=1, nu_f=max(2.0, cfg.horizon_slots),
-                           kappa_d=1, nu_d=max(1, cfg.horizon_slots))
-    return build_report(variant, dc, dp, cfg.levels, params), gs, params
-
-
-def _write_report(path: Path, report, params):
-    with open(path, "w") as fh:
+def _report(args, doc, plan):
+    """Build the condition report, write its CSV and print it."""
+    report = build_report(plan.variant, plan.constants, plan.dp, plan.levels,
+                          plan.params)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = Path(args.scenario).stem
+    name = doc.get("outputs", {}).get("report", f"{stem}_report.csv")
+    with open(out_dir / name, "w") as fh:
         fh.write("name,value\n")
-        for name, value in report_rows(report, params):
-            fh.write(f"{name},{value}\n")
+        for key, value in report_rows(report, plan.params):
+            fh.write(f"{key},{value}\n")
+    print(f"gains: {plan.gain_source}")
+    print(report_text(report, plan.params), end="")
+    return report
 
 
 def _emit_plots(trace, out_dir: Path, stem: str):
@@ -368,23 +296,16 @@ def _emit_plots(trace, out_dir: Path, stem: str):
 
 
 def cmd_run(args) -> int:
-    doc = load_scenario(args.scenario)
-    cfg = _build_config(doc, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dp, gs, gain_source = _prepare_gains(doc, cfg)
-    cfg.gains = gs
-    report, _, params = _condition_report(cfg, dp, gs)
-    outputs = doc.get("outputs", {})
-    stem = Path(args.scenario).stem
-    report_path = out_dir / outputs.get("report", f"{stem}_report.csv")
-    _write_report(report_path, report, params)
-    print(f"gains: {gain_source}")
-    print(report_text(report, params), end="")
+    doc, cfg, plan = _compile(args)
+    report = _report(args, doc, plan)
     if not report.passes and cfg.scenario is not Scenario.MISMATCH_DEMO:
         print("condition check failed; not running", file=sys.stderr)
         return EXIT_CONDITION
+    cfg.gains = plan
     trace = run_scenario(cfg)
+    out_dir = Path(args.out)
+    outputs = doc.get("outputs", {})
+    stem = Path(args.scenario).stem
     trace_path = out_dir / outputs.get("trace", f"{stem}_trace.csv")
     trace.to_csv(trace_path)
     print(f"trace written to {trace_path}")
@@ -401,36 +322,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = load_scenario(args.scenario)
-    cfg = _build_config(doc, args.seed)
-    dp, gs, gain_source = _prepare_gains(doc, cfg)
-    report, _, params = _condition_report(cfg, dp, gs)
-    print(f"gains: {gain_source}")
-    print(report_text(report, params), end="")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stem = Path(args.scenario).stem
-        name = doc.get("outputs", {}).get("report", f"{stem}_report.csv")
-        _write_report(out_dir / name, report, params)
-    return EXIT_OK if report.passes else EXIT_CONDITION
+    doc, _, plan = _compile(args)
+    return EXIT_OK if _report(args, doc, plan).passes else EXIT_CONDITION
 
 
 def cmd_tradeoff(args) -> int:
-    doc = load_scenario(args.scenario)
-    cfg = _build_config(doc, args.seed)
-    dp, gs, _ = _prepare_gains(doc, cfg)
-    variant = _VARIANTS[cfg.scenario]
-    if variant is ThetaVariant.ACK:
-        l_obs = dp.a_d @ gs.observer_gain
-        dc = derive_decay_constants(gs, dp, l_obs=l_obs)
-    else:
-        dc = derive_decay_constants(gs, dp)
+    doc, _, plan = _compile(args)
     if args.grid < 2:
         raise ScenarioError("tradeoff needs a grid of at least 2 points")
     grid = np.linspace(0.0, 0.5, args.grid)
-    finite = tradeoff_boundary(variant, dc, dp, cfg.levels, grid)
-    limit = tradeoff_boundary(variant, dc, dp, None, grid)
+    finite = tradeoff_boundary(plan.variant, plan.constants, plan.dp,
+                               plan.levels, grid)
+    limit = tradeoff_boundary(plan.variant, plan.constants, plan.dp, None, grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem

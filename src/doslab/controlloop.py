@@ -1,7 +1,9 @@
 """Closed-loop simulation engines.
 
-Four engines step plant, encoders, decoders, controller, and range states
-in lockstep and record a full trace:
+:func:`compile_plan` fixes a scenario's certificate -- sampled plant,
+gains, decay constants, theta factors -- once, as a :class:`Plan`.  Four
+engines take a config and its plan and only step plant, encoders,
+decoders, controller, and range states in lockstep, recording a full trace:
 
 * :func:`run_dual_channel` -- both channels jammed together; deadbeat
   feedback, lifted observer reset, three quantized signals.
@@ -36,20 +38,24 @@ from .discretize import (
 from .dos import DoSParams, DoSPattern, generate
 from .errors import (
     DeadbeatContractError,
+    DoslabError,
     InferenceMismatchError,
     SaturationError,
     ScenarioError,
 )
 from .gains import (
+    DECAY_SCAN_CAP,
+    DecayConstants,
     GainSet,
-    build_gain_set,
     derive_decay_constants,
+    design_deadbeat_gain,
     design_deadbeat_observer,
     design_observer_gain,
     design_stabilizing_gain,
     make_gain_set,
+    verify_nilpotent,
 )
-from .matrixcore import as_vector, inf_norm, mat_pow
+from .matrixcore import as_vector, gelfand_radius, inf_norm, mat_pow
 from .quantizer import (
     RangeScheme,
     RangeState,
@@ -65,7 +71,9 @@ from .quantizer import (
 __all__ = [
     "Scenario",
     "SimConfig",
+    "Plan",
     "LoopTrace",
+    "compile_plan",
     "run_dual_channel",
     "run_output_ack",
     "run_output_ackfree",
@@ -89,15 +97,23 @@ class Scenario(Enum):
     MISMATCH_DEMO = "mismatch_demo"
 
 
+_VARIANTS = {
+    Scenario.DUAL_CHANNEL: ThetaVariant.DUAL,
+    Scenario.OUTPUT_ACK: ThetaVariant.ACK,
+    Scenario.OUTPUT_ACK_FREE: ThetaVariant.ACK_FREE,
+    Scenario.MISMATCH_DEMO: ThetaVariant.ACK,
+}
+
+
 @dataclass
 class SimConfig:
     """Everything one closed-loop run needs.
 
     ``levels`` is an ``(n1, n2, n3)`` triple for the dual-channel scenario
     and a single integer for the output-channel scenarios.  ``gains`` may
-    be a ready :class:`GainSet` or ``None`` to synthesize.  The attack
-    pattern comes either ready-made or from ``(dos_params, seed,
-    intensity)``.
+    be a ready :class:`GainSet`, a :class:`Plan` already compiled for this
+    config (reused as is), or ``None`` to synthesize.  The attack pattern
+    comes either ready-made or from ``(dos_params, seed, intensity)``.
     """
 
     plant: ContinuousPlant
@@ -111,7 +127,7 @@ class SimConfig:
     dos_params: DoSParams | None = None
     seed: int = 0
     intensity: float = 0.5
-    gains: GainSet | None = None
+    gains: GainSet | Plan | None = None
     observer: str = "kalman"
     control_weight: float = 1.0
     oversample: int = 1
@@ -127,6 +143,122 @@ class SimConfig:
             raise ScenarioError("horizon_slots must be at least 1")
         if self.oversample < 1:
             raise ScenarioError("oversample must be a positive integer")
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A scenario's fixed certificate, compiled by :func:`compile_plan`.
+
+    ``l_obs`` is the ACK variant's predictor gain ``a_d m`` (else ``None``),
+    ``constants.input_gains`` the per-sub-step input gains and ``params``
+    the DoS budget the condition report checks.  The attack pattern is
+    left out: each run resolves its own from its config.
+    """
+
+    dp: DiscretePlant
+    gains: GainSet
+    gain_source: str
+    l_obs: np.ndarray | None
+    variant: ThetaVariant
+    levels: tuple[int, int, int] | int
+    constants: DecayConstants
+    thetas: ThetaSet
+    params: DoSParams
+
+
+def _level_counts(cfg: SimConfig):
+    """``cfg.levels`` as positive ints, in the shape its scenario needs."""
+    dual = cfg.scenario is Scenario.DUAL_CHANNEL
+    try:
+        levels = (tuple(int(n) for n in cfg.levels) if dual
+                  else (int(cfg.levels),))
+    except (TypeError, ValueError):
+        levels = ()
+    if len(levels) != (3 if dual else 1) or min(levels) < 1:
+        shape = "an (n1, n2, n3) triple" if dual else "a single level count"
+        raise ScenarioError(
+            f"{cfg.scenario.value} runs need {shape} of positive integers"
+        )
+    return levels if dual else levels[0]
+
+
+def _resolve_gains(cfg: SimConfig, dp: DiscretePlant, protocol: bool,
+                   injected) -> tuple[GainSet, str]:
+    """Gain set for ``cfg`` and its provenance string.
+
+    Gains ``injected`` does not give are synthesized: deadbeat or, for the
+    single-rate schemes, Schur-stabilizing feedback, and a filter or
+    deadbeat observer gain.  An injected feedback gain is verified first.
+    """
+    spec = injected if isinstance(injected, dict) else {}
+    if "k" in spec:
+        k = np.array(spec["k"], dtype=float)
+        if protocol:
+            residual = verify_nilpotent(dp.a_d, dp.b_d, k, dp.eta)
+            tol = spec.get("nilpotency_tol", 5e-2)
+            bound = tol * inf_norm(dp.a_d) ** dp.eta
+            if residual > bound:
+                raise DoslabError(
+                    f"injected feedback gain is not deadbeat: residual "
+                    f"{residual:.3e} > {bound:.3e}"
+                )
+        elif gelfand_radius(dp.a_d + dp.b_d @ k, DECAY_SCAN_CAP) >= 1.0:
+            raise DoslabError("injected feedback gain not certified stable")
+    elif protocol:
+        k = design_deadbeat_gain(dp)
+    else:
+        k = design_stabilizing_gain(dp.a_d, dp.b_d, cfg.control_weight)
+
+    deadbeat_observer = "m" not in spec and cfg.observer == "deadbeat"
+    if "m" in spec:
+        m = np.array(spec["m"], dtype=float)
+    elif deadbeat_observer:
+        m = design_deadbeat_observer(dp.a_lift, dp.c, dp.mu)
+    else:
+        m = design_observer_gain(dp.a_lift, dp.c)
+    # an injected m whose error transition is not certified Schur is
+    # rejected by derive_decay_constants
+    names = sorted(set(spec) & {"k", "m"})
+    source = f"injected ({', '.join(names)})" if names else "synthesized"
+    return make_gain_set(dp, k, m, deadbeat_observer), source
+
+
+def compile_plan(cfg: SimConfig, injected=None) -> Plan:
+    """Sample the plant, fix the gains and derive the certificate for ``cfg``.
+
+    ``injected`` is a scenario file's ``gains`` entry (``"synthesize"``, or
+    an object giving ``k`` and/or ``m``).  A ready ``cfg.gains`` takes
+    precedence: a :class:`GainSet` is used and a :class:`Plan` returned as is.
+    """
+    if isinstance(cfg.gains, Plan):
+        return cfg.gains
+    levels = _level_counts(cfg)
+    if cfg.scenario is Scenario.MISMATCH_DEMO and cfg.attack_slot is None:
+        raise ScenarioError("mismatch demo needs attack_slot")
+    if cfg.observer not in ("kalman", "deadbeat"):
+        raise ScenarioError(f"unknown observer mode {cfg.observer!r}")
+    variant = _VARIANTS[cfg.scenario]
+    single_rate = variant is ThetaVariant.ACK
+    if single_rate:
+        dp = sample_plant_single_rate(cfg.plant, cfg.big_delta)
+    else:
+        dp = sample_plant(cfg.plant, cfg.big_delta)
+    if isinstance(cfg.gains, GainSet):
+        gains, source = cfg.gains, "given"
+    else:
+        gains, source = _resolve_gains(cfg, dp, not single_rate, injected)
+    l_obs = dp.a_d @ gains.observer_gain if single_rate else None
+    constants = derive_decay_constants(gains, dp, l_obs=l_obs)
+    params = cfg.dos_params
+    if params is None:
+        # pattern-only or demo scenarios: report against a unit budget
+        params = DoSParams(kappa_f=1, nu_f=max(2.0, cfg.horizon_slots),
+                           kappa_d=1, nu_d=max(1, cfg.horizon_slots))
+    return Plan(
+        dp=dp, gains=gains, gain_source=source, l_obs=l_obs, variant=variant,
+        levels=levels, constants=constants,
+        thetas=compute_thetas(variant, constants, dp, levels), params=params,
+    )
 
 
 @dataclass
@@ -179,8 +311,18 @@ class LoopTrace:
 
 
 class _TraceBuilder:
-    def __init__(self, scenario, range_names):
-        self.scenario = scenario
+    def __init__(self, cfg: SimConfig, delta: float, range_names,
+                 oversample: int = 1):
+        self.scenario = cfg.scenario
+        self.big_delta = cfg.big_delta
+        self.c = cfg.plant.c
+        self.delta = delta
+        self.oversample = oversample
+        # (a_tau, b_tau) pairs for the intra-step offsets j*delta/oversample
+        self.os_maps = [
+            discretize(cfg.plant.a, cfg.plant.b, j * delta / oversample)
+            for j in range(1, oversample)
+        ]
         self.range_names = range_names
         self.rows = {name: [] for name in
                      ("t", "q", "k", "x", "x_hat", "u_sent", "u_applied", "y",
@@ -188,28 +330,37 @@ class _TraceBuilder:
         self.range_rows = {name: [] for name in range_names}
         self.slots = {}
 
-    def add_row(self, t, q, k, x, x_hat, u_sent, u_applied, y, ranges,
-                outcome, saturated, inferred):
+    def add_substep(self, q, k, x, x_hat, u_sent, u_applied, ranges,
+                    outcome, saturated, inferred):
+        """Rows for sub-step ``k`` of slot ``q``: its start plus one per
+        oversampled point, each propagated exactly from ``x`` under the
+        held applied input."""
+        t0 = q * self.big_delta + k * self.delta
+        points = [(t0, x)]
+        for j, (a_t, b_t) in enumerate(self.os_maps, start=1):
+            points.append((t0 + j * self.delta / self.oversample,
+                           a_t @ x + b_t @ u_applied))
         r = self.rows
-        r["t"].append(t)
-        r["q"].append(q)
-        r["k"].append(k)
-        r["x"].append(np.array(x))
-        r["x_hat"].append(np.array(x_hat))
-        r["u_sent"].append(np.array(u_sent))
-        r["u_applied"].append(np.array(u_applied))
-        r["y"].append(np.array(y))
-        for name, value in zip(self.range_names, ranges):
-            self.range_rows[name].append(value)
-        r["outcome"].append(outcome.value)
-        r["saturated"].append(saturated)
-        r["inferred"].append(inferred)
+        for t, xs in points:
+            r["t"].append(t)
+            r["q"].append(q)
+            r["k"].append(k)
+            r["x"].append(np.array(xs))
+            r["x_hat"].append(np.array(x_hat))
+            r["u_sent"].append(np.array(u_sent))
+            r["u_applied"].append(np.array(u_applied))
+            r["y"].append(self.c @ xs)
+            for name, value in zip(self.range_names, ranges):
+                self.range_rows[name].append(value)
+            r["outcome"].append(outcome.value)
+            r["saturated"].append(saturated)
+            r["inferred"].append(inferred)
 
     def add_slot(self, **values):
         for name, value in values.items():
             self.slots.setdefault(name, []).append(value)
 
-    def build(self, final_state, meta=None):
+    def build(self, final_state, plan: Plan, **meta):
         r = self.rows
         return LoopTrace(
             scenario=self.scenario,
@@ -227,7 +378,9 @@ class _TraceBuilder:
             inferred_attack=np.array(r["inferred"], dtype=bool),
             slots={n: np.array(v) for n, v in self.slots.items()},
             final_state=np.array(final_state),
-            meta=meta or {},
+            meta={"dp": plan.dp, "gains": plan.gains,
+                  "constants": plan.constants, "thetas": plan.thetas,
+                  "l_obs": plan.l_obs, **meta},
         )
 
 
@@ -244,15 +397,19 @@ def _resolve_pattern(cfg: SimConfig) -> DoSPattern:
     return generate(cfg.dos_params, cfg.horizon_slots, cfg.seed, cfg.intensity)
 
 
-def _oversample_maps(plant, delta, oversample):
-    """(a_tau, b_tau) pairs for the intra-step offsets j*delta/oversample."""
-    maps = []
-    for j in range(1, oversample):
-        maps.append(discretize(plant.a, plant.b, j * delta / oversample))
-    return maps
+def _encode(v, center, rng, codec, channel, q, k=None):
+    """:func:`encode`, naming the slot, sub-step and channel on saturation."""
+    try:
+        return encode(v, center, rng, codec)
+    except SaturationError as exc:
+        where = q if k is None else f"{q}.{k}"
+        raise SaturationError(
+            f"{channel} quantizer saturated at slot {where}: {exc}",
+            slot=q, substep=k, channel=channel,
+        ) from exc
 
 
-def run_dual_channel(cfg: SimConfig) -> LoopTrace:
+def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """Dual-channel loop: attacks blot out both channels for a whole slot.
 
     On a successful slot the controller resets its estimate from the
@@ -263,22 +420,12 @@ def run_dual_channel(cfg: SimConfig) -> LoopTrace:
     estimate exactly to zero at the end of every slot, which is asserted
     each slot before the zero is reused as the next quantization center.
     """
-    if cfg.scenario is not Scenario.DUAL_CHANNEL:
-        raise ScenarioError("config is not a dual-channel scenario")
-    plant = cfg.plant
-    try:
-        n1, n2, n3 = cfg.levels
-    except (TypeError, ValueError):
-        raise ScenarioError(
-            "dual-channel runs need an (n1, n2, n3) triple"
-        ) from None
-    if n1 < 1 or n1 % 2 == 0:
-        raise ScenarioError("n1 must be odd (and at least 1)")
-    dp = sample_plant(plant, cfg.big_delta)
-    gs = cfg.gains if cfg.gains is not None else build_gain_set(dp, cfg.observer)
-    dc = derive_decay_constants(gs, dp)
-    thetas = compute_thetas(ThetaVariant.DUAL, dc, dp, (n1, n2, n3))
+    n1, n2, n3 = plan.levels
+    if n1 % 2 == 0:
+        raise ScenarioError("n1 must be odd")
+    dp, gs, thetas = plan.dp, plan.gains, plan.thetas
     pattern = _resolve_pattern(cfg)
+    plant = cfg.plant
 
     n_x, n_u, n_y = plant.n_x, plant.n_u, plant.n_y
     codec1 = UniformCodec(n1, n_y)
@@ -294,8 +441,7 @@ def run_dual_channel(cfg: SimConfig) -> LoopTrace:
     xh_eta = np.zeros(n_x)  # estimate carried across slots; exactly zero
     zero_y = np.zeros(n_y)
     zero_u = np.zeros(n_u)
-    os_maps = _oversample_maps(plant, dp.delta, cfg.oversample)
-    tb = _TraceBuilder(cfg.scenario, ("E1", "E2", "E3"))
+    tb = _TraceBuilder(cfg, dp.delta, ("E1", "E2", "E3"), cfg.oversample)
 
     for q in range(cfg.horizon_slots):
         y = plant.c @ x
@@ -311,17 +457,12 @@ def run_dual_channel(cfg: SimConfig) -> LoopTrace:
         else:
             idx1 = encode(zero_y, zero_y, rs1.value, codec1)
             center3 = decode(idx1, zero_y, rs1.value, codec1)
-            try:
-                idx3 = encode(y, center3, rs3.value, codec3)
-            except SaturationError as exc:
-                raise SaturationError(
-                    f"output quantizer saturated at slot {q}: {exc}",
-                    slot=q, channel="output",
-                ) from exc
+            idx3 = _encode(y, center3, rs3.value, codec3, "output", q)
             q3 = decode(idx3, center3, rs3.value, codec3)
             xh = xh_eta + gs.observer_gain @ (q3 - center3)
             for k in range(dp.eta):
-                e2_held[k] = derive_input_range(rs3.value, k, gs, codec3)
+                e2_held[k] = derive_input_range(
+                    rs3.value, plan.constants.input_gains[k], codec3)
 
         for k in range(dp.eta):
             e2_k = e2_held[k]
@@ -330,23 +471,10 @@ def run_dual_channel(cfg: SimConfig) -> LoopTrace:
                 ua = zero_u
             else:
                 u = gs.controller_gain @ xh
-                try:
-                    idx2 = encode(u, zero_u, e2_k, codec2)
-                except SaturationError as exc:
-                    raise SaturationError(
-                        f"input quantizer saturated at slot {q}.{k}: {exc}",
-                        slot=q, substep=k, channel="input",
-                    ) from exc
+                idx2 = _encode(u, zero_u, e2_k, codec2, "input", q, k)
                 ua = decode(idx2, zero_u, e2_k, codec2)
-            t0 = q * cfg.big_delta + k * dp.delta
-            tb.add_row(t0, q, k, x, xh, u, ua, plant.c @ x,
-                       (rs1.value, e2_k, rs3.value), outcome, False, attacked)
-            for j, (a_t, b_t) in enumerate(os_maps, start=1):
-                xs = a_t @ x + b_t @ ua
-                tb.add_row(t0 + j * dp.delta / cfg.oversample, q, k, xs, xh,
-                           u, ua, plant.c @ xs,
-                           (rs1.value, e2_k, rs3.value), outcome, False,
-                           attacked)
+            tb.add_substep(q, k, x, xh, u, ua, (rs1.value, e2_k, rs3.value),
+                           outcome, False, attacked)
             x = dp.a_d @ x + dp.b_d @ ua
             xh = dp.a_d @ xh + dp.b_d @ u
 
@@ -366,37 +494,27 @@ def run_dual_channel(cfg: SimConfig) -> LoopTrace:
                 f"encoder/decoder output ranges diverged at slot {q}"
             )
 
-    return tb.build(final_state=x, meta={
-        "dp": dp, "gains": gs, "constants": dc, "thetas": thetas,
-        "pattern": pattern,
-    })
+    return tb.build(x, plan, pattern=pattern)
 
 
-def run_output_ack(cfg: SimConfig) -> LoopTrace:
+def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """Output channel with instant acknowledgments, single-rate predictors.
 
     The encoder and decoder each run the predictor; acknowledgments keep
     their branch choices identical, which the run asserts bit-exactly.
     The input channel is ideal: the plant receives the computed input.
     """
-    if cfg.scenario is not Scenario.OUTPUT_ACK:
-        raise ScenarioError("config is not an output-ACK scenario")
-    plant = cfg.plant
-    n = int(cfg.levels)
-    dps = sample_plant_single_rate(plant, cfg.big_delta)
-    gs, l_obs = _single_rate_gains(cfg, dps)
-    dc = derive_decay_constants(gs, dps, l_obs=l_obs)
-    thetas = compute_thetas(ThetaVariant.ACK, dc, dps, n)
+    dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
     pattern = _resolve_pattern(cfg)
-    codec = UniformCodec(n, plant.n_y)
+    plant = cfg.plant
+    codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
 
-    rs_dec = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK, thetas)
-    rs_enc = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK, thetas)
+    rs_dec = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK, plan.thetas)
+    rs_enc = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK, plan.thetas)
     x = cfg.x0.copy()
     xh = np.zeros(plant.n_x)
-    os_maps = _oversample_maps(plant, dps.delta, cfg.oversample)
-    tb = _TraceBuilder(cfg.scenario, ("E",))
+    tb = _TraceBuilder(cfg, dps.delta, ("E",), cfg.oversample)
 
     for q in range(cfg.horizon_slots):
         y = plant.c @ x
@@ -414,49 +532,20 @@ def run_output_ack(cfg: SimConfig) -> LoopTrace:
             xh_next = dps.a_d @ xh + dps.b_d @ u
         else:
             rng = norm_c * rs_dec.value
-            try:
-                idx = encode(y, yh, rng, codec)
-            except SaturationError as exc:
-                raise SaturationError(
-                    f"output quantizer saturated at slot {q}: {exc}",
-                    slot=q, channel="output",
-                ) from exc
+            idx = _encode(y, yh, rng, codec, "output", q)
             qv = decode(idx, yh, rng, codec)
             xh_next = dps.a_d @ xh + dps.b_d @ u + l_obs @ (qv - yh)
-        t0 = q * cfg.big_delta
-        tb.add_row(t0, q, 0, x, xh, u, u, y, (rs_dec.value,), outcome,
-                   False, attacked)
-        for j, (a_t, b_t) in enumerate(os_maps, start=1):
-            xs = a_t @ x + b_t @ u
-            tb.add_row(t0 + j * dps.delta / cfg.oversample, q, 0, xs, xh, u, u,
-                       plant.c @ xs, (rs_dec.value,), outcome, False, attacked)
+        tb.add_substep(q, 0, x, xh, u, u, (rs_dec.value,), outcome, False,
+                       attacked)
         x = dps.a_d @ x + dps.b_d @ u
         xh = xh_next
         rs_dec = update_range(rs_dec, outcome)
         rs_enc = update_range(rs_enc, outcome)
 
-    return tb.build(final_state=x, meta={
-        "dp": dps, "gains": gs, "constants": dc, "thetas": thetas,
-        "pattern": pattern, "l_obs": l_obs,
-    })
+    return tb.build(x, plan, pattern=pattern)
 
 
-def _single_rate_gains(cfg: SimConfig, dps: DiscretePlant):
-    """Stabilizing feedback plus predictor gain for the single-rate schemes."""
-    if cfg.gains is not None:
-        gs = cfg.gains
-    else:
-        k = design_stabilizing_gain(dps.a_d, dps.b_d, cfg.control_weight)
-        if cfg.observer == "deadbeat":
-            m = design_deadbeat_observer(dps.a_d, dps.c, dps.mu)
-        else:
-            m = design_observer_gain(dps.a_d, dps.c)
-        gs = make_gain_set(dps, k, m, deadbeat_observer=cfg.observer == "deadbeat")
-    l_obs = dps.a_d @ gs.observer_gain
-    return gs, l_obs
-
-
-def run_output_ackfree(cfg: SimConfig) -> LoopTrace:
+def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """Output channel without acknowledgments.
 
     Only the decoder runs the observer; the quantization center is the
@@ -467,27 +556,20 @@ def run_output_ackfree(cfg: SimConfig) -> LoopTrace:
     input is nonzero.  The encoder watches the applied input and infers the
     attack state, which must match the true pattern in every valid run.
     """
-    if cfg.scenario is not Scenario.OUTPUT_ACK_FREE:
-        raise ScenarioError("config is not an output-ACK-free scenario")
-    plant = cfg.plant
-    n = int(cfg.levels)
-    if n % 2 != 0:
+    if plan.levels % 2 != 0:
         raise ScenarioError("the ACK-free scheme needs an even level count")
-    dp = sample_plant(plant, cfg.big_delta)
-    gs = cfg.gains if cfg.gains is not None else build_gain_set(dp, cfg.observer)
-    dc = derive_decay_constants(gs, dp)
-    thetas = compute_thetas(ThetaVariant.ACK_FREE, dc, dp, n)
+    dp, gs = plan.dp, plan.gains
     pattern = _resolve_pattern(cfg)
-    codec = UniformCodec(n, plant.n_y)
+    plant = cfg.plant
+    codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
 
-    rs_dec = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK_FREE, thetas)
-    rs_enc = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK_FREE, thetas)
+    rs_dec = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK_FREE, plan.thetas)
+    rs_enc = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK_FREE, plan.thetas)
     x = cfg.x0.copy()
     xh_eta = np.zeros(plant.n_x)
     zero_y = np.zeros(plant.n_y)
-    os_maps = _oversample_maps(plant, dp.delta, cfg.oversample)
-    tb = _TraceBuilder(cfg.scenario, ("E",))
+    tb = _TraceBuilder(cfg, dp.delta, ("E",), cfg.oversample)
     degenerate_inferences = 0
 
     for q in range(cfg.horizon_slots):
@@ -503,13 +585,7 @@ def run_output_ackfree(cfg: SimConfig) -> LoopTrace:
         if attacked:
             xh = np.zeros(plant.n_x)  # default-zero reception, exact
         else:
-            try:
-                idx = encode(y, zero_y, rng, codec)
-            except SaturationError as exc:
-                raise SaturationError(
-                    f"output quantizer saturated at slot {q}: {exc}",
-                    slot=q, channel="output",
-                ) from exc
+            idx = _encode(y, zero_y, rng, codec, "output", q)
             qv = decode(idx, zero_y, rng, codec)
             xh = xh_eta + gs.observer_gain @ (qv - zero_y)
         rows = []
@@ -536,13 +612,7 @@ def run_output_ackfree(cfg: SimConfig) -> LoopTrace:
         outcome = classify_outcome(attacked, rs_dec.prev_attacked, q)
         outcome_enc = classify_outcome(inferred, rs_enc.prev_attacked, q)
         for k, xk, xhk, u in rows:
-            t0 = q * cfg.big_delta + k * dp.delta
-            tb.add_row(t0, q, k, xk, xhk, u, u, plant.c @ xk,
-                       (rs_dec.value,), outcome, False, inferred)
-            for j, (a_t, b_t) in enumerate(os_maps, start=1):
-                xs = a_t @ xk + b_t @ u
-                tb.add_row(t0 + j * dp.delta / cfg.oversample, q, k, xs, xhk,
-                           u, u, plant.c @ xs, (rs_dec.value,), outcome,
+            tb.add_substep(q, k, xk, xhk, u, u, (rs_dec.value,), outcome,
                            False, inferred)
         residual = inf_norm(plant.c @ xh)
         if residual > DEADBEAT_NULL_TOL:
@@ -555,13 +625,11 @@ def run_output_ackfree(cfg: SimConfig) -> LoopTrace:
         rs_dec = update_range(rs_dec, outcome)
         rs_enc = update_range(rs_enc, outcome_enc)
 
-    return tb.build(final_state=x, meta={
-        "dp": dp, "gains": gs, "constants": dc, "thetas": thetas,
-        "pattern": pattern, "degenerate_inferences": degenerate_inferences,
-    })
+    return tb.build(x, plan, pattern=pattern,
+                    degenerate_inferences=degenerate_inferences)
 
 
-def run_mismatch_demo(cfg: SimConfig) -> LoopTrace:
+def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """ACK-based scheme run without ACKs: one attack, growing mismatch.
 
     The decoder-side predictor switches to its open-loop branch on the
@@ -571,26 +639,18 @@ def run_mismatch_demo(cfg: SimConfig) -> LoopTrace:
     mismatch bound sequence; encoding past saturation clips to the nearest
     box instead of failing, because divergence is the point.
     """
-    if cfg.scenario is not Scenario.MISMATCH_DEMO:
-        raise ScenarioError("config is not a mismatch-demo scenario")
-    if cfg.attack_slot is None:
-        raise ScenarioError("mismatch demo needs attack_slot")
+    dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
     plant = cfg.plant
-    n = int(cfg.levels)
     q_a = cfg.attack_slot
-    dps = sample_plant_single_rate(plant, cfg.big_delta)
-    gs, l_obs = _single_rate_gains(cfg, dps)
-    dc = derive_decay_constants(gs, dps, l_obs=l_obs)
-    thetas = compute_thetas(ThetaVariant.ACK, dc, dps, n)
-    codec = UniformCodec(n, plant.n_y)
+    codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
 
-    rs_dec = RangeState(cfg.x0_bound, RangeScheme.MISMATCH_DECODER, thetas)
-    rs_enc = RangeState(cfg.x0_bound, RangeScheme.MISMATCH_ENCODER, thetas)
+    rs_dec = RangeState(cfg.x0_bound, RangeScheme.MISMATCH_DECODER, plan.thetas)
+    rs_enc = RangeState(cfg.x0_bound, RangeScheme.MISMATCH_ENCODER, plan.thetas)
     x = cfg.x0.copy()
     xh = np.zeros(plant.n_x)  # decoder/controller side
     xt = np.zeros(plant.n_x)  # encoder side
-    tb = _TraceBuilder(cfg.scenario, ("E_e", "E_d"))
+    tb = _TraceBuilder(cfg, dps.delta, ("E_e", "E_d"))
     slots_run = 0
 
     for q in range(cfg.horizon_slots):
@@ -609,8 +669,8 @@ def run_mismatch_demo(cfg: SimConfig) -> LoopTrace:
             enc_err=inf_norm(x - xt), predictor_gap=inf_norm(xh - xt),
             offs=offs.copy(), saturated=saturated, x_norm=inf_norm(x),
         )
-        tb.add_row(q * cfg.big_delta, q, 0, x, xh, u, u, y,
-                   (rs_enc.value, rs_dec.value), outcome, saturated, False)
+        tb.add_substep(q, 0, x, xh, u, u, (rs_enc.value, rs_dec.value),
+                       outcome, saturated, False)
         xt_next = dps.a_d @ xt + dps.b_d @ (gs.controller_gain @ xt) \
             + l_obs @ (qe - yt)
         if attacked:
@@ -628,18 +688,13 @@ def run_mismatch_demo(cfg: SimConfig) -> LoopTrace:
         if inf_norm(x) > DIVERGENCE_CAP:
             break
 
-    trace = tb.build(final_state=x, meta={
-        "dp": dps, "gains": gs, "constants": dc, "thetas": thetas,
-        "attack_slot": q_a, "slots_run": slots_run,
-        "l_obs": l_obs,
-    })
-    trace.slots["mismatch_bound"] = _mismatch_bound_sequence(trace, cfg, dps, gs,
-                                                             l_obs, thetas, codec)
+    trace = tb.build(x, plan, attack_slot=q_a, slots_run=slots_run)
+    trace.slots["mismatch_bound"] = _mismatch_bound_sequence(trace, cfg, plan,
+                                                             codec)
     return trace
 
 
-def _mismatch_bound_sequence(trace, cfg, dps, gs, l_obs, thetas: ThetaSet,
-                             codec) -> np.ndarray:
+def _mismatch_bound_sequence(trace, cfg, plan: Plan, codec) -> np.ndarray:
     """Derived upper-bound sequence on the encoder-side error.
 
     Before the attack the bound is the encoder range itself.  After it, the
@@ -651,11 +706,12 @@ def _mismatch_bound_sequence(trace, cfg, dps, gs, l_obs, thetas: ThetaSet,
     e_enc = trace.slots["e_enc"]
     offs = trace.slots["offs"]
     q_a = cfg.attack_slot
+    thetas, gs, l_obs = plan.thetas, plan.gains, plan.l_obs
     th_a, th_0, th_na = (thetas.theta_attack, thetas.theta_first,
                          thetas.theta_steady)
     n = codec.levels
     norm_c = inf_norm(cfg.plant.c)
-    bk = dps.b_d @ gs.controller_gain
+    bk = plan.dp.b_d @ gs.controller_gain
     closed = gs.closed_loop
     slots = len(e_enc)
     bound = np.array(e_enc, dtype=float)
@@ -696,4 +752,6 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: SimConfig) -> LoopTrace:
-    return _RUNNERS[cfg.scenario](cfg)
+    """Compile the plan for ``cfg`` (or reuse the one in ``cfg.gains``) and
+    run its scenario's engine."""
+    return _RUNNERS[cfg.scenario](cfg, compile_plan(cfg))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UncontrollablePairError, UnobservablePairError
-from .matrixcore import as_matrix, as_vector, mat_exp, mat_pow, rank_with_tol
+from .matrixcore import as_matrix, mat_exp, mat_pow, rank_with_tol
 
 __all__ = [
     "ContinuousPlant",
@@ -182,7 +182,3 @@ def sample_plant_single_rate(plant: ContinuousPlant, big_delta: float) -> Discre
         a_d=a_d, b_d=b_d, c=plant.c, delta=big_delta, big_delta=big_delta,
         eta=1, mu=mu, a_lift=a_d,
     )
-
-
-def initial_state(x0, plant: ContinuousPlant) -> np.ndarray:
-    return as_vector(x0, plant.n_x)

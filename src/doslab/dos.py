@@ -19,8 +19,6 @@ __all__ = [
     "duration_count",
     "validate",
     "generate",
-    "write_pattern",
-    "read_pattern",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -150,37 +148,6 @@ def generate(
                 attacks += 1
         slots.append(attack)
         prev = attack
-    return DoSPattern(slots=tuple(slots))
-
-
-def write_pattern(path, p: DoSPattern, params: DoSParams | None = None,
-                  seed: int | None = None, intensity: float | None = None):
-    """Write one `q,attacked` line per slot with a provenance header comment."""
-    with open(path, "w") as fh:
-        if params is not None:
-            fh.write(
-                f"# kappa_f={params.kappa_f!r} nu_f={params.nu_f!r} "
-                f"kappa_d={params.kappa_d!r} nu_d={params.nu_d!r}"
-            )
-            if seed is not None:
-                fh.write(f" seed={seed}")
-            if intensity is not None:
-                fh.write(f" intensity={intensity!r}")
-            fh.write("\n")
-        fh.write("q,attacked\n")
-        for q, slot in enumerate(p.slots):
-            fh.write(f"{q},{int(slot)}\n")
-
-
-def read_pattern(path) -> DoSPattern:
-    slots = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("q,"):
-                continue
-            _, flag = line.split(",")
-            slots.append(bool(int(flag)))
     return DoSPattern(slots=tuple(slots))
 
 

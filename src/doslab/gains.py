@@ -79,7 +79,8 @@ class DecayConstants:
         inf_norm(r^l a_lift m)                          <= a1 * rho^l
         sum_i inf_norm(r^l a_d^(eta-i-1) b_d) * s_i     <= a2 * rho^l
 
-    where ``s_i = inf_norm(k rbar^i m)``.  ``h0, h1`` are the analogous
+    where ``s_i = inf_norm(k rbar^i m)`` is the input gain of sub-step
+    ``i``, kept in ``input_gains``.  ``h0, h1`` are the analogous
     constants for a predictor matrix ``a_d - l_obs c`` when one is supplied,
     and ``g0, g1`` alias ``a0, a1`` (the output-only scheme bounds the same
     two quantities).
@@ -94,6 +95,7 @@ class DecayConstants:
     h0: float | None
     h1: float | None
     max_power_used: int
+    input_gains: tuple[float, ...] = ()
 
 
 def _select_chains(a: np.ndarray, b: np.ndarray, tol: float):
@@ -377,10 +379,10 @@ def derive_decay_constants(
     input_cols = [
         mat_pow(dp.a_d, dp.eta - i - 1) @ dp.b_d for i in range(dp.eta)
     ]
-    input_weights = [
+    input_gains = tuple(
         inf_norm(gs.controller_gain @ mat_pow(gs.closed_loop, i) @ gs.observer_gain)
         for i in range(dp.eta)
-    ]
+    )
     (a0, a1, a2), used = _scan_constants(
         r,
         rho,
@@ -388,7 +390,7 @@ def derive_decay_constants(
             inf_norm,
             lambda p: inf_norm(p @ lifted_m),
             lambda p: sum(
-                inf_norm(p @ col) * w for col, w in zip(input_cols, input_weights)
+                inf_norm(p @ col) * w for col, w in zip(input_cols, input_gains)
             ),
         ),
     )
@@ -400,5 +402,5 @@ def derive_decay_constants(
         used = max(used, used_l)
     return DecayConstants(
         rho=rho, a0=a0, a1=a1, a2=a2, g0=a0, g1=a1, h0=h0, h1=h1,
-        max_power_used=used,
+        max_power_used=used, input_gains=input_gains,
     )

@@ -18,8 +18,7 @@ import numpy as np
 
 from .conditions import ThetaSet
 from .errors import SaturationError
-from .gains import GainSet
-from .matrixcore import as_vector, inf_norm, mat_pow
+from .matrixcore import as_vector, inf_norm
 
 __all__ = [
     "UniformCodec",
@@ -29,7 +28,6 @@ __all__ = [
     "Outcome",
     "encode",
     "decode",
-    "quantization_error_bound",
     "update_range",
     "derive_input_range",
     "initial_ranges",
@@ -57,21 +55,6 @@ class QuantIndex:
 
     cells: tuple[int, ...]
 
-    def to_wire(self, codec: UniformCodec) -> int:
-        """Row-major mixed-radix flattening, fits an unsigned 64-bit field."""
-        word = 0
-        for cell in self.cells:
-            word = word * codec.levels + cell
-        return word
-
-    @classmethod
-    def from_wire(cls, word: int, codec: UniformCodec) -> "QuantIndex":
-        cells = []
-        for _ in range(codec.dim):
-            cells.append(word % codec.levels)
-            word //= codec.levels
-        return cls(cells=tuple(reversed(cells)))
-
 
 class Outcome(Enum):
     ATTACKED = "attacked"
@@ -81,20 +64,11 @@ class Outcome(Enum):
 
 class RangeScheme(Enum):
     CONSTANT = "constant"                  # estimated-output channel, frozen
-    INPUT = "input"                        # derived from the output range
     OUTPUT_DUAL = "output_dual"
     OUTPUT_ACK = "output_ack"
     OUTPUT_ACK_FREE = "output_ack_free"
     MISMATCH_ENCODER = "mismatch_encoder"  # never observes attacks
     MISMATCH_DECODER = "mismatch_decoder"
-
-
-_THREE_BRANCH = {
-    RangeScheme.OUTPUT_DUAL,
-    RangeScheme.OUTPUT_ACK,
-    RangeScheme.OUTPUT_ACK_FREE,
-    RangeScheme.MISMATCH_DECODER,
-}
 
 
 @dataclass(frozen=True)
@@ -185,36 +159,26 @@ def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarr
     return center + (2.0 * cells + 1.0 - codec.levels) * (rng / codec.levels)
 
 
-def quantization_error_bound(rng: float, codec: UniformCodec) -> float:
-    """Worst-case distance between a value and its decoded box center."""
-    return rng / codec.levels
-
-
 def update_range(rs: RangeState, outcome: Outcome) -> RangeState:
     """Apply one slot's branch factor and advance the state.
 
     The constant scheme never changes; the mismatch-encoder scheme cannot
     observe attacks and applies its two-branch law (resync factor on the
     initial slot, steady contraction after) regardless of the outcome.
-    The input scheme is not updated here: its bound is derived from the
-    output bound at each successful slot (see :func:`derive_input_range`).
+    Every other scheme applies the three-branch law.
     """
     if rs.scheme is RangeScheme.CONSTANT:
         return replace(rs, slot=rs.slot + 1,
                        prev_attacked=outcome is Outcome.ATTACKED)
-    if rs.scheme is RangeScheme.INPUT:
-        raise ValueError("input ranges are derived, not updated per slot")
     th = rs.thetas
     if rs.scheme is RangeScheme.MISMATCH_ENCODER:
         factor = th.theta_first if rs.slot == 0 else th.theta_steady
-    elif rs.scheme in _THREE_BRANCH:
+    else:
         factor = {
             Outcome.ATTACKED: th.theta_attack,
             Outcome.FIRST_SUCCESS_AFTER_ATTACK: th.theta_first,
             Outcome.CONSECUTIVE_SUCCESS: th.theta_steady,
         }[outcome]
-    else:
-        raise ValueError(f"unknown scheme {rs.scheme!r}")
     return replace(
         rs,
         value=rs.value * factor,
@@ -223,21 +187,15 @@ def update_range(rs: RangeState, outcome: Outcome) -> RangeState:
     )
 
 
-def derive_input_range(
-    e3: float, k_step: int, gs: GainSet, codec3: UniformCodec
-) -> float:
-    """Input bound at sub-step ``k_step`` of a successful slot.
+def derive_input_range(e3: float, gain: float, codec3: UniformCodec) -> float:
+    """Input bound at one sub-step of a successful slot.
 
-    The closed loop expresses the input as a gain acting on the decoded
-    output innovation, whose magnitude is at most ``(n3-1)/n3`` of the
-    output range.  During attacked slots no input is transmitted and the
-    previous value is held by the caller.
+    The closed loop expresses the input at sub-step ``k`` as the gain
+    ``k rbar^k m`` acting on the decoded output innovation, whose magnitude
+    is at most ``(n3-1)/n3`` of the output range; ``gain`` is that gain's
+    norm (:attr:`DecayConstants.input_gains`).  During attacked slots no
+    input is transmitted and the previous value is held by the caller.
     """
-    if k_step < 0:
-        raise ValueError("k_step must be nonnegative")
-    gain = inf_norm(
-        gs.controller_gain @ mat_pow(gs.closed_loop, k_step) @ gs.observer_gain
-    )
     n3 = codec3.levels
     return (n3 - 1) / n3 * gain * e3
 

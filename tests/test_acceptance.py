@@ -30,9 +30,7 @@ from doslab.conditions import (
 from doslab.controlloop import (
     Scenario,
     SimConfig,
-    run_dual_channel,
-    run_mismatch_demo,
-    run_output_ackfree,
+    run_scenario,
 )
 from doslab.dos import DoSParams, duration_count, frequency_count, generate, validate
 from doslab.gains import NILPOTENCY_RTOL, DecayConstants
@@ -67,7 +65,7 @@ def dual_run(reactor, reactor_gains):
         scenario=Scenario.DUAL_CHANNEL, horizon_slots=800, levels=DUAL_LEVELS,
         dos_params=CASE_DUAL, seed=0, intensity=0.3, gains=reactor_gains,
     )
-    return run_dual_channel(cfg)
+    return run_scenario(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +76,7 @@ def ackfree_run(reactor, reactor_gains):
         dos_params=CASE_SINGLE, seed=131, intensity=0.3,
         gains=reactor_gains,
     )
-    return run_output_ackfree(cfg)
+    return run_scenario(cfg)
 
 
 def test_criterion_01_protocol_indices(reactor_dp):
@@ -234,7 +232,7 @@ def test_criterion_08_mismatch_demo(reactor):
         scenario=Scenario.MISMATCH_DEMO, horizon_slots=300, levels=100,
         attack_slot=5, control_weight=100.0, observer="deadbeat",
     )
-    trace = run_mismatch_demo(cfg)
+    trace = run_scenario(cfg)
     run = trace.meta["slots_run"]
     sat = np.flatnonzero(trace.slots["saturated"][:run])
     ok_sat = sat.size > 0 and sat[0] < 300

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -124,6 +126,37 @@ class TestRunCommand:
                          "--out", str(tmp_path / "out"), "--no-plots"])
         assert code == cli.EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
+                                      "batch_reactor_ack.json"])
+    def test_one_preparation_per_run(self, name, tmp_path, monkeypatch):
+        # the package exports a function named like the discretize module
+        discretize = importlib.import_module("doslab.discretize")
+        gains = importlib.import_module("doslab.gains")
+        originals = {discretize.sample_plant: "sample_plant",
+                     discretize.sample_plant_single_rate: "sample_plant",
+                     gains.derive_decay_constants: "derive_decay_constants"}
+        calls = {}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        modules = [m for n, m in sys.modules.items()
+                   if n == "doslab" or n.startswith("doslab.")]
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in originals:
+                    monkeypatch.setattr(module, attr,
+                                        counting(value, originals[value]))
+        doc = load(name)
+        doc["horizon_slots"] = 20
+        code = cli.main(["run", write(tmp_path, doc),
+                         "--out", str(tmp_path / "out"), "--no-plots"])
+        assert code == cli.EXIT_OK
+        assert calls == {"sample_plant": 1, "derive_decay_constants": 1}
+
     def test_mismatch_demo_flags_saturation(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli.main(["run", bundled("batch_reactor_mismatch.json"),
@@ -141,6 +174,27 @@ class TestRunCommand:
         assert len(svgs) == 3
         for svg in svgs:
             assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("name, levels", [
+    ("batch_reactor_dual.json", {"n": 10}),
+    ("batch_reactor_ackfree.json", {"n1": 3, "n2": 100, "n3": 100}),
+])
+def test_level_shape_mismatch_exits_2(tmp_path, command, name, levels):
+    doc = load(name)
+    doc["levels"] = levels
+    code = cli.main([command, write(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--no-plots"])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_odd_ackfree_levels_fail_the_report(tmp_path):
+    doc = load("batch_reactor_ackfree.json")
+    doc["levels"] = {"n": 99}
+    code = cli.main(["run", write(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--no-plots"])
+    assert code == cli.EXIT_CONDITION
 
 
 class TestCheckCommand:

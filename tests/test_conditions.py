@@ -217,7 +217,7 @@ class TestDecayCertificate:
         dc = derive_decay_constants(reactor_gains, reactor_dp)
         thetas = compute_thetas(ThetaVariant.DUAL, dc, reactor_dp,
                                 (3, 10_000, 10_000))
-        gain = input_envelope_gain(reactor_gains, reactor_dp, 10_000)
+        gain = input_envelope_gain(dc, 10_000)
         cert = decay_certificate(thetas, CASE_DUAL, 0.2, e0_scale=3.0,
                                  input_envelope_gain=gain)
         want = max(

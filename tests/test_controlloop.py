@@ -7,10 +7,8 @@ from doslab.controlloop import (
     LoopTrace,
     Scenario,
     SimConfig,
+    compile_plan,
     run_dual_channel,
-    run_mismatch_demo,
-    run_output_ack,
-    run_output_ackfree,
     run_scenario,
 )
 from doslab.dos import DoSParams, no_attack, pattern_from_bools
@@ -44,12 +42,12 @@ def ackfree_config(reactor, gains, **overrides):
 
 @pytest.fixture(scope="module")
 def dual_trace(reactor, reactor_gains):
-    return run_dual_channel(dual_config(reactor, reactor_gains))
+    return run_scenario(dual_config(reactor, reactor_gains))
 
 
 @pytest.fixture(scope="module")
 def ackfree_trace(reactor, reactor_gains):
-    return run_output_ackfree(ackfree_config(reactor, reactor_gains))
+    return run_scenario(ackfree_config(reactor, reactor_gains))
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +57,14 @@ def mismatch_trace(reactor):
         scenario=Scenario.MISMATCH_DEMO, horizon_slots=300, levels=100,
         attack_slot=5, control_weight=100.0, observer="deadbeat",
     )
-    return run_mismatch_demo(cfg)
+    return run_scenario(cfg)
 
 
 class TestDualChannel:
     def test_zero_initial_state(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, x0=[0.0] * 4, x0_bound=0.0,
                           horizon_slots=40)
-        trace = run_dual_channel(cfg)
+        trace = run_scenario(cfg)
         assert np.all(trace.x == 0.0)
         assert np.all(trace.u_applied == 0.0)
         assert np.all(trace.ranges["E3"] == 0.0)
@@ -74,7 +72,7 @@ class TestDualChannel:
     def test_no_attack_monotone_decrease(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=60,
                           pattern=no_attack(60), dos_params=None)
-        trace = run_dual_channel(cfg)
+        trace = run_scenario(cfg)
         thetas = trace.meta["thetas"]
         assert thetas.theta_steady < 1.0
         xn = trace.slots["x_norm"]
@@ -115,7 +113,7 @@ class TestDualChannel:
         assert np.all(dual_trace.u_applied[attacked] == 0.0)
 
     def test_determinism(self, reactor, reactor_gains, dual_trace, tmp_path):
-        again = run_dual_channel(dual_config(reactor, reactor_gains))
+        again = run_scenario(dual_config(reactor, reactor_gains))
         np.testing.assert_array_equal(again.x, dual_trace.x)
         np.testing.assert_array_equal(again.ranges["E3"],
                                       dual_trace.ranges["E3"])
@@ -126,18 +124,18 @@ class TestDualChannel:
 
     def test_even_n1_rejected(self, reactor, reactor_gains):
         with pytest.raises(ScenarioError):
-            run_dual_channel(dual_config(reactor, reactor_gains,
+            run_scenario(dual_config(reactor, reactor_gains,
                                          levels=(2, 100, 100)))
 
     def test_oversample_refines_time_grid(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=5,
                           oversample=4)
-        trace = run_dual_channel(cfg)
+        trace = run_scenario(cfg)
         assert len(trace.t) == 5 * 2 * 4
         assert np.all(np.diff(trace.t) > 0)
         # oversampled points interpolate the same trajectory: the state at
         # each sub-step start matches the coarse run
-        coarse = run_dual_channel(dual_config(reactor, reactor_gains,
+        coarse = run_scenario(dual_config(reactor, reactor_gains,
                                               horizon_slots=5))
         keep = np.arange(0, len(trace.t), 4)
         np.testing.assert_allclose(trace.x[keep], coarse.x, atol=1e-12)
@@ -150,7 +148,7 @@ class TestOutputAck:
             scenario=Scenario.OUTPUT_ACK, horizon_slots=30, levels=100,
             dos_params=CASE_SINGLE, seed=7, intensity=0.3,
         )
-        trace = run_output_ack(cfg)
+        trace = run_scenario(cfg)
         assert np.all(trace.x == 0.0)
 
     def test_no_attack_geometric_range(self, reactor):
@@ -159,7 +157,7 @@ class TestOutputAck:
             scenario=Scenario.OUTPUT_ACK, horizon_slots=40, levels=100,
             pattern=no_attack(40),
         )
-        trace = run_output_ack(cfg)
+        trace = run_scenario(cfg)
         thetas = trace.meta["thetas"]
         e = trace.slots["e"]
         # initial slot pays the resynchronization factor, then pure decay
@@ -174,7 +172,7 @@ class TestOutputAck:
             scenario=Scenario.OUTPUT_ACK, horizon_slots=200, levels=100,
             dos_params=CASE_SINGLE, seed=7, intensity=0.3,
         )
-        trace = run_output_ack(cfg)
+        trace = run_scenario(cfg)
         assert np.all(trace.slots["err_norm"] <= trace.slots["e"] * (1 + 1e-12))
         assert inf_norm(trace.final_state) < 1e-3
 
@@ -183,7 +181,7 @@ class TestOutputAckFree:
     def test_zero_initial_state_inference_vacuous(self, reactor, reactor_gains):
         cfg = ackfree_config(reactor, reactor_gains, x0=[0.0] * 4,
                              x0_bound=0.0, horizon_slots=30)
-        trace = run_output_ackfree(cfg)
+        trace = run_scenario(cfg)
         assert np.all(trace.x == 0.0)
         assert trace.meta["degenerate_inferences"] > 0
 
@@ -191,7 +189,7 @@ class TestOutputAckFree:
         pattern = pattern_from_bools([0] * 5 + [1] + [0] * 24)
         cfg = ackfree_config(reactor, reactor_gains, horizon_slots=30,
                              pattern=pattern, dos_params=None)
-        trace = run_output_ackfree(cfg)
+        trace = run_scenario(cfg)
         in_attacked_slot = trace.q == 5
         assert np.all(trace.u_applied[in_attacked_slot] == 0.0)
         assert np.all(trace.u_applied[~in_attacked_slot] != 0.0)
@@ -216,7 +214,7 @@ class TestOutputAckFree:
 
     def test_odd_levels_rejected(self, reactor, reactor_gains):
         with pytest.raises(ScenarioError):
-            run_output_ackfree(ackfree_config(reactor, reactor_gains,
+            run_scenario(ackfree_config(reactor, reactor_gains,
                                               levels=99))
 
 
@@ -228,7 +226,7 @@ class TestMismatchDemo:
             attack_slot=10 ** 6,  # never reached
             control_weight=100.0, observer="deadbeat",
         )
-        trace = run_mismatch_demo(cfg)
+        trace = run_scenario(cfg)
         np.testing.assert_array_equal(trace.ranges["E_e"], trace.ranges["E_d"])
         assert np.all(trace.slots["predictor_gap"] == 0.0)
         assert not trace.saturated.any()
@@ -257,7 +255,7 @@ class TestMismatchDemo:
             scenario=Scenario.MISMATCH_DEMO, horizon_slots=10, levels=100,
         )
         with pytest.raises(ScenarioError):
-            run_mismatch_demo(cfg)
+            run_scenario(cfg)
 
 
 class TestConfigValidation:
@@ -273,7 +271,19 @@ class TestConfigValidation:
         cfg = dual_config(reactor, reactor_gains, horizon_slots=100,
                           pattern=no_attack(50), dos_params=None)
         with pytest.raises(ScenarioError):
-            run_dual_channel(cfg)
+            run_scenario(cfg)
+
+    def test_one_plan_serves_many_patterns(self, reactor, reactor_gains):
+        plan = compile_plan(dual_config(reactor, reactor_gains))
+        for seed in (1, 2):
+            cfg = dual_config(reactor, reactor_gains, horizon_slots=30,
+                              seed=seed)
+            fresh = run_scenario(cfg)
+            cfg.gains = plan
+            for reused in (run_scenario(cfg), run_dual_channel(cfg, plan)):
+                np.testing.assert_array_equal(reused.x, fresh.x)
+                np.testing.assert_array_equal(reused.ranges["E2"],
+                                              fresh.ranges["E2"])
 
     def test_run_scenario_dispatch(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=3)

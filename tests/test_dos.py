@@ -7,9 +7,7 @@ from doslab.dos import (
     generate,
     no_attack,
     pattern_from_bools,
-    read_pattern,
     validate,
-    write_pattern,
 )
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
@@ -122,13 +120,3 @@ class TestParams:
         with pytest.raises(ValueError):
             DoSParams(kappa_f=0, nu_f=2, kappa_d=0, nu_d=1.5)
 
-
-class TestPatternFile:
-    def test_roundtrip(self, tmp_path):
-        p = generate(CASE_DUAL, 50, seed=9, intensity=0.5)
-        path = tmp_path / "pattern.csv"
-        write_pattern(path, p, CASE_DUAL, seed=9, intensity=0.5)
-        assert read_pattern(path) == p
-        text = path.read_text()
-        assert text.startswith("#")
-        assert "q,attacked" in text

@@ -14,9 +14,7 @@ from doslab.conditions import decay_certificate
 from doslab.controlloop import (
     Scenario,
     SimConfig,
-    run_dual_channel,
-    run_mismatch_demo,
-    run_output_ackfree,
+    run_scenario,
 )
 from doslab.dos import DoSParams
 
@@ -34,7 +32,7 @@ def test_dual_channel_worst_admissible_patterns(reactor, reactor_gains, seed):
         levels=(3, 10_000, 10_000), dos_params=CASE_DUAL, seed=seed,
         intensity=1.0, gains=reactor_gains,
     )
-    trace = run_dual_channel(cfg)
+    trace = run_scenario(cfg)
     slots = trace.slots
     assert not trace.saturated.any()
     assert np.all(slots["y_err"] <= slots["e3"])
@@ -53,7 +51,7 @@ def test_ackfree_worst_admissible_patterns(reactor, reactor_gains, seed):
         dos_params=CASE_SINGLE, seed=seed, intensity=1.0,
         gains=reactor_gains,
     )
-    trace = run_output_ackfree(cfg)
+    trace = run_scenario(cfg)
     slots = trace.slots
     assert np.all(slots["enc_equals_dec"])
     assert np.all(slots["x_norm"] <= slots["e"] * (1 + 1e-12))
@@ -70,7 +68,7 @@ def test_mismatch_demo_any_attack_placement(reactor, attack_slot):
         scenario=Scenario.MISMATCH_DEMO, horizon_slots=300, levels=100,
         attack_slot=attack_slot, control_weight=100.0, observer="deadbeat",
     )
-    trace = run_mismatch_demo(cfg)
+    trace = run_scenario(cfg)
     run = trace.meta["slots_run"]
     sat = np.flatnonzero(trace.slots["saturated"][:run])
     assert sat.size > 0 and sat[0] > attack_slot
