@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 configuration error, 3 condition check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -172,6 +174,13 @@ SCENARIO_SCHEMA = {
     },
 }
 
+@functools.cache
+def _schema_validator() -> jsonschema.Draft202012Validator:
+    """Validator for :data:`SCENARIO_SCHEMA`, checked and built once."""
+    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+
 def load_scenario(path) -> dict:
     try:
         with open(path) as fh:
@@ -180,19 +189,82 @@ def load_scenario(path) -> dict:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise, without re-checking the
+    # schema on every call
+    exc = jsonschema.exceptions.best_match(
+        _schema_validator().iter_errors(doc))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ScenarioError(f"scenario schema violation at {where}: "
                             f"{exc.message}") from exc
     return doc
 
 
+def _nonfinite_path(node, path=()):
+    """Path to the first non-finite number in a JSON value, else ``None``.
+
+    Python's json reads ``NaN`` and ``Infinity``, and the schema's number
+    type admits them.
+    """
+    if isinstance(node, (int, float)):
+        try:
+            return None if math.isfinite(node) else path
+        except OverflowError:  # an integer too large for a float
+            return path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return None
+    for key, value in items:
+        found = _nonfinite_path(value, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
+def _matrix(rows, where: str, shape=None) -> np.ndarray:
+    """A schema-checked list of rows as an array, refusing ragged rows and
+    a shape other than ``shape`` (``None`` entries match any size)."""
+    if len({len(row) for row in rows}) != 1:
+        raise ScenarioError(f"{where} is ragged: row lengths "
+                            f"{[len(row) for row in rows]}")
+    a = np.array(rows, dtype=float)
+    if shape is not None and any(want is not None and want != got
+                                 for want, got in zip(shape, a.shape)):
+        want = "x".join("*" if d is None else str(d) for d in shape)
+        raise ScenarioError(f"{where} must be {want}, got "
+                            f"{a.shape[0]}x{a.shape[1]}")
+    return a
+
+
 def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
+    """Config for a schema-valid scenario document.
+
+    Every number must be finite and every matrix and vector must fit the
+    plant's dimensions; a violation is a :class:`ScenarioError`.  This is
+    the input boundary: the engines and the codec assume well-formed data.
+    """
+    bad = _nonfinite_path(doc)
+    if bad is not None:
+        where = "/".join(str(p) for p in bad)
+        raise ScenarioError(f"number at {where} is not finite")
     scenario = Scenario(doc["scenario"])
-    plant = ContinuousPlant(a=doc["plant"]["a"], b=doc["plant"]["b"],
-                            c=doc["plant"]["c"])
+    plant_doc = doc["plant"]
+    n_x = len(plant_doc["a"])
+    a = _matrix(plant_doc["a"], "plant.a", (n_x, n_x))
+    b = _matrix(plant_doc["b"], "plant.b", (n_x, None))
+    c = _matrix(plant_doc["c"], "plant.c", (None, n_x))
+    if len(doc["x0"]) != n_x:
+        raise ScenarioError(f"x0 must have {n_x} entries, got {len(doc['x0'])}")
+    gains_doc = doc.get("gains")
+    if isinstance(gains_doc, dict):
+        if "k" in gains_doc:
+            _matrix(gains_doc["k"], "gains.k", (b.shape[1], n_x))
+        if "m" in gains_doc:
+            _matrix(gains_doc["m"], "gains.m", (n_x, c.shape[0]))
+    plant = ContinuousPlant(a=a, b=b, c=c)
     levels_doc = doc["levels"]
     if "n" in levels_doc:
         levels = levels_doc["n"]

@@ -718,24 +718,25 @@ def _mismatch_bound_sequence(trace, cfg, plan: Plan, codec) -> np.ndarray:
     if q_a >= slots:
         return bound
     base = e_enc[q_a]
-    kick0 = l_obs @ offs[q_a]
+    # every bk closed^i and every kick l_obs offs[j] is formed once; each
+    # term still multiplies left to right, so the values are unchanged
+    bk_pow = [bk @ mat_pow(closed, i) for i in range(slots - q_a - 1)]
+    kicks = [l_obs @ offs[j] for j in range(q_a, slots)]
     for ell in range(1, slots - q_a):
         q = q_a + ell
         total = e_enc[q]
         if ell >= 2:
             total += (
-                inf_norm(bk @ mat_pow(closed, ell - 1) @ kick0)
+                inf_norm(bk_pow[ell - 1] @ kicks[0])
                 * norm_c * base / (n * th_na ** ell)
             )
-            kick1 = l_obs @ offs[q_a + 1]
             total += (
-                inf_norm(bk @ mat_pow(closed, ell - 2) @ kick1)
+                inf_norm(bk_pow[ell - 2] @ kicks[1])
                 * norm_c * (th_a - th_na) * base / (n * th_na ** ell)
             )
         for i in range(ell - 2):
-            kick = l_obs @ offs[q_a + ell - i - 1]
             total += (
-                inf_norm(bk @ mat_pow(closed, i) @ kick)
+                inf_norm(bk_pow[i] @ kicks[ell - i - 1])
                 * norm_c * (th_0 * th_a - th_na ** 2) * base
                 / (n * th_na ** (i + 3))
             )

@@ -64,8 +64,8 @@ def inf_norm(m) -> float:
     """Max-row-sum norm of a matrix, or max-abs entry of a vector."""
     a = np.asarray(m, dtype=float)
     if a.ndim == 1:
-        return float(np.max(np.abs(a))) if a.size else 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+        return float(abs(a).max()) if a.size else 0.0
+    return float(abs(a).sum(axis=1).max())
 
 
 def mat_exp(m, t: float = 1.0) -> np.ndarray:

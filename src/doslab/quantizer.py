@@ -11,14 +11,14 @@ contracts on consecutive successes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .conditions import ThetaSet
-from .errors import SaturationError
-from .matrixcore import as_vector, inf_norm
+from .errors import InvalidMatrixError, SaturationError
+from .matrixcore import inf_norm
 
 __all__ = [
     "UniformCodec",
@@ -119,27 +119,36 @@ def encode(
     exceeds ``rng`` in magnitude -- the failure mode the stability
     conditions preclude -- unless ``clip`` maps out-of-range values to the
     nearest box (used only by the divergence demonstration).  Points on a
-    shared box boundary go to the lower-index box.
+    shared box boundary go to the lower-index box.  A non-finite entry in
+    ``v`` or ``center`` raises :class:`InvalidMatrixError` before the
+    saturation test.
     """
-    v = as_vector(v, codec.dim)
-    center = as_vector(center, codec.dim)
-    if rng < 0.0:
-        raise ValueError("range must be nonnegative")
+    shape = (codec.dim,)
+    v = np.asarray(v, dtype=float)
+    center = np.asarray(center, dtype=float)
+    if v.shape != shape or center.shape != shape:
+        raise InvalidMatrixError(
+            f"expected vectors of shape {shape}, got {v.shape} and "
+            f"{center.shape}"
+        )
     offset = v - center
-    worst = float(np.max(np.abs(offset))) if offset.size else 0.0
+    # one reduction serves both the finiteness and the saturation test
+    worst = float(abs(offset).max())
+    if not math.isfinite(worst):
+        raise InvalidMatrixError("vector entries must be finite")
+    if not 0.0 <= rng < math.inf:
+        raise ValueError("range must be nonnegative and finite")
     if worst > rng and not clip:
         raise SaturationError(
             f"value leaves its quantization range: |v - center| = {worst:.6g} "
             f"> {rng:.6g}"
         )
-    if rng == 0.0:
-        return QuantIndex(cells=((codec.levels - 1) // 2,) * codec.dim)
     n = codec.levels
-    cells = []
-    for u in (offset + rng) * n / (2.0 * rng):
-        cell = int(math.ceil(u)) - 1
-        cells.append(min(max(cell, 0), n - 1))
-    return QuantIndex(cells=tuple(cells))
+    if rng == 0.0:
+        return QuantIndex(cells=((n - 1) // 2,) * codec.dim)
+    top = n - 1
+    cells = np.ceil((offset + rng) * n / (2.0 * rng)).tolist()
+    return QuantIndex(cells=tuple(min(max(int(c) - 1, 0), top) for c in cells))
 
 
 def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarray:
@@ -150,13 +159,20 @@ def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarr
     even ``N`` around a zero center no component can be zero -- the
     property the ACK-free attack inference relies on.
     """
-    center = as_vector(center, codec.dim)
-    if len(idx.cells) != codec.dim:
+    center = np.asarray(center, dtype=float)
+    if center.shape != (codec.dim,):
+        raise InvalidMatrixError(
+            f"expected a center of shape ({codec.dim},), got {center.shape}"
+        )
+    if not np.isfinite(center).all():
+        raise InvalidMatrixError("vector entries must be finite")
+    cells = idx.cells
+    n = codec.levels
+    if len(cells) != codec.dim:
         raise ValueError("index dimension does not match codec")
-    cells = np.array(idx.cells, dtype=float)
-    if np.any(cells < 0) or np.any(cells >= codec.levels):
+    if min(cells) < 0 or max(cells) >= n:
         raise ValueError("index cells out of range for codec")
-    return center + (2.0 * cells + 1.0 - codec.levels) * (rng / codec.levels)
+    return center + (2.0 * np.array(cells, dtype=float) + 1.0 - n) * (rng / n)
 
 
 def update_range(rs: RangeState, outcome: Outcome) -> RangeState:
@@ -167,24 +183,20 @@ def update_range(rs: RangeState, outcome: Outcome) -> RangeState:
     initial slot, steady contraction after) regardless of the outcome.
     Every other scheme applies the three-branch law.
     """
-    if rs.scheme is RangeScheme.CONSTANT:
-        return replace(rs, slot=rs.slot + 1,
-                       prev_attacked=outcome is Outcome.ATTACKED)
-    th = rs.thetas
-    if rs.scheme is RangeScheme.MISMATCH_ENCODER:
-        factor = th.theta_first if rs.slot == 0 else th.theta_steady
+    scheme, th = rs.scheme, rs.thetas
+    attacked = outcome is Outcome.ATTACKED
+    if scheme is RangeScheme.CONSTANT:
+        value = rs.value
+    elif scheme is RangeScheme.MISMATCH_ENCODER:
+        value = rs.value * (th.theta_first if rs.slot == 0
+                            else th.theta_steady)
+    elif attacked:
+        value = rs.value * th.theta_attack
+    elif outcome is Outcome.FIRST_SUCCESS_AFTER_ATTACK:
+        value = rs.value * th.theta_first
     else:
-        factor = {
-            Outcome.ATTACKED: th.theta_attack,
-            Outcome.FIRST_SUCCESS_AFTER_ATTACK: th.theta_first,
-            Outcome.CONSECUTIVE_SUCCESS: th.theta_steady,
-        }[outcome]
-    return replace(
-        rs,
-        value=rs.value * factor,
-        slot=rs.slot + 1,
-        prev_attacked=outcome is Outcome.ATTACKED,
-    )
+        value = rs.value * th.theta_steady
+    return RangeState(value, scheme, th, attacked, rs.slot + 1)
 
 
 def derive_input_range(e3: float, gain: float, codec3: UniformCodec) -> float:

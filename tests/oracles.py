@@ -3,12 +3,17 @@
 Each oracle deliberately avoids the code path it checks: the exponential
 oracle is a plain truncated series, the input-matrix oracle is composite
 Simpson quadrature, and the index oracles are direct Kalman rank tests on
-explicitly stacked blocks.
+explicitly stacked blocks.  The codec and mismatch-bound oracles keep the
+plain loops the library replaced, as bit-exact references.
 """
+
+import math
 
 import numpy as np
 
-from doslab import mat_exp, rank_with_tol
+from doslab import SaturationError, inf_norm, mat_exp, mat_pow, rank_with_tol
+from doslab.matrixcore import as_vector
+from doslab.quantizer import QuantIndex
 
 
 def taylor_expm(a, t=1.0, max_terms=300):
@@ -57,3 +62,67 @@ def random_controllable_pair(generator, n, m):
         b = generator.uniform(-2, 2, size=(n, m))
         if kalman_controllability_index(a, b) is not None:
             return a, b
+
+
+def encode_loop(v, center, rng, codec, clip=False):
+    """Uniform-codec cell indices, validated and computed one component at
+    a time."""
+    v = as_vector(v, codec.dim)
+    center = as_vector(center, codec.dim)
+    if rng < 0.0:
+        raise ValueError("range must be nonnegative")
+    offset = v - center
+    worst = float(np.max(np.abs(offset)))
+    if worst > rng and not clip:
+        raise SaturationError("value leaves its quantization range")
+    if rng == 0.0:
+        return QuantIndex(cells=((codec.levels - 1) // 2,) * codec.dim)
+    n = codec.levels
+    cells = []
+    for u in (offset + rng) * n / (2.0 * rng):
+        cell = int(math.ceil(u)) - 1
+        cells.append(min(max(cell, 0), n - 1))
+    return QuantIndex(cells=tuple(cells))
+
+
+def mismatch_bound_loop(trace, cfg, plan):
+    """Mismatch-demo error bound, with every ``bk closed^i`` and kick formed
+    inside the double loop."""
+    e_enc = trace.slots["e_enc"]
+    offs = trace.slots["offs"]
+    q_a = cfg.attack_slot
+    thetas, gs, l_obs = plan.thetas, plan.gains, plan.l_obs
+    th_a, th_0, th_na = (thetas.theta_attack, thetas.theta_first,
+                         thetas.theta_steady)
+    n = plan.levels
+    norm_c = inf_norm(cfg.plant.c)
+    bk = plan.dp.b_d @ gs.controller_gain
+    closed = gs.closed_loop
+    slots = len(e_enc)
+    bound = np.array(e_enc, dtype=float)
+    if q_a >= slots:
+        return bound
+    base = e_enc[q_a]
+    kick0 = l_obs @ offs[q_a]
+    for ell in range(1, slots - q_a):
+        q = q_a + ell
+        total = e_enc[q]
+        if ell >= 2:
+            total += (
+                inf_norm(bk @ mat_pow(closed, ell - 1) @ kick0)
+                * norm_c * base / (n * th_na ** ell)
+            )
+            kick1 = l_obs @ offs[q_a + 1]
+            total += (
+                inf_norm(bk @ mat_pow(closed, ell - 2) @ kick1)
+                * norm_c * (th_a - th_na) * base / (n * th_na ** ell)
+            )
+        for i in range(ell - 2):
+            kick = l_obs @ offs[q_a + ell - i - 1]
+            total += (
+                inf_norm(bk @ mat_pow(closed, i) @ kick)
+                * norm_c * (th_0 * th_a - th_na ** 2) * base
+                / (n * th_na ** (i + 3))
+            )
+        bound[q] = total
+    return bound

@@ -1,8 +1,12 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from doslab import cli
@@ -187,6 +191,73 @@ def test_level_shape_mismatch_exits_2(tmp_path, command, name, levels):
     code = cli.main([command, write(tmp_path, doc),
                      "--out", str(tmp_path / "out"), "--no-plots"])
     assert code == cli.EXIT_CONFIG
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+MALFORMED = {
+    "ragged_a": lambda doc: doc["plant"]["a"][1].pop(),
+    "b_row_missing": lambda doc: doc["plant"]["b"].pop(),
+    "a_not_square": lambda doc: [row.pop() for row in doc["plant"]["a"]],
+    "x0_short": lambda doc: doc["x0"].pop(),
+    "x0_nan": _set(("x0", 0), float("nan")),
+    "c_column_missing": lambda doc: [row.pop() for row in doc["plant"]["c"]],
+    "observer_gain_shape": lambda doc: doc["gains"]["m"].pop(),
+    "big_delta_nan": _set(("big_delta",), float("nan")),
+    "x0_bound_infinite": _set(("x0_bound",), float("inf")),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MALFORMED))
+def test_malformed_scenario_exits_2_without_traceback(tmp_path, mutation):
+    doc = load("batch_reactor_dual.json")
+    MALFORMED[mutation](doc)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "doslab.cli", "check", write(tmp_path, doc),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error:")
+
+
+SCHEMA_INVALID = {
+    "levels_n_below_minimum": _set(("levels",), {"n": 0}),
+    "levels_triple_incomplete": _set(("levels",), {"n1": 3, "n2": 10}),
+    "levels_fit_neither_branch": _set(("levels",), {"n": 4, "n1": 3}),
+    "dos_pattern_entry": _set(("dos",), {"pattern": [0, 2]}),
+    "dos_params_nu_f": _set(("dos", "params", "nu_f"), 1),
+    "dos_fits_neither_branch": _set(("dos",), {"seed": 1}),
+    "matrix_entry_string": _set(("plant", "a", 0, 0), "1.0"),
+    "horizon_zero": _set(("horizon_slots",), 0),
+    "scenario_missing": lambda doc: doc.pop("scenario"),
+    "unknown_key": _set(("unexpected",), 1),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SCHEMA_INVALID))
+def test_schema_errors_match_jsonschema_validate(tmp_path, mutation):
+    doc = load("batch_reactor_dual.json")
+    SCHEMA_INVALID[mutation](doc)
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, cli.SCENARIO_SCHEMA)
+    with pytest.raises(cli.ScenarioError) as got:
+        cli.load_scenario(write(tmp_path, doc))
+    where = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+    assert str(got.value) == (f"scenario schema violation at {where}: "
+                              f"{want.value.message}")
 
 
 def test_odd_ackfree_levels_fail_the_report(tmp_path):

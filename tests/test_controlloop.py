@@ -14,6 +14,7 @@ from doslab.controlloop import (
 from doslab.dos import DoSParams, no_attack, pattern_from_bools
 
 from .conftest import BIG_DELTA, X0
+from .oracles import mismatch_bound_loop
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 CASE_SINGLE = DoSParams(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
@@ -248,6 +249,16 @@ class TestMismatchDemo:
         post = bound[q_a + 3:]
         assert post.size > 10
         assert np.all(np.diff(post) > 0)
+
+    def test_bound_sequence_matches_loop_oracle(self, reactor,
+                                                mismatch_trace):
+        cfg = SimConfig(
+            plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
+            scenario=Scenario.MISMATCH_DEMO, horizon_slots=300, levels=100,
+            attack_slot=5, control_weight=100.0, observer="deadbeat",
+        )
+        want = mismatch_bound_loop(mismatch_trace, cfg, compile_plan(cfg))
+        assert np.array_equal(mismatch_trace.slots["mismatch_bound"], want)
 
     def test_requires_attack_slot(self, reactor):
         cfg = SimConfig(

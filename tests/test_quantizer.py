@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doslab import SaturationError, derive_decay_constants, inf_norm, mat_pow
+from doslab import (
+    InvalidMatrixError,
+    SaturationError,
+    derive_decay_constants,
+    inf_norm,
+    mat_pow,
+)
 from doslab.conditions import ThetaSet, ThetaVariant
 from doslab.quantizer import (
     Outcome,
@@ -20,6 +26,7 @@ from doslab.quantizer import (
 )
 
 from .conftest import BATCH_C, rng
+from .oracles import encode_loop
 
 THETAS = ThetaSet(theta_attack=3.0, theta_first=1.2, theta_steady=0.8,
                   variant=ThetaVariant.DUAL)
@@ -104,6 +111,124 @@ class TestEncodeDecode:
         first = encode(v, np.zeros(4), 1.5, codec)
         for _ in range(5):
             assert encode(v, np.zeros(4), 1.5, codec) == first
+
+
+def oracle_or_saturation(v, center, rng_val, codec, clip):
+    """The loop oracle's cells, or ``SaturationError`` if it raises one."""
+    try:
+        return encode_loop(v, center, rng_val, codec, clip).cells
+    except SaturationError:
+        return SaturationError
+
+
+def new_or_saturation(v, center, rng_val, codec, clip):
+    try:
+        return encode(v, center, rng_val, codec, clip).cells
+    except SaturationError:
+        return SaturationError
+
+
+LEVELS = st.sampled_from([1, 2, 3, 4, 10, 99, 100, 10_000])
+
+
+class TestEncodeMatchesLoopOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 4),
+        levels=LEVELS,
+        rng_val=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+        clip=st.booleans(),
+    )
+    def test_random_inputs(self, data, dim, levels, rng_val, clip):
+        center = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6), min_size=dim, max_size=dim)))
+        scale = np.array(data.draw(st.lists(
+            st.floats(-1.5, 1.5), min_size=dim, max_size=dim)))
+        v = center + scale * rng_val
+        codec = UniformCodec(levels=levels, dim=dim)
+        assert (new_or_saturation(v, center, rng_val, codec, clip)
+                == oracle_or_saturation(v, center, rng_val, codec, clip))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        levels=LEVELS,
+        rng_val=st.sampled_from([0.0, 1.0, 0.1, 3.0, 2.0 ** -20, 1e-300]),
+        center=st.sampled_from([0.0, 1.0, -2.5, 1e-3]),
+        clip=st.booleans(),
+    )
+    def test_grid_boundaries(self, data, levels, rng_val, center, clip):
+        # boundary j of the grid sits at center + (2 j / N - 1) rng; j = 0
+        # and j = N are -rng and +rng, and j outside [0, N] lies beyond
+        edges = data.draw(st.lists(st.integers(-1, levels + 1),
+                                   min_size=2, max_size=2))
+        centers = np.full(2, center)
+        v = centers + np.array([2.0 * j / levels - 1.0 for j in edges]) * rng_val
+        codec = UniformCodec(levels=levels, dim=2)
+        assert (new_or_saturation(v, centers, rng_val, codec, clip)
+                == oracle_or_saturation(v, centers, rng_val, codec, clip))
+
+    def test_range_ends_and_zero_range(self):
+        codec = UniformCodec(levels=4, dim=2)
+        for v in ([-1.0, 1.0], [1.0, -1.0], [0.0, 0.0]):
+            assert (encode(v, [0.0, 0.0], 1.0, codec)
+                    == encode_loop(v, [0.0, 0.0], 1.0, codec))
+        assert encode([-1.0, 1.0], [0.0, 0.0], 1.0, codec).cells == (0, 3)
+        assert (encode([5.0, -5.0], [0.0, 0.0], 0.0, codec, clip=True)
+                == encode_loop([5.0, -5.0], [0.0, 0.0], 0.0, codec, clip=True))
+
+    def test_cells_are_python_ints(self):
+        codec = UniformCodec(levels=10, dim=2)
+        cells = encode([0.3, -0.7], [0.0, 0.0], 1.0, codec).cells
+        assert all(type(c) is int for c in cells)
+
+
+class TestCodecInputErrors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_nonfinite_value_is_invalid_not_saturated(self, bad, clip):
+        codec = UniformCodec(levels=10, dim=2)
+        # the other component saturates, so the finiteness check must come
+        # first
+        with pytest.raises(InvalidMatrixError):
+            encode([5.0, bad], [0.0, 0.0], 1.0, codec, clip=clip)
+        with pytest.raises(InvalidMatrixError):
+            encode([5.0, 0.0], [0.0, bad], 1.0, codec, clip=clip)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_center_rejected_by_decode(self, bad):
+        codec = UniformCodec(levels=10, dim=2)
+        with pytest.raises(InvalidMatrixError):
+            decode(QuantIndex((1, 2)), [0.0, bad], 1.0, codec)
+
+    @pytest.mark.parametrize("v, center", [
+        ([0.1, 0.2, 0.3], [0.0, 0.0]),
+        ([0.1, 0.2], [0.0, 0.0, 0.0]),
+        ([0.1], [0.0]),
+        (0.1, [0.0, 0.0]),
+        ([[0.1, 0.2]], [0.0, 0.0]),
+    ])
+    def test_wrong_dimension_rejected_by_encode(self, v, center):
+        with pytest.raises(InvalidMatrixError):
+            encode(v, center, 1.0, UniformCodec(levels=10, dim=2))
+
+    def test_wrong_dimension_rejected_by_decode(self):
+        codec = UniformCodec(levels=10, dim=2)
+        with pytest.raises(InvalidMatrixError):
+            decode(QuantIndex((1, 2)), [0.0], 1.0, codec)
+        with pytest.raises(ValueError, match="dimension"):
+            decode(QuantIndex((1, 2, 3)), [0.0, 0.0], 1.0, codec)
+
+    def test_negative_range_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            encode([0.0], [0.0], -1.0, UniformCodec(levels=10, dim=1))
+
+    @pytest.mark.parametrize("cells", [(-1, 0), (0, 10), (10, 10)])
+    def test_out_of_range_cells_rejected(self, cells):
+        with pytest.raises(ValueError, match="out of range"):
+            decode(QuantIndex(cells), [0.0, 0.0], 1.0,
+                   UniformCodec(levels=10, dim=2))
 
 
 class TestClassifyOutcome:
