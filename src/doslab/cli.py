@@ -256,6 +256,11 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     a = _matrix(plant_doc["a"], "plant.a", (n_x, n_x))
     b = _matrix(plant_doc["b"], "plant.b", (n_x, None))
     c = _matrix(plant_doc["c"], "plant.c", (None, n_x))
+    # the schema's integer type admits integral floats such as 2.0
+    oversample = int(doc.get("oversample", 1))
+    if not doc["big_delta"] / n_x / oversample > 0.0:
+        raise ScenarioError(f"big_delta {doc['big_delta']!r} underflows to a "
+                            f"zero input or plot period")
     if len(doc["x0"]) != n_x:
         raise ScenarioError(f"x0 must have {n_x} entries, got {len(doc['x0'])}")
     gains_doc = doc.get("gains")
@@ -285,10 +290,13 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
         p = dos_doc["params"]
         dos_params = DoSParams(kappa_f=p["kappa_f"], nu_f=p["nu_f"],
                                kappa_d=p["kappa_d"], nu_d=p["nu_d"])
-        seed = dos_doc.get("seed", 0)
+        seed = int(dos_doc.get("seed", 0))
         intensity = dos_doc.get("intensity", 0.5)
     if seed_override is not None:
         seed = seed_override
+    attack_slot = doc.get("attack_slot")
+    if attack_slot is not None:
+        attack_slot = int(attack_slot)
 
     return SimConfig(
         plant=plant,
@@ -296,7 +304,7 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
         x0=np.array(doc["x0"], dtype=float),
         x0_bound=doc["x0_bound"],
         scenario=scenario,
-        horizon_slots=doc["horizon_slots"],
+        horizon_slots=int(doc["horizon_slots"]),
         levels=levels,
         pattern=pattern,
         dos_params=dos_params,
@@ -304,8 +312,8 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
         intensity=intensity,
         observer=doc.get("observer", "kalman"),
         control_weight=doc.get("control_weight", 1.0),
-        oversample=doc.get("oversample", 1),
-        attack_slot=doc.get("attack_slot"),
+        oversample=oversample,
+        attack_slot=attack_slot,
     )
 
 

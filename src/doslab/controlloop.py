@@ -174,10 +174,13 @@ def _level_counts(cfg: SimConfig):
                   else (int(cfg.levels),))
     except (TypeError, ValueError):
         levels = ()
-    if len(levels) != (3 if dual else 1) or min(levels) < 1:
+    # the codec computes cells in float64, exact for integers up to 2**53
+    if (len(levels) != (3 if dual else 1) or min(levels) < 1
+            or max(levels) > 2 ** 53):
         shape = "an (n1, n2, n3) triple" if dual else "a single level count"
         raise ScenarioError(
-            f"{cfg.scenario.value} runs need {shape} of positive integers"
+            f"{cfg.scenario.value} runs need {shape} of integers in "
+            f"[1, 2**53]"
         )
     return levels if dual else levels[0]
 
@@ -291,23 +294,17 @@ class LoopTrace:
         header += [f"y_{i}" for i in range(self.y.shape[1])]
         header += list(self.ranges.keys())
         header += ["outcome", "saturated", "inferred_attack"]
-        fmt = "{:.17g}".format
+        floats = [self.x, self.x_hat, self.u_sent, self.u_applied, self.y]
+        columns = [col for block in floats for col in block.T.tolist()]
+        columns += [col.tolist() for col in self.ranges.values()]
+        template = ("%.17g,%d,%d," + "%.17g," * len(columns)
+                    + "%s,%d,%d\n")
+        rows = zip(self.t.tolist(), self.q.tolist(), self.k.tolist(), *columns,
+                   self.outcome, self.saturated.tolist(),
+                   self.inferred_attack.tolist())
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for i in range(len(self.t)):
-                row = [fmt(self.t[i]), str(int(self.q[i])), str(int(self.k[i]))]
-                row += [fmt(v) for v in self.x[i]]
-                row += [fmt(v) for v in self.x_hat[i]]
-                row += [fmt(v) for v in self.u_sent[i]]
-                row += [fmt(v) for v in self.u_applied[i]]
-                row += [fmt(v) for v in self.y[i]]
-                row += [fmt(col[i]) for col in self.ranges.values()]
-                row += [
-                    self.outcome[i],
-                    str(int(self.saturated[i])),
-                    str(int(self.inferred_attack[i])),
-                ]
-                fh.write(",".join(row) + "\n")
+            fh.writelines(template % row for row in rows)
 
 
 class _TraceBuilder:
@@ -715,32 +712,27 @@ def _mismatch_bound_sequence(trace, cfg, plan: Plan, codec) -> np.ndarray:
     closed = gs.closed_loop
     slots = len(e_enc)
     bound = np.array(e_enc, dtype=float)
-    if q_a >= slots:
+    if q_a >= slots - 1:
         return bound
     base = e_enc[q_a]
-    # every bk closed^i and every kick l_obs offs[j] is formed once; each
-    # term still multiplies left to right, so the values are unchanged
-    bk_pow = [bk @ mat_pow(closed, i) for i in range(slots - q_a - 1)]
-    kicks = [l_obs @ offs[j] for j in range(q_a, slots)]
-    for ell in range(1, slots - q_a):
-        q = q_a + ell
-        total = e_enc[q]
-        if ell >= 2:
-            total += (
-                inf_norm(bk_pow[ell - 1] @ kicks[0])
-                * norm_c * base / (n * th_na ** ell)
-            )
-            total += (
-                inf_norm(bk_pow[ell - 2] @ kicks[1])
-                * norm_c * (th_a - th_na) * base / (n * th_na ** ell)
-            )
-        for i in range(ell - 2):
-            total += (
-                inf_norm(bk_pow[i] @ kicks[ell - i - 1])
-                * norm_c * (th_0 * th_a - th_na ** 2) * base
-                / (n * th_na ** (i + 3))
-            )
-        bound[q] = total
+    steps = slots - q_a
+    bk_pow = np.array([bk @ mat_pow(closed, i) for i in range(steps - 1)])
+    kicks = np.matmul(l_obs, offs[q_a:, :, None])
+    # every inf_norm(bk closed^i kick_j) is one batched matvec, as in a
+    # slot-by-slot sum; one matrix product over many kicks rounds differently
+    kick0, kick1 = abs(np.matmul(bk_pow, kicks[:2, None])).max(axis=(2, 3))
+    denom = np.array([n * th_na ** ell for ell in range(2, steps)])
+    total = e_enc[q_a + 1:].astype(float)  # slot q_a + ell is total[ell - 1]
+    total[1:] += kick0[1:] * norm_c * base / denom
+    total[1:] += kick1[:-1] * norm_c * (th_a - th_na) * base / denom
+    # slot q_a + ell adds its corrections i < ell - 2 in increasing i, so
+    # each slot keeps its left-to-right sum
+    mis_scale = th_0 * th_a - th_na ** 2
+    for i in range(steps - 3):
+        later = abs(np.matmul(bk_pow[i], kicks[2:steps - i - 1])).max(axis=(1, 2))
+        total[i + 2:] += (later * norm_c * mis_scale * base
+                          / (n * th_na ** (i + 3)))
+    bound[q_a + 1:] = total
     return bound
 
 

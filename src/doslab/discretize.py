@@ -12,7 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UncontrollablePairError, UnobservablePairError
+from .errors import (
+    InvalidMatrixError,
+    UncontrollablePairError,
+    UnobservablePairError,
+)
 from .matrixcore import as_matrix, mat_exp, mat_pow, rank_with_tol
 
 __all__ = [
@@ -39,9 +43,9 @@ class ContinuousPlant:
         b = as_matrix(self.b)
         c = as_matrix(self.c)
         if b.shape[0] != a.shape[0]:
-            raise ValueError("b must have as many rows as a")
+            raise InvalidMatrixError("b must have as many rows as a")
         if c.shape[1] != a.shape[0]:
-            raise ValueError("c must have as many columns as a")
+            raise InvalidMatrixError("c must have as many columns as a")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

@@ -18,6 +18,8 @@ conditions consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -28,7 +30,15 @@ from .errors import (
     StabilityCertificationError,
     UncontrollablePairError,
 )
-from .matrixcore import as_matrix, gelfand_radius, inf_norm, mat_pow, solve_linear
+from .matrixcore import (
+    as_matrix,
+    gelfand_radius,
+    inf_norm,
+    mat_pow,
+    power_chunks,
+    solve_linear,
+    stack_norms,
+)
 
 __all__ = [
     "GainSet",
@@ -323,31 +333,34 @@ def make_gain_set(dp: DiscretePlant, k, m, deadbeat_observer: bool = False) -> G
 
 def _scan_constants(r: np.ndarray, rho: float, quantities) -> tuple[list[float], int]:
     """Max of quantity(l)/rho^l over l = 1..L, L the first power of r below
-    the floor.  Returns the per-quantity maxima and L.
+    the floor.  Each quantity maps the stack ``r^1 .. r^L`` to its values
+    per power.  Returns the per-quantity maxima and L.
 
     The sup over all l is attained in the scanned range: submultiplying any
     tail power through r^L multiplies its ratio by inf_norm(r^L)/rho^L <= 1,
     which is asserted on exit.
     """
-    best = [0.0] * len(quantities)
-    power = np.eye(r.shape[0])
-    rho_l = 1.0
-    for ell in range(1, DECAY_SCAN_CAP + 1):
-        power = power @ r
-        rho_l *= rho
-        for i, quantity in enumerate(quantities):
-            best[i] = max(best[i], quantity(power) / rho_l)
-        norm = inf_norm(power)
-        if norm < DECAY_SCAN_FLOOR:
-            if norm > rho_l:
-                raise StabilityCertificationError(
-                    "tail justification failed: inf_norm(r^L) exceeds rho^L"
-                )
-            return best, ell
-    raise StabilityCertificationError(
-        f"no power of the closed matrix dropped below {DECAY_SCAN_FLOOR} "
-        f"within {DECAY_SCAN_CAP} steps"
-    )
+    chunks = []
+    for powers, norms in power_chunks(r, DECAY_SCAN_CAP):
+        chunks.append(powers)
+        below = np.flatnonzero(norms < DECAY_SCAN_FLOOR)
+        if below.size:
+            break
+    else:
+        raise StabilityCertificationError(
+            f"no power of the closed matrix dropped below {DECAY_SCAN_FLOOR} "
+            f"within {DECAY_SCAN_CAP} steps"
+        )
+    used = sum(map(len, chunks[:-1])) + int(below[0]) + 1
+    rho_l = np.fromiter(accumulate(repeat(rho, used), mul), float, used)
+    if norms[below[0]] > rho_l[-1]:
+        raise StabilityCertificationError(
+            "tail justification failed: inf_norm(r^L) exceeds rho^L"
+        )
+    stack = np.concatenate(chunks)[:used]
+    best = [max(0.0, float((quantity(stack) / rho_l).max()))
+            for quantity in quantities]
+    return best, used
 
 
 def derive_decay_constants(
@@ -387,17 +400,17 @@ def derive_decay_constants(
         r,
         rho,
         (
-            inf_norm,
-            lambda p: inf_norm(p @ lifted_m),
+            stack_norms,
+            lambda p: stack_norms(p @ lifted_m),
             lambda p: sum(
-                inf_norm(p @ col) * w for col, w in zip(input_cols, input_gains)
+                stack_norms(p @ col) * w for col, w in zip(input_cols, input_gains)
             ),
         ),
     )
     h0 = h1 = None
     if pi_l is not None:
         (h0, h1), used_l = _scan_constants(
-            pi_l, rho, (inf_norm, lambda p: inf_norm(p @ l_obs))
+            pi_l, rho, (stack_norms, lambda p: stack_norms(p @ l_obs))
         )
         used = max(used, used_l)
     return DecayConstants(

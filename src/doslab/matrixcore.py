@@ -8,6 +8,8 @@ max norm on vectors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ExpOverflowError, InvalidMatrixError, SingularMatrixError
@@ -124,6 +126,33 @@ def mat_pow(m, k: int) -> np.ndarray:
     return result
 
 
+def stack_norms(stack: np.ndarray) -> np.ndarray:
+    """:func:`inf_norm` of each matrix in a ``(k, rows, cols)`` stack."""
+    return abs(stack).sum(axis=2).max(axis=1)
+
+
+def power_chunks(a: np.ndarray, cap: int):
+    """Yield ``(powers, norms)`` for ``a^1 .. a^cap`` in stacked chunks.
+
+    The first chunk holds 8 powers and each later one as many as all before
+    it, the last cut at ``cap``; ``norms`` are their :func:`stack_norms`.
+    Each power is ``previous @ a`` from the identity, so a caller that stops
+    early stops the chain at the end of the current chunk.  Overflow is not
+    reported: callers read a non-finite norm as the end of their scan, and a
+    chunk may run past that power.
+    """
+    p = np.eye(a.shape[0])
+    done = 0
+    while done < cap:
+        powers = np.empty((min(max(done, 8), cap - done),) + a.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for power in powers:
+                p = np.matmul(p, a, out=power)
+            norms = stack_norms(powers)
+        yield powers, norms
+        done += len(powers)
+
+
 def gelfand_radius(m, max_power: int = 64) -> float:
     """Upper bound on the spectral radius from norms of powers.
 
@@ -135,19 +164,19 @@ def gelfand_radius(m, max_power: int = 64) -> float:
     a = as_matrix(m, square=True)
     if max_power < 8:
         raise ValueError("max_power must be at least 8")
-    best = np.inf
-    p = np.eye(a.shape[0])
-    for k in range(1, max_power + 1):
-        p = p @ a
-        norm = inf_norm(p)
-        if norm == 0.0:
-            return 0.0
-        if not np.isfinite(norm):
-            break
-        best = min(best, norm ** (1.0 / k))
-        if norm < 1e-300:
-            break
-    return float(best)
+    best = math.inf
+    k = 0
+    for _, norms in power_chunks(a, max_power):
+        for norm in norms.tolist():
+            k += 1
+            if norm == 0.0:
+                return 0.0
+            if not math.isfinite(norm):
+                return best
+            best = min(best, norm ** (1.0 / k))
+            if norm < 1e-300:
+                return best
+    return best
 
 
 def rank_with_tol(m, tol: float = 1e-9) -> int:

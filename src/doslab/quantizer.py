@@ -121,7 +121,7 @@ def encode(
     nearest box (used only by the divergence demonstration).  Points on a
     shared box boundary go to the lower-index box.  A non-finite entry in
     ``v`` or ``center`` raises :class:`InvalidMatrixError` before the
-    saturation test.
+    saturation test, as does a negative or non-finite range.
     """
     shape = (codec.dim,)
     v = np.asarray(v, dtype=float)
@@ -137,7 +137,7 @@ def encode(
     if not math.isfinite(worst):
         raise InvalidMatrixError("vector entries must be finite")
     if not 0.0 <= rng < math.inf:
-        raise ValueError("range must be nonnegative and finite")
+        raise InvalidMatrixError("range must be nonnegative and finite")
     if worst > rng and not clip:
         raise SaturationError(
             f"value leaves its quantization range: |v - center| = {worst:.6g} "

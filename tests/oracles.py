@@ -3,16 +3,25 @@
 Each oracle deliberately avoids the code path it checks: the exponential
 oracle is a plain truncated series, the input-matrix oracle is composite
 Simpson quadrature, and the index oracles are direct Kalman rank tests on
-explicitly stacked blocks.  The codec and mismatch-bound oracles keep the
-plain loops the library replaced, as bit-exact references.
+explicitly stacked blocks.  The codec, power-scan, mismatch-bound and
+trace-writer oracles keep the plain loops the library replaced, as
+bit-exact references.
 """
 
 import math
 
 import numpy as np
 
-from doslab import SaturationError, inf_norm, mat_exp, mat_pow, rank_with_tol
-from doslab.matrixcore import as_vector
+from doslab import (
+    SaturationError,
+    StabilityCertificationError,
+    inf_norm,
+    mat_exp,
+    mat_pow,
+    rank_with_tol,
+)
+from doslab.gains import DECAY_SCAN_CAP, DECAY_SCAN_FLOOR
+from doslab.matrixcore import as_matrix, as_vector
 from doslab.quantizer import QuantIndex
 
 
@@ -126,3 +135,77 @@ def mismatch_bound_loop(trace, cfg, plan):
             )
         bound[q] = total
     return bound
+
+
+def gelfand_radius_loop(m, max_power=64):
+    """Gelfand bound with one power, one ``inf_norm`` and one finiteness
+    test per step."""
+    a = as_matrix(m, square=True)
+    if max_power < 8:
+        raise ValueError("max_power must be at least 8")
+    best = np.inf
+    p = np.eye(a.shape[0])
+    for k in range(1, max_power + 1):
+        p = p @ a
+        norm = inf_norm(p)
+        if norm == 0.0:
+            return 0.0
+        if not np.isfinite(norm):
+            break
+        best = min(best, norm ** (1.0 / k))
+        if norm < 1e-300:
+            break
+    return float(best)
+
+
+def scan_constants_loop(r, rho, quantities):
+    """Decay-constant scan over one power at a time; each quantity maps a
+    single power to a number."""
+    best = [0.0] * len(quantities)
+    power = np.eye(r.shape[0])
+    rho_l = 1.0
+    for ell in range(1, DECAY_SCAN_CAP + 1):
+        power = power @ r
+        rho_l *= rho
+        for i, quantity in enumerate(quantities):
+            best[i] = max(best[i], quantity(power) / rho_l)
+        norm = inf_norm(power)
+        if norm < DECAY_SCAN_FLOOR:
+            if norm > rho_l:
+                raise StabilityCertificationError(
+                    "tail justification failed: inf_norm(r^L) exceeds rho^L"
+                )
+            return best, ell
+    raise StabilityCertificationError(
+        f"no power of the closed matrix dropped below {DECAY_SCAN_FLOOR} "
+        f"within {DECAY_SCAN_CAP} steps"
+    )
+
+
+def trace_to_csv_loop(trace, path):
+    """Trace CSV written one formatted field at a time."""
+    header = ["t", "q", "k"]
+    header += [f"x_{i}" for i in range(trace.x.shape[1])]
+    header += [f"xhat_{i}" for i in range(trace.x_hat.shape[1])]
+    header += [f"u_sent_{i}" for i in range(trace.u_sent.shape[1])]
+    header += [f"u_applied_{i}" for i in range(trace.u_applied.shape[1])]
+    header += [f"y_{i}" for i in range(trace.y.shape[1])]
+    header += list(trace.ranges.keys())
+    header += ["outcome", "saturated", "inferred_attack"]
+    fmt = "{:.17g}".format
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(trace.t)):
+            row = [fmt(trace.t[i]), str(int(trace.q[i])), str(int(trace.k[i]))]
+            row += [fmt(v) for v in trace.x[i]]
+            row += [fmt(v) for v in trace.x_hat[i]]
+            row += [fmt(v) for v in trace.u_sent[i]]
+            row += [fmt(v) for v in trace.u_applied[i]]
+            row += [fmt(v) for v in trace.y[i]]
+            row += [fmt(col[i]) for col in trace.ranges.values()]
+            row += [
+                trace.outcome[i],
+                str(int(trace.saturated[i])),
+                str(int(trace.inferred_attack[i])),
+            ]
+            fh.write(",".join(row) + "\n")

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import json
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doslab import cli
 
@@ -105,6 +108,34 @@ class TestRunCommand:
         x_cols = [i for i, h in enumerate(trace[0].split(","))
                   if h.startswith("x_")]
         assert all(float(first_row[i]) == 0.0 for i in x_cols)
+
+    # the schema's integer type admits 2.0; it must run as 2 does
+    @pytest.mark.parametrize("name, path", [
+        ("batch_reactor_dual.json", ("horizon_slots",)),
+        ("batch_reactor_dual.json", ("oversample",)),
+        ("batch_reactor_ackfree.json", ("dos", "seed")),
+        ("batch_reactor_mismatch.json", ("attack_slot",)),
+    ], ids=["horizon_slots", "oversample", "dos_seed", "attack_slot"])
+    def test_integral_floats_read_as_integers(self, tmp_path, name, path):
+        traces = []
+        for number in (int, float):
+            doc = load(name)
+            doc["horizon_slots"] = 12
+            _set(path, number(2))(doc)
+            out = tmp_path / number.__name__
+            code = cli.main(["run", write(tmp_path, doc), "--out", str(out),
+                             "--no-plots"])
+            assert code == cli.EXIT_OK
+            traces.append((out / doc["outputs"]["trace"]).read_bytes())
+        assert traces[0] == traces[1]
+
+    def test_range_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        doc = load("batch_reactor_ackfree.json")
+        doc["x0_bound"] = 1e308
+        code = cli.main(["run", write(tmp_path, doc),
+                         "--out", str(tmp_path / "out"), "--no-plots"])
+        assert code == cli.EXIT_NUMERICAL
+        assert "range must be nonnegative and finite" in capsys.readouterr().err
 
     def test_condition_failure_exits_3(self, tmp_path):
         doc = load("batch_reactor_dual.json")
@@ -212,6 +243,8 @@ MALFORMED = {
     "observer_gain_shape": lambda doc: doc["gains"]["m"].pop(),
     "big_delta_nan": _set(("big_delta",), float("nan")),
     "x0_bound_infinite": _set(("x0_bound",), float("inf")),
+    "big_delta_underflows": _set(("big_delta",), 5e-324),
+    "levels_beyond_float": _set(("levels", "n2"), 1e308),
 }
 
 
@@ -312,3 +345,65 @@ class TestTradeoffCommand:
         code = cli.main(["tradeoff", bundled("batch_reactor_dual.json"),
                          "--out", str(tmp_path / "o"), "--grid", "1"])
         assert code == cli.EXIT_CONFIG
+
+
+# Values a mutation may put anywhere: other JSON types, non-finite and huge
+# numbers (Python's json reads NaN, Infinity and long integers), integral
+# floats, and the edges of the number line.
+FUZZ_VALUES = ("x", None, True, [], {}, [1.0], {"n": 3}, 0, -1, 0.5, 2.0,
+               float("nan"), float("inf"), -float("inf"), 1e308, -1e308,
+               10 ** 400, 5e-324)
+# The largest run size a mutated scenario may ask for: the shipped horizon
+# and a few plot points per sub-step.
+SIZE_BOUNDS = {name: {"horizon_slots": load(name)["horizon_slots"],
+                      "oversample": 4} for name in ALL_BUNDLED}
+
+
+def _json_paths(node, path=()):
+    """Every path below ``node`` to a dict value or list element."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutate(doc, data):
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    *parents, last = path
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    value = parent[last]
+    op = data.draw(st.sampled_from(["drop", "retype", "reshape"]))
+    if op == "drop":
+        del parent[last]
+    elif op == "retype" or not isinstance(value, list):
+        parent[last] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
+    elif value and data.draw(st.booleans()):
+        value.pop()
+    else:
+        value.append(value[-1] if value else 1.0)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data(), name=st.sampled_from(ALL_BUNDLED),
+       command=st.sampled_from(["check", "run"]), mutations=st.integers(1, 3))
+def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, data,
+                                                       name, command,
+                                                       mutations):
+    doc = load(name)
+    for _ in range(mutations):
+        _mutate(doc, data)
+    # a bound on run time and memory only: every outcome of a run of the
+    # shipped size stays allowed, including one that saturates (exit 4)
+    for key, bound in SIZE_BOUNDS[name].items():
+        size = doc.get(key)
+        if (isinstance(size, (int, float)) and not isinstance(size, bool)
+                and bound < size < float("inf")):
+            doc[key] = bound
+    out = tmp_path_factory.mktemp("fuzz")
+    code = cli.main([command, write(out, doc), "--out", str(out / "out"),
+                     "--no-plots"])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CONDITION,
+                    cli.EXIT_SATURATION, cli.EXIT_NUMERICAL)

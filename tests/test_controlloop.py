@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from doslab import ScenarioError, inf_norm
+from doslab import ContinuousPlant, DoslabError, ScenarioError, inf_norm
 from doslab.conditions import decay_certificate
 from doslab.controlloop import (
     LoopTrace,
@@ -14,7 +16,7 @@ from doslab.controlloop import (
 from doslab.dos import DoSParams, no_attack, pattern_from_bools
 
 from .conftest import BIG_DELTA, X0
-from .oracles import mismatch_bound_loop
+from .oracles import mismatch_bound_loop, trace_to_csv_loop
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 CASE_SINGLE = DoSParams(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
@@ -260,6 +262,24 @@ class TestMismatchDemo:
         want = mismatch_bound_loop(mismatch_trace, cfg, compile_plan(cfg))
         assert np.array_equal(mismatch_trace.slots["mismatch_bound"], want)
 
+    # the attack at the first slot, mid-run, and on the last three slots
+    # (one, two and three slots of bound after it), and never reached
+    @pytest.mark.parametrize("attack_slot, levels, horizon", [
+        (0, 100, 120), (12, 30, 200), (3, 1000, 150), (57, 100, 60),
+        (58, 100, 60), (59, 100, 60), (10 ** 6, 100, 20),
+    ])
+    def test_bound_sequence_matches_loop_oracle_across_runs(
+            self, reactor, attack_slot, levels, horizon):
+        cfg = SimConfig(
+            plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
+            scenario=Scenario.MISMATCH_DEMO, horizon_slots=horizon,
+            levels=levels, attack_slot=attack_slot, control_weight=100.0,
+            observer="deadbeat",
+        )
+        trace = run_scenario(cfg)
+        want = mismatch_bound_loop(trace, cfg, compile_plan(cfg))
+        assert np.array_equal(trace.slots["mismatch_bound"], want)
+
     def test_requires_attack_slot(self, reactor):
         cfg = SimConfig(
             plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
@@ -296,11 +316,26 @@ class TestConfigValidation:
                 np.testing.assert_array_equal(reused.ranges["E2"],
                                               fresh.ranges["E2"])
 
+    @pytest.mark.parametrize("matrix", ["b", "c"])
+    def test_misfit_plant_is_a_library_error(self, reactor, reactor_gains,
+                                             matrix):
+        bad = {"b": reactor.b[:3], "c": reactor.c[:, :3]}[matrix]
+        with pytest.raises(DoslabError, match=f"{matrix} must have"):
+            run_scenario(dual_config(
+                dataclasses.replace(reactor, **{matrix: bad}), reactor_gains))
+
     def test_run_scenario_dispatch(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=3)
         trace = run_scenario(cfg)
         assert isinstance(trace, LoopTrace)
         assert trace.scenario is Scenario.DUAL_CHANNEL
+
+
+def _assert_csv_matches_loop_writer(trace, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    trace.to_csv(got)
+    trace_to_csv_loop(trace, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 class TestTraceCsv:
@@ -323,3 +358,48 @@ class TestTraceCsv:
         values = np.array([float(line.split(",")[col]) for line in lines[1:]])
         # every E3 row value round-trips exactly through the text form
         np.testing.assert_array_equal(values, dual_trace.ranges["E3"])
+
+    @pytest.mark.parametrize("engine, oversample", [
+        ("dual", 1), ("dual", 2), ("ack", 1), ("ack", 2), ("ackfree", 1),
+        ("ackfree", 2), ("mismatch", 1),
+    ])
+    def test_matches_loop_writer(self, reactor, reactor_gains, tmp_path,
+                                 engine, oversample):
+        if engine == "dual":
+            cfg = dual_config(reactor, reactor_gains, horizon_slots=60,
+                              oversample=oversample)
+        elif engine == "ackfree":
+            cfg = ackfree_config(reactor, reactor_gains, horizon_slots=60,
+                                 oversample=oversample)
+        else:
+            cfg = SimConfig(
+                plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
+                horizon_slots=60, levels=100, oversample=oversample,
+                **(dict(scenario=Scenario.OUTPUT_ACK, dos_params=CASE_SINGLE,
+                        seed=7, intensity=0.3) if engine == "ack" else
+                   dict(scenario=Scenario.MISMATCH_DEMO, attack_slot=5,
+                        control_weight=100.0, observer="deadbeat")),
+            )
+        _assert_csv_matches_loop_writer(run_scenario(cfg), tmp_path)
+
+    def test_special_values_match_loop_writer(self, dual_trace, tmp_path):
+        rows = slice(0, 6)
+        x = dual_trace.x[rows].copy()
+        x[0, 0], x[1, 1], x[2, 2], x[3, 3] = -0.0, 5e-324, np.inf, np.nan
+        y = dual_trace.y[rows].copy()
+        y[4, 0], y[5, 1] = -np.inf, 2.2250738585072014e-308 / 3
+        trace = dataclasses.replace(
+            dual_trace, t=dual_trace.t[rows] * -0.0, q=dual_trace.q[rows],
+            k=dual_trace.k[rows], x=x, x_hat=dual_trace.x_hat[rows],
+            u_sent=dual_trace.u_sent[rows],
+            u_applied=dual_trace.u_applied[rows], y=y,
+            ranges={n: v[rows] for n, v in dual_trace.ranges.items()},
+            outcome=dual_trace.outcome[rows],
+            saturated=dual_trace.saturated[rows],
+            inferred_attack=dual_trace.inferred_attack[rows],
+        )
+        _assert_csv_matches_loop_writer(trace, tmp_path)
+        lines = (tmp_path / "got.csv").read_text().splitlines()
+        assert lines[1].startswith("-0,") and ",-0," in lines[1]
+        assert ",4.9406564584124654e-324," in lines[2]
+        assert ",inf," in lines[3] and ",nan," in lines[4]

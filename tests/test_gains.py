@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from doslab import (
     DiscretePlant,
+    StabilityCertificationError,
     build_gain_set,
     derive_decay_constants,
     design_deadbeat_gain,
@@ -17,10 +21,11 @@ from doslab import (
     sample_plant,
     verify_nilpotent,
 )
-from doslab.gains import NILPOTENCY_RTOL
+from doslab.gains import NILPOTENCY_RTOL, _scan_constants
+from doslab.matrixcore import stack_norms
 
 from .conftest import BIG_DELTA, K_REF, M_REF, rng
-from .oracles import random_controllable_pair
+from .oracles import random_controllable_pair, scan_constants_loop
 
 
 def _toy_dp(a_d, b_d, c=None, eta=None):
@@ -227,6 +232,37 @@ class TestDecayConstants:
             assert inf_norm(power) <= dc.h0 * dc.rho ** ell * (1 + 1e-12)
             assert inf_norm(power @ l_obs) <= dc.h1 * dc.rho ** ell * (1 + 1e-12)
 
+    @pytest.mark.parametrize("case", ["reference", "deadbeat", "predictor"])
+    def test_matches_loop_oracle(self, case, reactor, reactor_dp, reactor_gains):
+        from doslab import sample_plant_single_rate
+
+        dp, gs, l_obs = reactor_dp, reactor_gains, None
+        if case == "deadbeat":
+            gs = build_gain_set(dp, observer="deadbeat")
+        elif case == "predictor":
+            dp = sample_plant_single_rate(reactor, BIG_DELTA)
+            m = design_observer_gain(dp.a_d, dp.c)
+            gs = make_gain_set(dp, design_stabilizing_gain(dp.a_d, dp.b_d), m)
+            l_obs = dp.a_d @ m
+        dc = derive_decay_constants(gs, dp, l_obs=l_obs)
+        lifted_m = dp.a_lift @ gs.observer_gain
+        cols = [mat_pow(dp.a_d, dp.eta - i - 1) @ dp.b_d for i in range(dp.eta)]
+        (a0, a1, a2), used = scan_constants_loop(
+            gs.error_transition, dc.rho,
+            (inf_norm, lambda p: inf_norm(p @ lifted_m),
+             lambda p: sum(inf_norm(p @ col) * w
+                           for col, w in zip(cols, dc.input_gains))),
+        )
+        h0 = h1 = None
+        if l_obs is not None:
+            (h0, h1), used_l = scan_constants_loop(
+                dp.a_lift - l_obs @ dp.c, dc.rho,
+                (inf_norm, lambda p: inf_norm(p @ l_obs)),
+            )
+            used = max(used, used_l)
+        assert (dc.a0, dc.a1, dc.a2, dc.h0, dc.h1, dc.max_power_used) \
+            == (a0, a1, a2, h0, h1, used)
+
     def test_observer_certificate_power_exists(self, reactor_dp, reactor_gains):
         r = reactor_gains.error_transition
         power = np.eye(4)
@@ -237,3 +273,51 @@ class TestDecayConstants:
                 found = True
                 break
         assert found
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except StabilityCertificationError as exc:
+        return str(exc)
+
+
+class TestScanConstantsOracle:
+    # "slow" contracts too slowly to reach the floor within the cap, and a
+    # rho below the contraction fails the tail check: both must raise as the
+    # loop does.  rho = (bound + 1) / 2 is never below one half.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 4),
+        kind=st.sampled_from(["contractive", "slow", "nilpotent"]),
+        contraction=st.floats(0.05, 0.9),
+        rho=st.floats(0.5, 0.999),
+        width=st.integers(1, 3),
+    )
+    def test_matches_loop_oracle(self, data, dim, kind, contraction, rho, width):
+        def matrix(rows, cols):
+            return data.draw(arrays(np.float64, (rows, cols),
+                                    elements=st.floats(-2.0, 2.0)))
+
+        r = matrix(dim, dim)
+        if kind == "nilpotent":
+            r = np.triu(r, 1)
+        elif inf_norm(r) > 0.0:
+            scale = 0.999 if kind == "slow" else contraction
+            r = r * (scale / inf_norm(r))
+        m = matrix(dim, width)
+        cols = [matrix(dim, width) for _ in range(data.draw(st.integers(1, 3)))]
+        weights = [data.draw(st.floats(0.0, 10.0)) for _ in cols]
+        stacked = (
+            stack_norms,
+            lambda s: stack_norms(s @ m),
+            lambda s: sum(stack_norms(s @ c) * w for c, w in zip(cols, weights)),
+        )
+        single = (
+            inf_norm,
+            lambda p: inf_norm(p @ m),
+            lambda p: sum(inf_norm(p @ c) * w for c, w in zip(cols, weights)),
+        )
+        assert _outcome(_scan_constants, r, rho, stacked) \
+            == _outcome(scan_constants_loop, r, rho, single)

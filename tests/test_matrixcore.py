@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from doslab import (
 )
 
 from .conftest import BATCH_A, rng
-from .oracles import taylor_expm
+from .oracles import gelfand_radius_loop, taylor_expm
 
 small_matrices = arrays(
     np.float64, (3, 3),
@@ -131,6 +133,75 @@ class TestGelfandRadius:
     def test_min_power_enforced(self):
         with pytest.raises(ValueError):
             gelfand_radius(np.eye(2), 4)
+
+
+def _warning_texts(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(*args)
+    return value, {f"{w.category.__name__}: {w.message}" for w in caught}
+
+
+# Matrices reaching each exit of the power scan: the cap (stable or mildly
+# unstable), a non-finite norm (overflow), an exact zero power (nilpotent,
+# zero) and a norm below 1e-300 (tiny).
+def _scan_matrix(kind, base):
+    if kind == "stable":
+        return base
+    if kind == "overflow":
+        return base * 1e60
+    if kind == "nilpotent":
+        return np.triu(base, 1)
+    if kind == "zero":
+        return np.zeros_like(base)
+    return base * 1e-120
+
+
+# chunk boundaries (8, 16, 32, ...) and one past them
+SCAN_CAPS = st.sampled_from([8, 9, 16, 17, 64, 65, 512]) | st.integers(8, 600)
+
+
+class TestGelfandRadiusOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 4),
+        kind=st.sampled_from(["stable", "overflow", "nilpotent", "zero", "tiny"]),
+        max_power=SCAN_CAPS,
+    )
+    def test_matches_loop_oracle(self, data, dim, kind, max_power):
+        base = data.draw(arrays(np.float64, (dim, dim),
+                                elements=st.floats(-1.5, 1.5)))
+        m = _scan_matrix(kind, base)
+        got, got_warnings = _warning_texts(gelfand_radius, m, max_power)
+        want, want_warnings = _warning_texts(gelfand_radius_loop, m, max_power)
+        assert got == want
+        assert got_warnings <= want_warnings
+
+    @pytest.mark.parametrize("max_power", [8, 9, 64, 512])
+    @pytest.mark.parametrize("m", [
+        np.diag([0.5, 0.2]),
+        [[0.9, 10.0], [0.0, 0.9]],
+        np.diag([1e-160, 0.5]),  # second power is subnormal: the 1e-300 exit
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+        np.zeros((2, 2)),
+        BATCH_A,
+    ], ids=["diagonal", "triangular", "subnormal", "nilpotent", "zero",
+            "unstable"])
+    def test_fixed_cases_match_loop_oracle(self, m, max_power):
+        got, got_warnings = _warning_texts(gelfand_radius, m, max_power)
+        want, want_warnings = _warning_texts(gelfand_radius_loop, m, max_power)
+        assert got == want
+        assert got_warnings <= want_warnings
+
+    @pytest.mark.parametrize("max_power", [8, 64, 512])
+    def test_overflow_warns_no_more_than_the_oracle(self, max_power):
+        m = np.array([[1e200, 1e200], [1e200, -1e200]])
+        got, got_warnings = _warning_texts(gelfand_radius, m, max_power)
+        want, want_warnings = _warning_texts(gelfand_radius_loop, m, max_power)
+        assert want_warnings  # the scan does overflow
+        assert got == want
+        assert got_warnings <= want_warnings
 
 
 class TestRankWithTol:
