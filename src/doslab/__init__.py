@@ -77,12 +77,9 @@ from .matrixcore import (
     solve_linear,
 )
 from .quantizer import (
-    Outcome,
+    BRANCHES,
     QuantIndex,
-    RangeScheme,
-    RangeState,
     UniformCodec,
-    classify_outcome,
     decode,
     derive_input_range,
     encode,

@@ -352,12 +352,11 @@ def _emit_plots(trace, out_dir: Path, stem: str):
         xlabel="t [s]", ylabel="max norm",
     )
     range_series = [(name, t, values) for name, values in trace.ranges.items()]
-    slot_axis = np.arange(len(next(iter(trace.slots.values()))))
     if "y_err" in trace.slots:
-        range_series.append(
-            ("actual |y - center|",
-             slot_axis * (t[-1] / max(len(slot_axis) - 1, 1)),
-             trace.slots["y_err"]))
+        # measured at each slot start
+        y_err = trace.slots["y_err"]
+        slot_starts = np.arange(len(y_err)) * trace.meta["dp"].big_delta
+        range_series.append(("actual |y - center|", slot_starts, y_err))
     line_chart(
         out_dir / f"{stem}_ranges.svg",
         range_series,

@@ -3,7 +3,9 @@
 :func:`compile_plan` fixes a scenario's certificate -- sampled plant,
 gains, decay constants, theta factors -- once, as a :class:`Plan`.  Four
 engines take a config and its plan and only step plant, encoders,
-decoders, controller, and range states in lockstep, recording a full trace:
+decoders and controller, recording a full trace.  Every quantizer range
+is a function of the attack pattern alone, so each engine takes its
+range sequences from :func:`update_range` before it steps:
 
 * :func:`run_dual_channel` -- both channels jammed together; deadbeat
   feedback, lifted observer reset, three quantized signals.
@@ -57,10 +59,8 @@ from .gains import (
 )
 from .matrixcore import as_vector, gelfand_radius, inf_norm, mat_pow
 from .quantizer import (
-    RangeScheme,
-    RangeState,
+    BRANCHES,
     UniformCodec,
-    classify_outcome,
     decode,
     derive_input_range,
     encode,
@@ -308,72 +308,71 @@ class LoopTrace:
 
 
 class _TraceBuilder:
-    def __init__(self, cfg: SimConfig, delta: float, range_names,
-                 oversample: int = 1):
-        self.scenario = cfg.scenario
-        self.big_delta = cfg.big_delta
-        self.c = cfg.plant.c
-        self.delta = delta
-        self.oversample = oversample
+    """Collects the stepped rows of a run; :meth:`build` expands the
+    per-slot quantities into the per-row columns of the trace."""
+
+    def __init__(self, cfg: SimConfig, dp: DiscretePlant):
+        self.cfg, self.dp, self.c = cfg, dp, cfg.plant.c
         # (a_tau, b_tau) pairs for the intra-step offsets j*delta/oversample
         self.os_maps = [
-            discretize(cfg.plant.a, cfg.plant.b, j * delta / oversample)
-            for j in range(1, oversample)
+            discretize(cfg.plant.a, cfg.plant.b, j * dp.delta / cfg.oversample)
+            for j in range(1, cfg.oversample)
         ]
-        self.range_names = range_names
-        self.rows = {name: [] for name in
-                     ("t", "q", "k", "x", "x_hat", "u_sent", "u_applied", "y",
-                      "outcome", "saturated", "inferred")}
-        self.range_rows = {name: [] for name in range_names}
+        self.x, self.y, self.x_hat, self.u_sent, self.u_applied = \
+            [], [], [], [], []
         self.slots = {}
 
-    def add_substep(self, q, k, x, x_hat, u_sent, u_applied, ranges,
-                    outcome, saturated, inferred):
-        """Rows for sub-step ``k`` of slot ``q``: its start plus one per
-        oversampled point, each propagated exactly from ``x`` under the
-        held applied input."""
-        t0 = q * self.big_delta + k * self.delta
-        points = [(t0, x)]
-        for j, (a_t, b_t) in enumerate(self.os_maps, start=1):
-            points.append((t0 + j * self.delta / self.oversample,
-                           a_t @ x + b_t @ u_applied))
-        r = self.rows
-        for t, xs in points:
-            r["t"].append(t)
-            r["q"].append(q)
-            r["k"].append(k)
-            r["x"].append(np.array(xs))
-            r["x_hat"].append(np.array(x_hat))
-            r["u_sent"].append(np.array(u_sent))
-            r["u_applied"].append(np.array(u_applied))
-            r["y"].append(self.c @ xs)
-            for name, value in zip(self.range_names, ranges):
-                self.range_rows[name].append(value)
-            r["outcome"].append(outcome.value)
-            r["saturated"].append(saturated)
-            r["inferred"].append(inferred)
+    def add_substep(self, x, x_hat, u_sent, u_applied):
+        """Rows for the next sub-step: its start plus one per oversampled
+        point, each propagated exactly from ``x`` under the held applied
+        input."""
+        points = [np.array(x)]
+        points += [a_t @ x + b_t @ u_applied for a_t, b_t in self.os_maps]
+        self.x += points
+        self.y += [self.c @ xs for xs in points]
+        self.x_hat.append(np.array(x_hat))
+        self.u_sent.append(np.array(u_sent))
+        self.u_applied.append(np.array(u_applied))
 
     def add_slot(self, **values):
         for name, value in values.items():
             self.slots.setdefault(name, []).append(value)
 
-    def build(self, final_state, plan: Plan, **meta):
-        r = self.rows
+    def build(self, final_state, plan: Plan, ranges, branch, inferred,
+              saturated=False, **meta):
+        """The trace of the slots stepped so far.  Each range column, and
+        ``branch``, ``inferred`` and ``saturated``, gives one value per
+        slot (a range per slot and sub-step), or one for all slots."""
+        ov, substeps = self.cfg.oversample, self.dp.eta
+        per_slot = substeps * ov
+        slots = len(self.x) // per_slot
+
+        def rows(values):
+            values = np.asarray(values)
+            if values.ndim == 0:
+                return np.full(slots * per_slot, values)
+            values = values[:slots]
+            return np.repeat(values.ravel(), per_slot if values.ndim == 1
+                             else ov)
+
+        q = np.repeat(np.arange(slots), per_slot)
+        k = np.tile(np.repeat(np.arange(substeps), ov), slots)
+        j = np.tile(np.arange(ov), slots * substeps)
+        delta = self.dp.delta
+        t = q * self.cfg.big_delta + k * delta + j * delta / ov
         return LoopTrace(
-            scenario=self.scenario,
-            t=np.array(r["t"]),
-            q=np.array(r["q"], dtype=int),
-            k=np.array(r["k"], dtype=int),
-            x=np.vstack(r["x"]),
-            x_hat=np.vstack(r["x_hat"]),
-            u_sent=np.vstack(r["u_sent"]),
-            u_applied=np.vstack(r["u_applied"]),
-            y=np.vstack(r["y"]),
-            ranges={n: np.array(v) for n, v in self.range_rows.items()},
-            outcome=r["outcome"],
-            saturated=np.array(r["saturated"], dtype=bool),
-            inferred_attack=np.array(r["inferred"], dtype=bool),
-            slots={n: np.array(v) for n, v in self.slots.items()},
+            scenario=self.cfg.scenario, t=t, q=q, k=k,
+            x=np.vstack(self.x),
+            x_hat=np.repeat(np.vstack(self.x_hat), ov, axis=0),
+            u_sent=np.repeat(np.vstack(self.u_sent), ov, axis=0),
+            u_applied=np.repeat(np.vstack(self.u_applied), ov, axis=0),
+            y=np.vstack(self.y),
+            ranges={name: rows(v) for name, v in ranges.items()},
+            outcome=[BRANCHES[b] for b in rows(branch).tolist()],
+            saturated=rows(saturated),
+            inferred_attack=rows(inferred),
+            slots={n: np.asarray(v)[:slots]
+                   for n, v in self.slots.items()},
             final_state=np.array(final_state),
             meta={"dp": plan.dp, "gains": plan.gains,
                   "constants": plan.constants, "thetas": plan.thetas,
@@ -381,17 +380,19 @@ class _TraceBuilder:
         )
 
 
-def _resolve_pattern(cfg: SimConfig) -> DoSPattern:
-    if cfg.pattern is not None:
-        if cfg.pattern.horizon < cfg.horizon_slots:
+def _resolve_pattern(cfg: SimConfig) -> tuple[DoSPattern, np.ndarray]:
+    """The run's attack pattern and its attacked slots over the horizon."""
+    pattern = cfg.pattern
+    if pattern is None:
+        if cfg.dos_params is None:
             raise ScenarioError(
-                f"pattern covers {cfg.pattern.horizon} slots, "
-                f"run needs {cfg.horizon_slots}"
-            )
-        return cfg.pattern
-    if cfg.dos_params is None:
-        raise ScenarioError("either a pattern or DoS parameters are required")
-    return generate(cfg.dos_params, cfg.horizon_slots, cfg.seed, cfg.intensity)
+                "either a pattern or DoS parameters are required")
+        pattern = generate(cfg.dos_params, cfg.horizon_slots, cfg.seed,
+                           cfg.intensity)
+    elif pattern.horizon < cfg.horizon_slots:
+        raise ScenarioError(f"pattern covers {pattern.horizon} slots, "
+                            f"run needs {cfg.horizon_slots}")
+    return pattern, np.array(pattern.slots[:cfg.horizon_slots], dtype=bool)
 
 
 def _encode(v, center, rng, codec, channel, q, k=None):
@@ -420,58 +421,52 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     n1, n2, n3 = plan.levels
     if n1 % 2 == 0:
         raise ScenarioError("n1 must be odd")
-    dp, gs, thetas = plan.dp, plan.gains, plan.thetas
-    pattern = _resolve_pattern(cfg)
+    dp, gs = plan.dp, plan.gains
+    pattern, attacked = _resolve_pattern(cfg)
     plant = cfg.plant
 
     n_x, n_u, n_y = plant.n_x, plant.n_u, plant.n_y
     codec1 = UniformCodec(n1, n_y)
     codec2 = UniformCodec(n2, n_u)
     codec3 = UniformCodec(n3, n_y)
-    e1, _, e3 = initial_ranges(cfg.x0_bound, plant.c)
-    rs1 = RangeState(e1, RangeScheme.CONSTANT, thetas)
-    rs3 = RangeState(e3, RangeScheme.OUTPUT_DUAL, thetas)
-    enc3 = RangeState(e3, RangeScheme.OUTPUT_DUAL, thetas)
-    e2_held = [0.0] * dp.eta
+    e1, _, e3_0 = initial_ranges(cfg.x0_bound, plant.c)
+    branch, e3 = update_range(e3_0, plan.thetas, attacked)
+    # each sub-step's input range is set on a successful slot and held
+    # through attacks, zero before the first success; a range that
+    # overflows ends the run in encode, as a non-finite range
+    held = np.maximum.accumulate(np.where(attacked, 0, np.arange(1, len(e3))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e2 = derive_input_range(np.append(0.0, e3)[held, None],
+                                np.array(plan.constants.input_gains), codec3)
 
     x = cfg.x0.copy()
     xh_eta = np.zeros(n_x)  # estimate carried across slots; exactly zero
     zero_y = np.zeros(n_y)
     zero_u = np.zeros(n_u)
-    tb = _TraceBuilder(cfg, dp.delta, ("E1", "E2", "E3"), cfg.oversample)
+    tb = _TraceBuilder(cfg, dp)
+    tb.slots.update(attacked=attacked, e3=e3)
 
     for q in range(cfg.horizon_slots):
         y = plant.c @ x
-        attacked = pattern.attacked(q)
-        outcome = classify_outcome(attacked, rs3.prev_attacked, q)
-        tb.add_slot(
-            attacked=attacked,
-            e3=rs3.value,
-            y_err=inf_norm(y),  # center is the zero vector every slot
-        )
-        if attacked:
+        hit = attacked[q]
+        tb.add_slot(y_err=inf_norm(y))  # center is the zero vector every slot
+        if hit:
             xh = xh_eta
         else:
-            idx1 = encode(zero_y, zero_y, rs1.value, codec1)
-            center3 = decode(idx1, zero_y, rs1.value, codec1)
-            idx3 = _encode(y, center3, rs3.value, codec3, "output", q)
-            q3 = decode(idx3, center3, rs3.value, codec3)
+            idx1 = encode(zero_y, zero_y, e1, codec1)
+            center3 = decode(idx1, zero_y, e1, codec1)
+            idx3 = _encode(y, center3, e3[q], codec3, "output", q)
+            q3 = decode(idx3, center3, e3[q], codec3)
             xh = xh_eta + gs.observer_gain @ (q3 - center3)
-            for k in range(dp.eta):
-                e2_held[k] = derive_input_range(
-                    rs3.value, plan.constants.input_gains[k], codec3)
 
         for k in range(dp.eta):
-            e2_k = e2_held[k]
-            if attacked:
-                u = zero_u
-                ua = zero_u
+            if hit:
+                u = ua = zero_u
             else:
                 u = gs.controller_gain @ xh
-                idx2 = _encode(u, zero_u, e2_k, codec2, "input", q, k)
-                ua = decode(idx2, zero_u, e2_k, codec2)
-            tb.add_substep(q, k, x, xh, u, ua, (rs1.value, e2_k, rs3.value),
-                           outcome, False, attacked)
+                idx2 = _encode(u, zero_u, e2[q, k], codec2, "input", q, k)
+                ua = decode(idx2, zero_u, e2[q, k], codec2)
+            tb.add_substep(x, xh, u, ua)
             x = dp.a_d @ x + dp.b_d @ ua
             xh = dp.a_d @ xh + dp.b_d @ u
 
@@ -483,63 +478,48 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
             )
         tb.add_slot(deadbeat_residual=residual, x_norm=inf_norm(x))
         xh_eta = np.zeros(n_x)
-        rs1 = update_range(rs1, outcome)
-        rs3 = update_range(rs3, outcome)
-        enc3 = update_range(enc3, outcome)
-        if rs3.value != enc3.value:
-            raise InferenceMismatchError(
-                f"encoder/decoder output ranges diverged at slot {q}"
-            )
 
-    return tb.build(x, plan, pattern=pattern)
+    return tb.build(x, plan, {"E1": e1, "E2": e2, "E3": e3}, branch,
+                    attacked, pattern=pattern)
 
 
 def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """Output channel with instant acknowledgments, single-rate predictors.
 
-    The encoder and decoder each run the predictor; acknowledgments keep
-    their branch choices identical, which the run asserts bit-exactly.
-    The input channel is ideal: the plant receives the computed input.
+    The encoder and decoder each run the predictor; acknowledgments tell
+    the encoder every attack, so both sides take their ranges from the
+    same pattern.  The input channel is ideal: the plant receives the
+    computed input.
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
-    pattern = _resolve_pattern(cfg)
+    pattern, attacked = _resolve_pattern(cfg)
     plant = cfg.plant
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
 
-    rs_dec = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK, plan.thetas)
-    rs_enc = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK, plan.thetas)
+    branch, e = update_range(cfg.x0_bound, plan.thetas, attacked)
     x = cfg.x0.copy()
     xh = np.zeros(plant.n_x)
-    tb = _TraceBuilder(cfg, dps.delta, ("E",), cfg.oversample)
+    tb = _TraceBuilder(cfg, dps)
+    tb.slots.update(attacked=attacked, e=e)
 
     for q in range(cfg.horizon_slots):
-        y = plant.c @ x
-        attacked = pattern.attacked(q)
-        outcome = classify_outcome(attacked, rs_dec.prev_attacked, q)
-        if rs_enc.value != rs_dec.value:
-            raise InferenceMismatchError(
-                f"ACK protocol lost encoder/decoder lockstep at slot {q}"
-            )
         u = gs.controller_gain @ xh
         yh = plant.c @ xh
-        tb.add_slot(attacked=attacked, e=rs_dec.value,
-                    err_norm=inf_norm(x - xh), x_norm=inf_norm(x))
-        if attacked:
+        tb.add_slot(err_norm=inf_norm(x - xh), x_norm=inf_norm(x))
+        if attacked[q]:
             xh_next = dps.a_d @ xh + dps.b_d @ u
         else:
-            rng = norm_c * rs_dec.value
-            idx = _encode(y, yh, rng, codec, "output", q)
+            # a Python float overflows to inf silently, as the range law does
+            rng = norm_c * float(e[q])
+            idx = _encode(plant.c @ x, yh, rng, codec, "output", q)
             qv = decode(idx, yh, rng, codec)
             xh_next = dps.a_d @ xh + dps.b_d @ u + l_obs @ (qv - yh)
-        tb.add_substep(q, 0, x, xh, u, u, (rs_dec.value,), outcome, False,
-                       attacked)
+        tb.add_substep(x, xh, u, u)
         x = dps.a_d @ x + dps.b_d @ u
         xh = xh_next
-        rs_dec = update_range(rs_dec, outcome)
-        rs_enc = update_range(rs_enc, outcome)
 
-    return tb.build(x, plan, pattern=pattern)
+    return tb.build(x, plan, {"E": e}, branch, attacked, pattern=pattern)
 
 
 def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
@@ -551,78 +531,68 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     so the whole next period's input is exactly zero; on a successful slot
     the even level count keeps the decoded output away from zero, so the
     input is nonzero.  The encoder watches the applied input and infers the
-    attack state, which must match the true pattern in every valid run.
+    attack state, which must match the true pattern in every valid run;
+    its ranges follow the inferred attacks.
     """
     if plan.levels % 2 != 0:
         raise ScenarioError("the ACK-free scheme needs an even level count")
     dp, gs = plan.dp, plan.gains
-    pattern = _resolve_pattern(cfg)
+    pattern, attacked = _resolve_pattern(cfg)
     plant = cfg.plant
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
 
-    rs_dec = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK_FREE, plan.thetas)
-    rs_enc = RangeState(cfg.x0_bound, RangeScheme.OUTPUT_ACK_FREE, plan.thetas)
+    branch, e = update_range(cfg.x0_bound, plan.thetas, attacked)
+    inferred = np.zeros(cfg.horizon_slots, dtype=bool)
     x = cfg.x0.copy()
     xh_eta = np.zeros(plant.n_x)
     zero_y = np.zeros(plant.n_y)
-    tb = _TraceBuilder(cfg, dp.delta, ("E",), cfg.oversample)
+    tb = _TraceBuilder(cfg, dp)
+    tb.slots.update(attacked=attacked, e=e)
     degenerate_inferences = 0
 
     for q in range(cfg.horizon_slots):
         y = plant.c @ x
-        attacked = pattern.attacked(q)
-        if rs_enc.value != rs_dec.value:
-            raise InferenceMismatchError(
-                f"encoder/decoder ranges diverged at slot {q}"
-            )
-        rng = norm_c * rs_dec.value
-        tb.add_slot(attacked=attacked, e=rs_dec.value, x_norm=inf_norm(x),
-                    y_err=inf_norm(y))
-        if attacked:
+        hit = attacked[q]
+        rng = norm_c * float(e[q])
+        tb.add_slot(x_norm=inf_norm(x), y_err=inf_norm(y))
+        if hit:
             xh = np.zeros(plant.n_x)  # default-zero reception, exact
         else:
             idx = _encode(y, zero_y, rng, codec, "output", q)
             qv = decode(idx, zero_y, rng, codec)
             xh = xh_eta + gs.observer_gain @ (qv - zero_y)
-        rows = []
         all_zero = True
         for k in range(dp.eta):
             u = gs.controller_gain @ xh
-            if attacked:
+            if hit:
                 u = np.zeros(plant.n_u)  # explicit branch, not arithmetic
             if np.any(u != 0.0):
                 all_zero = False
-            rows.append((k, x.copy(), xh.copy(), u))
+            tb.add_substep(x, xh, u, u)
             x = dp.a_d @ x + dp.b_d @ u
             xh = dp.a_d @ xh + dp.b_d @ u
-        inferred = all_zero
-        if rng == 0.0 and all_zero and not attacked:
+        inferred[q] = all_zero
+        if rng == 0.0 and all_zero and not hit:
             # nothing to infer from an all-zero run; does not count as a
             # protocol failure
             degenerate_inferences += 1
-            inferred = attacked
-        if inferred != attacked:
+            inferred[q] = False
+        if inferred[q] != hit:
             raise InferenceMismatchError(
                 f"zero-input inference disagreed with the pattern at slot {q}"
             )
-        outcome = classify_outcome(attacked, rs_dec.prev_attacked, q)
-        outcome_enc = classify_outcome(inferred, rs_enc.prev_attacked, q)
-        for k, xk, xhk, u in rows:
-            tb.add_substep(q, k, xk, xhk, u, u, (rs_dec.value,), outcome,
-                           False, inferred)
         residual = inf_norm(plant.c @ xh)
         if residual > DEADBEAT_NULL_TOL:
             raise DeadbeatContractError(
                 f"|C xhat| = {residual:.3e} at the end of slot {q}"
             )
-        tb.add_slot(deadbeat_residual=residual,
-                    enc_equals_dec=(rs_enc.value == rs_dec.value))
+        tb.add_slot(deadbeat_residual=residual)
         xh_eta = np.zeros(plant.n_x)
-        rs_dec = update_range(rs_dec, outcome)
-        rs_enc = update_range(rs_enc, outcome_enc)
 
-    return tb.build(x, plan, pattern=pattern,
+    _, e_enc = update_range(cfg.x0_bound, plan.thetas, inferred)
+    tb.slots.update(enc_equals_dec=e_enc == e)
+    return tb.build(x, plan, {"E": e}, branch, inferred, pattern=pattern,
                     degenerate_inferences=degenerate_inferences)
 
 
@@ -631,10 +601,10 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
 
     The decoder-side predictor switches to its open-loop branch on the
     attacked slot while the encoder-side predictor, blind to the attack,
-    keeps applying corrections and its two-branch range law.  The run
-    records both ranges, the true encoder-side error, and the derived
-    mismatch bound sequence; encoding past saturation clips to the nearest
-    box instead of failing, because divergence is the point.
+    keeps applying corrections and takes its ranges from a pattern with no
+    attack.  The run records both ranges, the true encoder-side error, and
+    the derived mismatch bound sequence; encoding past saturation clips to
+    the nearest box instead of failing, because divergence is the point.
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
     plant = cfg.plant
@@ -642,56 +612,54 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
 
-    rs_dec = RangeState(cfg.x0_bound, RangeScheme.MISMATCH_DECODER, plan.thetas)
-    rs_enc = RangeState(cfg.x0_bound, RangeScheme.MISMATCH_ENCODER, plan.thetas)
+    attacked = np.arange(cfg.horizon_slots) == q_a
+    branch, e_dec = update_range(cfg.x0_bound, plan.thetas, attacked)
+    _, e_enc = update_range(cfg.x0_bound, plan.thetas,
+                            np.zeros_like(attacked))
     x = cfg.x0.copy()
     xh = np.zeros(plant.n_x)  # decoder/controller side
     xt = np.zeros(plant.n_x)  # encoder side
-    tb = _TraceBuilder(cfg, dps.delta, ("E_e", "E_d"))
+    tb = _TraceBuilder(cfg, dps)
+    tb.slots.update(attacked=attacked, e_enc=e_enc, e_dec=e_dec)
     slots_run = 0
 
     for q in range(cfg.horizon_slots):
         y = plant.c @ x
-        attacked = q == q_a
-        outcome = classify_outcome(attacked, rs_dec.prev_attacked, q)
         u = gs.controller_gain @ xh
         yt = plant.c @ xt
-        rng_e = norm_c * rs_enc.value
+        rng_e = norm_c * float(e_enc[q])
         saturated = bool(np.max(np.abs(y - yt)) > rng_e)
         idx = encode(y, yt, rng_e, codec, clip=True)
         qe = decode(idx, yt, rng_e, codec)
         offs = (qe - yt) * codec.levels / rng_e if rng_e > 0 else np.zeros_like(qe)
         tb.add_slot(
-            attacked=attacked, e_enc=rs_enc.value, e_dec=rs_dec.value,
             enc_err=inf_norm(x - xt), predictor_gap=inf_norm(xh - xt),
             offs=offs.copy(), saturated=saturated, x_norm=inf_norm(x),
         )
-        tb.add_substep(q, 0, x, xh, u, u, (rs_enc.value, rs_dec.value),
-                       outcome, saturated, False)
+        tb.add_substep(x, xh, u, u)
         xt_next = dps.a_d @ xt + dps.b_d @ (gs.controller_gain @ xt) \
             + l_obs @ (qe - yt)
-        if attacked:
+        if attacked[q]:
             xh_next = dps.a_d @ xh + dps.b_d @ u
         else:
             yh = plant.c @ xh
-            rng_d = norm_c * rs_dec.value
+            rng_d = norm_c * float(e_dec[q])
             qd = decode(idx, yh, rng_d, codec)
             xh_next = dps.a_d @ xh + dps.b_d @ u + l_obs @ (qd - yh)
         x = dps.a_d @ x + dps.b_d @ u
         xh, xt = xh_next, xt_next
-        rs_dec = update_range(rs_dec, outcome)
-        rs_enc = update_range(rs_enc, outcome)  # outcome ignored by the two-branch law
         slots_run = q + 1
         if inf_norm(x) > DIVERGENCE_CAP:
             break
 
-    trace = tb.build(x, plan, attack_slot=q_a, slots_run=slots_run)
-    trace.slots["mismatch_bound"] = _mismatch_bound_sequence(trace, cfg, plan,
-                                                             codec)
+    trace = tb.build(x, plan, {"E_e": e_enc, "E_d": e_dec}, branch, False,
+                     saturated=tb.slots["saturated"], attack_slot=q_a,
+                     slots_run=slots_run)
+    trace.slots["mismatch_bound"] = _mismatch_bound_sequence(trace, cfg, plan)
     return trace
 
 
-def _mismatch_bound_sequence(trace, cfg, plan: Plan, codec) -> np.ndarray:
+def _mismatch_bound_sequence(trace, cfg, plan: Plan) -> np.ndarray:
     """Derived upper-bound sequence on the encoder-side error.
 
     Before the attack the bound is the encoder range itself.  After it, the
@@ -706,7 +674,7 @@ def _mismatch_bound_sequence(trace, cfg, plan: Plan, codec) -> np.ndarray:
     thetas, gs, l_obs = plan.thetas, plan.gains, plan.l_obs
     th_a, th_0, th_na = (thetas.theta_attack, thetas.theta_first,
                          thetas.theta_steady)
-    n = codec.levels
+    n = plan.levels
     norm_c = inf_norm(cfg.plant.c)
     bk = plan.dp.b_d @ gs.controller_gain
     closed = gs.closed_loop

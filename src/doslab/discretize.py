@@ -124,7 +124,9 @@ def controllability_index(a_d, b_d, tol: float = 1e-9) -> int:
     for eta in range(1, n + 1):
         if rank_with_tol(np.hstack(blocks), tol) == n:
             return eta
-        blocks.append(a_d @ blocks[-1])
+        # an overflowing block is rejected by the next rank test
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks.append(a_d @ blocks[-1])
     raise UncontrollablePairError(
         f"rank of the controllability matrix never reached {n}"
     )
@@ -139,7 +141,8 @@ def observability_index(c, a_lift, tol: float = 1e-9) -> int:
     for mu in range(1, n + 1):
         if rank_with_tol(np.vstack(blocks), tol) == n:
             return mu
-        blocks.append(blocks[-1] @ a_lift)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks.append(blocks[-1] @ a_lift)
     raise UnobservablePairError(
         f"rank of the observability matrix never reached {n}"
     )

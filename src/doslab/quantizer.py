@@ -1,18 +1,19 @@
-"""Uniform hypercube quantizer codecs and event-driven range states.
+"""Uniform hypercube quantizer codecs and the range-update law.
 
 A codec partitions the hypercube ``{v : |v - center| <= range}`` into
 ``levels`` equal boxes per component; an index names the box holding the
-value and decodes to that box's center.  Range states implement the
-per-slot update laws: the range expands during attacked slots, pays a
-resynchronization factor on the first success after an attack, and
-contracts on consecutive successes.
+value and decodes to that box's center.  The range law expands a range
+during attacked slots, pays a resynchronization factor on the first
+success after an attack, and contracts on consecutive successes, so a
+run's whole range sequence is fixed by its attack pattern.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,18 +22,18 @@ from .errors import InvalidMatrixError, SaturationError
 from .matrixcore import inf_norm
 
 __all__ = [
+    "BRANCHES",
     "UniformCodec",
     "QuantIndex",
-    "RangeScheme",
-    "RangeState",
-    "Outcome",
     "encode",
     "decode",
     "update_range",
     "derive_input_range",
     "initial_ranges",
-    "classify_outcome",
 ]
+
+# Names of the range law's branches, indexed by the codes update_range returns.
+BRANCHES = ("attacked", "first_success", "consecutive_success")
 
 
 @dataclass(frozen=True)
@@ -54,56 +55,6 @@ class QuantIndex:
     """Per-component box indices, each in [0, levels-1]."""
 
     cells: tuple[int, ...]
-
-
-class Outcome(Enum):
-    ATTACKED = "attacked"
-    FIRST_SUCCESS_AFTER_ATTACK = "first_success"
-    CONSECUTIVE_SUCCESS = "consecutive_success"
-
-
-class RangeScheme(Enum):
-    CONSTANT = "constant"                  # estimated-output channel, frozen
-    OUTPUT_DUAL = "output_dual"
-    OUTPUT_ACK = "output_ack"
-    OUTPUT_ACK_FREE = "output_ack_free"
-    MISMATCH_ENCODER = "mismatch_encoder"  # never observes attacks
-    MISMATCH_DECODER = "mismatch_decoder"
-
-
-@dataclass(frozen=True)
-class RangeState:
-    """Current bound with the law that evolves it.
-
-    ``slot`` counts applied updates; ``prev_attacked`` is the branch memory
-    of the three-branch law.  A zero bound is legal only for the constant
-    scheme (the estimated-output channel starts and stays at zero) or a
-    zero initial state bound.
-    """
-
-    value: float
-    scheme: RangeScheme
-    thetas: ThetaSet
-    prev_attacked: bool = False
-    slot: int = 0
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("range must be nonnegative")
-
-
-def classify_outcome(attacked: bool, prev_attacked: bool, slot: int) -> Outcome:
-    """Branch selection for slot ``slot``.
-
-    A successful initial slot counts as a first success: there is no prior
-    successful transmission, which is the same branch condition an attack
-    recovery satisfies.
-    """
-    if attacked:
-        return Outcome.ATTACKED
-    if slot == 0 or prev_attacked:
-        return Outcome.FIRST_SUCCESS_AFTER_ATTACK
-    return Outcome.CONSECUTIVE_SUCCESS
 
 
 def encode(
@@ -175,28 +126,28 @@ def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarr
     return center + (2.0 * np.array(cells, dtype=float) + 1.0 - n) * (rng / n)
 
 
-def update_range(rs: RangeState, outcome: Outcome) -> RangeState:
-    """Apply one slot's branch factor and advance the state.
+def update_range(e0: float, thetas: ThetaSet,
+                 attacked) -> tuple[np.ndarray, np.ndarray]:
+    """Branches and ranges of the three-branch law over a whole pattern.
 
-    The constant scheme never changes; the mismatch-encoder scheme cannot
-    observe attacks and applies its two-branch law (resync factor on the
-    initial slot, steady contraction after) regardless of the outcome.
-    Every other scheme applies the three-branch law.
+    ``branch[q]`` is 0 on an attacked slot, 1 on a successful slot that
+    follows an attack or opens the run (there is no prior successful
+    transmission, the same condition an attack recovery meets) and 2 on
+    a consecutive success; :data:`BRANCHES` names the codes.
+    ``ranges[q]`` is the bound at the start of slot ``q`` and
+    ``ranges[-1]`` the bound after the last slot: each slot multiplies by
+    ``theta_attack``, ``theta_first`` or ``theta_steady``, in slot order.
     """
-    scheme, th = rs.scheme, rs.thetas
-    attacked = outcome is Outcome.ATTACKED
-    if scheme is RangeScheme.CONSTANT:
-        value = rs.value
-    elif scheme is RangeScheme.MISMATCH_ENCODER:
-        value = rs.value * (th.theta_first if rs.slot == 0
-                            else th.theta_steady)
-    elif attacked:
-        value = rs.value * th.theta_attack
-    elif outcome is Outcome.FIRST_SUCCESS_AFTER_ATTACK:
-        value = rs.value * th.theta_first
-    else:
-        value = rs.value * th.theta_steady
-    return RangeState(value, scheme, th, attacked, rs.slot + 1)
+    if e0 < 0.0:
+        raise ValueError("range must be nonnegative")
+    attacked = np.asarray(attacked, dtype=bool)
+    after_attack = np.concatenate(([True], attacked[:-1]))
+    branch = np.where(attacked, 0, np.where(after_attack, 1, 2))
+    factors = np.array([thetas.theta_attack, thetas.theta_first,
+                        thetas.theta_steady])[branch]
+    ranges = np.array(list(accumulate(factors.tolist(), operator.mul,
+                                      initial=e0)))
+    return branch, ranges
 
 
 def derive_input_range(e3: float, gain: float, codec3: UniformCodec) -> float:
@@ -207,6 +158,7 @@ def derive_input_range(e3: float, gain: float, codec3: UniformCodec) -> float:
     is at most ``(n3-1)/n3`` of the output range; ``gain`` is that gain's
     norm (:attr:`DecayConstants.input_gains`).  During attacked slots no
     input is transmitted and the previous value is held by the caller.
+    Arrays of ranges and gains broadcast against each other.
     """
     n3 = codec3.levels
     return (n3 - 1) / n3 * gain * e3

@@ -36,6 +36,13 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return ticks
 
 
+def _polyline_points(xs, ys, px, py) -> str:
+    """``x,y`` pixel pairs of one series, two decimals each; ``px`` and
+    ``py`` map whole arrays to pixels."""
+    pairs = np.column_stack((px(xs), py(ys))).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pairs)
+
+
 def line_chart(path, series, title="", xlabel="", ylabel="", ylog=False):
     """Write a multi-series line chart as a standalone SVG file.
 
@@ -109,7 +116,7 @@ def line_chart(path, series, title="", xlabel="", ylabel="", ylog=False):
     )
     for i, (name, xs, ys) in enumerate(cleaned):
         color = _COLORS[i % len(_COLORS)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        points = _polyline_points(xs, ys, px, py)
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -3,9 +3,9 @@
 Each oracle deliberately avoids the code path it checks: the exponential
 oracle is a plain truncated series, the input-matrix oracle is composite
 Simpson quadrature, and the index oracles are direct Kalman rank tests on
-explicitly stacked blocks.  The codec, power-scan, mismatch-bound and
-trace-writer oracles keep the plain loops the library replaced, as
-bit-exact references.
+explicitly stacked blocks.  The codec, range-law, power-scan,
+mismatch-bound, trace-writer and chart-point oracles keep the plain loops
+the library replaced, as bit-exact references.
 """
 
 import math
@@ -92,6 +92,26 @@ def encode_loop(v, center, rng, codec, clip=False):
         cell = int(math.ceil(u)) - 1
         cells.append(min(max(cell, 0), n - 1))
     return QuantIndex(cells=tuple(cells))
+
+
+def range_law_loop(e0, thetas, attacked):
+    """Three-branch range law stepped one slot at a time: the branch name
+    of every slot, and the range at every slot start plus the one after
+    the last slot."""
+    value, prev_attacked = e0, False
+    branches, ranges = [], [e0]
+    for slot, hit in enumerate(attacked):
+        if hit:
+            branch, factor = "attacked", thetas.theta_attack
+        elif slot == 0 or prev_attacked:
+            branch, factor = "first_success", thetas.theta_first
+        else:
+            branch, factor = "consecutive_success", thetas.theta_steady
+        value = value * factor
+        prev_attacked = bool(hit)
+        branches.append(branch)
+        ranges.append(value)
+    return branches, np.array(ranges)
 
 
 def mismatch_bound_loop(trace, cfg, plan):
@@ -209,3 +229,8 @@ def trace_to_csv_loop(trace, path):
                 str(int(trace.inferred_attack[i])),
             ]
             fh.write(",".join(row) + "\n")
+
+
+def polyline_points_loop(xs, ys, px, py):
+    """Chart polyline points, mapped and formatted one point at a time."""
+    return " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))

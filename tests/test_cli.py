@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib
 import json
 import os
@@ -8,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +211,78 @@ class TestRunCommand:
         assert len(svgs) == 3
         for svg in svgs:
             assert svg.read_text().startswith("<svg")
+
+
+    @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
+                                      "batch_reactor_ackfree.json"])
+    def test_measured_output_is_plotted_at_slot_starts(self, tmp_path,
+                                                       monkeypatch, name):
+        charts = {}
+        monkeypatch.setattr(
+            cli, "line_chart",
+            lambda path, series, **kw: charts.update({Path(path).name: series}))
+        doc = load(name)
+        doc["horizon_slots"] = 40
+        code = cli.main(["run", write(tmp_path, doc, name),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+        stem = Path(name).stem
+        (xs, ys), = [(xs, ys) for label, xs, ys in charts[f"{stem}_ranges.svg"]
+                     if label == "actual |y - center|"]
+        assert len(ys) == 40
+        np.testing.assert_array_equal(xs, np.arange(40) * doc["big_delta"])
+
+    def test_mismatch_demo_oversamples(self, tmp_path):
+        rows = {}
+        for oversample in (1, 2):
+            doc = load("batch_reactor_mismatch.json")
+            doc["oversample"] = oversample
+            out = tmp_path / str(oversample)
+            code = cli.main(["run", write(tmp_path, doc), "--out", str(out),
+                             "--no-plots"])
+            assert code == cli.EXIT_OK
+            rows[oversample] = (out / doc["outputs"]["trace"]).read_text() \
+                .splitlines()
+        header, *fine = rows[2]
+        assert header == rows[1][0]
+        slots = [line.split(",")[1] for line in fine]
+        assert slots == [q for q in slots[::2] for _ in range(2)]
+        assert fine[::2] == rows[1][1:]
+
+
+# sha256 of the trace CSVs at oversample 2 and 3, which the bench reference
+# (every bundled scenario ships oversample 1) does not cover
+OVERSAMPLED_TRACES = {
+    ("batch_reactor_ack.json", 2):
+        "69458f9704c1d0cec782dbcc970c41d0df18bc05133707e2a74f66790b7dd308",
+    ("batch_reactor_ack.json", 3):
+        "a1956a464f9ceae100c33601ad30f611034928ae7124f251b4b0887cf8313ece",
+    ("batch_reactor_ackfree.json", 2):
+        "d1df4027c4558b65c0cb29feb144b85677025373ebe6a9153cf446bb37de5966",
+    ("batch_reactor_ackfree.json", 3):
+        "220ae85f79c16c9b0e4c94611ea7d420a00ce00d670864a06437d2efa86bc425",
+    ("batch_reactor_dual.json", 2):
+        "8e985ac3857bb7f47800d1c4a54bacc042d9d6fd81e88721ad65547bfab976cb",
+    ("batch_reactor_dual.json", 3):
+        "b74173a6a979842118bbbc7030b6f55753addcb95f653f7850c24c550cfe5938",
+    ("batch_reactor_dual_deadbeat_observer.json", 2):
+        "ca6b8d5348d68ce1cbeb747fc34666e9348a2f81f1a2ca91249275835723ce84",
+    ("batch_reactor_dual_deadbeat_observer.json", 3):
+        "b6cd158f08161573cbf76e379b3c2a36e4170344fec2530517ccc38f6d89142d",
+}
+
+
+@pytest.mark.parametrize("name, oversample", sorted(OVERSAMPLED_TRACES))
+def test_oversampled_trace_bytes_are_pinned(tmp_path, name, oversample):
+    doc = load(name)
+    doc["oversample"] = oversample
+    out = tmp_path / "out"
+    code = cli.main(["run", write(tmp_path, doc), "--out", str(out),
+                     "--no-plots"])
+    assert code == cli.EXIT_OK
+    data = (out / doc["outputs"]["trace"]).read_bytes()
+    assert hashlib.sha256(data).hexdigest() \
+        == OVERSAMPLED_TRACES[name, oversample]
 
 
 @pytest.mark.parametrize("command", ["check", "run"])

@@ -12,12 +12,9 @@ from doslab import (
 )
 from doslab.conditions import ThetaSet, ThetaVariant
 from doslab.quantizer import (
-    Outcome,
+    BRANCHES,
     QuantIndex,
-    RangeScheme,
-    RangeState,
     UniformCodec,
-    classify_outcome,
     decode,
     derive_input_range,
     encode,
@@ -26,7 +23,7 @@ from doslab.quantizer import (
 )
 
 from .conftest import BATCH_C, rng
-from .oracles import encode_loop
+from .oracles import encode_loop, range_law_loop
 
 THETAS = ThetaSet(theta_attack=3.0, theta_first=1.2, theta_steady=0.8,
                   variant=ThetaVariant.DUAL)
@@ -231,49 +228,56 @@ class TestCodecInputErrors:
                    UniformCodec(levels=10, dim=2))
 
 
+def branch_names(attacked, thetas=THETAS):
+    return [BRANCHES[b] for b in update_range(1.0, thetas, attacked)[0]]
+
+
 class TestClassifyOutcome:
     def test_initial_successful_slot_is_first_success(self):
-        assert (classify_outcome(False, False, 0)
-                is Outcome.FIRST_SUCCESS_AFTER_ATTACK)
+        assert branch_names([False])[0] == "first_success"
 
     def test_attacked(self):
-        assert classify_outcome(True, False, 5) is Outcome.ATTACKED
+        assert branch_names([False] * 5 + [True])[5] == "attacked"
 
     def test_recovery_and_steady(self):
-        assert (classify_outcome(False, True, 5)
-                is Outcome.FIRST_SUCCESS_AFTER_ATTACK)
-        assert (classify_outcome(False, False, 5)
-                is Outcome.CONSECUTIVE_SUCCESS)
+        assert branch_names([False] * 4 + [True, False])[5] == "first_success"
+        assert branch_names([False] * 6)[5] == "consecutive_success"
 
 
 class TestUpdateRange:
-    def test_constant_scheme_never_moves(self):
-        rs = RangeState(0.0, RangeScheme.CONSTANT, THETAS)
-        for outcome in Outcome:
-            rs = update_range(rs, outcome)
-            assert rs.value == 0.0
+    def test_constant_scheme_never_moves(self, reactor, reactor_gains):
+        # the estimated-output range E1 is the constant zero on every row
+        from doslab.controlloop import Scenario, SimConfig, run_scenario
+        from doslab.dos import pattern_from_bools
+
+        pattern = pattern_from_bools([True, False, False, True, True, False])
+        trace = run_scenario(SimConfig(
+            plant=reactor, big_delta=0.2, x0=[1.0, -1.0, 1.0, -1.0],
+            x0_bound=1.0, scenario=Scenario.DUAL_CHANNEL, horizon_slots=6,
+            levels=(3, 10_000, 10_000), pattern=pattern, gains=reactor_gains,
+        ))
+        assert set(trace.outcome) == set(BRANCHES)
+        assert np.all(trace.ranges["E1"] == 0.0)
 
     def test_branch_factors(self):
-        rs = RangeState(1.0, RangeScheme.OUTPUT_DUAL, THETAS)
-        assert update_range(rs, Outcome.ATTACKED).value == 3.0
-        assert update_range(rs, Outcome.FIRST_SUCCESS_AFTER_ATTACK).value == 1.2
-        assert update_range(rs, Outcome.CONSECUTIVE_SUCCESS).value == 0.8
+        assert update_range(1.0, THETAS, [True])[1][1] == 3.0
+        assert update_range(1.0, THETAS, [False])[1][1] == 1.2
+        assert update_range(1.0, THETAS, [False, False])[1][2] == 1.2 * 0.8
 
     def test_alternating_product(self):
-        outcomes = [Outcome.ATTACKED, Outcome.FIRST_SUCCESS_AFTER_ATTACK,
-                    Outcome.CONSECUTIVE_SUCCESS, Outcome.ATTACKED,
-                    Outcome.ATTACKED, Outcome.FIRST_SUCCESS_AFTER_ATTACK,
-                    Outcome.CONSECUTIVE_SUCCESS, Outcome.CONSECUTIVE_SUCCESS,
-                    Outcome.ATTACKED, Outcome.FIRST_SUCCESS_AFTER_ATTACK]
-        factors = {Outcome.ATTACKED: 3.0,
-                   Outcome.FIRST_SUCCESS_AFTER_ATTACK: 1.2,
-                   Outcome.CONSECUTIVE_SUCCESS: 0.8}
-        rs = RangeState(1.0, RangeScheme.OUTPUT_DUAL, THETAS)
+        outcomes = ["attacked", "first_success", "consecutive_success",
+                    "attacked", "attacked", "first_success",
+                    "consecutive_success", "consecutive_success", "attacked",
+                    "first_success"]
+        factors = {"attacked": 3.0, "first_success": 1.2,
+                   "consecutive_success": 0.8}
+        attacked = [name == "attacked" for name in outcomes]
+        branch, ranges = update_range(1.0, THETAS, attacked)
+        assert [BRANCHES[b] for b in branch] == outcomes
         product = 1.0
         for outcome in outcomes:
-            rs = update_range(rs, outcome)
             product *= factors[outcome]
-        assert rs.value == pytest.approx(product, rel=1e-12)
+        assert ranges[-1] == pytest.approx(product, rel=1e-12)
 
     def test_attacked_branch_uses_lifted_norm(self, reactor_dp, reactor_gains):
         from doslab import derive_decay_constants, inf_norm
@@ -282,25 +286,57 @@ class TestUpdateRange:
         dc = derive_decay_constants(reactor_gains, reactor_dp)
         thetas = compute_thetas(ThetaVariant.DUAL, dc, reactor_dp,
                                 (3, 10_000, 10_000))
-        rs = RangeState(1.0, RangeScheme.OUTPUT_DUAL, thetas)
-        out = update_range(rs, Outcome.ATTACKED)
-        assert out.value == pytest.approx(inf_norm(reactor_dp.a_lift),
+        _, ranges = update_range(1.0, thetas, [True])
+        assert ranges[1] == pytest.approx(inf_norm(reactor_dp.a_lift),
                                           rel=1e-15)
 
     def test_mismatch_encoder_two_branch_law(self):
-        rs = RangeState(1.0, RangeScheme.MISMATCH_ENCODER, THETAS)
-        rs = update_range(rs, Outcome.ATTACKED)  # blind to the outcome
-        assert rs.value == 1.2
-        rs = update_range(rs, Outcome.ATTACKED)
-        assert rs.value == pytest.approx(1.2 * 0.8, rel=1e-15)
+        # an encoder blind to attacks runs the law on a never-attacked
+        # pattern
+        _, ranges = update_range(1.0, THETAS, [False, False])
+        assert ranges[1] == 1.2
+        assert ranges[2] == pytest.approx(1.2 * 0.8, rel=1e-15)
 
     def test_contraction_when_steady_below_one(self):
-        rs = RangeState(1.0, RangeScheme.OUTPUT_ACK, THETAS)
-        previous = rs.value
-        for _ in range(5):
-            rs = update_range(rs, Outcome.CONSECUTIVE_SUCCESS)
-            assert rs.value < previous
-            previous = rs.value
+        _, ranges = update_range(1.0, THETAS, [False] * 6)
+        assert np.all(np.diff(ranges[1:]) < 0.0)
+
+    def test_negative_initial_range_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            update_range(-1.0, THETAS, [False])
+
+    def test_empty_pattern_keeps_the_initial_range(self):
+        branch, ranges = update_range(2.5, THETAS, [])
+        assert branch.size == 0
+        assert ranges.tolist() == [2.5]
+
+
+PATTERNS = st.one_of(
+    st.lists(st.booleans(), min_size=1, max_size=400),
+    st.integers(1, 400).map(lambda n: [True] * n),
+    st.integers(1, 400).map(lambda n: [False] * n),
+)
+FACTORS = st.floats(min_value=1e-3, max_value=1e3)
+
+
+class TestUpdateRangeMatchesLoopOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(attacked=PATTERNS,
+           e0=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+           factors=st.tuples(FACTORS, FACTORS, FACTORS))
+    def test_matches_per_slot_machine(self, attacked, e0, factors):
+        thetas = ThetaSet(*factors, variant=ThetaVariant.DUAL)
+        branch, ranges = update_range(e0, thetas, attacked)
+        want_branches, want_ranges = range_law_loop(e0, thetas, attacked)
+        assert [BRANCHES[b] for b in branch] == want_branches
+        assert np.array_equal(ranges, want_ranges)
+
+    @pytest.mark.parametrize("attacked", [[True] * 400, [False] * 400])
+    def test_constant_patterns(self, attacked):
+        branch, ranges = update_range(0.7, THETAS, attacked)
+        want_branches, want_ranges = range_law_loop(0.7, THETAS, attacked)
+        assert [BRANCHES[b] for b in branch] == want_branches
+        assert np.array_equal(ranges, want_ranges)
 
 
 class TestDeriveInputRange:
