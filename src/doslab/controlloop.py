@@ -308,8 +308,9 @@ class LoopTrace:
 
 
 class _TraceBuilder:
-    """Collects the stepped rows of a run; :meth:`build` expands the
-    per-slot quantities into the per-row columns of the trace."""
+    """Preallocated sub-step rows of a run, written in place;
+    :meth:`build` adds the oversampled points and the outputs and expands
+    the per-slot quantities into the per-row columns of the trace."""
 
     def __init__(self, cfg: SimConfig, dp: DiscretePlant):
         self.cfg, self.dp, self.c = cfg, dp, cfg.plant.c
@@ -318,25 +319,28 @@ class _TraceBuilder:
             discretize(cfg.plant.a, cfg.plant.b, j * dp.delta / cfg.oversample)
             for j in range(1, cfg.oversample)
         ]
-        self.x, self.y, self.x_hat, self.u_sent, self.u_applied = \
-            [], [], [], [], []
+        rows = cfg.horizon_slots * dp.eta
+        n_x, n_u = cfg.plant.n_x, cfg.plant.n_u
+        self.x, self.x_hat = np.empty((rows, n_x)), np.empty((rows, n_x))
+        self.u_sent, self.u_applied = (np.empty((rows, n_u)),
+                                       np.empty((rows, n_u)))
+        self.rows = 0
         self.slots = {}
 
     def add_substep(self, x, x_hat, u_sent, u_applied):
-        """Rows for the next sub-step: its start plus one per oversampled
-        point, each propagated exactly from ``x`` under the held applied
-        input."""
-        points = [np.array(x)]
-        points += [a_t @ x + b_t @ u_applied for a_t, b_t in self.os_maps]
-        self.x += points
-        self.y += [self.c @ xs for xs in points]
-        self.x_hat.append(np.array(x_hat))
-        self.u_sent.append(np.array(u_sent))
-        self.u_applied.append(np.array(u_applied))
+        """Row of the next sub-step's start values."""
+        r = self.rows
+        self.x[r], self.x_hat[r] = x, x_hat
+        self.u_sent[r], self.u_applied[r] = u_sent, u_applied
+        self.rows = r + 1
 
     def add_slot(self, **values):
         for name, value in values.items():
             self.slots.setdefault(name, []).append(value)
+
+    def starts(self, rows):
+        """The first sub-step row of every slot stepped so far."""
+        return rows[:self.rows:self.dp.eta]
 
     def build(self, final_state, plan: Plan, ranges, branch, inferred,
               saturated=False, **meta):
@@ -345,7 +349,16 @@ class _TraceBuilder:
         slot (a range per slot and sub-step), or one for all slots."""
         ov, substeps = self.cfg.oversample, self.dp.eta
         per_slot = substeps * ov
-        slots = len(self.x) // per_slot
+        slots = self.rows // substeps
+        x, x_hat, u_sent, u_applied = (
+            a[:self.rows]
+            for a in (self.x, self.x_hat, self.u_sent, self.u_applied))
+        if ov > 1:
+            # each point propagated exactly from its sub-step's start under
+            # the held applied input
+            points = [x] + [_matvecs(a_t, x) + _matvecs(b_t, u_applied)
+                            for a_t, b_t in self.os_maps]
+            x = np.stack(points, axis=1).reshape(-1, x.shape[1])
 
         def rows(values):
             values = np.asarray(values)
@@ -362,11 +375,11 @@ class _TraceBuilder:
         t = q * self.cfg.big_delta + k * delta + j * delta / ov
         return LoopTrace(
             scenario=self.cfg.scenario, t=t, q=q, k=k,
-            x=np.vstack(self.x),
-            x_hat=np.repeat(np.vstack(self.x_hat), ov, axis=0),
-            u_sent=np.repeat(np.vstack(self.u_sent), ov, axis=0),
-            u_applied=np.repeat(np.vstack(self.u_applied), ov, axis=0),
-            y=np.vstack(self.y),
+            x=x,
+            x_hat=np.repeat(x_hat, ov, axis=0),
+            u_sent=np.repeat(u_sent, ov, axis=0),
+            u_applied=np.repeat(u_applied, ov, axis=0),
+            y=_matvecs(self.c, x),
             ranges={name: rows(v) for name, v in ranges.items()},
             outcome=[BRANCHES[b] for b in rows(branch).tolist()],
             saturated=rows(saturated),
@@ -378,6 +391,18 @@ class _TraceBuilder:
                   "constants": plan.constants, "thetas": plan.thetas,
                   "l_obs": plan.l_obs, **meta},
         )
+
+
+def _matvecs(a, rows):
+    """``a @ v`` for every row ``v`` of ``rows``, each bit-identical to the
+    single product; ``rows @ a.T`` is one matrix product and rounds
+    differently."""
+    return np.matmul(a, rows[:, :, None])[:, :, 0]
+
+
+def _norms(rows):
+    """:func:`inf_norm` of every row."""
+    return abs(rows).max(axis=1)
 
 
 def _resolve_pattern(cfg: SimConfig) -> tuple[DoSPattern, np.ndarray]:
@@ -416,7 +441,9 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     holds its (identically zero) open-loop estimate.  The estimated-output
     quantizer is degenerate by construction: the deadbeat gain drives the
     estimate exactly to zero at the end of every slot, which is asserted
-    each slot before the zero is reused as the next quantization center.
+    each slot, so its range ``E1`` is zero, the odd ``n1`` puts the zero
+    estimate in the middle cell and the output quantizer's center is the
+    zero vector without a round trip.
     """
     n1, n2, n3 = plan.levels
     if n1 % 2 == 0:
@@ -426,7 +453,6 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     plant = cfg.plant
 
     n_x, n_u, n_y = plant.n_x, plant.n_u, plant.n_y
-    codec1 = UniformCodec(n1, n_y)
     codec2 = UniformCodec(n2, n_u)
     codec3 = UniformCodec(n3, n_y)
     e1, _, e3_0 = initial_ranges(cfg.x0_bound, plant.c)
@@ -440,32 +466,31 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
                                 np.array(plan.constants.input_gains), codec3)
 
     x = cfg.x0.copy()
-    xh_eta = np.zeros(n_x)  # estimate carried across slots; exactly zero
+    zero_x = np.zeros(n_x)  # the estimate every slot starts from
     zero_y = np.zeros(n_y)
     zero_u = np.zeros(n_u)
     tb = _TraceBuilder(cfg, dp)
     tb.slots.update(attacked=attacked, e3=e3)
+    residuals = []
 
-    for q in range(cfg.horizon_slots):
-        y = plant.c @ x
-        hit = attacked[q]
-        tb.add_slot(y_err=inf_norm(y))  # center is the zero vector every slot
+    for q, (hit, e3_q, e2_q) in enumerate(zip(attacked.tolist(), e3.tolist(),
+                                              e2.tolist())):
         if hit:
-            xh = xh_eta
+            xh = zero_x
         else:
-            idx1 = encode(zero_y, zero_y, e1, codec1)
-            center3 = decode(idx1, zero_y, e1, codec1)
-            idx3 = _encode(y, center3, e3[q], codec3, "output", q)
-            q3 = decode(idx3, center3, e3[q], codec3)
-            xh = xh_eta + gs.observer_gain @ (q3 - center3)
+            y = plant.c @ x
+            idx3 = _encode(y, zero_y, e3_q, codec3, "output", q)
+            q3 = decode(idx3, zero_y, e3_q, codec3)
+            # the sum with the zero estimate turns -0.0 entries into +0.0
+            xh = zero_x + gs.observer_gain @ q3
 
         for k in range(dp.eta):
             if hit:
                 u = ua = zero_u
             else:
                 u = gs.controller_gain @ xh
-                idx2 = _encode(u, zero_u, e2[q, k], codec2, "input", q, k)
-                ua = decode(idx2, zero_u, e2[q, k], codec2)
+                idx2 = _encode(u, zero_u, e2_q[k], codec2, "input", q, k)
+                ua = decode(idx2, zero_u, e2_q[k], codec2)
             tb.add_substep(x, xh, u, ua)
             x = dp.a_d @ x + dp.b_d @ ua
             xh = dp.a_d @ xh + dp.b_d @ u
@@ -476,9 +501,11 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
                 f"|C xhat| = {residual:.3e} at the end of slot {q}; "
                 "the feedback gain is not deadbeat for this plant"
             )
-        tb.add_slot(deadbeat_residual=residual, x_norm=inf_norm(x))
-        xh_eta = np.zeros(n_x)
+        residuals.append(residual)
 
+    ends = np.vstack((tb.starts(tb.x)[1:], x))  # the state after each slot
+    tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
+                    deadbeat_residual=residuals, x_norm=_norms(ends))
     return tb.build(x, plan, {"E1": e1, "E2": e2, "E3": e3}, branch,
                     attacked, pattern=pattern)
 
@@ -503,15 +530,14 @@ def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb = _TraceBuilder(cfg, dps)
     tb.slots.update(attacked=attacked, e=e)
 
-    for q in range(cfg.horizon_slots):
+    for q, (hit, e_q) in enumerate(zip(attacked.tolist(), e.tolist())):
         u = gs.controller_gain @ xh
         yh = plant.c @ xh
-        tb.add_slot(err_norm=inf_norm(x - xh), x_norm=inf_norm(x))
-        if attacked[q]:
+        if hit:
             xh_next = dps.a_d @ xh + dps.b_d @ u
         else:
             # a Python float overflows to inf silently, as the range law does
-            rng = norm_c * float(e[q])
+            rng = norm_c * e_q
             idx = _encode(plant.c @ x, yh, rng, codec, "output", q)
             qv = decode(idx, yh, rng, codec)
             xh_next = dps.a_d @ xh + dps.b_d @ u + l_obs @ (qv - yh)
@@ -519,6 +545,9 @@ def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
         x = dps.a_d @ x + dps.b_d @ u
         xh = xh_next
 
+    starts = tb.starts(tb.x)
+    tb.slots.update(err_norm=_norms(starts - tb.starts(tb.x_hat)),
+                    x_norm=_norms(starts))
     return tb.build(x, plan, {"E": e}, branch, attacked, pattern=pattern)
 
 
@@ -545,28 +574,26 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     branch, e = update_range(cfg.x0_bound, plan.thetas, attacked)
     inferred = np.zeros(cfg.horizon_slots, dtype=bool)
     x = cfg.x0.copy()
-    xh_eta = np.zeros(plant.n_x)
+    zero_x = np.zeros(plant.n_x)  # the estimate every slot starts from
     zero_y = np.zeros(plant.n_y)
+    zero_u = np.zeros(plant.n_u)
     tb = _TraceBuilder(cfg, dp)
     tb.slots.update(attacked=attacked, e=e)
+    residuals = []
     degenerate_inferences = 0
 
-    for q in range(cfg.horizon_slots):
-        y = plant.c @ x
-        hit = attacked[q]
-        rng = norm_c * float(e[q])
-        tb.add_slot(x_norm=inf_norm(x), y_err=inf_norm(y))
+    for q, (hit, e_q) in enumerate(zip(attacked.tolist(), e.tolist())):
+        rng = norm_c * e_q
         if hit:
-            xh = np.zeros(plant.n_x)  # default-zero reception, exact
+            xh = zero_x  # default-zero reception, exact
         else:
-            idx = _encode(y, zero_y, rng, codec, "output", q)
+            idx = _encode(plant.c @ x, zero_y, rng, codec, "output", q)
             qv = decode(idx, zero_y, rng, codec)
-            xh = xh_eta + gs.observer_gain @ (qv - zero_y)
+            xh = zero_x + gs.observer_gain @ qv
         all_zero = True
         for k in range(dp.eta):
-            u = gs.controller_gain @ xh
-            if hit:
-                u = np.zeros(plant.n_u)  # explicit branch, not arithmetic
+            # an explicit branch, not arithmetic, gives the attacked zero
+            u = zero_u if hit else gs.controller_gain @ xh
             if np.any(u != 0.0):
                 all_zero = False
             tb.add_substep(x, xh, u, u)
@@ -587,11 +614,13 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
             raise DeadbeatContractError(
                 f"|C xhat| = {residual:.3e} at the end of slot {q}"
             )
-        tb.add_slot(deadbeat_residual=residual)
-        xh_eta = np.zeros(plant.n_x)
+        residuals.append(residual)
 
+    starts = tb.starts(tb.x)
     _, e_enc = update_range(cfg.x0_bound, plan.thetas, inferred)
-    tb.slots.update(enc_equals_dec=e_enc == e)
+    tb.slots.update(x_norm=_norms(starts),
+                    y_err=_norms(_matvecs(plant.c, starts)),
+                    deadbeat_residual=residuals, enc_equals_dec=e_enc == e)
     return tb.build(x, plan, {"E": e}, branch, inferred, pattern=pattern,
                     degenerate_inferences=degenerate_inferences)
 
@@ -623,27 +652,28 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb.slots.update(attacked=attacked, e_enc=e_enc, e_dec=e_dec)
     slots_run = 0
 
-    for q in range(cfg.horizon_slots):
+    for q, (hit, e_enc_q, e_dec_q) in enumerate(zip(
+            attacked.tolist(), e_enc.tolist(), e_dec.tolist())):
         y = plant.c @ x
         u = gs.controller_gain @ xh
         yt = plant.c @ xt
-        rng_e = norm_c * float(e_enc[q])
+        rng_e = norm_c * e_enc_q
         saturated = bool(np.max(np.abs(y - yt)) > rng_e)
         idx = encode(y, yt, rng_e, codec, clip=True)
         qe = decode(idx, yt, rng_e, codec)
         offs = (qe - yt) * codec.levels / rng_e if rng_e > 0 else np.zeros_like(qe)
         tb.add_slot(
             enc_err=inf_norm(x - xt), predictor_gap=inf_norm(xh - xt),
-            offs=offs.copy(), saturated=saturated, x_norm=inf_norm(x),
+            offs=offs, saturated=saturated,
         )
         tb.add_substep(x, xh, u, u)
         xt_next = dps.a_d @ xt + dps.b_d @ (gs.controller_gain @ xt) \
             + l_obs @ (qe - yt)
-        if attacked[q]:
+        if hit:
             xh_next = dps.a_d @ xh + dps.b_d @ u
         else:
             yh = plant.c @ xh
-            rng_d = norm_c * float(e_dec[q])
+            rng_d = norm_c * e_dec_q
             qd = decode(idx, yh, rng_d, codec)
             xh_next = dps.a_d @ xh + dps.b_d @ u + l_obs @ (qd - yh)
         x = dps.a_d @ x + dps.b_d @ u
@@ -652,6 +682,7 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
         if inf_norm(x) > DIVERGENCE_CAP:
             break
 
+    tb.slots.update(x_norm=_norms(tb.starts(tb.x)))
     trace = tb.build(x, plan, {"E_e": e_enc, "E_d": e_dec}, branch, False,
                      saturated=tb.slots["saturated"], attack_slot=q_a,
                      slots_run=slots_run)

@@ -82,10 +82,12 @@ def encode(
             f"expected vectors of shape {shape}, got {v.shape} and "
             f"{center.shape}"
         )
-    offset = v - center
-    # one reduction serves both the finiteness and the saturation test
-    worst = float(abs(offset).max())
-    if not math.isfinite(worst):
+    # the per-component work runs on Python floats: the same IEEE
+    # operations in the same order as the array form, without its per-call
+    # overhead on vectors of a few entries
+    offset = list(map(operator.sub, v.tolist(), center.tolist()))
+    worst = max(map(abs, offset))
+    if not all(map(math.isfinite, offset)):
         raise InvalidMatrixError("vector entries must be finite")
     if not 0.0 <= rng < math.inf:
         raise InvalidMatrixError("range must be nonnegative and finite")
@@ -97,9 +99,10 @@ def encode(
     n = codec.levels
     if rng == 0.0:
         return QuantIndex(cells=((n - 1) // 2,) * codec.dim)
-    top = n - 1
-    cells = np.ceil((offset + rng) * n / (2.0 * rng)).tolist()
-    return QuantIndex(cells=tuple(min(max(int(c) - 1, 0), top) for c in cells))
+    top, width = n - 1, 2.0 * rng
+    return QuantIndex(cells=tuple([
+        min(max(math.ceil((o + rng) * n / width) - 1, 0), top) for o in offset
+    ]))
 
 
 def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarray:
@@ -115,7 +118,8 @@ def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarr
         raise InvalidMatrixError(
             f"expected a center of shape ({codec.dim},), got {center.shape}"
         )
-    if not np.isfinite(center).all():
+    center = center.tolist()
+    if not all(map(math.isfinite, center)):
         raise InvalidMatrixError("vector entries must be finite")
     cells = idx.cells
     n = codec.levels
@@ -123,7 +127,9 @@ def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarr
         raise ValueError("index dimension does not match codec")
     if min(cells) < 0 or max(cells) >= n:
         raise ValueError("index cells out of range for codec")
-    return center + (2.0 * np.array(cells, dtype=float) + 1.0 - n) * (rng / n)
+    step = rng / n
+    return np.array([c + (2.0 * k + 1.0 - n) * step
+                     for c, k in zip(center, cells)])
 
 
 def update_range(e0: float, thetas: ThetaSet,

@@ -5,7 +5,8 @@ oracle is a plain truncated series, the input-matrix oracle is composite
 Simpson quadrature, and the index oracles are direct Kalman rank tests on
 explicitly stacked blocks.  The codec, range-law, power-scan,
 mismatch-bound, trace-writer and chart-point oracles keep the plain loops
-the library replaced, as bit-exact references.
+(the array expression, for decoding) the library replaced, as bit-exact
+references.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from doslab import (
+    InvalidMatrixError,
     SaturationError,
     StabilityCertificationError,
     inf_norm,
@@ -92,6 +94,25 @@ def encode_loop(v, center, rng, codec, clip=False):
         cell = int(math.ceil(u)) - 1
         cells.append(min(max(cell, 0), n - 1))
     return QuantIndex(cells=tuple(cells))
+
+
+def decode_array(idx, center, rng, codec):
+    """Uniform-codec box centers, validated and computed as one array
+    expression."""
+    center = np.asarray(center, dtype=float)
+    if center.shape != (codec.dim,):
+        raise InvalidMatrixError(
+            f"expected a center of shape ({codec.dim},), got {center.shape}"
+        )
+    if not np.isfinite(center).all():
+        raise InvalidMatrixError("vector entries must be finite")
+    cells = idx.cells
+    n = codec.levels
+    if len(cells) != codec.dim:
+        raise ValueError("index dimension does not match codec")
+    if min(cells) < 0 or max(cells) >= n:
+        raise ValueError("index cells out of range for codec")
+    return center + (2.0 * np.array(cells, dtype=float) + 1.0 - n) * (rng / n)
 
 
 def range_law_loop(e0, thetas, attacked):

@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import importlib
 import json
@@ -194,6 +195,31 @@ class TestRunCommand:
         assert code == cli.EXIT_OK
         assert calls == {"sample_plant": 1, "derive_decay_constants": 1}
 
+    def test_dual_run_encodes_output_and_inputs_only(self, tmp_path,
+                                                     monkeypatch):
+        # E1 is zero and n1 odd, so the estimated-output quantizer would
+        # always return the zero center: a successful slot encodes the
+        # output once and the input at each of its eta sub-steps
+        controlloop = importlib.import_module("doslab.controlloop")
+        encode, calls = controlloop.encode, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(controlloop, "encode", counting)
+        name = "batch_reactor_dual.json"
+        out = tmp_path / "out"
+        code = cli.main(["run", bundled(name), "--out", str(out),
+                         "--no-plots"])
+        assert code == cli.EXIT_OK
+        with open(out / load(name)["outputs"]["trace"]) as fh:
+            rows = list(csv.DictReader(fh))
+        eta = max(int(row["k"]) for row in rows) + 1
+        successes = {row["q"] for row in rows if row["outcome"] != "attacked"}
+        assert len(calls) == len(successes) * (1 + eta)
+        assert {row["E1"] for row in rows} == {"0"}
+
     def test_mismatch_demo_flags_saturation(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli.main(["run", bundled("batch_reactor_mismatch.json"),
@@ -269,6 +295,11 @@ OVERSAMPLED_TRACES = {
         "ca6b8d5348d68ce1cbeb747fc34666e9348a2f81f1a2ca91249275835723ce84",
     ("batch_reactor_dual_deadbeat_observer.json", 3):
         "b6cd158f08161573cbf76e379b3c2a36e4170344fec2530517ccc38f6d89142d",
+    # the only engine that stops early, at the divergence cap
+    ("batch_reactor_mismatch.json", 2):
+        "ae30620fd67ff1ea32a9685c7f7a43f42737a5ba9a1bdb6ea08fbcfef232f788",
+    ("batch_reactor_mismatch.json", 3):
+        "2e4c7f821a682df6b9eea11f6f5524f5279b719a2ad74c213119cf9d37372cf0",
 }
 
 

@@ -301,11 +301,6 @@ class TestScanConstantsOracle:
                                     elements=st.floats(-2.0, 2.0)))
 
         r = matrix(dim, dim)
-        if kind == "nilpotent":
-            r = np.triu(r, 1)
-        elif inf_norm(r) > 0.0:
-            scale = 0.999 if kind == "slow" else contraction
-            r = r * (scale / inf_norm(r))
         m = matrix(dim, width)
         cols = [matrix(dim, width) for _ in range(data.draw(st.integers(1, 3)))]
         weights = [data.draw(st.floats(0.0, 10.0)) for _ in cols]
@@ -319,5 +314,14 @@ class TestScanConstantsOracle:
             lambda p: inf_norm(p @ m),
             lambda p: sum(inf_norm(p @ c) * w for c, w in zip(cols, weights)),
         )
-        assert _outcome(_scan_constants, r, rho, stacked) \
-            == _outcome(scan_constants_loop, r, rho, single)
+        # a nonzero r whose norm is subnormal scales to inf and nan entries;
+        # both scans then meet the same non-finite products, and ignore
+        # them as power_chunks does
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind == "nilpotent":
+                r = np.triu(r, 1)
+            elif inf_norm(r) > 0.0:
+                scale = 0.999 if kind == "slow" else contraction
+                r = r * (scale / inf_norm(r))
+            assert _outcome(_scan_constants, r, rho, stacked) \
+                == _outcome(scan_constants_loop, r, rho, single)

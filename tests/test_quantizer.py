@@ -23,7 +23,7 @@ from doslab.quantizer import (
 )
 
 from .conftest import BATCH_C, rng
-from .oracles import encode_loop, range_law_loop
+from .oracles import decode_array, encode_loop, range_law_loop
 
 THETAS = ThetaSet(theta_attack=3.0, theta_first=1.2, theta_steady=0.8,
                   variant=ThetaVariant.DUAL)
@@ -125,6 +125,14 @@ def new_or_saturation(v, center, rng_val, codec, clip):
         return SaturationError
 
 
+def cells_or_error(fn, *args):
+    """The cells ``fn`` returns, or the type of the exception it raises."""
+    try:
+        return fn(*args).cells
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
 LEVELS = st.sampled_from([1, 2, 3, 4, 10, 99, 100, 10_000])
 
 
@@ -175,10 +183,70 @@ class TestEncodeMatchesLoopOracle:
         assert (encode([5.0, -5.0], [0.0, 0.0], 0.0, codec, clip=True)
                 == encode_loop([5.0, -5.0], [0.0, 0.0], 0.0, codec, clip=True))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v=st.lists(st.floats(1e307, 1.7e308) | st.floats(-1.7e308, -1e307),
+                   min_size=2, max_size=2),
+        levels=LEVELS,
+        rng_val=st.floats(1e-300, 1e6) | st.floats(1e306, 1.7e308),
+    )
+    def test_clipped_offsets_near_overflow(self, v, levels, rng_val):
+        # (offset + rng) * N, or 2 rng, leaves the float range, so the cell
+        # quotient is inf or nan; the array oracle says so explicitly
+        codec = UniformCodec(levels=levels, dim=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = cells_or_error(encode_loop, v, [0.0, 0.0], rng_val, codec,
+                                  True)
+        assert cells_or_error(encode, v, [0.0, 0.0], rng_val, codec,
+                              True) == want
+
     def test_cells_are_python_ints(self):
         codec = UniformCodec(levels=10, dim=2)
         cells = encode([0.3, -0.7], [0.0, 0.0], 1.0, codec).cells
         assert all(type(c) is int for c in cells)
+
+
+CENTERS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]) \
+    | st.floats(-1e300, 1e300)
+RANGES = st.sampled_from([0.0, 5e-324, 2.5e-310, 1e300]) | st.floats(0.0, 1e300)
+
+
+def decode_error(fn, cells, center):
+    with pytest.raises(ValueError) as info:
+        fn(QuantIndex(cells), center, 1.0, UniformCodec(levels=10, dim=2))
+    return info.type
+
+
+class TestDecodeMatchesArrayOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 4),
+        levels=st.integers(1, 2 ** 53) | st.sampled_from([1, 2, 3, 2 ** 53]),
+        rng_val=RANGES,
+    )
+    def test_same_bytes(self, data, dim, levels, rng_val):
+        center = data.draw(st.lists(CENTERS, min_size=dim, max_size=dim))
+        cells = data.draw(st.lists(st.integers(0, levels - 1),
+                                   min_size=dim, max_size=dim))
+        idx, codec = QuantIndex(tuple(cells)), UniformCodec(levels, dim)
+        assert (decode(idx, center, rng_val, codec).tobytes()
+                == decode_array(idx, center, rng_val, codec).tobytes())
+
+    @pytest.mark.parametrize("cells, center", [
+        ((1, 2), [0.0, np.nan]),
+        ((1, 2), [np.inf, 0.0]),
+        ((1, 2), [0.0, -np.inf]),
+        ((1, 2), [0.0]),
+        ((1, 2), [[0.0, 0.0]]),
+        ((1, 2, 3), [0.0, 0.0]),
+        ((1,), [0.0, 0.0]),
+        ((-1, 0), [0.0, 0.0]),
+        ((0, 10), [0.0, 0.0]),
+    ])
+    def test_same_errors(self, cells, center):
+        assert (decode_error(decode, cells, center)
+                is decode_error(decode_array, cells, center))
 
 
 class TestCodecInputErrors:
