@@ -63,9 +63,8 @@ from .controlloop import (
 from .dos import (
     DoSParams,
     DoSPattern,
-    duration_count,
-    frequency_count,
     generate,
+    prefix_counts,
     validate,
 )
 from .matrixcore import (

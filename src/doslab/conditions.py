@@ -16,9 +16,9 @@ import numpy as np
 
 from .discretize import DiscretePlant
 from .dos import DoSParams
-from .errors import CertificateUnavailableError
-from .gains import DecayConstants, GainSet
-from .matrixcore import gelfand_radius, inf_norm
+from .errors import CertificateUnavailableError, StabilityCertificationError
+from .gains import DECAY_SCAN_CAP, DecayConstants, GainSet, _scan_constants
+from .matrixcore import gelfand_radius, inf_norm, stack_norms
 
 __all__ = [
     "ThetaVariant",
@@ -75,12 +75,8 @@ class ConditionReport:
     constants: DecayConstants
 
     @property
-    def all_levels_pass(self) -> bool:
-        return all(lc.passes for lc in self.level_checks)
-
-    @property
     def passes(self) -> bool:
-        return self.all_levels_pass and self.dos_holds
+        return all(lc.passes for lc in self.level_checks) and self.dos_holds
 
 
 @dataclass(frozen=True)
@@ -91,8 +87,19 @@ class DecayCertificate:
     sigma: float
 
 
-def _dual_tail(dc: DecayConstants, norm_c: float, n2: int, n3: int) -> float:
-    return norm_c * dc.a1 / n3 + norm_c * dc.a2 * (n3 - 1) / (n2 * n3)
+def _scheme_constants(
+    variant: ThetaVariant, dc: DecayConstants
+) -> tuple[float, float | None]:
+    """A scheme's first-success constant and tail gain (``None`` if dual)."""
+    if variant is ThetaVariant.DUAL:
+        return dc.a0, None
+    if variant is ThetaVariant.ACK:
+        if dc.h0 is None or dc.h1 is None:
+            raise ValueError("ACK thetas need predictor constants (h0, h1)")
+        return dc.h0, dc.h1
+    if variant is ThetaVariant.ACK_FREE:
+        return dc.a0, dc.a1
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def compute_thetas(
@@ -104,39 +111,25 @@ def compute_thetas(
     """Evaluate the printed theta formulas for the given scheme.
 
     ``levels`` is an ``(n1, n2, n3)`` triple for the dual-channel scheme
-    and a single integer for the output-channel schemes.
+    and a single integer for the output-channel schemes.  ``None`` selects
+    the infinite-level limit, where the quantizer tail vanishes:
+    theta_first -> first * rho and theta_steady -> rho.
     """
-    norm_c = inf_norm(dp.c)
-    if variant is ThetaVariant.DUAL:
+    first, gain = _scheme_constants(variant, dc)
+    if levels is None:
+        tail = 0.0
+    elif gain is None:
         _, n2, n3 = levels
-        tail = _dual_tail(dc, norm_c, n2, n3)
-        return ThetaSet(
-            theta_attack=inf_norm(dp.a_lift),
-            theta_first=dc.a0 * dc.rho + tail,
-            theta_steady=dc.rho + tail,
-            variant=variant,
-        )
-    if variant is ThetaVariant.ACK:
-        if dc.h0 is None or dc.h1 is None:
-            raise ValueError("ACK thetas need predictor constants (h0, h1)")
-        n = int(levels)
-        tail = dc.h1 * norm_c / n
-        return ThetaSet(
-            theta_attack=inf_norm(dp.a_lift),
-            theta_first=dc.h0 * dc.rho + tail,
-            theta_steady=dc.rho + tail,
-            variant=variant,
-        )
-    if variant is ThetaVariant.ACK_FREE:
-        n = int(levels)
-        tail = dc.g1 * norm_c / n
-        return ThetaSet(
-            theta_attack=inf_norm(dp.a_lift),
-            theta_first=dc.g0 * dc.rho + tail,
-            theta_steady=dc.rho + tail,
-            variant=variant,
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+        norm_c = inf_norm(dp.c)
+        tail = norm_c * dc.a1 / n3 + norm_c * dc.a2 * (n3 - 1) / (n2 * n3)
+    else:
+        tail = gain * inf_norm(dp.c) / int(levels)
+    return ThetaSet(
+        theta_attack=inf_norm(dp.a_lift),
+        theta_first=first * dc.rho + tail,
+        theta_steady=dc.rho + tail,
+        variant=variant,
+    )
 
 
 def check_levels(
@@ -168,16 +161,12 @@ def check_levels(
             LevelCheck("n2", n2, n2_thr, None, n2_ok),
             LevelCheck("n3", n3, n3_thr, None, n3_ok),
         )
-    if variant is ThetaVariant.ACK:
-        n = int(levels)
-        thr = dc.h1 * norm_c / one_minus_rho
-        return (LevelCheck("n", n, thr, None, n > thr),)
+    _, gain = _scheme_constants(variant, dc)
+    n = int(levels)
+    thr = gain * norm_c / one_minus_rho
     if variant is ThetaVariant.ACK_FREE:
-        n = int(levels)
-        thr = dc.g1 * norm_c / one_minus_rho
-        ok = n > thr and n % 2 == 0
-        return (LevelCheck("n", n, thr, "even", ok),)
-    raise ValueError(f"unknown variant {variant!r}")
+        return (LevelCheck("n", n, thr, "even", n > thr and n % 2 == 0),)
+    return (LevelCheck("n", n, thr, None, n > thr),)
 
 
 def _dos_rhs(thetas: ThetaSet, nu_f_inv: float) -> float:
@@ -210,26 +199,10 @@ def tradeoff_boundary(
 ) -> list[tuple[float, float]]:
     """Admissible duration bound as a function of the frequency bound.
 
-    ``levels=None`` selects the infinite-level limit, where the quantizer
-    tail vanishes: theta_first -> a0*rho and theta_steady -> rho.
+    ``levels=None`` selects the infinite-level limit of
+    :func:`compute_thetas`.
     """
-    if levels is None:
-        firsts = {
-            ThetaVariant.DUAL: dc.a0,
-            ThetaVariant.ACK: dc.h0,
-            ThetaVariant.ACK_FREE: dc.g0,
-        }
-        first = firsts[variant]
-        if first is None:
-            raise ValueError("limit mode needs the variant's decay constants")
-        thetas = ThetaSet(
-            theta_attack=inf_norm(dp.a_lift),
-            theta_first=first * dc.rho,
-            theta_steady=dc.rho,
-            variant=variant,
-        )
-    else:
-        thetas = compute_thetas(variant, dc, dp, levels)
+    thetas = compute_thetas(variant, dc, dp, levels)
     points = []
     for x in nu_f_inv_grid:
         if not 0.0 <= x <= 0.5:
@@ -282,34 +255,30 @@ def input_envelope_gain(dc: DecayConstants, n3: int) -> float:
 
 
 def sharpest_single_level_threshold(
-    gs: GainSet, dp: DiscretePlant, rho_grid_size: int = 400,
-    scan_cap: int = 512,
+    gs: GainSet, dp: DiscretePlant
 ) -> tuple[float, float]:
     """Least conservative single-channel level threshold over admissible rho.
 
     The midpoint rho rule is deterministic but not the sharpest certificate;
-    this scans rho between the certified spectral bound and one, extracts
-    the matching envelope constant, and minimizes
+    this scans 400 rho between the certified spectral bound and one, takes
+    each one's envelope constant from the decay-constant scan (skipping a
+    rho whose tail it cannot certify), and minimizes
     ``g1 * ||C|| / (1 - rho)``.  Returns ``(threshold, rho)``.
     """
     r = gs.error_transition
     lifted_m = dp.a_lift @ gs.observer_gain
     norm_c = inf_norm(dp.c)
-    radius = gelfand_radius(r, scan_cap)
+    radius = gelfand_radius(r, DECAY_SCAN_CAP)
     best = (math.inf, math.nan)
-    for rho in np.linspace(radius + 1e-3, 0.995, rho_grid_size):
-        g1 = 0.0
-        power = np.eye(r.shape[0])
-        rho_l = 1.0
-        for _ in range(scan_cap):
-            power = power @ r
-            rho_l *= rho
-            g1 = max(g1, inf_norm(power @ lifted_m) / rho_l)
-            if inf_norm(power) < 1e-14:
-                break
+    for rho in np.linspace(radius + 1e-3, 0.995, 400).tolist():
+        try:
+            (g1,), _ = _scan_constants(
+                r, rho, (lambda p: stack_norms(p @ lifted_m),))
+        except StabilityCertificationError:
+            continue
         threshold = g1 * norm_c / (1.0 - rho)
         if threshold < best[0]:
-            best = (threshold, float(rho))
+            best = (threshold, rho)
     return best
 
 
@@ -341,8 +310,9 @@ def report_rows(report: ConditionReport, params: DoSParams) -> list[tuple[str, s
         ("a0", repr(dc.a0)),
         ("a1", repr(dc.a1)),
         ("a2", repr(dc.a2)),
-        ("g0", repr(dc.g0)),
-        ("g1", repr(dc.g1)),
+        # the ACK-free scheme's g0, g1 are a0, a1
+        ("g0", repr(dc.a0)),
+        ("g1", repr(dc.a1)),
         ("h0", repr(dc.h0) if dc.h0 is not None else ""),
         ("h1", repr(dc.h1) if dc.h1 is not None else ""),
         ("max_power_used", str(dc.max_power_used)),

@@ -9,14 +9,16 @@ budgets: the number of off-to-on switches over ``[0, q)`` stays below
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "DoSParams",
     "DoSPattern",
     "ValidationResult",
-    "frequency_count",
-    "duration_count",
+    "prefix_counts",
     "validate",
     "generate",
 ]
@@ -34,6 +36,9 @@ class DoSParams:
     nu_d: int
 
     def __post_init__(self):
+        fields = (self.kappa_f, self.nu_f, self.kappa_d, self.nu_d)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError("DoS budget fields must be finite")
         if self.kappa_f < 0 or self.kappa_d < 0:
             raise ValueError("chatter bounds must be nonnegative")
         if self.nu_f < 2:
@@ -52,56 +57,38 @@ class DoSPattern:
     def horizon(self) -> int:
         return len(self.slots)
 
-    def attacked(self, q: int) -> bool:
-        return self.slots[q]
-
 
 @dataclass(frozen=True)
 class ValidationResult:
     ok: bool
     first_violation: int | None
 
-    def __bool__(self) -> bool:
-        return self.ok
+
+def prefix_counts(attacked) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative off-to-on switches and attacked slots of a pattern.
+
+    Entry ``q - 1`` of each array counts the slots in ``[0, q)``; an attack
+    at slot 0 counts as a switch.
+    """
+    attacked = np.asarray(attacked, dtype=bool)
+    starts = attacked.copy()
+    starts[1:] &= ~attacked[:-1]
+    return np.cumsum(starts), np.cumsum(attacked)
 
 
-def frequency_count(p: DoSPattern, q: int) -> int:
-    """Off-to-on switches in [0, q); an attack at slot 0 counts as one."""
-    if not 0 <= q <= p.horizon:
-        raise ValueError(f"q = {q} outside [0, {p.horizon}]")
-    count = 0
-    prev = False
-    for slot in p.slots[:q]:
-        if slot and not prev:
-            count += 1
-        prev = slot
-    return count
-
-
-def duration_count(p: DoSPattern, q: int) -> int:
-    """Number of attacked slots in [0, q)."""
-    if not 0 <= q <= p.horizon:
-        raise ValueError(f"q = {q} outside [0, {p.horizon}]")
-    return sum(p.slots[:q])
+def _within_budget(params: DoSParams, q, switches, attacks):
+    """Both prefix budgets over ``[0, q)``, for Python scalars or arrays."""
+    return ((switches <= params.kappa_f + q / params.nu_f)
+            & (attacks <= params.kappa_d + q / params.nu_d))
 
 
 def validate(p: DoSPattern, params: DoSParams) -> ValidationResult:
     """Check both prefix budgets for every q in [1, horizon]."""
-    switches = 0
-    attacks = 0
-    prev = False
-    for q0, slot in enumerate(p.slots):
-        if slot and not prev:
-            switches += 1
-        if slot:
-            attacks += 1
-        prev = slot
-        q = q0 + 1
-        if switches > params.kappa_f + q / params.nu_f:
-            return ValidationResult(False, q)
-        if attacks > params.kappa_d + q / params.nu_d:
-            return ValidationResult(False, q)
-    return ValidationResult(True, None)
+    switches, attacks = prefix_counts(p.slots)
+    ok = _within_budget(params, np.arange(1, p.horizon + 1), switches, attacks)
+    if ok.all():
+        return ValidationResult(True, None)
+    return ValidationResult(False, int(ok.argmin()) + 1)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -137,12 +124,8 @@ def generate(
         propose = (draw >> 11) / float(1 << 53) < intensity
         attack = False
         if propose:
-            q = q0 + 1
             new_switches = switches + (0 if prev else 1)
-            if (
-                new_switches <= params.kappa_f + q / params.nu_f
-                and attacks + 1 <= params.kappa_d + q / params.nu_d
-            ):
+            if _within_budget(params, q0 + 1, new_switches, attacks + 1):
                 attack = True
                 switches = new_switches
                 attacks += 1
@@ -153,7 +136,3 @@ def generate(
 
 def pattern_from_bools(values) -> DoSPattern:
     return DoSPattern(slots=tuple(bool(v) for v in values))
-
-
-def no_attack(horizon: int) -> DoSPattern:
-    return DoSPattern(slots=(False,) * horizon)

@@ -91,17 +91,14 @@ class DecayConstants:
 
     where ``s_i = inf_norm(k rbar^i m)`` is the input gain of sub-step
     ``i``, kept in ``input_gains``.  ``h0, h1`` are the analogous
-    constants for a predictor matrix ``a_d - l_obs c`` when one is supplied,
-    and ``g0, g1`` alias ``a0, a1`` (the output-only scheme bounds the same
-    two quantities).
+    constants for a predictor matrix ``a_d - l_obs c`` when one is supplied.
+    The ACK-free output scheme bounds the same two quantities as ``a0, a1``.
     """
 
     rho: float
     a0: float
     a1: float
     a2: float
-    g0: float
-    g1: float
     h0: float | None
     h1: float | None
     max_power_used: int
@@ -414,6 +411,6 @@ def derive_decay_constants(
         )
         used = max(used, used_l)
     return DecayConstants(
-        rho=rho, a0=a0, a1=a1, a2=a2, g0=a0, g1=a1, h0=h0, h1=h1,
+        rho=rho, a0=a0, a1=a1, a2=a2, h0=h0, h1=h1,
         max_power_used=used, input_gains=input_gains,
     )

@@ -72,7 +72,8 @@ def encode(
     nearest box (used only by the divergence demonstration).  Points on a
     shared box boundary go to the lower-index box.  A non-finite entry in
     ``v`` or ``center`` raises :class:`InvalidMatrixError` before the
-    saturation test, as does a negative or non-finite range.
+    saturation test, as does a negative or non-finite range, and after it
+    a range whose ``2 * rng * levels`` overflows.
     """
     shape = (codec.dim,)
     v = np.asarray(v, dtype=float)
@@ -100,6 +101,10 @@ def encode(
     if rng == 0.0:
         return QuantIndex(cells=((n - 1) // 2,) * codec.dim)
     top, width = n - 1, 2.0 * rng
+    if not math.isfinite(width * n):
+        raise InvalidMatrixError("range times levels overflows the float range")
+    if worst > rng:  # only under clip: these offsets take the edge cells
+        offset = [min(max(o, -rng), rng) for o in offset]
     return QuantIndex(cells=tuple([
         min(max(math.ceil((o + rng) * n / width) - 1, 0), top) for o in offset
     ]))

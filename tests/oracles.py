@@ -4,9 +4,9 @@ Each oracle deliberately avoids the code path it checks: the exponential
 oracle is a plain truncated series, the input-matrix oracle is composite
 Simpson quadrature, and the index oracles are direct Kalman rank tests on
 explicitly stacked blocks.  The codec, range-law, power-scan,
-mismatch-bound, trace-writer and chart-point oracles keep the plain loops
-(the array expression, for decoding) the library replaced, as bit-exact
-references.
+mismatch-bound, trace-writer, chart-point and DoS-budget oracles keep the
+plain loops (the array expression, for decoding) the library replaced, as
+bit-exact references.
 """
 
 import math
@@ -22,6 +22,7 @@ from doslab import (
     mat_pow,
     rank_with_tol,
 )
+from doslab.dos import ValidationResult
 from doslab.gains import DECAY_SCAN_CAP, DECAY_SCAN_FLOOR
 from doslab.matrixcore import as_matrix, as_vector
 from doslab.quantizer import QuantIndex
@@ -133,6 +134,25 @@ def range_law_loop(e0, thetas, attacked):
         branches.append(branch)
         ranges.append(value)
     return branches, np.array(ranges)
+
+
+def validate_loop(p, params):
+    """Both DoS prefix budgets, counted and checked one slot at a time."""
+    switches = 0
+    attacks = 0
+    prev = False
+    for q0, slot in enumerate(p.slots):
+        if slot and not prev:
+            switches += 1
+        if slot:
+            attacks += 1
+        prev = slot
+        q = q0 + 1
+        if switches > params.kappa_f + q / params.nu_f:
+            return ValidationResult(False, q)
+        if attacks > params.kappa_d + q / params.nu_d:
+            return ValidationResult(False, q)
+    return ValidationResult(True, None)
 
 
 def mismatch_bound_loop(trace, cfg, plan):

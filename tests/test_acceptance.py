@@ -32,7 +32,7 @@ from doslab.controlloop import (
     SimConfig,
     run_scenario,
 )
-from doslab.dos import DoSParams, duration_count, frequency_count, generate, validate
+from doslab.dos import DoSParams, generate, prefix_counts, validate
 from doslab.gains import NILPOTENCY_RTOL, DecayConstants
 from doslab.quantizer import QuantIndex, UniformCodec, decode, encode
 
@@ -126,9 +126,8 @@ def test_criterion_03_synthesized_deadbeat(reactor_dp):
 
 def test_criterion_04_dual_channel_case_study(dual_run, reactor, reactor_dp,
                                               reactor_gains):
-    pattern = dual_run.meta["pattern"]
-    assert duration_count(pattern, 800) == 47
-    assert frequency_count(pattern, 800) == 44
+    switches, attacks = prefix_counts(dual_run.meta["pattern"].slots)
+    assert (attacks[-1], switches[-1]) == (47, 44)
     dc = dual_run.meta["constants"]
     report = build_report(ThetaVariant.DUAL, dc, reactor_dp, DUAL_LEVELS,
                           CASE_DUAL)
@@ -164,9 +163,8 @@ def test_criterion_04_dual_channel_case_study(dual_run, reactor, reactor_dp,
 
 
 def test_criterion_05_ackfree_case_study(ackfree_run):
-    pattern = ackfree_run.meta["pattern"]
-    assert duration_count(pattern, 300) == 27
-    assert frequency_count(pattern, 300) == 25
+    switches, attacks = prefix_counts(ackfree_run.meta["pattern"].slots)
+    assert (attacks[-1], switches[-1]) == (27, 25)
     final = inf_norm(ackfree_run.final_state)
     ok_conv = final <= 1e-3 and not ackfree_run.saturated.any()
     slot_attacked = ackfree_run.slots["attacked"].astype(bool)
@@ -181,7 +179,7 @@ def test_criterion_06_level_threshold(reactor_dp, reactor_gains):
     sharp, rho_star = sharpest_single_level_threshold(reactor_gains,
                                                       reactor_dp)
     dc = derive_decay_constants(reactor_gains, reactor_dp)
-    midpoint = dc.g1 * inf_norm(reactor_dp.c) / (1.0 - dc.rho)
+    midpoint = dc.a1 * inf_norm(reactor_dp.c) / (1.0 - dc.rho)
     ok = abs(sharp - 6.957) <= 2.0 and 100 > midpoint and 100 > sharp
     _report(6, ok,
             f"sharpest-certificate threshold {sharp:.3f} (published 6.957 "
@@ -213,7 +211,7 @@ def test_criterion_07_tradeoff_line(reactor_dp, reactor_gains):
     rho_rec = 0.5 * (lo + hi)
     a0_rec = math.exp(-target_slope * math.log(th_a / rho_rec))
     injected = DecayConstants(rho=rho_rec, a0=a0_rec, a1=dc.a1, a2=dc.a2,
-                              g0=a0_rec, g1=dc.a1, h0=None, h1=None,
+                              h0=None, h1=None,
                               max_power_used=dc.max_power_used)
     pts = tradeoff_boundary(ThetaVariant.DUAL, injected, reactor_dp, None,
                             [0.0, 0.5])

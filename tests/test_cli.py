@@ -353,22 +353,38 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("mutation", sorted(MALFORMED))
-def test_malformed_scenario_exits_2_without_traceback(tmp_path, mutation):
-    doc = load("batch_reactor_dual.json")
-    MALFORMED[mutation](doc)
+def run_cli(tmp_path, *args):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "doslab.cli", "check", write(tmp_path, doc),
+    return subprocess.run(
+        [sys.executable, "-m", "doslab.cli", *args,
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("mutation", sorted(MALFORMED))
+def test_malformed_scenario_exits_2_without_traceback(tmp_path, mutation):
+    doc = load("batch_reactor_dual.json")
+    MALFORMED[mutation](doc)
+    proc = run_cli(tmp_path, "check", write(tmp_path, doc))
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("name, bound", [(name, 5e307) for name in ALL_BUNDLED]
+                         + [("batch_reactor_dual.json", 1e304)])
+def test_range_overflowing_the_codec_exits_5_without_traceback(tmp_path, name,
+                                                               bound):
+    # 2 * range * levels leaves the float range inside the codec
+    doc = load(name)
+    doc["x0_bound"] = bound
+    proc = run_cli(tmp_path, "run", write(tmp_path, doc))
+    assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 SCHEMA_INVALID = {
@@ -407,14 +423,15 @@ def test_odd_ackfree_levels_fail_the_report(tmp_path):
 
 
 class TestCheckCommand:
-    def test_passing_check(self):
-        assert cli.main(["check",
-                         bundled("batch_reactor_dual.json")]) == cli.EXIT_OK
+    def test_passing_check(self, tmp_path):
+        assert cli.main(["check", bundled("batch_reactor_dual.json"),
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
 
     def test_failing_check(self, tmp_path):
         doc = load("batch_reactor_dual.json")
         doc["dos"]["params"]["nu_d"] = 2
-        assert cli.main(["check", write(tmp_path, doc)]) == cli.EXIT_CONDITION
+        assert cli.main(["check", write(tmp_path, doc),
+                         "--out", str(tmp_path)]) == cli.EXIT_CONDITION
 
     def test_report_written(self, tmp_path):
         out = tmp_path / "out"

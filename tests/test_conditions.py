@@ -21,14 +21,18 @@ from doslab.conditions import (
 )
 from doslab.dos import DoSParams
 from doslab.errors import CertificateUnavailableError
-from doslab.gains import DecayConstants, derive_decay_constants
+from doslab.gains import (
+    DECAY_SCAN_FLOOR,
+    DecayConstants,
+    derive_decay_constants,
+)
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 
 
 def _toy_constants(rho=0.5, a0=2.0, a1=1.0, a2=0.0, h0=None, h1=None):
-    return DecayConstants(rho=rho, a0=a0, a1=a1, a2=a2, g0=a0, g1=a1,
-                          h0=h0, h1=h1, max_power_used=10)
+    return DecayConstants(rho=rho, a0=a0, a1=a1, a2=a2, h0=h0, h1=h1,
+                          max_power_used=10)
 
 
 def _toy_plant(theta_attack=2.0, norm_c=3.0):
@@ -53,6 +57,17 @@ class TestComputeThetas:
                              (3, 10 ** 9, 10 ** 9))
         assert big.theta_first == pytest.approx(dc.a0 * dc.rho, abs=1e-6)
         assert big.theta_steady == pytest.approx(dc.rho, abs=1e-6)
+
+    @pytest.mark.parametrize("variant, first", [
+        (ThetaVariant.DUAL, "a0"),
+        (ThetaVariant.ACK, "h0"),
+        (ThetaVariant.ACK_FREE, "a0"),
+    ])
+    def test_limit_drops_the_tail_exactly(self, variant, first):
+        dc = _toy_constants(rho=0.3, a0=2.7, a1=1.1, a2=0.9, h0=3.1, h1=1.3)
+        thetas = compute_thetas(variant, dc, _toy_plant(), None)
+        assert thetas.theta_first == getattr(dc, first) * dc.rho
+        assert thetas.theta_steady == dc.rho
 
     def test_theta_monotone_in_levels(self):
         dc = _toy_constants(rho=0.5, a0=2.0, a1=1.0, a2=1.0)
@@ -85,6 +100,12 @@ class TestCheckLevels:
         assert check.passes
         (check,) = check_levels(ThetaVariant.ACK_FREE, dc, _toy_plant(), 6)
         assert not check.passes  # strict inequality
+
+    def test_ack_threshold_uses_predictor_gain(self):
+        dc = _toy_constants(rho=0.5, a0=2.0, a1=1.0, h0=4.0, h1=2.0)
+        (check,) = check_levels(ThetaVariant.ACK, dc, _toy_plant(), 13)
+        assert check.threshold == pytest.approx(12.0, abs=1e-12)
+        assert check.parity is None and check.passes
 
     def test_ack_free_parity(self):
         dc = _toy_constants(rho=0.5, a0=2.0, a1=1.0)
@@ -235,6 +256,16 @@ class TestSharpestThreshold:
                                                          reactor_dp)
         assert 4.5 <= threshold <= 9.0
         assert 0.0 < rho < 1.0
+
+    def test_returned_rho_justifies_the_tail(self, reactor_dp, reactor_gains):
+        # the first power below the scan floor must sit under rho^L, or the
+        # powers past the scan are not bounded by the constant it found
+        _, rho = sharpest_single_level_threshold(reactor_gains, reactor_dp)
+        r = reactor_gains.error_transition
+        power, rho_l = r, rho
+        while inf_norm(power) >= DECAY_SCAN_FLOOR:
+            power, rho_l = power @ r, rho_l * rho
+        assert inf_norm(power) <= rho_l
 
 
 class TestReport:

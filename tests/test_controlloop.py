@@ -13,7 +13,7 @@ from doslab.controlloop import (
     run_dual_channel,
     run_scenario,
 )
-from doslab.dos import DoSParams, no_attack, pattern_from_bools
+from doslab.dos import DoSParams, pattern_from_bools
 
 from .conftest import BIG_DELTA, X0
 from .oracles import mismatch_bound_loop, trace_to_csv_loop
@@ -74,7 +74,8 @@ class TestDualChannel:
 
     def test_no_attack_monotone_decrease(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=60,
-                          pattern=no_attack(60), dos_params=None)
+                          pattern=pattern_from_bools([False] * 60),
+                          dos_params=None)
         trace = run_scenario(cfg)
         thetas = trace.meta["thetas"]
         assert thetas.theta_steady < 1.0
@@ -158,7 +159,7 @@ class TestOutputAck:
         cfg = SimConfig(
             plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
             scenario=Scenario.OUTPUT_ACK, horizon_slots=40, levels=100,
-            pattern=no_attack(40),
+            pattern=pattern_from_bools([False] * 40),
         )
         trace = run_scenario(cfg)
         thetas = trace.meta["thetas"]
@@ -300,7 +301,8 @@ class TestConfigValidation:
 
     def test_pattern_must_cover_horizon(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=100,
-                          pattern=no_attack(50), dos_params=None)
+                          pattern=pattern_from_bools([False] * 50),
+                          dos_params=None)
         with pytest.raises(ScenarioError):
             run_scenario(cfg)
 

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doslab import (
@@ -190,15 +192,32 @@ class TestEncodeMatchesLoopOracle:
         levels=LEVELS,
         rng_val=st.floats(1e-300, 1e6) | st.floats(1e306, 1.7e308),
     )
+    # an in-range offset beside one whose oracle quotient overflows
+    @example(v=[1e307, 1.7e308], levels=4, rng_val=2.2e307)
     def test_clipped_offsets_near_overflow(self, v, levels, rng_val):
-        # (offset + rng) * N, or 2 rng, leaves the float range, so the cell
-        # quotient is inf or nan; the array oracle says so explicitly
+        # (offset + rng) * N, or 2 rng, can leave the float range, so the
+        # oracle's cell quotient is inf or nan.  encode refuses a range whose
+        # 2 rng N overflows and otherwise clamps the offsets to the range
+        # first: the cells of the clamped offsets, which are the oracle's
+        # wherever the oracle returns cells
         codec = UniformCodec(levels=levels, dim=2)
         with np.errstate(over="ignore", invalid="ignore"):
             want = cells_or_error(encode_loop, v, [0.0, 0.0], rng_val, codec,
                                   True)
-        assert cells_or_error(encode, v, [0.0, 0.0], rng_val, codec,
-                              True) == want
+        got = cells_or_error(encode, v, [0.0, 0.0], rng_val, codec, True)
+        if not math.isfinite(2.0 * rng_val * levels):
+            assert got is InvalidMatrixError
+            return
+        clamped = np.clip(v, -rng_val, rng_val)
+        assert got == encode_loop(clamped, [0.0, 0.0], rng_val, codec).cells
+        if isinstance(want, tuple):
+            assert got == want
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_overflowing_range_is_invalid(self, clip):
+        codec = UniformCodec(levels=10, dim=2)
+        with pytest.raises(InvalidMatrixError, match="overflows"):
+            encode([0.0, 1e307], [0.0, 0.0], 1e308, codec, clip=clip)
 
     def test_cells_are_python_ints(self):
         codec = UniformCodec(levels=10, dim=2)
