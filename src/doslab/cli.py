@@ -11,13 +11,12 @@ Exit codes: 0 success, 2 configuration error, 3 condition check failed,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from .conditions import (
@@ -174,29 +173,204 @@ SCENARIO_SCHEMA = {
     },
 }
 
-@functools.cache
-def _schema_validator() -> jsonschema.Draft202012Validator:
-    """Validator for :data:`SCENARIO_SCHEMA`, checked and built once."""
-    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
-    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+# SCENARIO_SCHEMA is read by a small interpreter of the JSON Schema
+# (2020-12) keywords it uses.  Its messages, and the one violation it
+# reports, are those of jsonschema 4.26's validator and ``best_match``,
+# which the tests hold it to.
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: (_is_number(v) and isinstance(v, int)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+class _Violation(NamedTuple):
+    path: tuple  # from the value the walk started at
+    message: str
+    keyword: str
+    matches_type: bool  # the value has the type its subschema names
+    context: list  # for oneOf: the violations of every branch
+
+
+# Each keyword check yields messages about the value itself and the
+# violations of the subschemas it descends into.
+
+def _kw_type(name, v, path, schema):
+    if not _TYPES[name](v):
+        yield f"{v!r} is not of type {name!r}"
+
+
+# The schema's enum and const values are strings, for which == is JSON
+# equality (for numbers it is not: True == 1).
+
+def _kw_enum(options, v, path, schema):
+    if v not in options:
+        yield f"{v!r} is not one of {options!r}"
+
+
+def _kw_const(want, v, path, schema):
+    if v != want:
+        yield f"{want!r} was expected"
+
+
+def _kw_required(names, v, path, schema):
+    if isinstance(v, dict):
+        for name in names:
+            if name not in v:
+                yield f"{name!r} is a required property"
+
+
+def _kw_additional_properties(allowed, v, path, schema):
+    if isinstance(v, dict) and allowed is False:
+        known = schema.get("properties", {})
+        extra = sorted(k for k in v if k not in known)
+        if extra:
+            verb = "was" if len(extra) == 1 else "were"
+            yield (f"Additional properties are not allowed "
+                   f"({', '.join(map(repr, extra))} {verb} unexpected)")
+
+
+def _kw_properties(props, v, path, schema):
+    if isinstance(v, dict):
+        for name, sub in props.items():
+            if name in v:
+                yield from _violations(sub, v[name], path + (name,))
+
+
+def _kw_items(sub, v, path, schema):
+    if isinstance(v, list):
+        for i, item in enumerate(v):
+            yield from _violations(sub, item, path + (i,))
+
+
+def _kw_min_items(least, v, path, schema):
+    if isinstance(v, list) and len(v) < least:
+        yield f"{v!r} " + ("should be non-empty" if least == 1
+                           else "is too short")
+
+
+def _kw_min_properties(least, v, path, schema):
+    if isinstance(v, dict) and len(v) < least:
+        yield f"{v!r} " + ("should be non-empty" if least == 1
+                           else "does not have enough properties")
+
+
+def _kw_minimum(bound, v, path, schema):
+    if _is_number(v) and v < bound:
+        yield f"{v!r} is less than the minimum of {bound!r}"
+
+
+def _kw_exclusive_minimum(bound, v, path, schema):
+    if _is_number(v) and v <= bound:
+        yield f"{v!r} is less than or equal to the minimum of {bound!r}"
+
+
+def _kw_maximum(bound, v, path, schema):
+    if _is_number(v) and v > bound:
+        yield f"{v!r} is greater than the maximum of {bound!r}"
+
+
+def _kw_one_of(branches, v, path, schema):
+    context = []
+    for i, sub in enumerate(branches):
+        found = list(_violations(sub, v))
+        if not found:
+            break
+        context.extend(found)
+    else:
+        yield _Violation(path, f"{v!r} is not valid under any of the given "
+                         f"schemas", "oneOf", _matches_type(schema, v),
+                         context)
+        return
+    also = [s for s in branches[i + 1:] if next(_violations(s, v), None)
+            is None]
+    if also:
+        reprs = ", ".join(map(repr, also + [sub]))
+        yield f"{v!r} is valid under each of {reprs}"
+
+
+_KEYWORDS = {
+    "type": _kw_type,
+    "enum": _kw_enum,
+    "const": _kw_const,
+    "required": _kw_required,
+    "additionalProperties": _kw_additional_properties,
+    "properties": _kw_properties,
+    "items": _kw_items,
+    "minItems": _kw_min_items,
+    "minProperties": _kw_min_properties,
+    "minimum": _kw_minimum,
+    "exclusiveMinimum": _kw_exclusive_minimum,
+    "maximum": _kw_maximum,
+    "oneOf": _kw_one_of,
+}
+
+
+def _matches_type(schema: dict, v) -> bool:
+    return "type" in schema and _TYPES[schema["type"]](v)
+
+
+def _violations(schema: dict, v, path=()):
+    """Every violation of ``schema`` by ``v``, in schema order."""
+    for keyword, arg in schema.items():
+        for found in _KEYWORDS[keyword](arg, v, path, schema):
+            if isinstance(found, str):
+                found = _Violation(path, found, keyword,
+                                   _matches_type(schema, v), [])
+            yield found
+
+
+def _relevance(v: _Violation):
+    """jsonschema's ``relevance`` key: a shallow, early violation of a
+    keyword other than oneOf, on a value not of its subschema's type,
+    ranks highest."""
+    return (-len(v.path), v.path, v.keyword != "oneOf", False,
+            not v.matches_type)
+
+
+def _best_violation(violations):
+    """The path from the root and the message of the violation that
+    ``best_match`` picks, or ``None``.
+
+    That is the most relevant violation; for a oneOf, the least relevant
+    of its branches' violations instead, as long as it is unique."""
+    best = max(violations, key=_relevance, default=None)
+    if best is None:
+        return None
+    where = best.path
+    while best.context:
+        first, *rest = sorted(best.context, key=_relevance)[:2]
+        if rest and _relevance(first) == _relevance(rest[0]):
+            break
+        best = first
+        where += best.path
+    return where, best.message
 
 
 def load_scenario(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        found = _best_violation(_violations(SCENARIO_SCHEMA, doc))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    # the error jsonschema.validate would raise, without re-checking the
-    # schema on every call
-    exc = jsonschema.exceptions.best_match(
-        _schema_validator().iter_errors(doc))
-    if exc is not None:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+    except RecursionError as exc:  # in the parser or a message's repr
+        raise ScenarioError("scenario file is nested too deeply") from exc
+    if found is not None:
+        where = "/".join(str(p) for p in found[0]) or "<root>"
         raise ScenarioError(f"scenario schema violation at {where}: "
-                            f"{exc.message}") from exc
+                            f"{found[1]}")
     return doc
 
 

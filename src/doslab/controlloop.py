@@ -82,7 +82,8 @@ __all__ = [
 ]
 
 # |C xhat| at the end of every slot must vanish under a deadbeat gain; the
-# residual is floating-point noise and anything above this is a bad gain.
+# residual is floating-point noise that grows with the slot's quantization
+# range, and anything above this times max(1, range) is a bad gain.
 DEADBEAT_NULL_TOL = 1e-9
 
 # The divergence demo stops stepping once the state norm passes this; the
@@ -496,7 +497,7 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
             xh = dp.a_d @ xh + dp.b_d @ u
 
         residual = inf_norm(plant.c @ xh)
-        if residual > DEADBEAT_NULL_TOL:
+        if residual > DEADBEAT_NULL_TOL * max(1.0, e3_q):
             raise DeadbeatContractError(
                 f"|C xhat| = {residual:.3e} at the end of slot {q}; "
                 "the feedback gain is not deadbeat for this plant"
@@ -610,7 +611,7 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
                 f"zero-input inference disagreed with the pattern at slot {q}"
             )
         residual = inf_norm(plant.c @ xh)
-        if residual > DEADBEAT_NULL_TOL:
+        if residual > DEADBEAT_NULL_TOL * max(1.0, rng):
             raise DeadbeatContractError(
                 f"|C xhat| = {residual:.3e} at the end of slot {q}"
             )

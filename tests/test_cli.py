@@ -164,6 +164,18 @@ class TestRunCommand:
                          "--out", str(tmp_path / "out"), "--no-plots"])
         assert code == cli.EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("bound", [1e10, 1e12])
+    @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
+                                      "batch_reactor_ackfree.json"])
+    def test_deadbeat_check_scales_with_the_range(self, name, bound,
+                                                  tmp_path):
+        # the residual |C xhat| is round-off of the size of the range
+        doc = load(name)
+        doc["x0_bound"] = bound
+        code = cli.main(["run", write(tmp_path, doc),
+                         "--out", str(tmp_path / "out"), "--no-plots"])
+        assert code == cli.EXIT_OK
+
     @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
                                       "batch_reactor_ack.json"])
     def test_one_preparation_per_run(self, name, tmp_path, monkeypatch):
@@ -353,16 +365,18 @@ MALFORMED = {
 }
 
 
-def run_cli(tmp_path, *args):
+def run_python(*args):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "doslab.cli", *args,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def run_cli(tmp_path, *args):
+    return run_python("-m", "doslab.cli", *args,
+                      "--out", str(tmp_path / "out"))
 
 
 @pytest.mark.parametrize("mutation", sorted(MALFORMED))
@@ -373,6 +387,83 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, mutation):
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("configuration error:")
+
+
+def test_deeply_nested_scenario_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"scenario": ' + "[" * 5000 + "]" * 5000 + "}")
+    proc = run_cli(tmp_path, "check", str(path))
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error:")
+
+
+def test_import_leaves_jsonschema_unloaded():
+    proc = run_python("-c", "import sys, doslab.cli; "
+                      "sys.exit('jsonschema' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_check_runs_without_jsonschema(tmp_path):
+    # a None entry makes any import of jsonschema fail
+    proc = run_python(
+        "-c", "import sys; sys.modules['jsonschema'] = None; "
+        "from doslab import cli; "
+        f"sys.exit(cli.main(['check', {bundled('batch_reactor_dual.json')!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]))")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+
+
+def _subschemas(schema):
+    """Every schema nested in ``schema``, itself included."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(),
+              *schema.get("oneOf", ())]
+    if "items" in schema:
+        nested.append(schema["items"])
+    for sub in nested:
+        yield from _subschemas(sub)
+
+
+def test_schema_uses_only_interpreted_keywords():
+    for schema in _subschemas(cli.SCENARIO_SCHEMA):
+        assert set(schema) <= set(cli._KEYWORDS), schema
+        assert schema.get("type", "object") in cli._TYPES, schema
+        assert schema.get("additionalProperties", False) is False, schema
+        assert isinstance(schema.get("items", {}), dict), schema
+        assert all(isinstance(value, str) for value in
+                   [*schema.get("enum", ()), schema.get("const", "")]), schema
+
+
+def test_schema_is_a_valid_draft_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(cli.SCENARIO_SCHEMA)
+
+
+# the scenario schema's oneOf branches exclude each other; these do not
+ONE_OF_OVERLAP = {"oneOf": [{"type": "number"},
+                            {"type": "number", "minimum": 0},
+                            {"type": "integer"}]}
+KEYWORD_CASES = {
+    **{f"overlap_{v!r}": (ONE_OF_OVERLAP, v) for v in (3, 2.5, -1, -1.5, "x")},
+    # a oneOf ranks below another keyword's violation at the same place
+    "one_of_and_minimum": ({"oneOf": [{"type": "string"},
+                                      {"type": "boolean"}],
+                            "minimum": 5}, 1),
+    # a branch whose type the value has ranks below one that names no type
+    "gains_empty": (cli.SCENARIO_SCHEMA["properties"]["gains"], {}),
+    "extras_sorted": (cli.SCENARIO_SCHEMA["properties"]["plant"],
+                      {"z": 1, "y": 2, "a": [[1.0]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYWORD_CASES))
+def test_keyword_edge_cases_match_jsonschema(case):
+    schema, value = KEYWORD_CASES[case]
+    want = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(value))
+    got = cli._best_violation(cli._violations(schema, value))
+    assert got == (None if want is None
+                   else (tuple(want.absolute_path), want.message))
 
 
 @pytest.mark.parametrize("name, bound", [(name, 5e307) for name in ALL_BUNDLED]
@@ -529,3 +620,27 @@ def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, data,
                      "--no-plots"])
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CONDITION,
                     cli.EXIT_SATURATION, cli.EXIT_NUMERICAL)
+
+
+ORACLE = jsonschema.Draft202012Validator(cli.SCENARIO_SCHEMA)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data(), name=st.sampled_from(ALL_BUNDLED),
+       mutations=st.integers(1, 4))
+def test_mutated_scenarios_get_jsonschemas_best_match(tmp_path_factory, data,
+                                                      name, mutations):
+    doc = load(name)
+    for _ in range(mutations):
+        _mutate(doc, data)
+    path = write(tmp_path_factory.mktemp("oracle"), doc)
+    want = jsonschema.exceptions.best_match(ORACLE.iter_errors(doc))
+    if want is None:
+        # NaN is not equal to itself, so compare the JSON text
+        assert json.dumps(cli.load_scenario(path)) == json.dumps(doc)
+        return
+    where = "/".join(str(p) for p in want.absolute_path) or "<root>"
+    with pytest.raises(cli.ScenarioError) as got:
+        cli.load_scenario(path)
+    assert str(got.value) == (f"scenario schema violation at {where}: "
+                              f"{want.message}")
