@@ -34,9 +34,9 @@ from .controlloop import (
 from .discretize import ContinuousPlant
 from .dos import DoSParams, pattern_from_bools
 from .errors import (
-    DeadbeatContractError,
     DoslabError,
     InferenceMismatchError,
+    InvalidMatrixError,
     SaturationError,
     ScenarioError,
 )
@@ -398,27 +398,21 @@ def _nonfinite_path(node, path=()):
     return None
 
 
-def _matrix(rows, where: str, shape=None) -> np.ndarray:
-    """A schema-checked list of rows as an array, refusing ragged rows and
-    a shape other than ``shape`` (``None`` entries match any size)."""
+def _matrix(rows, where: str) -> np.ndarray:
+    """A schema-checked list of rows as an array, refusing ragged rows."""
     if len({len(row) for row in rows}) != 1:
         raise ScenarioError(f"{where} is ragged: row lengths "
                             f"{[len(row) for row in rows]}")
-    a = np.array(rows, dtype=float)
-    if shape is not None and any(want is not None and want != got
-                                 for want, got in zip(shape, a.shape)):
-        want = "x".join("*" if d is None else str(d) for d in shape)
-        raise ScenarioError(f"{where} must be {want}, got "
-                            f"{a.shape[0]}x{a.shape[1]}")
-    return a
+    return np.array(rows, dtype=float)
 
 
 def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     """Config for a schema-valid scenario document.
 
-    Every number must be finite and every matrix and vector must fit the
-    plant's dimensions; a violation is a :class:`ScenarioError`.  This is
-    the input boundary: the engines and the codec assume well-formed data.
+    Checks what only a JSON document can get wrong -- non-finite numbers,
+    ragged rows, a ``big_delta`` that underflows, the ``dos`` section --
+    with a :class:`ScenarioError`.  The library checks shapes where it
+    reads them, and its :class:`InvalidMatrixError` becomes one too.
     """
     bad = _nonfinite_path(doc)
     if bad is not None:
@@ -426,24 +420,15 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
         raise ScenarioError(f"number at {where} is not finite")
     scenario = Scenario(doc["scenario"])
     plant_doc = doc["plant"]
-    n_x = len(plant_doc["a"])
-    a = _matrix(plant_doc["a"], "plant.a", (n_x, n_x))
-    b = _matrix(plant_doc["b"], "plant.b", (n_x, None))
-    c = _matrix(plant_doc["c"], "plant.c", (None, n_x))
     # the schema's integer type admits integral floats such as 2.0
     oversample = int(doc.get("oversample", 1))
-    if not doc["big_delta"] / n_x / oversample > 0.0:
+    if not doc["big_delta"] / len(plant_doc["a"]) / oversample > 0.0:
         raise ScenarioError(f"big_delta {doc['big_delta']!r} underflows to a "
                             f"zero input or plot period")
-    if len(doc["x0"]) != n_x:
-        raise ScenarioError(f"x0 must have {n_x} entries, got {len(doc['x0'])}")
-    gains_doc = doc.get("gains")
-    if isinstance(gains_doc, dict):
-        if "k" in gains_doc:
-            _matrix(gains_doc["k"], "gains.k", (b.shape[1], n_x))
-        if "m" in gains_doc:
-            _matrix(gains_doc["m"], "gains.m", (n_x, c.shape[0]))
-    plant = ContinuousPlant(a=a, b=b, c=c)
+    gains = doc.get("gains")
+    if isinstance(gains, dict):
+        gains = {**gains, **{name: _matrix(gains[name], f"gains.{name}")
+                             for name in ("k", "m") if name in gains}}
     levels_doc = doc["levels"]
     if "n" in levels_doc:
         levels = levels_doc["n"]
@@ -472,36 +457,41 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     if attack_slot is not None:
         attack_slot = int(attack_slot)
 
-    return SimConfig(
-        plant=plant,
-        big_delta=doc["big_delta"],
-        x0=np.array(doc["x0"], dtype=float),
-        x0_bound=doc["x0_bound"],
-        scenario=scenario,
-        horizon_slots=int(doc["horizon_slots"]),
-        levels=levels,
-        pattern=pattern,
-        dos_params=dos_params,
-        seed=seed,
-        intensity=intensity,
-        observer=doc.get("observer", "kalman"),
-        control_weight=doc.get("control_weight", 1.0),
-        oversample=oversample,
-        attack_slot=attack_slot,
-    )
+    try:
+        return SimConfig(
+            plant=ContinuousPlant(
+                **{n: _matrix(plant_doc[n], f"plant.{n}") for n in "abc"}),
+            big_delta=doc["big_delta"],
+            x0=np.array(doc["x0"], dtype=float),
+            x0_bound=doc["x0_bound"],
+            scenario=scenario,
+            horizon_slots=int(doc["horizon_slots"]),
+            levels=levels,
+            pattern=pattern,
+            dos_params=dos_params,
+            seed=seed,
+            intensity=intensity,
+            gains=gains,
+            observer=doc.get("observer", "kalman"),
+            control_weight=doc.get("control_weight", 1.0),
+            oversample=oversample,
+            attack_slot=attack_slot,
+        )
+    except InvalidMatrixError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _compile(args):
     """Scenario document, config and compiled plan for a command."""
     doc = load_scenario(args.scenario)
     cfg = _build_config(doc, args.seed)
-    return doc, cfg, compile_plan(cfg, doc.get("gains"))
+    return doc, cfg, compile_plan(cfg)
 
 
 def _report(args, doc, plan):
     """Build the condition report, write its CSV and print it."""
-    report = build_report(plan.variant, plan.constants, plan.dp, plan.levels,
-                          plan.params)
+    report = build_report(plan.thetas.variant, plan.constants, plan.dp,
+                          plan.levels, plan.params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
@@ -529,7 +519,7 @@ def _emit_plots(trace, out_dir: Path, stem: str):
     if "y_err" in trace.slots:
         # measured at each slot start
         y_err = trace.slots["y_err"]
-        slot_starts = np.arange(len(y_err)) * trace.meta["dp"].big_delta
+        slot_starts = np.arange(len(y_err)) * trace.plan.dp.big_delta
         range_series.append(("actual |y - center|", slot_starts, y_err))
     line_chart(
         out_dir / f"{stem}_ranges.svg",
@@ -584,9 +574,10 @@ def cmd_tradeoff(args) -> int:
     if args.grid < 2:
         raise ScenarioError("tradeoff needs a grid of at least 2 points")
     grid = np.linspace(0.0, 0.5, args.grid)
-    finite = tradeoff_boundary(plan.variant, plan.constants, plan.dp,
-                               plan.levels, grid)
-    limit = tradeoff_boundary(plan.variant, plan.constants, plan.dp, None, grid)
+    variant = plan.thetas.variant
+    finite = tradeoff_boundary(variant, plan.constants, plan.dp, plan.levels,
+                               grid)
+    limit = tradeoff_boundary(variant, plan.constants, plan.dp, None, grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
@@ -645,13 +636,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:  # OSError: an output path
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SaturationError, InferenceMismatchError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_SATURATION
-    except (DeadbeatContractError, DoslabError) as exc:
+    except DoslabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

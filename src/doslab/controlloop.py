@@ -24,7 +24,7 @@ the residual interval, so no integrator error enters the invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -98,14 +98,6 @@ class Scenario(Enum):
     MISMATCH_DEMO = "mismatch_demo"
 
 
-_VARIANTS = {
-    Scenario.DUAL_CHANNEL: ThetaVariant.DUAL,
-    Scenario.OUTPUT_ACK: ThetaVariant.ACK,
-    Scenario.OUTPUT_ACK_FREE: ThetaVariant.ACK_FREE,
-    Scenario.MISMATCH_DEMO: ThetaVariant.ACK,
-}
-
-
 @dataclass
 class SimConfig:
     """Everything one closed-loop run needs.
@@ -113,8 +105,10 @@ class SimConfig:
     ``levels`` is an ``(n1, n2, n3)`` triple for the dual-channel scenario
     and a single integer for the output-channel scenarios.  ``gains`` may
     be a ready :class:`GainSet`, a :class:`Plan` already compiled for this
-    config (reused as is), or ``None`` to synthesize.  The attack pattern
-    comes either ready-made or from ``(dos_params, seed, intensity)``.
+    config (reused as is), or a scenario file's ``gains`` entry: ``None``
+    or ``"synthesize"``, or a dict giving ``k`` and/or ``m``.  The attack
+    pattern comes either ready-made or from ``(dos_params, seed,
+    intensity)``.
     """
 
     plant: ContinuousPlant
@@ -128,14 +122,17 @@ class SimConfig:
     dos_params: DoSParams | None = None
     seed: int = 0
     intensity: float = 0.5
-    gains: GainSet | Plan | None = None
+    gains: GainSet | Plan | dict | str | None = None
     observer: str = "kalman"
     control_weight: float = 1.0
     oversample: int = 1
     attack_slot: int | None = None
 
     def __post_init__(self):
-        self.x0 = as_vector(self.x0, self.plant.n_x)
+        self.x0 = as_vector(self.x0)
+        if len(self.x0) != self.plant.n_x:
+            raise ScenarioError(f"x0 must have {self.plant.n_x} entries, "
+                                f"got {len(self.x0)}")
         if self.x0_bound < 0:
             raise ScenarioError("x0_bound must be nonnegative")
         if inf_norm(self.x0) > self.x0_bound:
@@ -160,7 +157,6 @@ class Plan:
     gains: GainSet
     gain_source: str
     l_obs: np.ndarray | None
-    variant: ThetaVariant
     levels: tuple[int, int, int] | int
     constants: DecayConstants
     thetas: ThetaSet
@@ -186,15 +182,20 @@ def _level_counts(cfg: SimConfig):
     return levels if dual else levels[0]
 
 
-def _resolve_gains(cfg: SimConfig, dp: DiscretePlant, protocol: bool,
-                   injected) -> tuple[GainSet, str]:
-    """Gain set for ``cfg`` and its provenance string.
+def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
+                   protocol: bool) -> tuple[GainSet, str]:
+    """Gain set for the gains entry in ``cfg.gains`` and its provenance.
 
-    Gains ``injected`` does not give are synthesized: deadbeat or, for the
+    Gains the entry does not give are synthesized: deadbeat or, for the
     single-rate schemes, Schur-stabilizing feedback, and a filter or
-    deadbeat observer gain.  An injected feedback gain is verified first.
+    deadbeat observer gain.  An injected gain must fit the plant, and an
+    injected feedback gain is verified first.
     """
-    spec = injected if isinstance(injected, dict) else {}
+    spec = cfg.gains if isinstance(cfg.gains, dict) else {}
+    for name, shape in (("k", (dp.n_u, dp.n_x)), ("m", (dp.n_x, dp.n_y))):
+        if name in spec and np.shape(spec[name]) != shape:
+            raise ScenarioError(f"gains.{name} must have shape {shape}, "
+                                f"got {np.shape(spec[name])}")
     if "k" in spec:
         k = np.array(spec["k"], dtype=float)
         if protocol:
@@ -227,12 +228,11 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant, protocol: bool,
     return make_gain_set(dp, k, m, deadbeat_observer), source
 
 
-def compile_plan(cfg: SimConfig, injected=None) -> Plan:
+def compile_plan(cfg: SimConfig) -> Plan:
     """Sample the plant, fix the gains and derive the certificate for ``cfg``.
 
-    ``injected`` is a scenario file's ``gains`` entry (``"synthesize"``, or
-    an object giving ``k`` and/or ``m``).  A ready ``cfg.gains`` takes
-    precedence: a :class:`GainSet` is used and a :class:`Plan` returned as is.
+    A :class:`Plan` in ``cfg.gains`` is returned as is, a :class:`GainSet`
+    used as given and a gains entry resolved by :func:`_resolve_gains`.
     """
     if isinstance(cfg.gains, Plan):
         return cfg.gains
@@ -241,7 +241,7 @@ def compile_plan(cfg: SimConfig, injected=None) -> Plan:
         raise ScenarioError("mismatch demo needs attack_slot")
     if cfg.observer not in ("kalman", "deadbeat"):
         raise ScenarioError(f"unknown observer mode {cfg.observer!r}")
-    variant = _VARIANTS[cfg.scenario]
+    variant = _SCHEMES[cfg.scenario][0]
     single_rate = variant is ThetaVariant.ACK
     if single_rate:
         dp = sample_plant_single_rate(cfg.plant, cfg.big_delta)
@@ -250,7 +250,7 @@ def compile_plan(cfg: SimConfig, injected=None) -> Plan:
     if isinstance(cfg.gains, GainSet):
         gains, source = cfg.gains, "given"
     else:
-        gains, source = _resolve_gains(cfg, dp, not single_rate, injected)
+        gains, source = _resolve_gains(cfg, dp, not single_rate)
     l_obs = dp.a_d @ gains.observer_gain if single_rate else None
     constants = derive_decay_constants(gains, dp, l_obs=l_obs)
     params = cfg.dos_params
@@ -259,17 +259,18 @@ def compile_plan(cfg: SimConfig, injected=None) -> Plan:
         params = DoSParams(kappa_f=1, nu_f=max(2.0, cfg.horizon_slots),
                            kappa_d=1, nu_d=max(1, cfg.horizon_slots))
     return Plan(
-        dp=dp, gains=gains, gain_source=source, l_obs=l_obs, variant=variant,
-        levels=levels, constants=constants,
+        dp=dp, gains=gains, gain_source=source, l_obs=l_obs, levels=levels,
+        constants=constants,
         thetas=compute_thetas(variant, constants, dp, levels), params=params,
     )
 
 
 @dataclass
 class LoopTrace:
-    """Full per-sub-step time series plus per-slot diagnostic tables."""
+    """Per-sub-step time series, per-slot diagnostic tables and the plan."""
 
     scenario: Scenario
+    plan: Plan
     t: np.ndarray
     q: np.ndarray
     k: np.ndarray
@@ -284,7 +285,6 @@ class LoopTrace:
     inferred_attack: np.ndarray
     slots: dict[str, np.ndarray]
     final_state: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         header = ["t", "q", "k"]
@@ -344,7 +344,7 @@ class _TraceBuilder:
         return rows[:self.rows:self.dp.eta]
 
     def build(self, final_state, plan: Plan, ranges, branch, inferred,
-              saturated=False, **meta):
+              saturated=False):
         """The trace of the slots stepped so far.  Each range column, and
         ``branch``, ``inferred`` and ``saturated``, gives one value per
         slot (a range per slot and sub-step), or one for all slots."""
@@ -375,7 +375,7 @@ class _TraceBuilder:
         delta = self.dp.delta
         t = q * self.cfg.big_delta + k * delta + j * delta / ov
         return LoopTrace(
-            scenario=self.cfg.scenario, t=t, q=q, k=k,
+            scenario=self.cfg.scenario, plan=plan, t=t, q=q, k=k,
             x=x,
             x_hat=np.repeat(x_hat, ov, axis=0),
             u_sent=np.repeat(u_sent, ov, axis=0),
@@ -388,9 +388,6 @@ class _TraceBuilder:
             slots={n: np.asarray(v)[:slots]
                    for n, v in self.slots.items()},
             final_state=np.array(final_state),
-            meta={"dp": plan.dp, "gains": plan.gains,
-                  "constants": plan.constants, "thetas": plan.thetas,
-                  "l_obs": plan.l_obs, **meta},
         )
 
 
@@ -406,8 +403,8 @@ def _norms(rows):
     return abs(rows).max(axis=1)
 
 
-def _resolve_pattern(cfg: SimConfig) -> tuple[DoSPattern, np.ndarray]:
-    """The run's attack pattern and its attacked slots over the horizon."""
+def _resolve_pattern(cfg: SimConfig) -> np.ndarray:
+    """The run's attacked slots over the horizon."""
     pattern = cfg.pattern
     if pattern is None:
         if cfg.dos_params is None:
@@ -418,7 +415,7 @@ def _resolve_pattern(cfg: SimConfig) -> tuple[DoSPattern, np.ndarray]:
     elif pattern.horizon < cfg.horizon_slots:
         raise ScenarioError(f"pattern covers {pattern.horizon} slots, "
                             f"run needs {cfg.horizon_slots}")
-    return pattern, np.array(pattern.slots[:cfg.horizon_slots], dtype=bool)
+    return np.array(pattern.slots[:cfg.horizon_slots], dtype=bool)
 
 
 def _encode(v, center, rng, codec, channel, q, k=None):
@@ -450,7 +447,7 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     if n1 % 2 == 0:
         raise ScenarioError("n1 must be odd")
     dp, gs = plan.dp, plan.gains
-    pattern, attacked = _resolve_pattern(cfg)
+    attacked = _resolve_pattern(cfg)
     plant = cfg.plant
 
     n_x, n_u, n_y = plant.n_x, plant.n_u, plant.n_y
@@ -508,7 +505,7 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
                     deadbeat_residual=residuals, x_norm=_norms(ends))
     return tb.build(x, plan, {"E1": e1, "E2": e2, "E3": e3}, branch,
-                    attacked, pattern=pattern)
+                    attacked)
 
 
 def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
@@ -520,7 +517,7 @@ def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     computed input.
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
-    pattern, attacked = _resolve_pattern(cfg)
+    attacked = _resolve_pattern(cfg)
     plant = cfg.plant
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
@@ -549,7 +546,7 @@ def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     starts = tb.starts(tb.x)
     tb.slots.update(err_norm=_norms(starts - tb.starts(tb.x_hat)),
                     x_norm=_norms(starts))
-    return tb.build(x, plan, {"E": e}, branch, attacked, pattern=pattern)
+    return tb.build(x, plan, {"E": e}, branch, attacked)
 
 
 def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
@@ -567,13 +564,14 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     if plan.levels % 2 != 0:
         raise ScenarioError("the ACK-free scheme needs an even level count")
     dp, gs = plan.dp, plan.gains
-    pattern, attacked = _resolve_pattern(cfg)
+    attacked = _resolve_pattern(cfg)
     plant = cfg.plant
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
 
     branch, e = update_range(cfg.x0_bound, plan.thetas, attacked)
     inferred = np.zeros(cfg.horizon_slots, dtype=bool)
+    degenerate = np.zeros(cfg.horizon_slots, dtype=bool)
     x = cfg.x0.copy()
     zero_x = np.zeros(plant.n_x)  # the estimate every slot starts from
     zero_y = np.zeros(plant.n_y)
@@ -581,7 +579,6 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb = _TraceBuilder(cfg, dp)
     tb.slots.update(attacked=attacked, e=e)
     residuals = []
-    degenerate_inferences = 0
 
     for q, (hit, e_q) in enumerate(zip(attacked.tolist(), e.tolist())):
         rng = norm_c * e_q
@@ -604,7 +601,7 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
         if rng == 0.0 and all_zero and not hit:
             # nothing to infer from an all-zero run; does not count as a
             # protocol failure
-            degenerate_inferences += 1
+            degenerate[q] = True
             inferred[q] = False
         if inferred[q] != hit:
             raise InferenceMismatchError(
@@ -621,9 +618,9 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     _, e_enc = update_range(cfg.x0_bound, plan.thetas, inferred)
     tb.slots.update(x_norm=_norms(starts),
                     y_err=_norms(_matvecs(plant.c, starts)),
-                    deadbeat_residual=residuals, enc_equals_dec=e_enc == e)
-    return tb.build(x, plan, {"E": e}, branch, inferred, pattern=pattern,
-                    degenerate_inferences=degenerate_inferences)
+                    deadbeat_residual=residuals, enc_equals_dec=e_enc == e,
+                    degenerate_inference=degenerate)
+    return tb.build(x, plan, {"E": e}, branch, inferred)
 
 
 def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
@@ -638,11 +635,10 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
     plant = cfg.plant
-    q_a = cfg.attack_slot
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
 
-    attacked = np.arange(cfg.horizon_slots) == q_a
+    attacked = np.arange(cfg.horizon_slots) == cfg.attack_slot
     branch, e_dec = update_range(cfg.x0_bound, plan.thetas, attacked)
     _, e_enc = update_range(cfg.x0_bound, plan.thetas,
                             np.zeros_like(attacked))
@@ -651,7 +647,6 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     xt = np.zeros(plant.n_x)  # encoder side
     tb = _TraceBuilder(cfg, dps)
     tb.slots.update(attacked=attacked, e_enc=e_enc, e_dec=e_dec)
-    slots_run = 0
 
     for q, (hit, e_enc_q, e_dec_q) in enumerate(zip(
             attacked.tolist(), e_enc.tolist(), e_dec.tolist())):
@@ -679,14 +674,12 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
             xh_next = dps.a_d @ xh + dps.b_d @ u + l_obs @ (qd - yh)
         x = dps.a_d @ x + dps.b_d @ u
         xh, xt = xh_next, xt_next
-        slots_run = q + 1
         if inf_norm(x) > DIVERGENCE_CAP:
             break
 
     tb.slots.update(x_norm=_norms(tb.starts(tb.x)))
     trace = tb.build(x, plan, {"E_e": e_enc, "E_d": e_dec}, branch, False,
-                     saturated=tb.slots["saturated"], attack_slot=q_a,
-                     slots_run=slots_run)
+                     saturated=tb.slots["saturated"])
     trace.slots["mismatch_bound"] = _mismatch_bound_sequence(trace, cfg, plan)
     return trace
 
@@ -736,15 +729,15 @@ def _mismatch_bound_sequence(trace, cfg, plan: Plan) -> np.ndarray:
     return bound
 
 
-_RUNNERS = {
-    Scenario.DUAL_CHANNEL: run_dual_channel,
-    Scenario.OUTPUT_ACK: run_output_ack,
-    Scenario.OUTPUT_ACK_FREE: run_output_ackfree,
-    Scenario.MISMATCH_DEMO: run_mismatch_demo,
+_SCHEMES = {
+    Scenario.DUAL_CHANNEL: (ThetaVariant.DUAL, run_dual_channel),
+    Scenario.OUTPUT_ACK: (ThetaVariant.ACK, run_output_ack),
+    Scenario.OUTPUT_ACK_FREE: (ThetaVariant.ACK_FREE, run_output_ackfree),
+    Scenario.MISMATCH_DEMO: (ThetaVariant.ACK, run_mismatch_demo),
 }
 
 
 def run_scenario(cfg: SimConfig) -> LoopTrace:
     """Compile the plan for ``cfg`` (or reuse the one in ``cfg.gains``) and
     run its scenario's engine."""
-    return _RUNNERS[cfg.scenario](cfg, compile_plan(cfg))
+    return _SCHEMES[cfg.scenario][1](cfg, compile_plan(cfg))

@@ -39,9 +39,9 @@ class ContinuousPlant:
     c: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.a, square=True)
-        b = as_matrix(self.b)
-        c = as_matrix(self.c)
+        a, b, c = as_matrix(self.a), as_matrix(self.b), as_matrix(self.c)
+        if a.shape[1] != a.shape[0]:
+            raise InvalidMatrixError("a must be square")
         if b.shape[0] != a.shape[0]:
             raise InvalidMatrixError("b must have as many rows as a")
         if c.shape[1] != a.shape[0]:
@@ -115,14 +115,14 @@ def discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return phi[:n, :n], phi[:n, n:]
 
 
-def controllability_index(a_d, b_d, tol: float = 1e-9) -> int:
+def controllability_index(a_d, b_d) -> int:
     """Smallest eta with ``[b_d, a_d b_d, ..., a_d^(eta-1) b_d]`` full rank."""
     a_d = as_matrix(a_d, square=True)
     b_d = as_matrix(b_d)
     n = a_d.shape[0]
     blocks = [b_d]
     for eta in range(1, n + 1):
-        if rank_with_tol(np.hstack(blocks), tol) == n:
+        if rank_with_tol(np.hstack(blocks)) == n:
             return eta
         # an overflowing block is rejected by the next rank test
         with np.errstate(over="ignore", invalid="ignore"):
@@ -132,14 +132,14 @@ def controllability_index(a_d, b_d, tol: float = 1e-9) -> int:
     )
 
 
-def observability_index(c, a_lift, tol: float = 1e-9) -> int:
+def observability_index(c, a_lift) -> int:
     """Smallest mu with ``[c; c a_lift; ...; c a_lift^(mu-1)]`` full rank."""
     c = as_matrix(c)
     a_lift = as_matrix(a_lift, square=True)
     n = a_lift.shape[0]
     blocks = [c]
     for mu in range(1, n + 1):
-        if rank_with_tol(np.vstack(blocks), tol) == n:
+        if rank_with_tol(np.vstack(blocks)) == n:
             return mu
         with np.errstate(over="ignore", invalid="ignore"):
             blocks.append(blocks[-1] @ a_lift)

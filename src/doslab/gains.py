@@ -61,6 +61,11 @@ NILPOTENCY_RTOL = 1e-8
 DECAY_SCAN_CAP = 512
 DECAY_SCAN_FLOOR = 1e-14
 
+# Staircase column independence; the Riccati stall threshold and step cap.
+CHAIN_TOL = 1e-9
+RICCATI_TOL = 1e-12
+RICCATI_MAX_ITER = 100_000
+
 
 @dataclass(frozen=True)
 class GainSet:
@@ -105,7 +110,7 @@ class DecayConstants:
     input_gains: tuple[float, ...] = ()
 
 
-def _select_chains(a: np.ndarray, b: np.ndarray, tol: float):
+def _select_chains(a: np.ndarray, b: np.ndarray):
     """Degree-first independent-column selection from [b, ab, a^2 b, ...].
 
     Returns per-input chain lengths and the selected columns grouped by
@@ -131,7 +136,7 @@ def _select_chains(a: np.ndarray, b: np.ndarray, tol: float):
             for u in ortho:
                 w -= (u @ w) * u
             norm_w = float(np.linalg.norm(w))
-            if norm_w > tol * max(float(np.linalg.norm(v)), col_scale):
+            if norm_w > CHAIN_TOL * max(float(np.linalg.norm(v)), col_scale):
                 ortho.append(w / norm_w)
                 chains[j].append(v.copy())
                 surviving.append(j)
@@ -144,13 +149,13 @@ def _select_chains(a: np.ndarray, b: np.ndarray, tol: float):
     return [len(ch) for ch in chains], chains
 
 
-def _deadbeat_feedback(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _deadbeat_feedback(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Feedback k with (a + b k)^eta = 0, eta the controllability index."""
     a = as_matrix(a, square=True)
     b = as_matrix(b)
     n = a.shape[0]
     m = b.shape[1]
-    lengths, chains = _select_chains(a, b, tol)
+    lengths, chains = _select_chains(a, b)
     if sum(lengths) != n:
         raise UncontrollablePairError(
             f"selected only {sum(lengths)} independent columns of {n}"
@@ -206,19 +211,12 @@ def verify_nilpotent(a_d, b_d, k, eta: int) -> float:
     return inf_norm(mat_pow(closed, eta))
 
 
-def design_observer_gain(
-    a_lift,
-    c,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    radius_power: int = DECAY_SCAN_CAP,
-    rtol: float = 0.0,
-) -> np.ndarray:
+def design_observer_gain(a_lift, c, rtol: float = 0.0) -> np.ndarray:
     """Steady-state filter gain m for the pair (c, a_lift).
 
     Iterates ``p <- a (p - p c' (c p c' + I)^-1 c p) a' + I`` from ``p = I``
-    until the update stalls below ``tol`` (plus ``rtol`` relative to the
-    iterate, for badly scaled duals) in inf-norm, then returns
+    until the update stalls below ``RICCATI_TOL`` (plus ``rtol`` relative to
+    the iterate, for badly scaled duals) in inf-norm, then returns
     ``m = p c' (c p c' + I)^-1`` and certifies that
     ``a_lift (I - m c)`` has Gelfand bound below one.
     """
@@ -226,23 +224,23 @@ def design_observer_gain(
     c = as_matrix(c)
     n = a.shape[0]
     p = np.eye(n)
-    for _ in range(max_iter):
+    for _ in range(RICCATI_MAX_ITER):
         s = c @ p @ c.T + np.eye(c.shape[0])
         gain = solve_linear(s, c @ p)  # s^-1 c p
         p_next = a @ (p - p @ c.T @ gain) @ a.T + np.eye(n)
         p_next = 0.5 * (p_next + p_next.T)
-        if inf_norm(p_next - p) < tol + rtol * inf_norm(p_next):
+        if inf_norm(p_next - p) < RICCATI_TOL + rtol * inf_norm(p_next):
             p = p_next
             break
         p = p_next
     else:
         raise RiccatiConvergenceError(
-            f"Riccati iteration did not stall within {max_iter} steps"
+            f"Riccati iteration did not stall within {RICCATI_MAX_ITER} steps"
         )
     s = c @ p @ c.T + np.eye(c.shape[0])
     m = solve_linear(s.T, (p @ c.T).T).T
     closed = a @ (np.eye(n) - m @ c)
-    bound = gelfand_radius(closed, radius_power)
+    bound = gelfand_radius(closed, DECAY_SCAN_CAP)
     if bound >= 1.0:
         raise StabilityCertificationError(
             f"error transition not certified Schur (Gelfand bound {bound:.4f})"
@@ -271,14 +269,7 @@ def design_deadbeat_observer(a_lift, c, mu: int) -> np.ndarray:
     return m
 
 
-def design_stabilizing_gain(
-    a_d,
-    b_d,
-    control_weight: float = 1.0,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    radius_power: int = DECAY_SCAN_CAP,
-) -> np.ndarray:
+def design_stabilizing_gain(a_d, b_d, control_weight: float = 1.0) -> np.ndarray:
     """Schur-stabilizing (non-deadbeat) feedback via the control Riccati dual.
 
     Used by the output-channel schemes, which only require a stable closed
@@ -289,10 +280,9 @@ def design_stabilizing_gain(
     a = as_matrix(a_d, square=True)
     b = as_matrix(b_d)
     scaled = b / np.sqrt(control_weight)
-    m_dual = design_observer_gain(a.T, scaled.T, tol, max_iter, radius_power,
-                                  rtol=1e-12)
+    m_dual = design_observer_gain(a.T, scaled.T, rtol=1e-12)
     k = -(m_dual.T @ a) / np.sqrt(control_weight)
-    bound = gelfand_radius(a + b @ k, radius_power)
+    bound = gelfand_radius(a + b @ k, DECAY_SCAN_CAP)
     if bound >= 1.0:
         raise StabilityCertificationError(
             f"closed loop not certified Schur (Gelfand bound {bound:.4f})"

@@ -29,6 +29,8 @@ __all__ = [
 # plant/time pair anywhere close to that is pathological input, not data.
 EXP_MAGNITUDE_CAP = 200.0
 
+PIVOT_TOL = 1e-12  # solve_linear's relative singular-pivot threshold
+
 # Diagonal Pade order-13 numerator/denominator coefficients.
 _PADE13 = (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -207,12 +209,12 @@ def rank_with_tol(m, tol: float = 1e-9) -> int:
     return rank
 
 
-def solve_linear(a, b, tol: float = 1e-12) -> np.ndarray:
+def solve_linear(a, b) -> np.ndarray:
     """Solve ``a x = b`` by Gaussian elimination with partial pivoting.
 
     ``b`` may be a vector or a matrix of right-hand sides.  Raises
-    :class:`SingularMatrixError` when a pivot falls below ``tol`` relative
-    to the largest-magnitude entry of ``a``.
+    :class:`SingularMatrixError` when a pivot falls below ``PIVOT_TOL``
+    relative to the largest-magnitude entry of ``a``.
     """
     a = as_matrix(a, square=True).copy()
     rhs = np.array(b, dtype=float)
@@ -229,7 +231,7 @@ def solve_linear(a, b, tol: float = 1e-12) -> np.ndarray:
         raise SingularMatrixError("coefficient matrix is zero")
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) <= tol * scale:
+        if abs(a[pivot_row, col]) <= PIVOT_TOL * scale:
             raise SingularMatrixError(f"pivot {col} below tolerance")
         if pivot_row != col:
             a[[col, pivot_row]] = a[[pivot_row, col]]

@@ -16,6 +16,7 @@ __all__ = ["line_chart"]
 _WIDTH, _HEIGHT = 860, 520
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
@@ -49,8 +50,10 @@ def line_chart(path, series, title="", xlabel="", ylabel="", ylog=False):
     ``series`` is a list of ``(name, xs, ys)`` triples.  With ``ylog`` the
     y-axis is log10; nonpositive values are dropped from log plots.
     """
+    title, xlabel, ylabel = (s.translate(_XML_TEXT) for s in (title, xlabel, ylabel))
     cleaned = []
     for name, xs, ys in series:
+        name = name.translate(_XML_TEXT)
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)

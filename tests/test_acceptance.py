@@ -126,9 +126,9 @@ def test_criterion_03_synthesized_deadbeat(reactor_dp):
 
 def test_criterion_04_dual_channel_case_study(dual_run, reactor, reactor_dp,
                                               reactor_gains):
-    switches, attacks = prefix_counts(dual_run.meta["pattern"].slots)
+    switches, attacks = prefix_counts(dual_run.slots["attacked"])
     assert (attacks[-1], switches[-1]) == (47, 44)
-    dc = dual_run.meta["constants"]
+    dc = dual_run.plan.constants
     report = build_report(ThetaVariant.DUAL, dc, reactor_dp, DUAL_LEVELS,
                           CASE_DUAL)
     lhs = 1.0 / CASE_DUAL.nu_d
@@ -154,7 +154,7 @@ def test_criterion_04_dual_channel_case_study(dual_run, reactor, reactor_dp,
     slots = dual_run.slots
     ok_e = bool(np.all(slots["y_err"] <= slots["e3"]))
     _report("4e", ok_e, "E3 dominates |y - decoded estimate center| each slot")
-    thetas = dual_run.meta["thetas"]
+    thetas = dual_run.plan.thetas
     cert = decay_certificate(thetas, CASE_DUAL, BIG_DELTA,
                              e0_scale=inf_norm(reactor.c))
     envelope = cert.omega1 * cert.gamma ** np.arange(800) * initial
@@ -163,12 +163,12 @@ def test_criterion_04_dual_channel_case_study(dual_run, reactor, reactor_dp,
 
 
 def test_criterion_05_ackfree_case_study(ackfree_run):
-    switches, attacks = prefix_counts(ackfree_run.meta["pattern"].slots)
+    switches, attacks = prefix_counts(ackfree_run.slots["attacked"])
     assert (attacks[-1], switches[-1]) == (27, 25)
     final = inf_norm(ackfree_run.final_state)
     ok_conv = final <= 1e-3 and not ackfree_run.saturated.any()
     slot_attacked = ackfree_run.slots["attacked"].astype(bool)
-    inferred = ackfree_run.inferred_attack[::ackfree_run.meta["dp"].eta]
+    inferred = ackfree_run.inferred_attack[::ackfree_run.plan.dp.eta]
     ok_infer = bool(np.all(inferred == slot_attacked))
     ok_sync = bool(np.all(ackfree_run.slots["enc_equals_dec"]))
     _report(5, ok_conv and ok_infer and ok_sync,
@@ -231,7 +231,7 @@ def test_criterion_08_mismatch_demo(reactor):
         attack_slot=5, control_weight=100.0, observer="deadbeat",
     )
     trace = run_scenario(cfg)
-    run = trace.meta["slots_run"]
+    run = trace.q[-1] + 1
     sat = np.flatnonzero(trace.slots["saturated"][:run])
     ok_sat = sat.size > 0 and sat[0] < 300
     bound = trace.slots["mismatch_bound"][:run]

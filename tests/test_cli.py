@@ -8,6 +8,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from xml.etree import ElementTree
 
 import jsonschema
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from doslab import cli
 
 SCENARIOS = resources.files("doslab") / "scenarios"
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 ALL_BUNDLED = [
     "batch_reactor_dual.json",
     "batch_reactor_ackfree.json",
@@ -358,6 +360,8 @@ MALFORMED = {
     "x0_nan": _set(("x0", 0), float("nan")),
     "c_column_missing": lambda doc: [row.pop() for row in doc["plant"]["c"]],
     "observer_gain_shape": lambda doc: doc["gains"]["m"].pop(),
+    "feedback_gain_shape": _set(("gains", "k"), [[1.0, 0.0, 0.0, 0.0]]),
+    "ragged_m": lambda doc: doc["gains"]["m"][1].pop(),
     "big_delta_nan": _set(("big_delta",), float("nan")),
     "x0_bound_infinite": _set(("x0_bound",), float("inf")),
     "big_delta_underflows": _set(("big_delta",), 5e-324),
@@ -384,6 +388,31 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, mutation):
     doc = load("batch_reactor_dual.json")
     MALFORMED[mutation](doc)
     proc = run_cli(tmp_path, "check", write(tmp_path, doc))
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error:")
+
+
+# (command, outputs key, value); no key: --out names an existing file
+UNWRITABLE_OUTPUTS = [
+    *[(command, None, None) for command in ("check", "run", "tradeoff")],
+    *[("run", "trace", value) for value in ("", "sub/t.csv")],
+    *[(command, "report", value) for command in ("check", "run")
+      for value in ("", "nope/r.csv")],
+]
+
+
+@pytest.mark.parametrize("command, key, value", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_exits_2_without_traceback(tmp_path, command, key,
+                                                     value):
+    doc = load("batch_reactor_ack.json")
+    out = tmp_path / "out"
+    if key is None:
+        out.write_text("")
+    else:
+        doc["outputs"][key] = value
+    proc = run_python("-m", "doslab.cli", command, write(tmp_path, doc),
+                      "--out", str(out), "--no-plots")
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("configuration error:")
@@ -531,6 +560,20 @@ class TestCheckCommand:
         report = (out / "ack_report.csv").read_text()  # scenario names it
         assert report.startswith("name,value")
         assert "dos_rhs" in report
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_every_chart_is_well_formed_xml(tmp_path, name):
+    doc = load(name)
+    doc["reference_lines"] = [{"slope": -1.0, "intercept": 0.2,
+                               "label": "a<b & c"}]
+    path, out = write(tmp_path, doc, name), tmp_path / "out"
+    for command in ("run", "tradeoff"):
+        assert cli.main([command, path, "--out", str(out)]) == cli.EXIT_OK
+    charts = {svg.name: ElementTree.parse(svg) for svg in out.glob("*.svg")}
+    assert len(charts) == 4
+    tradeoff = charts[f"{Path(name).stem}_tradeoff.svg"]
+    assert "a<b & c" in [text.text for text in tradeoff.iter(SVG_TEXT)]
 
 
 class TestTradeoffCommand:

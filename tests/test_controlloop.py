@@ -15,7 +15,7 @@ from doslab.controlloop import (
 )
 from doslab.dos import DoSParams, pattern_from_bools
 
-from .conftest import BIG_DELTA, X0
+from .conftest import BIG_DELTA, K_REF, M_REF, X0
 from .oracles import mismatch_bound_loop, trace_to_csv_loop
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
@@ -43,6 +43,14 @@ def ackfree_config(reactor, gains, **overrides):
     return SimConfig(**base)
 
 
+def mismatch_config(reactor):
+    return SimConfig(
+        plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
+        scenario=Scenario.MISMATCH_DEMO, horizon_slots=300, levels=100,
+        attack_slot=5, control_weight=100.0, observer="deadbeat",
+    )
+
+
 @pytest.fixture(scope="module")
 def dual_trace(reactor, reactor_gains):
     return run_scenario(dual_config(reactor, reactor_gains))
@@ -55,12 +63,7 @@ def ackfree_trace(reactor, reactor_gains):
 
 @pytest.fixture(scope="module")
 def mismatch_trace(reactor):
-    cfg = SimConfig(
-        plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
-        scenario=Scenario.MISMATCH_DEMO, horizon_slots=300, levels=100,
-        attack_slot=5, control_weight=100.0, observer="deadbeat",
-    )
-    return run_scenario(cfg)
+    return run_scenario(mismatch_config(reactor))
 
 
 class TestDualChannel:
@@ -77,7 +80,7 @@ class TestDualChannel:
                           pattern=pattern_from_bools([False] * 60),
                           dos_params=None)
         trace = run_scenario(cfg)
-        thetas = trace.meta["thetas"]
+        thetas = trace.plan.thetas
         assert thetas.theta_steady < 1.0
         xn = trace.slots["x_norm"]
         # monotone until the state reaches the quantization noise floor
@@ -98,7 +101,7 @@ class TestDualChannel:
         assert inf_norm(dual_trace.final_state) <= 1e-3
 
     def test_exponential_envelope(self, dual_trace, reactor):
-        thetas = dual_trace.meta["thetas"]
+        thetas = dual_trace.plan.thetas
         cert = decay_certificate(thetas, CASE_DUAL, BIG_DELTA,
                                  e0_scale=inf_norm(reactor.c))
         q = np.arange(len(dual_trace.slots["e3"]))
@@ -162,7 +165,7 @@ class TestOutputAck:
             pattern=pattern_from_bools([False] * 40),
         )
         trace = run_scenario(cfg)
-        thetas = trace.meta["thetas"]
+        thetas = trace.plan.thetas
         e = trace.slots["e"]
         # initial slot pays the resynchronization factor, then pure decay
         want = 1.0
@@ -187,7 +190,7 @@ class TestOutputAckFree:
                              x0_bound=0.0, horizon_slots=30)
         trace = run_scenario(cfg)
         assert np.all(trace.x == 0.0)
-        assert trace.meta["degenerate_inferences"] > 0
+        assert trace.slots["degenerate_inference"].any()
 
     def test_single_attack_zero_input_signature(self, reactor, reactor_gains):
         pattern = pattern_from_bools([0] * 5 + [1] + [0] * 24)
@@ -198,7 +201,7 @@ class TestOutputAckFree:
         assert np.all(trace.u_applied[in_attacked_slot] == 0.0)
         assert np.all(trace.u_applied[~in_attacked_slot] != 0.0)
         slot_attacked = trace.slots["attacked"].astype(bool)
-        inferred = trace.inferred_attack[::trace.meta["dp"].eta]
+        inferred = trace.inferred_attack[::trace.plan.dp.eta]
         np.testing.assert_array_equal(inferred, slot_attacked)
 
     def test_case_study_run(self, ackfree_trace):
@@ -207,10 +210,10 @@ class TestOutputAckFree:
         assert np.all(slots["enc_equals_dec"])
         assert np.all(slots["x_norm"] <= slots["e"] * (1 + 1e-12))
         assert slots["deadbeat_residual"].max() <= 1e-9
-        assert ackfree_trace.meta["degenerate_inferences"] == 0
+        assert not ackfree_trace.slots["degenerate_inference"].any()
 
     def test_envelope(self, ackfree_trace):
-        thetas = ackfree_trace.meta["thetas"]
+        thetas = ackfree_trace.plan.thetas
         cert = decay_certificate(thetas, CASE_SINGLE, BIG_DELTA)
         q = np.arange(len(ackfree_trace.slots["e"]))
         envelope = cert.omega1 * cert.gamma ** q
@@ -237,7 +240,7 @@ class TestMismatchDemo:
 
     def test_single_attack_diverges(self, mismatch_trace):
         slots = mismatch_trace.slots
-        run = mismatch_trace.meta["slots_run"]
+        run = mismatch_trace.q[-1] + 1
         sat = np.flatnonzero(slots["saturated"][:run])
         assert sat.size > 0
         assert sat[0] < 300
@@ -245,9 +248,10 @@ class TestMismatchDemo:
         q = sat[0]
         assert slots["enc_err"][q] > slots["e_enc"][q]
 
-    def test_bound_sequence_strictly_increasing(self, mismatch_trace):
-        run = mismatch_trace.meta["slots_run"]
-        q_a = mismatch_trace.meta["attack_slot"]
+    def test_bound_sequence_strictly_increasing(self, reactor,
+                                                mismatch_trace):
+        run = mismatch_trace.q[-1] + 1
+        q_a = mismatch_config(reactor).attack_slot
         bound = mismatch_trace.slots["mismatch_bound"][:run]
         post = bound[q_a + 3:]
         assert post.size > 10
@@ -255,11 +259,7 @@ class TestMismatchDemo:
 
     def test_bound_sequence_matches_loop_oracle(self, reactor,
                                                 mismatch_trace):
-        cfg = SimConfig(
-            plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
-            scenario=Scenario.MISMATCH_DEMO, horizon_slots=300, levels=100,
-            attack_slot=5, control_weight=100.0, observer="deadbeat",
-        )
+        cfg = mismatch_config(reactor)
         want = mismatch_bound_loop(mismatch_trace, cfg, compile_plan(cfg))
         assert np.array_equal(mismatch_trace.slots["mismatch_bound"], want)
 
@@ -325,6 +325,21 @@ class TestConfigValidation:
         with pytest.raises(DoslabError, match=f"{matrix} must have"):
             run_scenario(dual_config(
                 dataclasses.replace(reactor, **{matrix: bad}), reactor_gains))
+
+    def test_gains_entry_gives_the_gain_set_run(self, reactor, dual_trace,
+                                                tmp_path):
+        trace = run_scenario(dual_config(reactor, {"m": M_REF}))
+        np.testing.assert_array_equal(trace.x, dual_trace.x)
+        trace.to_csv(tmp_path / "entry.csv")
+        dual_trace.to_csv(tmp_path / "gain_set.csv")
+        assert ((tmp_path / "entry.csv").read_bytes()
+                == (tmp_path / "gain_set.csv").read_bytes())
+
+    @pytest.mark.parametrize("name, gain", [("k", K_REF), ("m", M_REF)])
+    def test_misfit_gains_entry_is_a_scenario_error(self, reactor, name,
+                                                    gain):
+        with pytest.raises(ScenarioError, match=f"gains.{name} must have"):
+            run_scenario(dual_config(reactor, {name: gain[:-1]}))
 
     def test_run_scenario_dispatch(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=3)

@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,12 @@ def test_edge_series_match_point_loop(tmp_path, monkeypatch, xs, ys):
     svgplot.line_chart(tmp_path / "want.svg", [("s", xs, ys)])
     assert (tmp_path / "got.svg").read_bytes() \
         == (tmp_path / "want.svg").read_bytes()
+
+
+def test_text_is_escaped(tmp_path):
+    labels = ["x < y & z", "a<b & c", "t [s] > 0", "u & v"]
+    svgplot.line_chart(tmp_path / "chart.svg", [(labels[1], [0, 1], [1, 2])],
+                       title=labels[0], xlabel=labels[2], ylabel=labels[3])
+    root = ElementTree.parse(tmp_path / "chart.svg").getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert all(label in texts for label in labels)

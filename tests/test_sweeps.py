@@ -37,7 +37,7 @@ def test_dual_channel_worst_admissible_patterns(reactor, reactor_gains, seed):
     assert not trace.saturated.any()
     assert np.all(slots["y_err"] <= slots["e3"])
     assert slots["deadbeat_residual"].max() <= 1e-9
-    cert = decay_certificate(trace.meta["thetas"], CASE_DUAL, BIG_DELTA,
+    cert = decay_certificate(trace.plan.thetas, CASE_DUAL, BIG_DELTA,
                              e0_scale=inf_norm(reactor.c))
     envelope = cert.omega1 * cert.gamma ** np.arange(250)
     assert np.all(slots["e3"] <= envelope * (1 + 1e-12))
@@ -55,9 +55,9 @@ def test_ackfree_worst_admissible_patterns(reactor, reactor_gains, seed):
     slots = trace.slots
     assert np.all(slots["enc_equals_dec"])
     assert np.all(slots["x_norm"] <= slots["e"] * (1 + 1e-12))
-    assert trace.meta["degenerate_inferences"] == 0
+    assert not trace.slots["degenerate_inference"].any()
     slot_attacked = slots["attacked"].astype(bool)
-    inferred = trace.inferred_attack[::trace.meta["dp"].eta]
+    inferred = trace.inferred_attack[::trace.plan.dp.eta]
     np.testing.assert_array_equal(inferred, slot_attacked)
 
 
@@ -69,7 +69,7 @@ def test_mismatch_demo_any_attack_placement(reactor, attack_slot):
         attack_slot=attack_slot, control_weight=100.0, observer="deadbeat",
     )
     trace = run_scenario(cfg)
-    run = trace.meta["slots_run"]
+    run = trace.q[-1] + 1
     sat = np.flatnonzero(trace.slots["saturated"][:run])
     assert sat.size > 0 and sat[0] > attack_slot
     bound = trace.slots["mismatch_bound"][:run]
