@@ -83,6 +83,7 @@ from .quantizer import (
     derive_input_range,
     encode,
     initial_ranges,
+    quantize,
     update_range,
 )
 

@@ -5,7 +5,10 @@ gains, decay constants, theta factors -- once, as a :class:`Plan`.  Four
 engines take a config and its plan and only step plant, encoders,
 decoders and controller, recording a full trace.  Every quantizer range
 is a function of the attack pattern alone, so each engine takes its
-range sequences from :func:`update_range` before it steps:
+range sequences from :func:`update_range` before it steps.  Each fixed
+matrix's ``ndarray.dot`` is bound once per run (it rounds as ``@`` does,
+at half the call cost), a transmission is one :func:`quantize` round trip
+and the per-slot checks read Python floats:
 
 * :func:`run_dual_channel` -- both channels jammed together; deadbeat
   feedback, lifted observer reset, three quantized signals.
@@ -42,6 +45,7 @@ from .errors import (
     DeadbeatContractError,
     DoslabError,
     InferenceMismatchError,
+    InvalidMatrixError,
     SaturationError,
     ScenarioError,
 )
@@ -57,7 +61,7 @@ from .gains import (
     make_gain_set,
     verify_nilpotent,
 )
-from .matrixcore import as_vector, gelfand_radius, inf_norm, mat_pow
+from .matrixcore import as_matrix, as_vector, gelfand_radius, inf_norm, mat_pow
 from .quantizer import (
     BRANCHES,
     UniformCodec,
@@ -65,6 +69,7 @@ from .quantizer import (
     derive_input_range,
     encode,
     initial_ranges,
+    quantize,
     update_range,
 )
 
@@ -191,13 +196,20 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
     deadbeat observer gain.  An injected gain must fit the plant, and an
     injected feedback gain is verified first.
     """
-    spec = cfg.gains if isinstance(cfg.gains, dict) else {}
+    spec = cfg.gains
+    if spec is None or isinstance(spec, str) and spec == "synthesize":
+        spec = {}
+    if not isinstance(spec, dict) or set(spec) - {"k", "m", "nilpotency_tol"}:
+        raise ScenarioError(
+            "gains must be None, 'synthesize', a GainSet, a Plan or a dict of "
+            f"k, m and nilpotency_tol, got {spec!r:.60}")
+    given = {name: as_matrix(spec[name]) for name in ("k", "m") if name in spec}
     for name, shape in (("k", (dp.n_u, dp.n_x)), ("m", (dp.n_x, dp.n_y))):
-        if name in spec and np.shape(spec[name]) != shape:
+        if name in given and given[name].shape != shape:
             raise ScenarioError(f"gains.{name} must have shape {shape}, "
-                                f"got {np.shape(spec[name])}")
-    if "k" in spec:
-        k = np.array(spec["k"], dtype=float)
+                                f"got {given[name].shape}")
+    if "k" in given:
+        k = given["k"]
         if protocol:
             residual = verify_nilpotent(dp.a_d, dp.b_d, k, dp.eta)
             tol = spec.get("nilpotency_tol", 5e-2)
@@ -215,16 +227,15 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
         k = design_stabilizing_gain(dp.a_d, dp.b_d, cfg.control_weight)
 
     deadbeat_observer = "m" not in spec and cfg.observer == "deadbeat"
-    if "m" in spec:
-        m = np.array(spec["m"], dtype=float)
+    if "m" in given:
+        m = given["m"]
     elif deadbeat_observer:
         m = design_deadbeat_observer(dp.a_lift, dp.c, dp.mu)
     else:
         m = design_observer_gain(dp.a_lift, dp.c)
     # an injected m whose error transition is not certified Schur is
     # rejected by derive_decay_constants
-    names = sorted(set(spec) & {"k", "m"})
-    source = f"injected ({', '.join(names)})" if names else "synthesized"
+    source = f"injected ({', '.join(given)})" if given else "synthesized"
     return make_gain_set(dp, k, m, deadbeat_observer), source
 
 
@@ -309,9 +320,10 @@ class LoopTrace:
 
 
 class _TraceBuilder:
-    """Preallocated sub-step rows of a run, written in place;
-    :meth:`build` adds the oversampled points and the outputs and expands
-    the per-slot quantities into the per-row columns of the trace."""
+    """Sub-step rows of a run, appended as stepped and stacked once by
+    :meth:`stack`; :meth:`build` adds the oversampled points and the
+    outputs and expands the per-slot quantities into the per-row columns
+    of the trace."""
 
     def __init__(self, cfg: SimConfig, dp: DiscretePlant):
         self.cfg, self.dp, self.c = cfg, dp, cfg.plant.c
@@ -320,40 +332,35 @@ class _TraceBuilder:
             discretize(cfg.plant.a, cfg.plant.b, j * dp.delta / cfg.oversample)
             for j in range(1, cfg.oversample)
         ]
-        rows = cfg.horizon_slots * dp.eta
-        n_x, n_u = cfg.plant.n_x, cfg.plant.n_u
-        self.x, self.x_hat = np.empty((rows, n_x)), np.empty((rows, n_x))
-        self.u_sent, self.u_applied = (np.empty((rows, n_u)),
-                                       np.empty((rows, n_u)))
-        self.rows = 0
+        self.rows = []
         self.slots = {}
 
     def add_substep(self, x, x_hat, u_sent, u_applied):
         """Row of the next sub-step's start values."""
-        r = self.rows
-        self.x[r], self.x_hat[r] = x, x_hat
-        self.u_sent[r], self.u_applied[r] = u_sent, u_applied
-        self.rows = r + 1
+        self.rows.append((x, x_hat, u_sent, u_applied))
+
+    def stack(self):
+        """Stack the rows into the arrays ``x``, ``x_hat``, ``u_*``."""
+        self.x, self.x_hat, self.u_sent, self.u_applied = (
+            np.array(column) for column in zip(*self.rows))
 
     def add_slot(self, **values):
         for name, value in values.items():
             self.slots.setdefault(name, []).append(value)
 
     def starts(self, rows):
-        """The first sub-step row of every slot stepped so far."""
-        return rows[:self.rows:self.dp.eta]
+        """The first sub-step row of every slot of stacked ``rows``."""
+        return rows[::self.dp.eta]
 
     def build(self, final_state, plan: Plan, ranges, branch, inferred,
               saturated=False):
-        """The trace of the slots stepped so far.  Each range column, and
+        """The trace of the stacked rows.  Each range column, and
         ``branch``, ``inferred`` and ``saturated``, gives one value per
         slot (a range per slot and sub-step), or one for all slots."""
         ov, substeps = self.cfg.oversample, self.dp.eta
         per_slot = substeps * ov
-        slots = self.rows // substeps
-        x, x_hat, u_sent, u_applied = (
-            a[:self.rows]
-            for a in (self.x, self.x_hat, self.u_sent, self.u_applied))
+        x, u_applied = self.x, self.u_applied
+        slots = len(x) // substeps
         if ov > 1:
             # each point propagated exactly from its sub-step's start under
             # the held applied input
@@ -377,8 +384,8 @@ class _TraceBuilder:
         return LoopTrace(
             scenario=self.cfg.scenario, plan=plan, t=t, q=q, k=k,
             x=x,
-            x_hat=np.repeat(x_hat, ov, axis=0),
-            u_sent=np.repeat(u_sent, ov, axis=0),
+            x_hat=np.repeat(self.x_hat, ov, axis=0),
+            u_sent=np.repeat(self.u_sent, ov, axis=0),
             u_applied=np.repeat(u_applied, ov, axis=0),
             y=_matvecs(self.c, x),
             ranges={name: rows(v) for name, v in ranges.items()},
@@ -418,16 +425,22 @@ def _resolve_pattern(cfg: SimConfig) -> np.ndarray:
     return np.array(pattern.slots[:cfg.horizon_slots], dtype=bool)
 
 
-def _encode(v, center, rng, codec, channel, q, k=None):
-    """:func:`encode`, naming the slot, sub-step and channel on saturation."""
+def _quantize(v, center, rng, codec, channel, q, k=None):
+    """:func:`quantize`, naming the slot, sub-step and channel of a failure."""
     try:
-        return encode(v, center, rng, codec)
-    except SaturationError as exc:
-        where = q if k is None else f"{q}.{k}"
-        raise SaturationError(
-            f"{channel} quantizer saturated at slot {where}: {exc}",
-            slot=q, substep=k, channel=channel,
-        ) from exc
+        return quantize(v, center, rng, codec)
+    except (SaturationError, InvalidMatrixError) as exc:
+        raise _placed(exc, channel, q, k) from exc
+
+
+def _placed(exc, channel, q, k=None):
+    """Codec failure ``exc`` again, its message led by its place."""
+    where = f"slot {q}" if k is None else f"slot {q}, sub-step {k}"
+    if isinstance(exc, SaturationError):
+        return SaturationError(
+            f"{channel} quantizer saturated at {where}: {exc}",
+            slot=q, substep=k, channel=channel)
+    return InvalidMatrixError(f"{channel} quantizer at {where}: {exc}")
 
 
 def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
@@ -470,30 +483,29 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb = _TraceBuilder(cfg, dp)
     tb.slots.update(attacked=attacked, e3=e3)
     residuals = []
+    c, m, kc, a, b = (w.dot for w in (plant.c, gs.observer_gain,
+                                      gs.controller_gain, dp.a_d, dp.b_d))
 
     for q, (hit, e3_q, e2_q) in enumerate(zip(attacked.tolist(), e3.tolist(),
                                               e2.tolist())):
         if hit:
             xh = zero_x
         else:
-            y = plant.c @ x
-            idx3 = _encode(y, zero_y, e3_q, codec3, "output", q)
-            q3 = decode(idx3, zero_y, e3_q, codec3)
+            q3 = _quantize(c(x), zero_y, e3_q, codec3, "output", q)
             # the sum with the zero estimate turns -0.0 entries into +0.0
-            xh = zero_x + gs.observer_gain @ q3
+            xh = zero_x + m(q3)
 
         for k in range(dp.eta):
             if hit:
                 u = ua = zero_u
             else:
-                u = gs.controller_gain @ xh
-                idx2 = _encode(u, zero_u, e2_q[k], codec2, "input", q, k)
-                ua = decode(idx2, zero_u, e2_q[k], codec2)
+                u = kc(xh)
+                ua = _quantize(u, zero_u, e2_q[k], codec2, "input", q, k)
             tb.add_substep(x, xh, u, ua)
-            x = dp.a_d @ x + dp.b_d @ ua
-            xh = dp.a_d @ xh + dp.b_d @ u
+            x = a(x) + b(ua)
+            xh = a(xh) + b(u)
 
-        residual = inf_norm(plant.c @ xh)
+        residual = max(map(abs, c(xh).tolist()))
         if residual > DEADBEAT_NULL_TOL * max(1.0, e3_q):
             raise DeadbeatContractError(
                 f"|C xhat| = {residual:.3e} at the end of slot {q}; "
@@ -501,6 +513,7 @@ def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
             )
         residuals.append(residual)
 
+    tb.stack()
     ends = np.vstack((tb.starts(tb.x)[1:], x))  # the state after each slot
     tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
                     deadbeat_residual=residuals, x_norm=_norms(ends))
@@ -527,22 +540,23 @@ def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     xh = np.zeros(plant.n_x)
     tb = _TraceBuilder(cfg, dps)
     tb.slots.update(attacked=attacked, e=e)
+    kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
+                                       dps.b_d, l_obs))
 
     for q, (hit, e_q) in enumerate(zip(attacked.tolist(), e.tolist())):
-        u = gs.controller_gain @ xh
-        yh = plant.c @ xh
+        u = kc(xh)
+        yh = c(xh)
         if hit:
-            xh_next = dps.a_d @ xh + dps.b_d @ u
+            xh_next = a(xh) + b(u)
         else:
             # a Python float overflows to inf silently, as the range law does
-            rng = norm_c * e_q
-            idx = _encode(plant.c @ x, yh, rng, codec, "output", q)
-            qv = decode(idx, yh, rng, codec)
-            xh_next = dps.a_d @ xh + dps.b_d @ u + l_obs @ (qv - yh)
+            qv = _quantize(c(x), yh, norm_c * e_q, codec, "output", q)
+            xh_next = a(xh) + b(u) + lo(qv - yh)
         tb.add_substep(x, xh, u, u)
-        x = dps.a_d @ x + dps.b_d @ u
+        x = a(x) + b(u)
         xh = xh_next
 
+    tb.stack()
     starts = tb.starts(tb.x)
     tb.slots.update(err_norm=_norms(starts - tb.starts(tb.x_hat)),
                     x_norm=_norms(starts))
@@ -579,24 +593,24 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb = _TraceBuilder(cfg, dp)
     tb.slots.update(attacked=attacked, e=e)
     residuals = []
+    c, m, kc, a, b = (w.dot for w in (plant.c, gs.observer_gain,
+                                      gs.controller_gain, dp.a_d, dp.b_d))
 
     for q, (hit, e_q) in enumerate(zip(attacked.tolist(), e.tolist())):
         rng = norm_c * e_q
         if hit:
             xh = zero_x  # default-zero reception, exact
         else:
-            idx = _encode(plant.c @ x, zero_y, rng, codec, "output", q)
-            qv = decode(idx, zero_y, rng, codec)
-            xh = zero_x + gs.observer_gain @ qv
+            qv = _quantize(c(x), zero_y, rng, codec, "output", q)
+            xh = zero_x + m(qv)
         all_zero = True
         for k in range(dp.eta):
             # an explicit branch, not arithmetic, gives the attacked zero
-            u = zero_u if hit else gs.controller_gain @ xh
-            if np.any(u != 0.0):
-                all_zero = False
+            u = zero_u if hit else kc(xh)
+            all_zero = all_zero and not any(u.tolist())
             tb.add_substep(x, xh, u, u)
-            x = dp.a_d @ x + dp.b_d @ u
-            xh = dp.a_d @ xh + dp.b_d @ u
+            x = a(x) + b(u)
+            xh = a(xh) + b(u)
         inferred[q] = all_zero
         if rng == 0.0 and all_zero and not hit:
             # nothing to infer from an all-zero run; does not count as a
@@ -607,13 +621,14 @@ def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
             raise InferenceMismatchError(
                 f"zero-input inference disagreed with the pattern at slot {q}"
             )
-        residual = inf_norm(plant.c @ xh)
+        residual = max(map(abs, c(xh).tolist()))
         if residual > DEADBEAT_NULL_TOL * max(1.0, rng):
             raise DeadbeatContractError(
                 f"|C xhat| = {residual:.3e} at the end of slot {q}"
             )
         residuals.append(residual)
 
+    tb.stack()
     starts = tb.starts(tb.x)
     _, e_enc = update_range(cfg.x0_bound, plan.thetas, inferred)
     tb.slots.update(x_norm=_norms(starts),
@@ -647,15 +662,20 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     xt = np.zeros(plant.n_x)  # encoder side
     tb = _TraceBuilder(cfg, dps)
     tb.slots.update(attacked=attacked, e_enc=e_enc, e_dec=e_dec)
+    kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
+                                       dps.b_d, l_obs))
 
     for q, (hit, e_enc_q, e_dec_q) in enumerate(zip(
             attacked.tolist(), e_enc.tolist(), e_dec.tolist())):
-        y = plant.c @ x
-        u = gs.controller_gain @ xh
-        yt = plant.c @ xt
+        y = c(x)
+        u = kc(xh)
+        yt = c(xt)
         rng_e = norm_c * e_enc_q
         saturated = bool(np.max(np.abs(y - yt)) > rng_e)
-        idx = encode(y, yt, rng_e, codec, clip=True)
+        try:
+            idx = encode(y, yt, rng_e, codec, clip=True)
+        except InvalidMatrixError as exc:
+            raise _placed(exc, "output", q) from exc
         qe = decode(idx, yt, rng_e, codec)
         offs = (qe - yt) * codec.levels / rng_e if rng_e > 0 else np.zeros_like(qe)
         tb.add_slot(
@@ -663,20 +683,19 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
             offs=offs, saturated=saturated,
         )
         tb.add_substep(x, xh, u, u)
-        xt_next = dps.a_d @ xt + dps.b_d @ (gs.controller_gain @ xt) \
-            + l_obs @ (qe - yt)
+        xt_next = a(xt) + b(kc(xt)) + lo(qe - yt)
         if hit:
-            xh_next = dps.a_d @ xh + dps.b_d @ u
+            xh_next = a(xh) + b(u)
         else:
-            yh = plant.c @ xh
-            rng_d = norm_c * e_dec_q
-            qd = decode(idx, yh, rng_d, codec)
-            xh_next = dps.a_d @ xh + dps.b_d @ u + l_obs @ (qd - yh)
-        x = dps.a_d @ x + dps.b_d @ u
+            yh = c(xh)
+            qd = decode(idx, yh, norm_c * e_dec_q, codec)
+            xh_next = a(xh) + b(u) + lo(qd - yh)
+        x = a(x) + b(u)
         xh, xt = xh_next, xt_next
         if inf_norm(x) > DIVERGENCE_CAP:
             break
 
+    tb.stack()
     tb.slots.update(x_norm=_norms(tb.starts(tb.x)))
     trace = tb.build(x, plan, {"E_e": e_enc, "E_d": e_dec}, branch, False,
                      saturated=tb.slots["saturated"])

@@ -42,7 +42,10 @@ _PADE13 = (
 
 def as_matrix(m, square: bool = False) -> np.ndarray:
     """Validate and return ``m`` as a finite float64 2-D array."""
-    a = np.array(m, dtype=float)
+    try:
+        a = np.array(m, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, or not numbers
+        raise InvalidMatrixError(f"expected a 2-D matrix: {exc}") from exc
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidMatrixError(f"expected a 2-D matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

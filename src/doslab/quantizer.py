@@ -2,8 +2,9 @@
 
 A codec partitions the hypercube ``{v : |v - center| <= range}`` into
 ``levels`` equal boxes per component; an index names the box holding the
-value and decodes to that box's center.  The range law expands a range
-during attacked slots, pays a resynchronization factor on the first
+value and decodes to that box's center; :func:`quantize` is the round
+trip, with :func:`encode`'s checks run once.  The range law expands a
+range during attacked slots, pays a resynchronization factor on the first
 success after an attack, and contracts on consecutive successes, so a
 run's whole range sequence is fixed by its attack pattern.
 """
@@ -27,6 +28,7 @@ __all__ = [
     "QuantIndex",
     "encode",
     "decode",
+    "quantize",
     "update_range",
     "derive_input_range",
     "initial_ranges",
@@ -132,6 +134,19 @@ def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarr
         raise ValueError("index dimension does not match codec")
     if min(cells) < 0 or max(cells) >= n:
         raise ValueError("index cells out of range for codec")
+    return _box_centers(center, cells, rng, n)
+
+
+def quantize(v, center, rng: float, codec: UniformCodec) -> np.ndarray:
+    """``decode(encode(v, center, rng, codec), center, rng, codec)``, bit
+    for bit, and raising as :func:`encode` does.  The center and cells
+    :func:`encode` has accepted need no second check."""
+    cells = encode(v, center, rng, codec).cells
+    return _box_centers(np.asarray(center, dtype=float).tolist(), cells, rng,
+                        codec.levels)
+
+
+def _box_centers(center: list, cells, rng: float, n: int) -> np.ndarray:
     step = rng / n
     return np.array([c + (2.0 * k + 1.0 - n) * step
                      for c, k in zip(center, cells)])

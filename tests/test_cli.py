@@ -213,15 +213,16 @@ class TestRunCommand:
                                                      monkeypatch):
         # E1 is zero and n1 odd, so the estimated-output quantizer would
         # always return the zero center: a successful slot encodes the
-        # output once and the input at each of its eta sub-steps
-        controlloop = importlib.import_module("doslab.controlloop")
-        encode, calls = controlloop.encode, []
+        # output once and the input at each of its eta sub-steps, each in
+        # a quantize round trip
+        quantizer = importlib.import_module("doslab.quantizer")
+        encode, calls = quantizer.encode, []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return encode(*args, **kwargs)
 
-        monkeypatch.setattr(controlloop, "encode", counting)
+        monkeypatch.setattr(quantizer, "encode", counting)
         name = "batch_reactor_dual.json"
         out = tmp_path / "out"
         code = cli.main(["run", bundled(name), "--out", str(out),

@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from doslab import ContinuousPlant, DoslabError, ScenarioError, inf_norm
+from doslab import (
+    ContinuousPlant,
+    DoslabError,
+    InvalidMatrixError,
+    SaturationError,
+    ScenarioError,
+    inf_norm,
+)
 from doslab.conditions import decay_certificate
 from doslab.controlloop import (
     LoopTrace,
@@ -341,11 +348,66 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match=f"gains.{name} must have"):
             run_scenario(dual_config(reactor, {name: gain[:-1]}))
 
+    @pytest.mark.parametrize("entry", ["synthesise", ("m", M_REF), {"mm": 1},
+                                       {"m": M_REF, "k_ref": K_REF}])
+    def test_unknown_gains_entry_is_a_scenario_error(self, reactor, entry):
+        with pytest.raises(ScenarioError, match="gains"):
+            compile_plan(dual_config(reactor, entry))
+
+    @pytest.mark.parametrize("name", ["k", "m"])
+    def test_ragged_gains_entry_is_an_invalid_matrix(self, reactor, name):
+        with pytest.raises(InvalidMatrixError, match="2-D matrix"):
+            compile_plan(dual_config(reactor, {name: [[1.0, 2.0], [1.0]]}))
+
     def test_run_scenario_dispatch(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=3)
         trace = run_scenario(cfg)
         assert isinstance(trace, LoopTrace)
         assert trace.scenario is Scenario.DUAL_CHANNEL
+
+
+class TestFailureRecords:
+    """A codec failure names the slot, sub-step and channel it hit."""
+
+    def test_too_few_levels_saturate_the_first_input(self, reactor):
+        cfg = dual_config(reactor, {"m": M_REF}, levels=(1, 3, 3))
+        with pytest.raises(SaturationError) as info:
+            run_scenario(cfg)
+        err = info.value
+        assert (err.slot, err.substep, err.channel) == (0, 0, "input")
+        assert str(err).startswith(
+            "input quantizer saturated at slot 0, sub-step 0: ")
+
+    @pytest.mark.parametrize("observer, gains, levels, where", [
+        ("kalman", {"m": M_REF}, (3, 2, 100), "output quantizer at slot 421:"),
+        ("deadbeat", "synthesize", (3, 100, 4),
+         "input quantizer at slot 425, sub-step 0:"),
+    ])
+    def test_range_overflow_names_its_place(self, reactor, observer, gains,
+                                            levels, where):
+        cfg = dual_config(reactor, gains, levels=levels, observer=observer)
+        with pytest.raises(InvalidMatrixError) as info:
+            run_scenario(cfg)
+        assert str(info.value) == (
+            f"{where} range times levels overflows the float range")
+
+
+# every fixed-matrix shape the engines multiply by: C, K, A_d, B_d and M for
+# the batch reactor (n_x = 4, n_u = n_y = 2), and square blocks around them
+MATVEC_SHAPES = [(2, 4), (4, 4), (4, 2), (2, 2), (3, 5), (6, 6)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", MATVEC_SHAPES)
+def test_bound_dot_rounds_as_matmul(order, shape):
+    # the engines bind each fixed matrix's ``dot`` once per run; the trace
+    # bytes rest on it rounding exactly as ``a @ v``
+    g = np.random.default_rng(sum(shape))
+    for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+        for _ in range(200):
+            a = np.array(g.standard_normal(shape) * scale, order=order)
+            v = g.standard_normal(shape[1]) * g.choice([1e-8, 1.0, 1e8])
+            assert a.dot(v).tobytes() == (a @ v).tobytes()
 
 
 def _assert_csv_matches_loop_writer(trace, tmp_path):

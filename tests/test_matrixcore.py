@@ -52,6 +52,12 @@ class TestInfNorm:
         with pytest.raises(InvalidMatrixError):
             mat_exp([[np.nan, 0], [0, 1]], 1.0)
 
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0], [1.0]], [["a", 1.0]]])
+    def test_ragged_or_non_numeric_rows_are_invalid(self, bad):
+        # numpy's own ValueError would escape the library's error hierarchy
+        with pytest.raises(InvalidMatrixError, match="2-D matrix"):
+            mat_exp(bad, 1.0)
+
 
 class TestMatExp:
     def test_zero_matrix(self):

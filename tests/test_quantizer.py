@@ -21,6 +21,7 @@ from doslab.quantizer import (
     derive_input_range,
     encode,
     initial_ranges,
+    quantize,
     update_range,
 )
 
@@ -313,6 +314,57 @@ class TestCodecInputErrors:
         with pytest.raises(ValueError, match="out of range"):
             decode(QuantIndex(cells), [0.0, 0.0], 1.0,
                    UniformCodec(levels=10, dim=2))
+
+
+def outcome(fn, *args):
+    """The bytes ``fn`` returns, or the type and message of its error."""
+    try:
+        return fn(*args).tobytes()
+    except Exception as exc:  # noqa: BLE001 -- any error must match
+        return type(exc), str(exc)
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                               np.inf, -np.inf, np.nan])
+ENTRIES = st.floats(-1e6, 1e6) | EDGE_FLOATS | st.floats(allow_nan=True)
+
+
+class TestQuantizeIsTheRoundTrip:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 3),
+        levels=LEVELS,
+        rng_val=st.one_of(st.floats(0.0, 1e6), EDGE_FLOATS,
+                          st.floats(allow_nan=True)),
+    )
+    def test_bits_or_error(self, data, dim, levels, rng_val):
+        codec = UniformCodec(levels=levels, dim=dim)
+        # a vector of the wrong length now and then
+        sizes = st.sampled_from([dim] * 8 + [dim + 1])
+        center = data.draw(st.lists(ENTRIES, min_size=dim, max_size=dim)
+                           | st.lists(st.just(0.0), min_size=dim,
+                                      max_size=dim))
+        scale = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=dim,
+                                   max_size=dim))
+        v = data.draw(st.just([c + s * rng_val for c, s in zip(center, scale)])
+                      | sizes.flatmap(lambda n: st.lists(ENTRIES, min_size=n,
+                                                         max_size=n)))
+        with np.errstate(all="ignore"):
+            want = outcome(roundtrip, v, center, rng_val, codec)
+            got = outcome(quantize, v, center, rng_val, codec)
+        assert got == want
+
+    @pytest.mark.parametrize("v, center, rng_val, levels", [
+        ([-0.0, 0.0], [-0.0, -0.0], 0.0, 3),    # the middle cell at -0.0
+        ([-0.1, 0.1], [-0.0, 0.0], 1.0, 1),     # one cell, the center
+        ([0.0, 0.0], [0.0, 0.0], 5e-324, 2),
+        ([1.0, -1.0], [0.0, 0.0], 1.0, 10_000),
+    ])
+    def test_signed_zeros_and_grid_edges(self, v, center, rng_val, levels):
+        codec = UniformCodec(levels=levels, dim=2)
+        assert (quantize(v, center, rng_val, codec).tobytes()
+                == roundtrip(v, center, rng_val, codec).tobytes())
 
 
 def branch_names(attacked, thetas=THETAS):
