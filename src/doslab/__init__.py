@@ -54,6 +54,7 @@ from .controlloop import (
     Scenario,
     SimConfig,
     compile_plan,
+    mismatch_bound,
     run_dual_channel,
     run_mismatch_demo,
     run_output_ack,
@@ -73,11 +74,11 @@ from .matrixcore import (
     mat_exp,
     mat_pow,
     rank_with_tol,
+    schur_certified,
     solve_linear,
 )
 from .quantizer import (
     BRANCHES,
-    QuantIndex,
     UniformCodec,
     decode,
     derive_input_range,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 condition check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -610,7 +611,10 @@ def cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: ``parse_args``
+    keeps no per-call state on it, so :func:`main` stays re-entrant."""
     parser = argparse.ArgumentParser(
         prog="doslab",
         description="Quantized control under DoS attacks: condition checks "

@@ -61,7 +61,7 @@ from .gains import (
     make_gain_set,
     verify_nilpotent,
 )
-from .matrixcore import as_matrix, as_vector, gelfand_radius, inf_norm, mat_pow
+from .matrixcore import as_matrix, as_vector, inf_norm, mat_pow, schur_certified
 from .quantizer import (
     BRANCHES,
     UniformCodec,
@@ -84,6 +84,7 @@ __all__ = [
     "run_output_ackfree",
     "run_mismatch_demo",
     "run_scenario",
+    "mismatch_bound",
 ]
 
 # |C xhat| at the end of every slot must vanish under a deadbeat gain; the
@@ -219,7 +220,7 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
                     f"injected feedback gain is not deadbeat: residual "
                     f"{residual:.3e} > {bound:.3e}"
                 )
-        elif gelfand_radius(dp.a_d + dp.b_d @ k, DECAY_SCAN_CAP) >= 1.0:
+        elif not schur_certified(dp.a_d + dp.b_d @ k, DECAY_SCAN_CAP):
             raise DoslabError("injected feedback gain not certified stable")
     elif protocol:
         k = design_deadbeat_gain(dp)
@@ -644,9 +645,10 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     The decoder-side predictor switches to its open-loop branch on the
     attacked slot while the encoder-side predictor, blind to the attack,
     keeps applying corrections and takes its ranges from a pattern with no
-    attack.  The run records both ranges, the true encoder-side error, and
-    the derived mismatch bound sequence; encoding past saturation clips to
-    the nearest box instead of failing, because divergence is the point.
+    attack.  The run records both ranges, the true encoder-side error and
+    the quantization offsets that :func:`mismatch_bound` reads; encoding
+    past saturation clips to the nearest box instead of failing, because
+    divergence is the point.
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
     plant = cfg.plant
@@ -673,10 +675,10 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
         rng_e = norm_c * e_enc_q
         saturated = bool(np.max(np.abs(y - yt)) > rng_e)
         try:
-            idx = encode(y, yt, rng_e, codec, clip=True)
+            cells = encode(y, yt, rng_e, codec, clip=True)
         except InvalidMatrixError as exc:
             raise _placed(exc, "output", q) from exc
-        qe = decode(idx, yt, rng_e, codec)
+        qe = decode(cells, yt, rng_e, codec)
         offs = (qe - yt) * codec.levels / rng_e if rng_e > 0 else np.zeros_like(qe)
         tb.add_slot(
             enc_err=inf_norm(x - xt), predictor_gap=inf_norm(xh - xt),
@@ -688,7 +690,7 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
             xh_next = a(xh) + b(u)
         else:
             yh = c(xh)
-            qd = decode(idx, yh, norm_c * e_dec_q, codec)
+            qd = decode(cells, yh, norm_c * e_dec_q, codec)
             xh_next = a(xh) + b(u) + lo(qd - yh)
         x = a(x) + b(u)
         xh, xt = xh_next, xt_next
@@ -697,14 +699,13 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
 
     tb.stack()
     tb.slots.update(x_norm=_norms(tb.starts(tb.x)))
-    trace = tb.build(x, plan, {"E_e": e_enc, "E_d": e_dec}, branch, False,
-                     saturated=tb.slots["saturated"])
-    trace.slots["mismatch_bound"] = _mismatch_bound_sequence(trace, cfg, plan)
-    return trace
+    return tb.build(x, plan, {"E_e": e_enc, "E_d": e_dec}, branch, False,
+                    saturated=tb.slots["saturated"])
 
 
-def _mismatch_bound_sequence(trace, cfg, plan: Plan) -> np.ndarray:
-    """Derived upper-bound sequence on the encoder-side error.
+def mismatch_bound(trace: LoopTrace) -> np.ndarray:
+    """Derived upper-bound sequence on the encoder-side error of a
+    :func:`run_mismatch_demo` trace, one value per slot it stepped.
 
     Before the attack the bound is the encoder range itself.  After it, the
     recorded quantization offsets feed the kick terms accumulated by the
@@ -712,20 +713,24 @@ def _mismatch_bound_sequence(trace, cfg, plan: Plan) -> np.ndarray:
     attacked slot, the range-law divergence one slot later, and the
     per-slot mis-scaled corrections after that.
     """
+    if trace.scenario is not Scenario.MISMATCH_DEMO:
+        raise ScenarioError("mismatch_bound needs a mismatch_demo trace")
+    plan = trace.plan
     e_enc = trace.slots["e_enc"]
     offs = trace.slots["offs"]
-    q_a = cfg.attack_slot
     thetas, gs, l_obs = plan.thetas, plan.gains, plan.l_obs
     th_a, th_0, th_na = (thetas.theta_attack, thetas.theta_first,
                          thetas.theta_steady)
     n = plan.levels
-    norm_c = inf_norm(cfg.plant.c)
+    norm_c = inf_norm(plan.dp.c)
     bk = plan.dp.b_d @ gs.controller_gain
     closed = gs.closed_loop
     slots = len(e_enc)
     bound = np.array(e_enc, dtype=float)
-    if q_a >= slots - 1:
+    hits = np.flatnonzero(trace.slots["attacked"])
+    if not hits.size or hits[0] >= slots - 1:  # no slot after the attack
         return bound
+    q_a = int(hits[0])
     base = e_enc[q_a]
     steps = slots - q_a
     bk_pow = np.array([bk @ mat_pow(closed, i) for i in range(steps - 1)])

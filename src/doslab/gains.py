@@ -36,6 +36,7 @@ from .matrixcore import (
     inf_norm,
     mat_pow,
     power_chunks,
+    schur_certified,
     solve_linear,
     stack_norms,
 )
@@ -223,11 +224,12 @@ def design_observer_gain(a_lift, c, rtol: float = 0.0) -> np.ndarray:
     a = as_matrix(a_lift, square=True)
     c = as_matrix(c)
     n = a.shape[0]
-    p = np.eye(n)
+    at, ct, eye_x, eye_y = a.T, c.T, np.eye(n), np.eye(c.shape[0])
+    p = eye_x
     for _ in range(RICCATI_MAX_ITER):
-        s = c @ p @ c.T + np.eye(c.shape[0])
-        gain = solve_linear(s, c @ p)  # s^-1 c p
-        p_next = a @ (p - p @ c.T @ gain) @ a.T + np.eye(n)
+        cp = c @ p
+        gain = solve_linear(cp @ ct + eye_y, cp)  # s^-1 c p
+        p_next = a @ (p - p @ ct @ gain) @ at + eye_x
         p_next = 0.5 * (p_next + p_next.T)
         if inf_norm(p_next - p) < RICCATI_TOL + rtol * inf_norm(p_next):
             p = p_next
@@ -237,11 +239,11 @@ def design_observer_gain(a_lift, c, rtol: float = 0.0) -> np.ndarray:
         raise RiccatiConvergenceError(
             f"Riccati iteration did not stall within {RICCATI_MAX_ITER} steps"
         )
-    s = c @ p @ c.T + np.eye(c.shape[0])
-    m = solve_linear(s.T, (p @ c.T).T).T
-    closed = a @ (np.eye(n) - m @ c)
-    bound = gelfand_radius(closed, DECAY_SCAN_CAP)
-    if bound >= 1.0:
+    s = c @ p @ ct + eye_y
+    m = solve_linear(s.T, (p @ ct).T).T
+    closed = a @ (eye_x - m @ c)
+    if not schur_certified(closed, DECAY_SCAN_CAP):
+        bound = gelfand_radius(closed, DECAY_SCAN_CAP)
         raise StabilityCertificationError(
             f"error transition not certified Schur (Gelfand bound {bound:.4f})"
         )
@@ -282,8 +284,8 @@ def design_stabilizing_gain(a_d, b_d, control_weight: float = 1.0) -> np.ndarray
     scaled = b / np.sqrt(control_weight)
     m_dual = design_observer_gain(a.T, scaled.T, rtol=1e-12)
     k = -(m_dual.T @ a) / np.sqrt(control_weight)
-    bound = gelfand_radius(a + b @ k, DECAY_SCAN_CAP)
-    if bound >= 1.0:
+    if not schur_certified(a + b @ k, DECAY_SCAN_CAP):
+        bound = gelfand_radius(a + b @ k, DECAY_SCAN_CAP)
         raise StabilityCertificationError(
             f"closed loop not certified Schur (Gelfand bound {bound:.4f})"
         )

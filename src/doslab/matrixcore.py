@@ -21,6 +21,7 @@ __all__ = [
     "mat_exp",
     "mat_pow",
     "gelfand_radius",
+    "schur_certified",
     "rank_with_tol",
     "solve_linear",
 ]
@@ -57,7 +58,10 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate and return ``v`` as a finite float64 1-D array."""
-    a = np.array(v, dtype=float)
+    try:
+        a = np.array(v, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged entries, or not numbers
+        raise InvalidMatrixError(f"expected a vector: {exc}") from exc
     if a.ndim != 1:
         raise InvalidMatrixError(f"expected a vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -158,6 +162,27 @@ def power_chunks(a: np.ndarray, cap: int):
         done += len(powers)
 
 
+def _power_roots(m, max_power: int):
+    """Yield ``inf_norm(m^k)^(1/k)`` for ``k = 1..max_power``, stopping
+    after a zero norm (yielded as 0.0), before a non-finite one and after
+    one below 1e-300."""
+    a = as_matrix(m, square=True)
+    if max_power < 8:
+        raise ValueError("max_power must be at least 8")
+    k = 0
+    for _, norms in power_chunks(a, max_power):
+        for norm in norms.tolist():
+            k += 1
+            if norm == 0.0:
+                yield 0.0
+                return
+            if not math.isfinite(norm):
+                return
+            yield norm ** (1.0 / k)
+            if norm < 1e-300:
+                return
+
+
 def gelfand_radius(m, max_power: int = 64) -> float:
     """Upper bound on the spectral radius from norms of powers.
 
@@ -166,22 +191,14 @@ def gelfand_radius(m, max_power: int = 64) -> float:
     radius, so a return value below one certifies Schur stability.  A value
     of one or more at ``max_power`` is inconclusive; the caller decides.
     """
-    a = as_matrix(m, square=True)
-    if max_power < 8:
-        raise ValueError("max_power must be at least 8")
-    best = math.inf
-    k = 0
-    for _, norms in power_chunks(a, max_power):
-        for norm in norms.tolist():
-            k += 1
-            if norm == 0.0:
-                return 0.0
-            if not math.isfinite(norm):
-                return best
-            best = min(best, norm ** (1.0 / k))
-            if norm < 1e-300:
-                return best
-    return best
+    return min(_power_roots(m, max_power), default=math.inf)
+
+
+def schur_certified(m, max_power: int = 64) -> bool:
+    """``gelfand_radius(m, max_power) < 1.0``, decided at the first power
+    whose root is below one, so a certified matrix costs no further powers
+    than the chunk holding that one."""
+    return any(root < 1.0 for root in _power_roots(m, max_power))
 
 
 def rank_with_tol(m, tol: float = 1e-9) -> int:
@@ -219,7 +236,7 @@ def solve_linear(a, b) -> np.ndarray:
     :class:`SingularMatrixError` when a pivot falls below ``PIVOT_TOL``
     relative to the largest-magnitude entry of ``a``.
     """
-    a = as_matrix(a, square=True).copy()
+    a = as_matrix(a, square=True)  # a fresh array, reduced in place
     rhs = np.array(b, dtype=float)
     vector_rhs = rhs.ndim == 1
     if vector_rhs:
@@ -229,19 +246,19 @@ def solve_linear(a, b) -> np.ndarray:
         raise InvalidMatrixError(
             f"right-hand side has {rhs.shape[0]} rows, expected {n}"
         )
-    scale = float(np.max(np.abs(a)))
+    scale = float(abs(a).max())
     if scale == 0.0:
         raise SingularMatrixError("coefficient matrix is zero")
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
+        pivot_row = col + int(abs(a[col:, col]).argmax())
         if abs(a[pivot_row, col]) <= PIVOT_TOL * scale:
             raise SingularMatrixError(f"pivot {col} below tolerance")
         if pivot_row != col:
             a[[col, pivot_row]] = a[[pivot_row, col]]
             rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= np.outer(factors, a[col, col:])
-        rhs[col + 1:] -= np.outer(factors, rhs[col])
+        factors = (a[col + 1:, col] / a[col, col])[:, None]
+        a[col + 1:, col:] -= factors * a[col, col:]
+        rhs[col + 1:] -= factors * rhs[col]
     x = np.empty_like(rhs)
     for row in range(n - 1, -1, -1):
         x[row] = (rhs[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]

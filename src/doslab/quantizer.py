@@ -1,12 +1,13 @@
 """Uniform hypercube quantizer codecs and the range-update law.
 
 A codec partitions the hypercube ``{v : |v - center| <= range}`` into
-``levels`` equal boxes per component; an index names the box holding the
-value and decodes to that box's center; :func:`quantize` is the round
-trip, with :func:`encode`'s checks run once.  The range law expands a
-range during attacked slots, pays a resynchronization factor on the first
-success after an attack, and contracts on consecutive successes, so a
-run's whole range sequence is fixed by its attack pattern.
+``levels`` equal boxes per component; a tuple of per-component cells
+names the box holding the value and decodes to that box's center;
+:func:`quantize` is the round trip, with :func:`encode`'s checks run
+once.  The range law expands a range during attacked slots, pays a
+resynchronization factor on the first success after an attack, and
+contracts on consecutive successes, so a run's whole range sequence is
+fixed by its attack pattern.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .matrixcore import inf_norm
 __all__ = [
     "BRANCHES",
     "UniformCodec",
-    "QuantIndex",
     "encode",
     "decode",
     "quantize",
@@ -52,21 +52,15 @@ class UniformCodec:
             raise ValueError("dim must be at least 1")
 
 
-@dataclass(frozen=True)
-class QuantIndex:
-    """Per-component box indices, each in [0, levels-1]."""
-
-    cells: tuple[int, ...]
-
-
 def encode(
     v,
     center,
     rng: float,
     codec: UniformCodec,
     clip: bool = False,
-) -> QuantIndex:
-    """Index of the box containing ``v`` in the hypercube around ``center``.
+) -> tuple[int, ...]:
+    """Cells of the box containing ``v`` in the hypercube around ``center``:
+    one index per component, each in ``[0, levels - 1]``.
 
     Raises :class:`SaturationError` when any component of ``v - center``
     exceeds ``rng`` in magnitude -- the failure mode the stability
@@ -101,19 +95,20 @@ def encode(
         )
     n = codec.levels
     if rng == 0.0:
-        return QuantIndex(cells=((n - 1) // 2,) * codec.dim)
+        return ((n - 1) // 2,) * codec.dim
     top, width = n - 1, 2.0 * rng
     if not math.isfinite(width * n):
         raise InvalidMatrixError("range times levels overflows the float range")
     if worst > rng:  # only under clip: these offsets take the edge cells
         offset = [min(max(o, -rng), rng) for o in offset]
-    return QuantIndex(cells=tuple([
+    return tuple([
         min(max(math.ceil((o + rng) * n / width) - 1, 0), top) for o in offset
-    ]))
+    ])
 
 
-def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarray:
-    """Center of the indexed box: ``center + (2 cell + 1 - N) * rng/N``.
+def decode(cells, center, rng: float, codec: UniformCodec) -> np.ndarray:
+    """Center of the box :func:`encode` named by ``cells``:
+    ``center + (2 cell + 1 - N) * rng/N``.
 
     The offset form keeps the grid geometry exact in floating point: the
     decoded value differs from the true value by at most ``rng/N``, and for
@@ -128,7 +123,6 @@ def decode(idx: QuantIndex, center, rng: float, codec: UniformCodec) -> np.ndarr
     center = center.tolist()
     if not all(map(math.isfinite, center)):
         raise InvalidMatrixError("vector entries must be finite")
-    cells = idx.cells
     n = codec.levels
     if len(cells) != codec.dim:
         raise ValueError("index dimension does not match codec")
@@ -141,7 +135,7 @@ def quantize(v, center, rng: float, codec: UniformCodec) -> np.ndarray:
     """``decode(encode(v, center, rng, codec), center, rng, codec)``, bit
     for bit, and raising as :func:`encode` does.  The center and cells
     :func:`encode` has accepted need no second check."""
-    cells = encode(v, center, rng, codec).cells
+    cells = encode(v, center, rng, codec)
     return _box_centers(np.asarray(center, dtype=float).tolist(), cells, rng,
                         codec.levels)
 

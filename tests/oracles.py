@@ -6,7 +6,8 @@ Simpson quadrature, and the index oracles are direct Kalman rank tests on
 explicitly stacked blocks.  The codec, range-law, power-scan,
 mismatch-bound, trace-writer, chart-point and DoS-budget oracles keep the
 plain loops (the array expression, for decoding) the library replaced, as
-bit-exact references.
+bit-exact references; so do the elimination and Riccati oracles, with the
+products and wrappers the library hoisted or replaced.
 """
 
 import math
@@ -15,7 +16,9 @@ import numpy as np
 
 from doslab import (
     InvalidMatrixError,
+    RiccatiConvergenceError,
     SaturationError,
+    SingularMatrixError,
     StabilityCertificationError,
     inf_norm,
     mat_exp,
@@ -23,9 +26,13 @@ from doslab import (
     rank_with_tol,
 )
 from doslab.dos import ValidationResult
-from doslab.gains import DECAY_SCAN_CAP, DECAY_SCAN_FLOOR
-from doslab.matrixcore import as_matrix, as_vector
-from doslab.quantizer import QuantIndex
+from doslab.gains import (
+    DECAY_SCAN_CAP,
+    DECAY_SCAN_FLOOR,
+    RICCATI_MAX_ITER,
+    RICCATI_TOL,
+)
+from doslab.matrixcore import PIVOT_TOL, as_matrix, as_vector
 
 
 def taylor_expm(a, t=1.0, max_terms=300):
@@ -88,16 +95,16 @@ def encode_loop(v, center, rng, codec, clip=False):
     if worst > rng and not clip:
         raise SaturationError("value leaves its quantization range")
     if rng == 0.0:
-        return QuantIndex(cells=((codec.levels - 1) // 2,) * codec.dim)
+        return ((codec.levels - 1) // 2,) * codec.dim
     n = codec.levels
     cells = []
     for u in (offset + rng) * n / (2.0 * rng):
         cell = int(math.ceil(u)) - 1
         cells.append(min(max(cell, 0), n - 1))
-    return QuantIndex(cells=tuple(cells))
+    return tuple(cells)
 
 
-def decode_array(idx, center, rng, codec):
+def decode_array(cells, center, rng, codec):
     """Uniform-codec box centers, validated and computed as one array
     expression."""
     center = np.asarray(center, dtype=float)
@@ -107,7 +114,6 @@ def decode_array(idx, center, rng, codec):
         )
     if not np.isfinite(center).all():
         raise InvalidMatrixError("vector entries must be finite")
-    cells = idx.cells
     n = codec.levels
     if len(cells) != codec.dim:
         raise ValueError("index dimension does not match codec")
@@ -217,6 +223,74 @@ def gelfand_radius_loop(m, max_power=64):
         if norm < 1e-300:
             break
     return float(best)
+
+
+def solve_linear_outer(a, b):
+    """Gaussian elimination with partial pivoting through ``np.outer``,
+    ``np.argmax`` and ``np.max``, on a copy of ``a``."""
+    a = as_matrix(a, square=True).copy()
+    rhs = np.array(b, dtype=float)
+    vector_rhs = rhs.ndim == 1
+    if vector_rhs:
+        rhs = rhs[:, None]
+    n = a.shape[0]
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        raise SingularMatrixError("coefficient matrix is zero")
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[pivot_row, col]) <= PIVOT_TOL * scale:
+            raise SingularMatrixError(f"pivot {col} below tolerance")
+        if pivot_row != col:
+            a[[col, pivot_row]] = a[[pivot_row, col]]
+            rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
+        factors = a[col + 1:, col] / a[col, col]
+        a[col + 1:, col:] -= np.outer(factors, a[col, col:])
+        rhs[col + 1:] -= np.outer(factors, rhs[col])
+    x = np.empty_like(rhs)
+    for row in range(n - 1, -1, -1):
+        x[row] = (rhs[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+    return x[:, 0] if vector_rhs else x
+
+
+def observer_gain_loop(a_lift, c, rtol=0.0):
+    """Steady-state filter gain with every product, identity and transpose
+    of the Riccati step formed inside the loop, solved by
+    :func:`solve_linear_outer` and certified by the full Gelfand bound."""
+    a = as_matrix(a_lift, square=True)
+    c = as_matrix(c)
+    n = a.shape[0]
+    p = np.eye(n)
+    for _ in range(RICCATI_MAX_ITER):
+        s = c @ p @ c.T + np.eye(c.shape[0])
+        gain = solve_linear_outer(s, c @ p)
+        p_next = a @ (p - p @ c.T @ gain) @ a.T + np.eye(n)
+        p_next = 0.5 * (p_next + p_next.T)
+        if inf_norm(p_next - p) < RICCATI_TOL + rtol * inf_norm(p_next):
+            p = p_next
+            break
+        p = p_next
+    else:
+        raise RiccatiConvergenceError("Riccati iteration did not stall")
+    s = c @ p @ c.T + np.eye(c.shape[0])
+    m = solve_linear_outer(s.T, (p @ c.T).T).T
+    closed = a @ (np.eye(n) - m @ c)
+    if gelfand_radius_loop(closed, DECAY_SCAN_CAP) >= 1.0:
+        raise StabilityCertificationError("error transition not certified")
+    return m
+
+
+def stabilizing_gain_loop(a_d, b_d, control_weight=1.0):
+    """Schur-stabilizing feedback from :func:`observer_gain_loop` on the
+    control dual, certified by the full Gelfand bound."""
+    a = as_matrix(a_d, square=True)
+    b = as_matrix(b_d)
+    scaled = b / np.sqrt(control_weight)
+    m_dual = observer_gain_loop(a.T, scaled.T, rtol=1e-12)
+    k = -(m_dual.T @ a) / np.sqrt(control_weight)
+    if gelfand_radius_loop(a + b @ k, DECAY_SCAN_CAP) >= 1.0:
+        raise StabilityCertificationError("closed loop not certified")
+    return k
 
 
 def scan_constants_loop(r, rho, quantities):

@@ -30,11 +30,12 @@ from doslab.conditions import (
 from doslab.controlloop import (
     Scenario,
     SimConfig,
+    mismatch_bound,
     run_scenario,
 )
 from doslab.dos import DoSParams, generate, prefix_counts, validate
 from doslab.gains import NILPOTENCY_RTOL, DecayConstants
-from doslab.quantizer import QuantIndex, UniformCodec, decode, encode
+from doslab.quantizer import UniformCodec, decode, encode
 
 from .conftest import (
     BATCH_A,
@@ -234,7 +235,7 @@ def test_criterion_08_mismatch_demo(reactor):
     run = trace.q[-1] + 1
     sat = np.flatnonzero(trace.slots["saturated"][:run])
     ok_sat = sat.size > 0 and sat[0] < 300
-    bound = trace.slots["mismatch_bound"][:run]
+    bound = mismatch_bound(trace)[:run]
     post = bound[cfg.attack_slot + 3:]
     ok_inc = post.size > 10 and bool(np.all(np.diff(post) > 0))
     _report(8, ok_sat and ok_inc,
@@ -257,7 +258,7 @@ def test_criterion_09_codec_properties():
                 break
         if levels % 2 == 0:
             for cell in range(levels):
-                out = decode(QuantIndex((cell, cell)), center, 1.0, codec)
+                out = decode((cell, cell), center, 1.0, codec)
                 if np.any(np.abs(out) < bound):
                     ok = False
     _report(9, ok, "1e5 round-trips per codec within range/N; even-N "

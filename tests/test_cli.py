@@ -166,6 +166,16 @@ class TestRunCommand:
                          "--out", str(tmp_path / "out"), "--no-plots"])
         assert code == cli.EXIT_NUMERICAL
 
+    def test_uncertified_injected_feedback_gain_exits_5(self, tmp_path,
+                                                        capsys):
+        doc = load("batch_reactor_ack.json")
+        doc["gains"] = {"k": [[0, 0, 0, 0], [0, 0, 0, 0]]}
+        code = cli.main(["check", write(tmp_path, doc),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: injected feedback gain not certified stable\n")
+
     @pytest.mark.parametrize("bound", [1e10, 1e12])
     @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
                                       "batch_reactor_ackfree.json"])

@@ -17,6 +17,7 @@ from doslab.controlloop import (
     Scenario,
     SimConfig,
     compile_plan,
+    mismatch_bound,
     run_dual_channel,
     run_scenario,
 )
@@ -259,7 +260,7 @@ class TestMismatchDemo:
                                                 mismatch_trace):
         run = mismatch_trace.q[-1] + 1
         q_a = mismatch_config(reactor).attack_slot
-        bound = mismatch_trace.slots["mismatch_bound"][:run]
+        bound = mismatch_bound(mismatch_trace)[:run]
         post = bound[q_a + 3:]
         assert post.size > 10
         assert np.all(np.diff(post) > 0)
@@ -268,7 +269,7 @@ class TestMismatchDemo:
                                                 mismatch_trace):
         cfg = mismatch_config(reactor)
         want = mismatch_bound_loop(mismatch_trace, cfg, compile_plan(cfg))
-        assert np.array_equal(mismatch_trace.slots["mismatch_bound"], want)
+        assert np.array_equal(mismatch_bound(mismatch_trace), want)
 
     # the attack at the first slot, mid-run, and on the last three slots
     # (one, two and three slots of bound after it), and never reached
@@ -286,7 +287,11 @@ class TestMismatchDemo:
         )
         trace = run_scenario(cfg)
         want = mismatch_bound_loop(trace, cfg, compile_plan(cfg))
-        assert np.array_equal(trace.slots["mismatch_bound"], want)
+        assert np.array_equal(mismatch_bound(trace), want)
+
+    def test_bound_needs_a_mismatch_trace(self, ackfree_trace):
+        with pytest.raises(ScenarioError, match="mismatch_demo"):
+            mismatch_bound(ackfree_trace)
 
     def test_requires_attack_slot(self, reactor):
         cfg = SimConfig(
@@ -358,6 +363,23 @@ class TestConfigValidation:
     def test_ragged_gains_entry_is_an_invalid_matrix(self, reactor, name):
         with pytest.raises(InvalidMatrixError, match="2-D matrix"):
             compile_plan(dual_config(reactor, {name: [[1.0, 2.0], [1.0]]}))
+
+    @pytest.mark.parametrize("x0", [[[1.0], [2.0, 3.0]], ["a", 1.0]],
+                             ids=["ragged", "non-numeric"])
+    def test_malformed_x0_is_an_invalid_matrix(self, reactor, x0):
+        with pytest.raises(InvalidMatrixError, match="expected a vector"):
+            ackfree_config(reactor, None, x0=x0)
+
+    def test_uncertified_injected_feedback_gain_is_refused(self, reactor):
+        cfg = SimConfig(
+            plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
+            scenario=Scenario.OUTPUT_ACK, horizon_slots=30, levels=100,
+            dos_params=CASE_SINGLE, gains={"k": np.zeros((2, 4))},
+        )
+        with pytest.raises(DoslabError) as info:
+            compile_plan(cfg)
+        assert type(info.value) is DoslabError
+        assert str(info.value) == "injected feedback gain not certified stable"
 
     def test_run_scenario_dispatch(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=3)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from doslab import (
     DiscretePlant,
+    DoslabError,
     StabilityCertificationError,
+    cli,
+    compile_plan,
     build_gain_set,
     derive_decay_constants,
     design_deadbeat_gain,
@@ -25,7 +30,12 @@ from doslab.gains import NILPOTENCY_RTOL, _scan_constants
 from doslab.matrixcore import stack_norms
 
 from .conftest import BIG_DELTA, K_REF, M_REF, rng
-from .oracles import random_controllable_pair, scan_constants_loop
+from .oracles import (
+    observer_gain_loop,
+    random_controllable_pair,
+    scan_constants_loop,
+    stabilizing_gain_loop,
+)
 
 
 def _toy_dp(a_d, b_d, c=None, eta=None):
@@ -174,6 +184,53 @@ class TestStabilizingGain:
             512,
         )
         assert slow > fast
+
+
+def _gain_or_error(design, *args):
+    """The gain ``design`` returns, or the type of the library error it
+    raises."""
+    try:
+        return design(*args)
+    except DoslabError as exc:
+        return type(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, type):
+        return got is want
+    return not isinstance(got, type) and np.array_equal(got, want)
+
+
+BUNDLED = sorted((resources.files("doslab") / "scenarios").iterdir(),
+                 key=lambda path: path.name)
+
+
+class TestRiccatiMatchesLoopOracle:
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.name)
+    def test_bundled_plants(self, path):
+        cfg = cli._build_config(cli.load_scenario(path))
+        dp = compile_plan(cfg).dp
+        assert np.array_equal(design_observer_gain(dp.a_lift, dp.c),
+                              observer_gain_loop(dp.a_lift, dp.c))
+        for weight in {1.0, cfg.control_weight}:
+            assert np.array_equal(
+                design_stabilizing_gain(dp.a_d, dp.b_d, weight),
+                stabilizing_gain_loop(dp.a_d, dp.b_d, weight))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5),
+           m=st.integers(1, 3),
+           weight=st.sampled_from([1.0, 100.0]) | st.floats(1e-3, 1e3))
+    def test_random_stabilizable_pairs(self, seed, n, m, weight):
+        a, b = random_controllable_pair(np.random.default_rng(seed), n, m)
+        # the relative stall test: random pairs are badly scaled for the
+        # absolute one alone
+        assert _same_outcome(
+            _gain_or_error(design_observer_gain, a.T, b.T, 1e-12),
+            _gain_or_error(observer_gain_loop, a.T, b.T, 1e-12))
+        assert _same_outcome(
+            _gain_or_error(design_stabilizing_gain, a, b, weight),
+            _gain_or_error(stabilizing_gain_loop, a, b, weight))
 
 
 class TestDecayConstants:

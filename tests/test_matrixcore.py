@@ -15,11 +15,13 @@ from doslab import (
     mat_exp,
     mat_pow,
     rank_with_tol,
+    schur_certified,
     solve_linear,
 )
+from doslab.matrixcore import as_vector
 
 from .conftest import BATCH_A, rng
-from .oracles import gelfand_radius_loop, taylor_expm
+from .oracles import gelfand_radius_loop, solve_linear_outer, taylor_expm
 
 small_matrices = arrays(
     np.float64, (3, 3),
@@ -139,6 +141,8 @@ class TestGelfandRadius:
     def test_min_power_enforced(self):
         with pytest.raises(ValueError):
             gelfand_radius(np.eye(2), 4)
+        with pytest.raises(ValueError):
+            schur_certified(np.eye(2), 4)
 
 
 def _warning_texts(fn, *args):
@@ -210,6 +214,64 @@ class TestGelfandRadiusOracle:
         assert got_warnings <= want_warnings
 
 
+def _rounds_to_one(below):
+    """A weighted 3-cycle whose powers ``3 j`` are ``below**j`` times the
+    identity and whose other powers have norms of at least one: for
+    ``below = 1 - 2**-53`` each norm ``below**j`` is under one, and its
+    ``3 j``-th root rounds to 1.0."""
+    return np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1.0],
+                     [below / 2.0, 0.0, 0.0]])
+
+
+def _transient(r, t):
+    """A contraction ``r`` on the diagonal whose early powers grow through
+    the off-diagonal ``t``."""
+    return np.array([[r, t], [0.0, r]])
+
+
+class TestSchurCertified:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 4),
+        kind=st.sampled_from(["stable", "overflow", "nilpotent", "zero",
+                              "tiny", "scaled", "transient",
+                              "rounds_to_one"]),
+        max_power=SCAN_CAPS,
+    )
+    def test_is_the_gelfand_bound_below_one(self, data, dim, kind,
+                                            max_power):
+        if kind == "transient":
+            m = _transient(data.draw(st.floats(0.5, 0.999)),
+                           data.draw(st.floats(1.0, 1e3)))
+        elif kind == "rounds_to_one":
+            m = _rounds_to_one(1.0 - data.draw(st.integers(1, 8)) * 2.0 ** -53)
+        else:
+            base = data.draw(arrays(np.float64, (dim, dim),
+                                    elements=st.floats(-1.5, 1.5)))
+            if kind == "scaled":  # spectral radii on both sides of one
+                m = base * data.draw(st.floats(0.5, 2.0))
+            else:
+                m = _scan_matrix(kind, base)
+        with np.errstate(over="ignore"):
+            want = gelfand_radius(m, max_power) < 1.0
+        assert schur_certified(m, max_power) is want
+
+    @pytest.mark.parametrize("m, certified", [
+        (np.diag([0.5, 0.2]), True),
+        (_transient(0.9, 10.0), True),  # the first root below one is k = 63
+        (_transient(0.99, 1e3), False),  # not within 512 powers
+        (_rounds_to_one(1.0 - 2.0 ** -53), False),
+        (np.zeros((2, 2)), True),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), True),
+        (np.array(BATCH_A), False),
+    ], ids=["diagonal", "transient", "slow-transient", "rounds-to-one",
+            "zero", "nilpotent", "unstable"])
+    def test_fixed_cases(self, m, certified):
+        assert (gelfand_radius(m, 512) < 1.0) is certified
+        assert schur_certified(m, 512) is certified
+
+
 class TestRankWithTol:
     def test_identity(self):
         assert rank_with_tol(np.eye(4)) == 4
@@ -255,3 +317,32 @@ class TestSolveLinear:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             solve_linear([[1.0, 2.0], [2.0, 4.0]], [[1.0], [1.0]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5),
+           rhs_cols=st.sampled_from([None, 1, 3]))
+    def test_matches_outer_product_oracle(self, data, dim, rhs_cols):
+        entries = st.floats(-10.0, 10.0) | st.sampled_from([0.0, 1e-13])
+        a = data.draw(arrays(np.float64, (dim, dim), elements=entries))
+        shape = (dim,) if rhs_cols is None else (dim, rhs_cols)
+        b = data.draw(arrays(np.float64, shape, elements=entries))
+        given_a = a.copy()
+
+        def outcome(solve):
+            # a subnormal system's solution can overflow to inf, in both
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return solve(a, b).tobytes()
+            except SingularMatrixError:
+                return SingularMatrixError
+
+        assert outcome(solve_linear) == outcome(solve_linear_outer)
+        assert np.array_equal(a, given_a)  # reduced on a copy
+
+
+class TestAsVector:
+    @pytest.mark.parametrize("v", [[[1.0], [2.0, 3.0]], ["a", 1.0]],
+                             ids=["ragged", "non-numeric"])
+    def test_malformed_vector_is_invalid(self, v):
+        with pytest.raises(InvalidMatrixError, match="expected a vector"):
+            as_vector(v)

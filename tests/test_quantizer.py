@@ -15,7 +15,6 @@ from doslab import (
 from doslab.conditions import ThetaSet, ThetaVariant
 from doslab.quantizer import (
     BRANCHES,
-    QuantIndex,
     UniformCodec,
     decode,
     derive_input_range,
@@ -39,30 +38,30 @@ def roundtrip(v, center, rng_val, codec):
 class TestEncodeDecode:
     def test_center_of_odd_grid(self):
         codec = UniformCodec(levels=3, dim=2)
-        idx = encode([0.5, 0.5], [0.5, 0.5], 1.0, codec)
-        assert idx.cells == (1, 1)
-        np.testing.assert_array_equal(decode(idx, [0.5, 0.5], 1.0, codec),
+        cells = encode([0.5, 0.5], [0.5, 0.5], 1.0, codec)
+        assert cells == (1, 1)
+        np.testing.assert_array_equal(decode(cells, [0.5, 0.5], 1.0, codec),
                                       [0.5, 0.5])
 
     def test_upper_boundary_clamps(self):
         codec = UniformCodec(levels=4, dim=1)
-        idx = encode([1.0], [0.0], 1.0, codec)
-        assert idx.cells == (3,)
+        cells = encode([1.0], [0.0], 1.0, codec)
+        assert cells == (3,)
 
     def test_shared_boundary_goes_to_lower_box(self):
         codec = UniformCodec(levels=2, dim=1)
         # the exact midpoint is on the boundary of both boxes
-        assert encode([0.0], [0.0], 1.0, codec).cells == (0,)
+        assert encode([0.0], [0.0], 1.0, codec) == (0,)
 
     def test_even_grid_decodes_off_zero(self):
         codec = UniformCodec(levels=2, dim=1)
-        assert decode(QuantIndex((0,)), [0.0], 1.0, codec)[0] == -0.5
-        assert decode(QuantIndex((1,)), [0.0], 1.0, codec)[0] == 0.5
+        assert decode((0,), [0.0], 1.0, codec)[0] == -0.5
+        assert decode((1,), [0.0], 1.0, codec)[0] == 0.5
 
     def test_zero_range_requires_exact_center(self):
         codec = UniformCodec(levels=3, dim=1)
-        idx = encode([2.0], [2.0], 0.0, codec)
-        assert decode(idx, [2.0], 0.0, codec)[0] == 2.0
+        cells = encode([2.0], [2.0], 0.0, codec)
+        assert decode(cells, [2.0], 0.0, codec)[0] == 2.0
         with pytest.raises(SaturationError):
             encode([2.0 + 1e-12], [2.0], 0.0, codec)
 
@@ -73,8 +72,8 @@ class TestEncodeDecode:
 
     def test_clip_mode_never_raises(self):
         codec = UniformCodec(levels=10, dim=1)
-        idx = encode([5.0], [0.0], 1.0, codec, clip=True)
-        assert idx.cells == (9,)
+        cells = encode([5.0], [0.0], 1.0, codec, clip=True)
+        assert cells == (9,)
 
     def test_roundtrip_error_bound(self):
         g = rng(3)
@@ -101,7 +100,7 @@ class TestEncodeDecode:
         for levels in (2, 4, 10, 100):
             codec = UniformCodec(levels=levels, dim=1)
             for cell in range(levels):
-                out = decode(QuantIndex((cell,)), [0.0], 1.0, codec)
+                out = decode((cell,), [0.0], 1.0, codec)
                 assert abs(out[0]) >= 1.0 / levels
 
     def test_determinism(self):
@@ -116,14 +115,14 @@ class TestEncodeDecode:
 def oracle_or_saturation(v, center, rng_val, codec, clip):
     """The loop oracle's cells, or ``SaturationError`` if it raises one."""
     try:
-        return encode_loop(v, center, rng_val, codec, clip).cells
+        return encode_loop(v, center, rng_val, codec, clip)
     except SaturationError:
         return SaturationError
 
 
 def new_or_saturation(v, center, rng_val, codec, clip):
     try:
-        return encode(v, center, rng_val, codec, clip).cells
+        return encode(v, center, rng_val, codec, clip)
     except SaturationError:
         return SaturationError
 
@@ -131,7 +130,7 @@ def new_or_saturation(v, center, rng_val, codec, clip):
 def cells_or_error(fn, *args):
     """The cells ``fn`` returns, or the type of the exception it raises."""
     try:
-        return fn(*args).cells
+        return fn(*args)
     except (ArithmeticError, ValueError) as exc:
         return type(exc)
 
@@ -182,7 +181,7 @@ class TestEncodeMatchesLoopOracle:
         for v in ([-1.0, 1.0], [1.0, -1.0], [0.0, 0.0]):
             assert (encode(v, [0.0, 0.0], 1.0, codec)
                     == encode_loop(v, [0.0, 0.0], 1.0, codec))
-        assert encode([-1.0, 1.0], [0.0, 0.0], 1.0, codec).cells == (0, 3)
+        assert encode([-1.0, 1.0], [0.0, 0.0], 1.0, codec) == (0, 3)
         assert (encode([5.0, -5.0], [0.0, 0.0], 0.0, codec, clip=True)
                 == encode_loop([5.0, -5.0], [0.0, 0.0], 0.0, codec, clip=True))
 
@@ -210,7 +209,7 @@ class TestEncodeMatchesLoopOracle:
             assert got is InvalidMatrixError
             return
         clamped = np.clip(v, -rng_val, rng_val)
-        assert got == encode_loop(clamped, [0.0, 0.0], rng_val, codec).cells
+        assert got == encode_loop(clamped, [0.0, 0.0], rng_val, codec)
         if isinstance(want, tuple):
             assert got == want
 
@@ -222,7 +221,7 @@ class TestEncodeMatchesLoopOracle:
 
     def test_cells_are_python_ints(self):
         codec = UniformCodec(levels=10, dim=2)
-        cells = encode([0.3, -0.7], [0.0, 0.0], 1.0, codec).cells
+        cells = encode([0.3, -0.7], [0.0, 0.0], 1.0, codec)
         assert all(type(c) is int for c in cells)
 
 
@@ -233,7 +232,7 @@ RANGES = st.sampled_from([0.0, 5e-324, 2.5e-310, 1e300]) | st.floats(0.0, 1e300)
 
 def decode_error(fn, cells, center):
     with pytest.raises(ValueError) as info:
-        fn(QuantIndex(cells), center, 1.0, UniformCodec(levels=10, dim=2))
+        fn(cells, center, 1.0, UniformCodec(levels=10, dim=2))
     return info.type
 
 
@@ -249,9 +248,9 @@ class TestDecodeMatchesArrayOracle:
         center = data.draw(st.lists(CENTERS, min_size=dim, max_size=dim))
         cells = data.draw(st.lists(st.integers(0, levels - 1),
                                    min_size=dim, max_size=dim))
-        idx, codec = QuantIndex(tuple(cells)), UniformCodec(levels, dim)
-        assert (decode(idx, center, rng_val, codec).tobytes()
-                == decode_array(idx, center, rng_val, codec).tobytes())
+        cells, codec = tuple(cells), UniformCodec(levels, dim)
+        assert (decode(cells, center, rng_val, codec).tobytes()
+                == decode_array(cells, center, rng_val, codec).tobytes())
 
     @pytest.mark.parametrize("cells, center", [
         ((1, 2), [0.0, np.nan]),
@@ -285,7 +284,7 @@ class TestCodecInputErrors:
     def test_nonfinite_center_rejected_by_decode(self, bad):
         codec = UniformCodec(levels=10, dim=2)
         with pytest.raises(InvalidMatrixError):
-            decode(QuantIndex((1, 2)), [0.0, bad], 1.0, codec)
+            decode((1, 2), [0.0, bad], 1.0, codec)
 
     @pytest.mark.parametrize("v, center", [
         ([0.1, 0.2, 0.3], [0.0, 0.0]),
@@ -301,9 +300,9 @@ class TestCodecInputErrors:
     def test_wrong_dimension_rejected_by_decode(self):
         codec = UniformCodec(levels=10, dim=2)
         with pytest.raises(InvalidMatrixError):
-            decode(QuantIndex((1, 2)), [0.0], 1.0, codec)
+            decode((1, 2), [0.0], 1.0, codec)
         with pytest.raises(ValueError, match="dimension"):
-            decode(QuantIndex((1, 2, 3)), [0.0, 0.0], 1.0, codec)
+            decode((1, 2, 3), [0.0, 0.0], 1.0, codec)
 
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -312,7 +311,7 @@ class TestCodecInputErrors:
     @pytest.mark.parametrize("cells", [(-1, 0), (0, 10), (10, 10)])
     def test_out_of_range_cells_rejected(self, cells):
         with pytest.raises(ValueError, match="out of range"):
-            decode(QuantIndex(cells), [0.0, 0.0], 1.0,
+            decode(cells, [0.0, 0.0], 1.0,
                    UniformCodec(levels=10, dim=2))
 
 

@@ -14,6 +14,7 @@ from doslab.conditions import decay_certificate
 from doslab.controlloop import (
     Scenario,
     SimConfig,
+    mismatch_bound,
     run_scenario,
 )
 from doslab.dos import DoSParams
@@ -72,7 +73,7 @@ def test_mismatch_demo_any_attack_placement(reactor, attack_slot):
     run = trace.q[-1] + 1
     sat = np.flatnonzero(trace.slots["saturated"][:run])
     assert sat.size > 0 and sat[0] > attack_slot
-    bound = trace.slots["mismatch_bound"][:run]
+    bound = mismatch_bound(trace)[:run]
     post = bound[attack_slot + 3:]
     assert post.size > 10
     assert np.all(np.diff(post) > 0)
