@@ -55,10 +55,6 @@ from .controlloop import (
     SimConfig,
     compile_plan,
     mismatch_bound,
-    run_dual_channel,
-    run_mismatch_demo,
-    run_output_ack,
-    run_output_ackfree,
     run_scenario,
 )
 from .dos import (
@@ -83,7 +79,6 @@ from .quantizer import (
     decode,
     derive_input_range,
     encode,
-    initial_ranges,
     quantize,
     update_range,
 )

@@ -1,24 +1,22 @@
 """Closed-loop simulation engines.
 
-:func:`compile_plan` fixes a scenario's certificate -- sampled plant,
-gains, decay constants, theta factors -- once, as a :class:`Plan`.  Four
-engines take a config and its plan and only step plant, encoders,
-decoders and controller, recording a full trace.  Every quantizer range
-is a function of the attack pattern alone, so each engine takes its
-range sequences from :func:`update_range` before it steps.  Each fixed
-matrix's ``ndarray.dot`` is bound once per run (it rounds as ``@`` does,
-at half the call cost), a transmission is one :func:`quantize` round trip
-and the per-slot checks read Python floats:
+:func:`run_scenario` is the one way in.  It compiles a scenario's
+certificate -- sampled plant, gains, decay constants, theta factors --
+once, as a :class:`Plan`, and hands config and plan to the scheme's
+engine, which only steps plant, encoders, decoders and controller and
+records a full trace.  Every quantizer range is a function of the attack
+pattern alone, so each engine takes its range sequences from
+:func:`update_range` before it steps.  Each fixed matrix's ``ndarray.dot``
+is bound once per run (it rounds as ``@`` does, at half the call cost), a
+transmission is one :func:`quantize` round trip and the per-slot checks
+read Python floats.
 
-* :func:`run_dual_channel` -- both channels jammed together; deadbeat
-  feedback, lifted observer reset, three quantized signals.
-* :func:`run_output_ack`   -- output channel only, encoder kept in sync by
-  instant acknowledgments; single-rate predictor on both sides.
-* :func:`run_output_ackfree` -- output channel only, no acknowledgments;
-  the encoder infers attacks from exactly-zero inputs.
-* :func:`run_mismatch_demo` -- the ACK-based scheme misused without ACKs;
-  a single attack desynchronizes the predictors and the run exhibits the
-  resulting divergence instead of treating saturation as fatal.
+The dual-channel and ACK-free schemes step one deadbeat slot loop,
+:func:`_step_deadbeat`, told apart by their data: the dual scheme has an
+input codec, the ACK-free one an ideal input channel.  The ACK scheme (a
+predictor on both sides) and the mismatch demonstration (the ACK scheme
+run without ACKs: a blind encoder-side predictor, a clipping encoder and
+a divergence cap) keep loops of their own.
 
 Plant propagation between sub-steps uses the exact discretization; an
 oversample factor adds intra-step points computed from the exponential on
@@ -29,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -68,7 +67,6 @@ from .quantizer import (
     decode,
     derive_input_range,
     encode,
-    initial_ranges,
     quantize,
     update_range,
 )
@@ -79,10 +77,6 @@ __all__ = [
     "Plan",
     "LoopTrace",
     "compile_plan",
-    "run_dual_channel",
-    "run_output_ack",
-    "run_output_ackfree",
-    "run_mismatch_demo",
     "run_scenario",
     "mismatch_bound",
 ]
@@ -326,15 +320,15 @@ class _TraceBuilder:
     outputs and expands the per-slot quantities into the per-row columns
     of the trace."""
 
-    def __init__(self, cfg: SimConfig, dp: DiscretePlant):
-        self.cfg, self.dp, self.c = cfg, dp, cfg.plant.c
+    def __init__(self, cfg: SimConfig, dp: DiscretePlant, attacked):
+        self.cfg, self.dp, self.attacked = cfg, dp, attacked
         # (a_tau, b_tau) pairs for the intra-step offsets j*delta/oversample
         self.os_maps = [
             discretize(cfg.plant.a, cfg.plant.b, j * dp.delta / cfg.oversample)
             for j in range(1, cfg.oversample)
         ]
         self.rows = []
-        self.slots = {}
+        self.slots = {"attacked": attacked}
 
     def add_substep(self, x, x_hat, u_sent, u_applied):
         """Row of the next sub-step's start values."""
@@ -388,7 +382,7 @@ class _TraceBuilder:
             x_hat=np.repeat(self.x_hat, ov, axis=0),
             u_sent=np.repeat(self.u_sent, ov, axis=0),
             u_applied=np.repeat(u_applied, ov, axis=0),
-            y=_matvecs(self.c, x),
+            y=_matvecs(self.cfg.plant.c, x),
             ranges={name: rows(v) for name, v in ranges.items()},
             outcome=[BRANCHES[b] for b in rows(branch).tolist()],
             saturated=rows(saturated),
@@ -444,85 +438,114 @@ def _placed(exc, channel, q, k=None):
     return InvalidMatrixError(f"{channel} quantizer at {where}: {exc}")
 
 
-def run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
+def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
+                   inputs=None):
+    """Step the deadbeat protocol over the pattern ``tb.attacked``.
+
+    ``output`` and ``inputs`` are a channel's codec and per-slot ranges.  A
+    successful slot resets the estimate to ``M q`` from the output quantized
+    around zero and sends ``eta`` inputs, quantized around zero if the run
+    has an input codec; an attacked slot holds the zero estimate (which
+    every slot starts from) and the zero input.  ``C xhat`` must vanish by each slot's end.  Without an
+    input codec the encoder infers an attack from an all-zero input run.
+    Returns the final state and the attacks the encoder acts on.
+    """
+    dp, gs, plant = plan.dp, plan.gains, cfg.plant
+    codec_y, y_ranges = output
+    codec_u, u_ranges = inputs or (None, repeat(None))
+    x = cfg.x0.copy()
+    zero_x, zero_y, zero_u = map(np.zeros, (plant.n_x, plant.n_y, plant.n_u))
+    c, m, kc, a, b = (w.dot for w in (plant.c, gs.observer_gain,
+                                      gs.controller_gain, dp.a_d, dp.b_d))
+    infer = codec_u is None
+    residuals, inferred, degenerate = [], [], []
+
+    for q, (hit, y_rng, u_rngs) in enumerate(zip(tb.attacked.tolist(),
+                                                 y_ranges, u_ranges)):
+        if hit:
+            xh = zero_x  # default-zero reception, exact
+        else:
+            yq = _quantize(c(x), zero_y, y_rng, codec_y, "output", q)
+            # the sum with the zero estimate turns -0.0 entries into +0.0
+            xh = zero_x + m(yq)
+        all_zero = True
+        for k in range(dp.eta):
+            # an explicit branch, not arithmetic, gives the attacked zero
+            if hit:
+                u = ua = zero_u
+            elif infer:
+                u = ua = kc(xh)
+                all_zero = all_zero and not any(u.tolist())
+            else:
+                u = kc(xh)
+                ua = _quantize(u, zero_u, u_rngs[k], codec_u, "input", q, k)
+            tb.add_substep(x, xh, u, ua)
+            x = a(x) + b(ua)
+            xh = a(xh) + b(u)
+
+        if infer:
+            # at a zero range a successful slot sends zeros too: nothing to
+            # infer, and not a protocol failure
+            degenerate.append(y_rng == 0.0 and all_zero and not hit)
+            inferred.append(all_zero and not degenerate[-1])
+            if inferred[-1] != hit:
+                raise InferenceMismatchError(
+                    f"zero-input inference disagreed with the pattern at "
+                    f"slot {q}", slot=q, channel="output")
+        residual = max(map(abs, c(xh).tolist()))
+        if residual > DEADBEAT_NULL_TOL * max(1.0, y_rng):
+            raise DeadbeatContractError(
+                f"|C xhat| = {residual:.3e} at the end of slot {q}; "
+                "the feedback gain is not deadbeat for this plant",
+                slot=q, channel="output")
+        residuals.append(residual)
+
+    tb.stack()
+    tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
+                    deadbeat_residual=residuals)
+    if not infer:
+        return x, tb.attacked
+    tb.slots["degenerate_inference"] = degenerate
+    return x, np.array(inferred, dtype=bool)
+
+
+def _run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """Dual-channel loop: attacks blot out both channels for a whole slot.
 
-    On a successful slot the controller resets its estimate from the
-    quantized output innovation and emits ``eta`` quantized inputs; during
-    an attacked slot the plant coasts with zero input and the controller
-    holds its (identically zero) open-loop estimate.  The estimated-output
-    quantizer is degenerate by construction: the deadbeat gain drives the
-    estimate exactly to zero at the end of every slot, which is asserted
-    each slot, so its range ``E1`` is zero, the odd ``n1`` puts the zero
+    The estimated-output quantizer is degenerate by construction: the
+    deadbeat gain drives the estimate exactly to zero at the end of every
+    slot, so its range ``E1`` is zero, the odd ``n1`` puts the zero
     estimate in the middle cell and the output quantizer's center is the
     zero vector without a round trip.
     """
     n1, n2, n3 = plan.levels
     if n1 % 2 == 0:
         raise ScenarioError("n1 must be odd")
-    dp, gs = plan.dp, plan.gains
-    attacked = _resolve_pattern(cfg)
     plant = cfg.plant
-
-    n_x, n_u, n_y = plant.n_x, plant.n_u, plant.n_y
-    codec2 = UniformCodec(n2, n_u)
-    codec3 = UniformCodec(n3, n_y)
-    e1, _, e3_0 = initial_ranges(cfg.x0_bound, plant.c)
-    branch, e3 = update_range(e3_0, plan.thetas, attacked)
+    tb = _TraceBuilder(cfg, plan.dp, _resolve_pattern(cfg))
+    codec3 = UniformCodec(n3, plant.n_y)
+    # the output range covers |C x0|
+    branch, e3 = update_range(inf_norm(plant.c) * cfg.x0_bound, plan.thetas,
+                              tb.attacked)
     # each sub-step's input range is set on a successful slot and held
     # through attacks, zero before the first success; a range that
     # overflows ends the run in encode, as a non-finite range
-    held = np.maximum.accumulate(np.where(attacked, 0, np.arange(1, len(e3))))
+    held = np.maximum.accumulate(
+        np.where(tb.attacked, 0, np.arange(1, len(e3))))
     with np.errstate(over="ignore", invalid="ignore"):
         e2 = derive_input_range(np.append(0.0, e3)[held, None],
                                 np.array(plan.constants.input_gains), codec3)
+    tb.slots["e3"] = e3
 
-    x = cfg.x0.copy()
-    zero_x = np.zeros(n_x)  # the estimate every slot starts from
-    zero_y = np.zeros(n_y)
-    zero_u = np.zeros(n_u)
-    tb = _TraceBuilder(cfg, dp)
-    tb.slots.update(attacked=attacked, e3=e3)
-    residuals = []
-    c, m, kc, a, b = (w.dot for w in (plant.c, gs.observer_gain,
-                                      gs.controller_gain, dp.a_d, dp.b_d))
-
-    for q, (hit, e3_q, e2_q) in enumerate(zip(attacked.tolist(), e3.tolist(),
-                                              e2.tolist())):
-        if hit:
-            xh = zero_x
-        else:
-            q3 = _quantize(c(x), zero_y, e3_q, codec3, "output", q)
-            # the sum with the zero estimate turns -0.0 entries into +0.0
-            xh = zero_x + m(q3)
-
-        for k in range(dp.eta):
-            if hit:
-                u = ua = zero_u
-            else:
-                u = kc(xh)
-                ua = _quantize(u, zero_u, e2_q[k], codec2, "input", q, k)
-            tb.add_substep(x, xh, u, ua)
-            x = a(x) + b(ua)
-            xh = a(xh) + b(u)
-
-        residual = max(map(abs, c(xh).tolist()))
-        if residual > DEADBEAT_NULL_TOL * max(1.0, e3_q):
-            raise DeadbeatContractError(
-                f"|C xhat| = {residual:.3e} at the end of slot {q}; "
-                "the feedback gain is not deadbeat for this plant"
-            )
-        residuals.append(residual)
-
-    tb.stack()
-    ends = np.vstack((tb.starts(tb.x)[1:], x))  # the state after each slot
-    tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
-                    deadbeat_residual=residuals, x_norm=_norms(ends))
-    return tb.build(x, plan, {"E1": e1, "E2": e2, "E3": e3}, branch,
-                    attacked)
+    x, inferred = _step_deadbeat(cfg, plan, tb, (codec3, e3.tolist()),
+                                 (UniformCodec(n2, plant.n_u), e2.tolist()))
+    # the state after each slot
+    tb.slots["x_norm"] = _norms(np.vstack((tb.starts(tb.x)[1:], x)))
+    return tb.build(x, plan, {"E1": 0.0, "E2": e2, "E3": e3}, branch,
+                    inferred)
 
 
-def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
+def _run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """Output channel with instant acknowledgments, single-rate predictors.
 
     The encoder and decoder each run the predictor; acknowledgments tell
@@ -531,20 +554,18 @@ def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     computed input.
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
-    attacked = _resolve_pattern(cfg)
     plant = cfg.plant
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
-
-    branch, e = update_range(cfg.x0_bound, plan.thetas, attacked)
+    tb = _TraceBuilder(cfg, dps, _resolve_pattern(cfg))
+    branch, e = update_range(cfg.x0_bound, plan.thetas, tb.attacked)
     x = cfg.x0.copy()
     xh = np.zeros(plant.n_x)
-    tb = _TraceBuilder(cfg, dps)
-    tb.slots.update(attacked=attacked, e=e)
+    tb.slots["e"] = e
     kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
                                        dps.b_d, l_obs))
 
-    for q, (hit, e_q) in enumerate(zip(attacked.tolist(), e.tolist())):
+    for q, (hit, e_q) in enumerate(zip(tb.attacked.tolist(), e.tolist())):
         u = kc(xh)
         yh = c(xh)
         if hit:
@@ -561,85 +582,33 @@ def run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     starts = tb.starts(tb.x)
     tb.slots.update(err_norm=_norms(starts - tb.starts(tb.x_hat)),
                     x_norm=_norms(starts))
-    return tb.build(x, plan, {"E": e}, branch, attacked)
+    return tb.build(x, plan, {"E": e}, branch, tb.attacked)
 
 
-def run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
+def _run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """Output channel without acknowledgments.
 
-    Only the decoder runs the observer; the quantization center is the
-    origin because the deadbeat gain nulls the estimate every slot.  On an
-    attacked slot the decoder's default-zero reception zeroes the estimate,
-    so the whole next period's input is exactly zero; on a successful slot
-    the even level count keeps the decoded output away from zero, so the
-    input is nonzero.  The encoder watches the applied input and infers the
-    attack state, which must match the true pattern in every valid run;
-    its ranges follow the inferred attacks.
+    Only the decoder runs the observer, and the input channel is ideal.
+    The encoder watches the applied input and infers the attack state,
+    which must match the true pattern in every valid run; its ranges
+    follow the inferred attacks, the decoder's the true ones.
     """
     if plan.levels % 2 != 0:
         raise ScenarioError("the ACK-free scheme needs an even level count")
-    dp, gs = plan.dp, plan.gains
-    attacked = _resolve_pattern(cfg)
-    plant = cfg.plant
-    codec = UniformCodec(plan.levels, plant.n_y)
-    norm_c = inf_norm(plant.c)
-
-    branch, e = update_range(cfg.x0_bound, plan.thetas, attacked)
-    inferred = np.zeros(cfg.horizon_slots, dtype=bool)
-    degenerate = np.zeros(cfg.horizon_slots, dtype=bool)
-    x = cfg.x0.copy()
-    zero_x = np.zeros(plant.n_x)  # the estimate every slot starts from
-    zero_y = np.zeros(plant.n_y)
-    zero_u = np.zeros(plant.n_u)
-    tb = _TraceBuilder(cfg, dp)
-    tb.slots.update(attacked=attacked, e=e)
-    residuals = []
-    c, m, kc, a, b = (w.dot for w in (plant.c, gs.observer_gain,
-                                      gs.controller_gain, dp.a_d, dp.b_d))
-
-    for q, (hit, e_q) in enumerate(zip(attacked.tolist(), e.tolist())):
-        rng = norm_c * e_q
-        if hit:
-            xh = zero_x  # default-zero reception, exact
-        else:
-            qv = _quantize(c(x), zero_y, rng, codec, "output", q)
-            xh = zero_x + m(qv)
-        all_zero = True
-        for k in range(dp.eta):
-            # an explicit branch, not arithmetic, gives the attacked zero
-            u = zero_u if hit else kc(xh)
-            all_zero = all_zero and not any(u.tolist())
-            tb.add_substep(x, xh, u, u)
-            x = a(x) + b(u)
-            xh = a(xh) + b(u)
-        inferred[q] = all_zero
-        if rng == 0.0 and all_zero and not hit:
-            # nothing to infer from an all-zero run; does not count as a
-            # protocol failure
-            degenerate[q] = True
-            inferred[q] = False
-        if inferred[q] != hit:
-            raise InferenceMismatchError(
-                f"zero-input inference disagreed with the pattern at slot {q}"
-            )
-        residual = max(map(abs, c(xh).tolist()))
-        if residual > DEADBEAT_NULL_TOL * max(1.0, rng):
-            raise DeadbeatContractError(
-                f"|C xhat| = {residual:.3e} at the end of slot {q}"
-            )
-        residuals.append(residual)
-
-    tb.stack()
-    starts = tb.starts(tb.x)
+    tb = _TraceBuilder(cfg, plan.dp, _resolve_pattern(cfg))
+    codec = UniformCodec(plan.levels, cfg.plant.n_y)
+    norm_c = inf_norm(cfg.plant.c)
+    branch, e = update_range(cfg.x0_bound, plan.thetas, tb.attacked)
+    tb.slots["e"] = e
+    # a Python float overflows to inf silently, as the range law does
+    x, inferred = _step_deadbeat(
+        cfg, plan, tb, (codec, [norm_c * e_q for e_q in e.tolist()]))
     _, e_enc = update_range(cfg.x0_bound, plan.thetas, inferred)
-    tb.slots.update(x_norm=_norms(starts),
-                    y_err=_norms(_matvecs(plant.c, starts)),
-                    deadbeat_residual=residuals, enc_equals_dec=e_enc == e,
-                    degenerate_inference=degenerate)
+    tb.slots.update(x_norm=_norms(tb.starts(tb.x)), enc_equals_dec=e_enc == e)
     return tb.build(x, plan, {"E": e}, branch, inferred)
 
 
-def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
+def _run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """ACK-based scheme run without ACKs: one attack, growing mismatch.
 
     The decoder-side predictor switches to its open-loop branch on the
@@ -662,8 +631,8 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     x = cfg.x0.copy()
     xh = np.zeros(plant.n_x)  # decoder/controller side
     xt = np.zeros(plant.n_x)  # encoder side
-    tb = _TraceBuilder(cfg, dps)
-    tb.slots.update(attacked=attacked, e_enc=e_enc, e_dec=e_dec)
+    tb = _TraceBuilder(cfg, dps, attacked)
+    tb.slots.update(e_enc=e_enc, e_dec=e_dec)
     kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
                                        dps.b_d, l_obs))
 
@@ -705,7 +674,7 @@ def run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
 
 def mismatch_bound(trace: LoopTrace) -> np.ndarray:
     """Derived upper-bound sequence on the encoder-side error of a
-    :func:`run_mismatch_demo` trace, one value per slot it stepped.
+    mismatch-demonstration trace, one value per slot it stepped.
 
     Before the attack the bound is the encoder range itself.  After it, the
     recorded quantization offsets feed the kick terms accumulated by the
@@ -754,10 +723,10 @@ def mismatch_bound(trace: LoopTrace) -> np.ndarray:
 
 
 _SCHEMES = {
-    Scenario.DUAL_CHANNEL: (ThetaVariant.DUAL, run_dual_channel),
-    Scenario.OUTPUT_ACK: (ThetaVariant.ACK, run_output_ack),
-    Scenario.OUTPUT_ACK_FREE: (ThetaVariant.ACK_FREE, run_output_ackfree),
-    Scenario.MISMATCH_DEMO: (ThetaVariant.ACK, run_mismatch_demo),
+    Scenario.DUAL_CHANNEL: (ThetaVariant.DUAL, _run_dual_channel),
+    Scenario.OUTPUT_ACK: (ThetaVariant.ACK, _run_output_ack),
+    Scenario.OUTPUT_ACK_FREE: (ThetaVariant.ACK_FREE, _run_output_ackfree),
+    Scenario.MISMATCH_DEMO: (ThetaVariant.ACK, _run_mismatch_demo),
 }
 
 

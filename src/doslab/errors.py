@@ -41,12 +41,9 @@ class CertificateUnavailableError(DoslabError):
     """Decay certificate requested while the DoS condition fails."""
 
 
-class SaturationError(DoslabError):
-    """A signal left its declared quantization range.
-
-    The slot/sub-step and channel are carried so loop engines can report
-    exactly which transmission failed.
-    """
+class _RunFailure(DoslabError):
+    """A failure at one place of a closed-loop run: ``slot``, ``substep``
+    and ``channel`` name it, each ``None`` where it does not apply."""
 
     def __init__(self, message, slot=None, substep=None, channel=None):
         super().__init__(message)
@@ -55,11 +52,15 @@ class SaturationError(DoslabError):
         self.channel = channel
 
 
-class DeadbeatContractError(DoslabError):
+class SaturationError(_RunFailure):
+    """A signal left its declared quantization range."""
+
+
+class DeadbeatContractError(_RunFailure):
     """The estimated output failed to vanish at the end of a slot."""
 
 
-class InferenceMismatchError(DoslabError):
+class InferenceMismatchError(_RunFailure):
     """ACK-free attack inference disagreed with the true pattern."""
 
 

@@ -62,9 +62,11 @@ NILPOTENCY_RTOL = 1e-8
 DECAY_SCAN_CAP = 512
 DECAY_SCAN_FLOOR = 1e-14
 
-# Staircase column independence; the Riccati stall threshold and step cap.
+# Staircase column independence; the Riccati stall thresholds, absolute and
+# relative to the iterate, and step cap.
 CHAIN_TOL = 1e-9
 RICCATI_TOL = 1e-12
+RICCATI_RTOL = 1e-13
 RICCATI_MAX_ITER = 100_000
 
 
@@ -212,12 +214,12 @@ def verify_nilpotent(a_d, b_d, k, eta: int) -> float:
     return inf_norm(mat_pow(closed, eta))
 
 
-def design_observer_gain(a_lift, c, rtol: float = 0.0) -> np.ndarray:
+def design_observer_gain(a_lift, c, rtol: float = RICCATI_RTOL) -> np.ndarray:
     """Steady-state filter gain m for the pair (c, a_lift).
 
     Iterates ``p <- a (p - p c' (c p c' + I)^-1 c p) a' + I`` from ``p = I``
-    until the update stalls below ``RICCATI_TOL`` (plus ``rtol`` relative to
-    the iterate, for badly scaled duals) in inf-norm, then returns
+    until the update stalls below ``RICCATI_TOL`` plus ``rtol`` relative to
+    the iterate, in inf-norm, then returns
     ``m = p c' (c p c' + I)^-1`` and certifies that
     ``a_lift (I - m c)`` has Gelfand bound below one.
     """

@@ -21,7 +21,6 @@ import numpy as np
 
 from .conditions import ThetaSet
 from .errors import InvalidMatrixError, SaturationError
-from .matrixcore import inf_norm
 
 __all__ = [
     "BRANCHES",
@@ -31,7 +30,6 @@ __all__ = [
     "quantize",
     "update_range",
     "derive_input_range",
-    "initial_ranges",
 ]
 
 # Names of the range law's branches, indexed by the codes update_range returns.
@@ -182,14 +180,3 @@ def derive_input_range(e3: float, gain: float, codec3: UniformCodec) -> float:
     """
     n3 = codec3.levels
     return (n3 - 1) / n3 * gain * e3
-
-
-def initial_ranges(x0_bound: float, c) -> tuple[float, float, float]:
-    """Initial bounds for the three dual-channel quantizers.
-
-    The estimated output and the input start at zero because the estimate
-    starts at zero; the output bound covers ``|C x0|``.
-    """
-    if x0_bound < 0.0:
-        raise ValueError("x0_bound must be nonnegative")
-    return 0.0, 0.0, inf_norm(c) * x0_bound

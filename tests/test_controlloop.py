@@ -10,6 +10,7 @@ from doslab import (
     SaturationError,
     ScenarioError,
     inf_norm,
+    make_gain_set,
 )
 from doslab.conditions import decay_certificate
 from doslab.controlloop import (
@@ -18,10 +19,10 @@ from doslab.controlloop import (
     SimConfig,
     compile_plan,
     mismatch_bound,
-    run_dual_channel,
     run_scenario,
 )
 from doslab.dos import DoSParams, pattern_from_bools
+from doslab.errors import DeadbeatContractError, InferenceMismatchError
 
 from .conftest import BIG_DELTA, K_REF, M_REF, X0
 from .oracles import mismatch_bound_loop, trace_to_csv_loop
@@ -325,10 +326,10 @@ class TestConfigValidation:
                               seed=seed)
             fresh = run_scenario(cfg)
             cfg.gains = plan
-            for reused in (run_scenario(cfg), run_dual_channel(cfg, plan)):
-                np.testing.assert_array_equal(reused.x, fresh.x)
-                np.testing.assert_array_equal(reused.ranges["E2"],
-                                              fresh.ranges["E2"])
+            reused = run_scenario(cfg)
+            np.testing.assert_array_equal(reused.x, fresh.x)
+            np.testing.assert_array_equal(reused.ranges["E2"],
+                                          fresh.ranges["E2"])
 
     @pytest.mark.parametrize("matrix", ["b", "c"])
     def test_misfit_plant_is_a_library_error(self, reactor, reactor_gains,
@@ -412,6 +413,57 @@ class TestFailureRecords:
             run_scenario(cfg)
         assert str(info.value) == (
             f"{where} range times levels overflows the float range")
+
+    @pytest.mark.parametrize("config", [dual_config, ackfree_config])
+    def test_published_feedback_gain_breaks_the_deadbeat_contract(
+            self, reactor, reactor_dp, config):
+        # the published gain is deadbeat for the textbook plant variant only
+        cfg = config(reactor, make_gain_set(reactor_dp, K_REF, M_REF))
+        with pytest.raises(DeadbeatContractError) as info:
+            run_scenario(cfg)
+        err = info.value
+        assert (err.slot, err.substep, err.channel) == (0, None, "output")
+        assert str(err).startswith("|C xhat| = ")
+        assert str(err).endswith(
+            " at the end of slot 0; the feedback gain is not deadbeat for "
+            "this plant")
+
+    def test_zero_feedback_gain_breaks_the_ackfree_inference(self, reactor,
+                                                            reactor_dp):
+        # a successful slot that sends only zero inputs reads as an attack
+        gains = make_gain_set(reactor_dp, np.zeros((2, 4)), M_REF)
+        with pytest.raises(InferenceMismatchError) as info:
+            run_scenario(ackfree_config(reactor, gains))
+        err = info.value
+        assert (err.slot, err.substep, err.channel) == (0, None, "output")
+        assert str(err) == (
+            "zero-input inference disagreed with the pattern at slot 0")
+
+
+class TestInitialRanges:
+    """A dual run's first ranges: the estimated-output range ``E1`` is zero
+    throughout, and the output range ``E3`` starts at the bound on
+    ``|C x0|``, ``inf_norm(C) * x0_bound``."""
+
+    def test_zero_bound(self, reactor, reactor_gains):
+        trace = run_scenario(dual_config(reactor, reactor_gains, x0=[0] * 4,
+                                         x0_bound=0.0, horizon_slots=3))
+        assert (trace.ranges["E1"] == 0.0).all()
+        assert trace.ranges["E3"][0] == 0.0
+
+    def test_identity_output(self, reactor):
+        plant = dataclasses.replace(reactor, c=np.eye(4))
+        trace = run_scenario(dual_config(plant, "synthesize", x0_bound=3.0,
+                                         horizon_slots=3))
+        assert (trace.ranges["E1"] == 0.0).all()
+        assert trace.ranges["E3"][0] == 3.0
+
+    def test_batch_reactor_output_row_sum(self, reactor, reactor_gains):
+        trace = run_scenario(dual_config(reactor, reactor_gains,
+                                         horizon_slots=3))
+        assert (trace.ranges["E1"] == 0.0).all()
+        # max |row sum| of the output map
+        assert trace.ranges["E3"][0] == inf_norm(reactor.c) == 3.0
 
 
 # every fixed-matrix shape the engines multiply by: C, K, A_d, B_d and M for

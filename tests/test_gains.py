@@ -26,7 +26,7 @@ from doslab import (
     sample_plant,
     verify_nilpotent,
 )
-from doslab.gains import NILPOTENCY_RTOL, _scan_constants
+from doslab.gains import NILPOTENCY_RTOL, RICCATI_RTOL, _scan_constants
 from doslab.matrixcore import stack_norms
 
 from .conftest import BIG_DELTA, K_REF, M_REF, rng
@@ -150,6 +150,15 @@ class TestObserverGain:
         closed = reactor_dp.a_lift @ (np.eye(4) - np.array(M_REF) @ reactor_dp.c)
         assert gelfand_radius(closed, 512) < 1.0
 
+    def test_badly_scaled_pair_stalls_by_the_default_relative_test(self):
+        # the iterate's round-off outgrows the absolute stall threshold on
+        # this pair: with it alone the iteration ran to its step cap, for
+        # seconds, and raised
+        a, b = random_controllable_pair(np.random.default_rng(2), 5, 1)
+        m = design_observer_gain(a.T, b.T)
+        assert gelfand_radius(a.T @ (np.eye(5) - m @ b.T), 512) < 1.0
+        assert np.array_equal(m, observer_gain_loop(a.T, b.T, RICCATI_RTOL))
+
 
 class TestDeadbeatObserver:
     def test_full_measurement_cancels_exactly(self):
@@ -211,7 +220,8 @@ class TestRiccatiMatchesLoopOracle:
         cfg = cli._build_config(cli.load_scenario(path))
         dp = compile_plan(cfg).dp
         assert np.array_equal(design_observer_gain(dp.a_lift, dp.c),
-                              observer_gain_loop(dp.a_lift, dp.c))
+                              observer_gain_loop(dp.a_lift, dp.c,
+                                                 RICCATI_RTOL))
         for weight in {1.0, cfg.control_weight}:
             assert np.array_equal(
                 design_stabilizing_gain(dp.a_d, dp.b_d, weight),

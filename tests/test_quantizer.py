@@ -19,12 +19,11 @@ from doslab.quantizer import (
     decode,
     derive_input_range,
     encode,
-    initial_ranges,
     quantize,
     update_range,
 )
 
-from .conftest import BATCH_C, rng
+from .conftest import rng
 from .oracles import decode_array, encode_loop, range_law_loop
 
 THETAS = ThetaSet(theta_attack=3.0, theta_first=1.2, theta_steady=0.8,
@@ -500,16 +499,3 @@ class TestDeriveInputRange:
             reactor_gains.controller_gain @ reactor_gains.observer_gain
         )
         assert got == pytest.approx(want, rel=1e-15)
-
-
-class TestInitialRanges:
-    def test_zero_bound(self):
-        assert initial_ranges(0.0, BATCH_C) == (0.0, 0.0, 0.0)
-
-    def test_identity_output(self):
-        assert initial_ranges(3.0, np.eye(2)) == (0.0, 0.0, 3.0)
-
-    def test_batch_reactor_output_row_sum(self):
-        e1, e2, e3 = initial_ranges(1.0, BATCH_C)
-        assert (e1, e2) == (0.0, 0.0)
-        assert e3 == 3.0  # max |row sum| of the output map
