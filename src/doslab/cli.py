@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 condition check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -410,74 +411,40 @@ def _matrix(rows, where: str) -> np.ndarray:
 def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     """Config for a schema-valid scenario document.
 
-    Checks what only a JSON document can get wrong -- non-finite numbers,
-    ragged rows, a ``big_delta`` that underflows, the ``dos`` section --
-    with a :class:`ScenarioError`.  The library checks shapes where it
-    reads them, and its :class:`InvalidMatrixError` becomes one too.
+    The scenario keys that are :class:`SimConfig` fields go in as they are,
+    as the config states each field's rule and default.  This checks only
+    what a JSON document alone can get wrong -- non-finite numbers, ragged
+    rows, the ``dos`` section -- with a :class:`ScenarioError`; the
+    library's :class:`InvalidMatrixError` becomes one too.
     """
     bad = _nonfinite_path(doc)
     if bad is not None:
         where = "/".join(str(p) for p in bad)
         raise ScenarioError(f"number at {where} is not finite")
-    scenario = Scenario(doc["scenario"])
-    plant_doc = doc["plant"]
-    # the schema's integer type admits integral floats such as 2.0
-    oversample = int(doc.get("oversample", 1))
-    if not doc["big_delta"] / len(plant_doc["a"]) / oversample > 0.0:
-        raise ScenarioError(f"big_delta {doc['big_delta']!r} underflows to a "
-                            f"zero input or plot period")
-    gains = doc.get("gains")
+    fields = {f.name: doc[f.name] for f in dataclasses.fields(SimConfig)
+              if f.name in doc}
+    fields["scenario"] = Scenario(doc["scenario"])
+    gains = fields.get("gains")
     if isinstance(gains, dict):
-        gains = {**gains, **{name: _matrix(gains[name], f"gains.{name}")
-                             for name in ("k", "m") if name in gains}}
-    levels_doc = doc["levels"]
-    if "n" in levels_doc:
-        levels = levels_doc["n"]
-    else:
-        levels = (levels_doc["n1"], levels_doc["n2"], levels_doc["n3"])
-
-    pattern = None
-    dos_params = None
-    seed = 0
-    intensity = 0.5
-    dos_doc = doc.get("dos")
-    if dos_doc is None:
-        if scenario is not Scenario.MISMATCH_DEMO:
-            raise ScenarioError("scenario needs a dos section")
-    elif "pattern" in dos_doc:
-        pattern = pattern_from_bools(dos_doc["pattern"])
-    else:
-        p = dos_doc["params"]
-        dos_params = DoSParams(kappa_f=p["kappa_f"], nu_f=p["nu_f"],
-                               kappa_d=p["kappa_d"], nu_d=p["nu_d"])
-        seed = int(dos_doc.get("seed", 0))
-        intensity = dos_doc.get("intensity", 0.5)
+        fields["gains"] = gains | {name: _matrix(gains[name], f"gains.{name}")
+                                   for name in ("k", "m") if name in gains}
+    levels = doc["levels"]
+    fields["levels"] = (levels["n"] if "n" in levels
+                        else (levels["n1"], levels["n2"], levels["n3"]))
+    dos_doc = doc.get("dos", {})
+    if "pattern" in dos_doc:
+        fields["pattern"] = pattern_from_bools(dos_doc["pattern"])
+    elif "params" in dos_doc:  # with the optional seed and intensity
+        fields["dos_params"] = DoSParams(**dos_doc["params"])
+        fields.update((k, v) for k, v in dos_doc.items() if k != "params")
+    elif fields["scenario"] is not Scenario.MISMATCH_DEMO:
+        raise ScenarioError("scenario needs a dos section")
     if seed_override is not None:
-        seed = seed_override
-    attack_slot = doc.get("attack_slot")
-    if attack_slot is not None:
-        attack_slot = int(attack_slot)
-
+        fields["seed"] = seed_override
     try:
-        return SimConfig(
-            plant=ContinuousPlant(
-                **{n: _matrix(plant_doc[n], f"plant.{n}") for n in "abc"}),
-            big_delta=doc["big_delta"],
-            x0=np.array(doc["x0"], dtype=float),
-            x0_bound=doc["x0_bound"],
-            scenario=scenario,
-            horizon_slots=int(doc["horizon_slots"]),
-            levels=levels,
-            pattern=pattern,
-            dos_params=dos_params,
-            seed=seed,
-            intensity=intensity,
-            gains=gains,
-            observer=doc.get("observer", "kalman"),
-            control_weight=doc.get("control_weight", 1.0),
-            oversample=oversample,
-            attack_slot=attack_slot,
-        )
+        fields["plant"] = ContinuousPlant(
+            **{n: _matrix(doc["plant"][n], f"plant.{n}") for n in "abc"})
+        return SimConfig(**fields)
     except InvalidMatrixError as exc:
         raise ScenarioError(str(exc)) from exc
 

@@ -25,6 +25,8 @@ the residual interval, so no integrator error enters the invariants.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -108,7 +110,8 @@ class SimConfig:
     config (reused as is), or a scenario file's ``gains`` entry: ``None``
     or ``"synthesize"``, or a dict giving ``k`` and/or ``m``.  The attack
     pattern comes either ready-made or from ``(dos_params, seed,
-    intensity)``.
+    intensity)``.  Each field's rule is checked here, with a
+    :class:`ScenarioError`; counts may be integral floats, stored as ints.
     """
 
     plant: ContinuousPlant
@@ -129,18 +132,44 @@ class SimConfig:
     attack_slot: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.scenario, Scenario):
+            raise ScenarioError(f"scenario must be a Scenario, got "
+                                f"{self.scenario!r:.60}")
         self.x0 = as_vector(self.x0)
         if len(self.x0) != self.plant.n_x:
             raise ScenarioError(f"x0 must have {self.plant.n_x} entries, "
                                 f"got {len(self.x0)}")
-        if self.x0_bound < 0:
-            raise ScenarioError("x0_bound must be nonnegative")
+        if not (_finite(self.x0_bound) and self.x0_bound >= 0):
+            raise ScenarioError("x0_bound must be finite and nonnegative")
         if inf_norm(self.x0) > self.x0_bound:
             raise ScenarioError("|x0| exceeds x0_bound")
+        for name in ("horizon_slots", "oversample", "seed", "attack_slot"):
+            if name != "attack_slot" or self.attack_slot is not None:
+                setattr(self, name, _count(getattr(self, name), name))
         if self.horizon_slots < 1:
             raise ScenarioError("horizon_slots must be at least 1")
         if self.oversample < 1:
             raise ScenarioError("oversample must be a positive integer")
+        for name in ("big_delta", "control_weight"):
+            if not (_finite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ScenarioError(f"{name} must be finite and positive")
+        if not self.big_delta / self.plant.n_x / self.oversample > 0.0:
+            raise ScenarioError(f"big_delta {self.big_delta!r} underflows to "
+                                f"a zero input or plot period")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a number, not a bool, in the finite float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _count(value, name: str) -> int:
+    """``value``, an int (not a bool) or an integral float, as an int."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ScenarioError(f"{name} must be an integer, got {value!r:.60}")
 
 
 @dataclass(frozen=True)
@@ -167,9 +196,9 @@ def _level_counts(cfg: SimConfig):
     """``cfg.levels`` as positive ints, in the shape its scenario needs."""
     dual = cfg.scenario is Scenario.DUAL_CHANNEL
     try:
-        levels = (tuple(int(n) for n in cfg.levels) if dual
-                  else (int(cfg.levels),))
-    except (TypeError, ValueError):
+        levels = (tuple(_count(n, "levels") for n in cfg.levels) if dual
+                  else (_count(cfg.levels, "levels"),))
+    except (TypeError, ScenarioError):
         levels = ()
     # the codec computes cells in float64, exact for integers up to 2**53
     if (len(levels) != (3 if dual else 1) or min(levels) < 1
@@ -412,6 +441,9 @@ def _resolve_pattern(cfg: SimConfig) -> np.ndarray:
         if cfg.dos_params is None:
             raise ScenarioError(
                 "either a pattern or DoS parameters are required")
+        if not (_finite(cfg.intensity) and 0.0 <= cfg.intensity <= 1.0):
+            raise ScenarioError(f"intensity must lie in [0, 1], got "
+                                f"{cfg.intensity!r:.60}")
         pattern = generate(cfg.dos_params, cfg.horizon_slots, cfg.seed,
                            cfg.intensity)
     elif pattern.horizon < cfg.horizon_slots:
@@ -438,6 +470,8 @@ def _placed(exc, channel, q, k=None):
     return InvalidMatrixError(f"{channel} quantizer at {where}: {exc}")
 
 
+# an overflow is named by the next codec or fails the |C xhat| check
+@np.errstate(over="ignore", invalid="ignore")
 def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
                    inputs=None):
     """Step the deadbeat protocol over the pattern ``tb.attacked``.
@@ -492,8 +526,9 @@ def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
                 raise InferenceMismatchError(
                     f"zero-input inference disagreed with the pattern at "
                     f"slot {q}", slot=q, channel="output")
-        residual = max(map(abs, c(xh).tolist()))
-        if residual > DEADBEAT_NULL_TOL * max(1.0, y_rng):
+        # max returns a NaN only if it comes first; this key ranks it top
+        residual = max(map(abs, c(xh).tolist()), key=lambda v: (v != v, v))
+        if not residual <= DEADBEAT_NULL_TOL * max(1.0, y_rng):
             raise DeadbeatContractError(
                 f"|C xhat| = {residual:.3e} at the end of slot {q}; "
                 "the feedback gain is not deadbeat for this plant",

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "DoSParams",
     "DoSPattern",
-    "ValidationResult",
     "prefix_counts",
     "validate",
     "generate",
@@ -58,12 +57,6 @@ class DoSPattern:
         return len(self.slots)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    first_violation: int | None
-
-
 def prefix_counts(attacked) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative off-to-on switches and attacked slots of a pattern.
 
@@ -82,13 +75,12 @@ def _within_budget(params: DoSParams, q, switches, attacks):
             & (attacks <= params.kappa_d + q / params.nu_d))
 
 
-def validate(p: DoSPattern, params: DoSParams) -> ValidationResult:
-    """Check both prefix budgets for every q in [1, horizon]."""
+def validate(p: DoSPattern, params: DoSParams) -> int | None:
+    """The first prefix length q in [1, horizon] over which a budget is
+    exceeded, or ``None`` if the pattern is admissible."""
     switches, attacks = prefix_counts(p.slots)
     ok = _within_budget(params, np.arange(1, p.horizon + 1), switches, attacks)
-    if ok.all():
-        return ValidationResult(True, None)
-    return ValidationResult(False, int(ok.argmin()) + 1)
+    return None if ok.all() else int(ok.argmin()) + 1
 
 
 def _splitmix64(state: int) -> tuple[int, int]:

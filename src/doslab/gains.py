@@ -273,6 +273,8 @@ def design_deadbeat_observer(a_lift, c, mu: int) -> np.ndarray:
     return m
 
 
+# a weight far from 1 can overflow: the next matrix check names that
+@np.errstate(over="ignore", invalid="ignore")
 def design_stabilizing_gain(a_d, b_d, control_weight: float = 1.0) -> np.ndarray:
     """Schur-stabilizing (non-deadbeat) feedback via the control Riccati dual.
 

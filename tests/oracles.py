@@ -25,7 +25,6 @@ from doslab import (
     mat_pow,
     rank_with_tol,
 )
-from doslab.dos import ValidationResult
 from doslab.gains import (
     DECAY_SCAN_CAP,
     DECAY_SCAN_FLOOR,
@@ -155,10 +154,10 @@ def validate_loop(p, params):
         prev = slot
         q = q0 + 1
         if switches > params.kappa_f + q / params.nu_f:
-            return ValidationResult(False, q)
+            return q
         if attacks > params.kappa_d + q / params.nu_d:
-            return ValidationResult(False, q)
-    return ValidationResult(True, None)
+            return q
+    return None
 
 
 def mismatch_bound_loop(trace, cfg, plan):

@@ -272,7 +272,7 @@ def test_criterion_10_dos_generator_closure():
     for intensity in (0.2, 0.5, 0.9):
         for seed in range(3334):
             p = generate(params, 64, seed, intensity)
-            if not validate(p, params).ok:
+            if validate(p, params) is not None:
                 ok = False
     ok = ok and generate(params, 64, 0, 0.5) == first
     _report(10, ok, "10^4 seeded patterns at three intensities validate; "

@@ -1,7 +1,11 @@
+import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doslab import (
     ContinuousPlant,
@@ -9,6 +13,7 @@ from doslab import (
     InvalidMatrixError,
     SaturationError,
     ScenarioError,
+    cli,
     inf_norm,
     make_gain_set,
 )
@@ -26,6 +31,7 @@ from doslab.errors import DeadbeatContractError, InferenceMismatchError
 
 from .conftest import BIG_DELTA, K_REF, M_REF, X0
 from .oracles import mismatch_bound_loop, trace_to_csv_loop
+from .test_cli import ALL_BUNDLED, FUZZ_VALUES, bundled
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 CASE_SINGLE = DoSParams(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
@@ -50,6 +56,12 @@ def ackfree_config(reactor, gains, **overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def bundled_config(name, **changes):
+    """A bundled scenario's config as ``doslab run`` builds it, changed."""
+    cfg = cli._build_config(cli.load_scenario(bundled(name)))
+    return dataclasses.replace(cfg, **changes)
 
 
 def mismatch_config(reactor):
@@ -438,6 +450,102 @@ class TestFailureRecords:
         assert (err.slot, err.substep, err.channel) == (0, None, "output")
         assert str(err) == (
             "zero-input inference disagreed with the pattern at slot 0")
+
+    @pytest.mark.parametrize("seed, message", [
+        *[(seed, "input quantizer at slot 184, sub-step 0: vector entries "
+                 "must be finite") for seed in (0, 1, 3)],
+        (2, "output quantizer at slot 185: range times levels overflows the "
+            "float range"),
+    ])
+    def test_overflowing_estimate_is_named_by_the_codec(self, seed, message):
+        # too few input levels: the ranges grow until the estimate overflows
+        cfg = bundled_config("batch_reactor_dual_deadbeat_observer.json",
+                             levels=(3, 4, 4), seed=seed)
+        with pytest.raises(InvalidMatrixError) as info:
+            run_scenario(cfg)
+        assert str(info.value) == message
+
+
+# SimConfig's fields that take one value, and a cap on the run size a value
+# drawn for one of them may ask for
+SCALAR_FIELDS = ("scenario", "big_delta", "x0_bound", "horizon_slots",
+                 "levels", "seed", "intensity", "observer", "control_weight",
+                 "oversample", "attack_slot")
+RUN_SIZE_CAPS = {"horizon_slots": 20, "oversample": 4}
+LEVELS_RULE = ("output_ack runs need a single level count of integers in "
+               "[1, 2**53]")
+# (field, value, message) for the ACK scenario
+OUT_OF_RULE = {
+    "big_delta_negative": ("big_delta", -1,
+                           "big_delta must be finite and positive"),
+    "big_delta_nan": ("big_delta", math.nan,
+                      "big_delta must be finite and positive"),
+    "big_delta_underflows": (
+        "big_delta", 5e-324,
+        "big_delta 5e-324 underflows to a zero input or plot period"),
+    "intensity_above_1": ("intensity", 2,
+                          "intensity must lie in [0, 1], got 2"),
+    "levels_fractional": ("levels", 100.5, LEVELS_RULE),
+    "levels_bool": ("levels", True, LEVELS_RULE),
+    "levels_string": ("levels", "100", LEVELS_RULE),
+    "horizon_fractional": ("horizon_slots", 2.5,
+                           "horizon_slots must be an integer, got 2.5"),
+    "oversample_infinite": ("oversample", math.inf,
+                            "oversample must be an integer, got inf"),
+    "seed_bool": ("seed", True, "seed must be an integer, got True"),
+    "x0_bound_beyond_float": ("x0_bound", 10 ** 400,
+                              "x0_bound must be finite and nonnegative"),
+    "control_weight_zero": ("control_weight", 0,
+                            "control_weight must be finite and positive"),
+}
+
+
+class TestLibraryBoundary:
+    """A config runs or raises a library error, whatever its fields hold."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(name=st.sampled_from(ALL_BUNDLED),
+           field=st.sampled_from(SCALAR_FIELDS),
+           value=st.sampled_from(FUZZ_VALUES))
+    def test_scalar_fields_raise_only_library_errors(self, name, field,
+                                                     value):
+        cap = RUN_SIZE_CAPS.get(field)
+        if (cap is not None and isinstance(value, (int, float))
+                and not isinstance(value, bool) and cap < value < math.inf):
+            value = cap
+        changes = {"horizon_slots": 20, field: copy.deepcopy(value)}
+        try:
+            run_scenario(bundled_config(name, **changes))
+        except DoslabError:
+            pass
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RULE))
+    def test_values_outside_a_rule_are_scenario_errors(self, case):
+        field, value, message = OUT_OF_RULE[case]
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(bundled_config("batch_reactor_ack.json",
+                                        **{field: value}))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("batch_reactor_ack.json", "horizon_slots", 200),
+        ("batch_reactor_ack.json", "seed", 7),
+        ("batch_reactor_ack.json", "oversample", 2),
+        ("batch_reactor_ack.json", "levels", 100),
+        ("batch_reactor_dual.json", "levels", (3, 100, 100)),
+        ("batch_reactor_mismatch.json", "attack_slot", 5),
+    ])
+    def test_integral_float_counts_run_as_ints(self, tmp_path, name, field,
+                                               value):
+        paths = []
+        for number in (int, float):
+            count = (tuple(map(number, value)) if isinstance(value, tuple)
+                     else number(value))
+            trace = run_scenario(bundled_config(
+                name, **{"horizon_slots": 20, field: count}))
+            paths.append(tmp_path / f"{number.__name__}.csv")
+            trace.to_csv(paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestInitialRanges:
