@@ -33,7 +33,6 @@ from .gains import (
     design_observer_gain,
     design_stabilizing_gain,
     make_gain_set,
-    verify_nilpotent,
 )
 from .conditions import (
     ConditionReport,
@@ -41,9 +40,6 @@ from .conditions import (
     ThetaSet,
     ThetaVariant,
     build_report,
-    check_dos,
-    check_levels,
-    compute_thetas,
     decay_certificate,
     sharpest_single_level_threshold,
     tradeoff_boundary,

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -42,7 +41,7 @@ from .errors import (
     SaturationError,
     ScenarioError,
 )
-from .matrixcore import inf_norm
+from .matrixcore import inf_norm, is_finite_number
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -58,6 +57,8 @@ _MATRIX = {
 }
 _VECTOR = {"type": "array", "minItems": 1, "items": {"type": "number"}}
 
+# The schema states structure only.  Each rule on a value belongs to the
+# library code that reads the field, so a library caller meets it too.
 SCENARIO_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -71,9 +72,9 @@ SCENARIO_SCHEMA = {
             "required": ["a", "b", "c"],
             "properties": {"a": _MATRIX, "b": _MATRIX, "c": _MATRIX},
         },
-        "big_delta": {"type": "number", "exclusiveMinimum": 0},
+        "big_delta": {"type": "number"},
         "x0": _VECTOR,
-        "x0_bound": {"type": "number", "minimum": 0},
+        "x0_bound": {"type": "number"},
         "levels": {
             "oneOf": [
                 {
@@ -81,16 +82,16 @@ SCENARIO_SCHEMA = {
                     "additionalProperties": False,
                     "required": ["n1", "n2", "n3"],
                     "properties": {
-                        "n1": {"type": "integer", "minimum": 1},
-                        "n2": {"type": "integer", "minimum": 1},
-                        "n3": {"type": "integer", "minimum": 1},
+                        "n1": {"type": "integer"},
+                        "n2": {"type": "integer"},
+                        "n3": {"type": "integer"},
                     },
                 },
                 {
                     "type": "object",
                     "additionalProperties": False,
                     "required": ["n"],
-                    "properties": {"n": {"type": "integer", "minimum": 1}},
+                    "properties": {"n": {"type": "integer"}},
                 },
             ]
         },
@@ -102,8 +103,7 @@ SCENARIO_SCHEMA = {
                     "required": ["pattern"],
                     "properties": {
                         "pattern": {"type": "array",
-                                    "items": {"type": "integer",
-                                              "minimum": 0, "maximum": 1}},
+                                    "items": {"type": "integer"}},
                     },
                 },
                 {
@@ -116,15 +116,14 @@ SCENARIO_SCHEMA = {
                             "additionalProperties": False,
                             "required": ["kappa_f", "nu_f", "kappa_d", "nu_d"],
                             "properties": {
-                                "kappa_f": {"type": "number", "minimum": 0},
-                                "nu_f": {"type": "number", "minimum": 2},
-                                "kappa_d": {"type": "number", "minimum": 0},
-                                "nu_d": {"type": "integer", "minimum": 1},
+                                "kappa_f": {"type": "number"},
+                                "nu_f": {"type": "number"},
+                                "kappa_d": {"type": "number"},
+                                "nu_d": {"type": "integer"},
                             },
                         },
-                        "seed": {"type": "integer", "minimum": 0},
-                        "intensity": {"type": "number",
-                                      "minimum": 0, "maximum": 1},
+                        "seed": {"type": "integer"},
+                        "intensity": {"type": "number"},
                     },
                 },
             ]
@@ -139,17 +138,16 @@ SCENARIO_SCHEMA = {
                     "properties": {
                         "k": _MATRIX,
                         "m": _MATRIX,
-                        "nilpotency_tol": {"type": "number",
-                                           "exclusiveMinimum": 0},
+                        "nilpotency_tol": {"type": "number"},
                     },
                 },
             ]
         },
         "observer": {"enum": ["kalman", "deadbeat"]},
-        "control_weight": {"type": "number", "exclusiveMinimum": 0},
-        "horizon_slots": {"type": "integer", "minimum": 1},
-        "oversample": {"type": "integer", "minimum": 1},
-        "attack_slot": {"type": "integer", "minimum": 0},
+        "control_weight": {"type": "number"},
+        "horizon_slots": {"type": "integer"},
+        "oversample": {"type": "integer"},
+        "attack_slot": {"type": "integer"},
         "reference_lines": {
             "type": "array",
             "items": {
@@ -266,21 +264,6 @@ def _kw_min_properties(least, v, path, schema):
                            else "does not have enough properties")
 
 
-def _kw_minimum(bound, v, path, schema):
-    if _is_number(v) and v < bound:
-        yield f"{v!r} is less than the minimum of {bound!r}"
-
-
-def _kw_exclusive_minimum(bound, v, path, schema):
-    if _is_number(v) and v <= bound:
-        yield f"{v!r} is less than or equal to the minimum of {bound!r}"
-
-
-def _kw_maximum(bound, v, path, schema):
-    if _is_number(v) and v > bound:
-        yield f"{v!r} is greater than the maximum of {bound!r}"
-
-
 def _kw_one_of(branches, v, path, schema):
     context = []
     for i, sub in enumerate(branches):
@@ -310,9 +293,6 @@ _KEYWORDS = {
     "items": _kw_items,
     "minItems": _kw_min_items,
     "minProperties": _kw_min_properties,
-    "minimum": _kw_minimum,
-    "exclusiveMinimum": _kw_exclusive_minimum,
-    "maximum": _kw_maximum,
     "oneOf": _kw_one_of,
 }
 
@@ -379,14 +359,11 @@ def load_scenario(path) -> dict:
 def _nonfinite_path(node, path=()):
     """Path to the first non-finite number in a JSON value, else ``None``.
 
-    Python's json reads ``NaN`` and ``Infinity``, and the schema's number
-    type admits them.
+    Python's json reads ``NaN``, ``Infinity`` and integers past the float
+    range, and the schema's number type admits them.
     """
-    if isinstance(node, (int, float)):
-        try:
-            return None if math.isfinite(node) else path
-        except OverflowError:  # an integer too large for a float
-            return path
+    if _is_number(node):
+        return None if is_finite_number(node) else path
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):

@@ -26,7 +26,6 @@ the residual interval, so no integrator error enters the invariants.
 from __future__ import annotations
 
 import numbers
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -62,7 +61,14 @@ from .gains import (
     make_gain_set,
     verify_nilpotent,
 )
-from .matrixcore import as_matrix, as_vector, inf_norm, mat_pow, schur_certified
+from .matrixcore import (
+    as_matrix,
+    as_vector,
+    inf_norm,
+    is_finite_number,
+    mat_pow,
+    schur_certified,
+)
 from .quantizer import (
     BRANCHES,
     UniformCodec,
@@ -139,37 +145,42 @@ class SimConfig:
         if len(self.x0) != self.plant.n_x:
             raise ScenarioError(f"x0 must have {self.plant.n_x} entries, "
                                 f"got {len(self.x0)}")
-        if not (_finite(self.x0_bound) and self.x0_bound >= 0):
+        if not (is_finite_number(self.x0_bound) and self.x0_bound >= 0):
             raise ScenarioError("x0_bound must be finite and nonnegative")
         if inf_norm(self.x0) > self.x0_bound:
             raise ScenarioError("|x0| exceeds x0_bound")
-        for name in ("horizon_slots", "oversample", "seed", "attack_slot"):
+        for name, least in (("horizon_slots", 1), ("oversample", 1),
+                            ("seed", 0), ("attack_slot", 0)):
             if name != "attack_slot" or self.attack_slot is not None:
-                setattr(self, name, _count(getattr(self, name), name))
-        if self.horizon_slots < 1:
-            raise ScenarioError("horizon_slots must be at least 1")
-        if self.oversample < 1:
-            raise ScenarioError("oversample must be a positive integer")
+                setattr(self, name, _count(getattr(self, name), name, least))
         for name in ("big_delta", "control_weight"):
-            if not (_finite(getattr(self, name)) and getattr(self, name) > 0):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value > 0):
                 raise ScenarioError(f"{name} must be finite and positive")
-        if not self.big_delta / self.plant.n_x / self.oversample > 0.0:
+        try:
+            period = self.big_delta / self.plant.n_x / self.oversample
+        except OverflowError:  # an oversample beyond the float range
+            period = 0.0
+        if not period > 0.0:
             raise ScenarioError(f"big_delta {self.big_delta!r} underflows to "
                                 f"a zero input or plot period")
+        if (self.pattern is None and self.dos_params is not None
+                and not (is_finite_number(self.intensity)
+                         and 0 <= self.intensity <= 1)):
+            raise ScenarioError(f"intensity must lie in [0, 1], got "
+                                f"{self.intensity!r:.60}")
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a number, not a bool, in the finite float range."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def _count(value, name: str) -> int:
-    """``value``, an int (not a bool) or an integral float, as an int."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _count(value, name: str, least: int) -> int:
+    """``value``, an int (not a bool) or an integral float, as an int of at
+    least ``least``."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ScenarioError(f"{name} must be an integer, got {value!r:.60}")
+        raise ScenarioError(f"{name} must be an integer, got {value!r:.60}")
+    if value < least:
+        raise ScenarioError(f"{name} must be at least {least}, got "
+                            f"{value!r:.60}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -196,13 +207,12 @@ def _level_counts(cfg: SimConfig):
     """``cfg.levels`` as positive ints, in the shape its scenario needs."""
     dual = cfg.scenario is Scenario.DUAL_CHANNEL
     try:
-        levels = (tuple(_count(n, "levels") for n in cfg.levels) if dual
-                  else (_count(cfg.levels, "levels"),))
+        levels = (tuple(_count(n, "levels", 1) for n in cfg.levels) if dual
+                  else (_count(cfg.levels, "levels", 1),))
     except (TypeError, ScenarioError):
         levels = ()
     # the codec computes cells in float64, exact for integers up to 2**53
-    if (len(levels) != (3 if dual else 1) or min(levels) < 1
-            or max(levels) > 2 ** 53):
+    if len(levels) != (3 if dual else 1) or max(levels) > 2 ** 53:
         shape = "an (n1, n2, n3) triple" if dual else "a single level count"
         raise ScenarioError(
             f"{cfg.scenario.value} runs need {shape} of integers in "
@@ -227,6 +237,10 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
         raise ScenarioError(
             "gains must be None, 'synthesize', a GainSet, a Plan or a dict of "
             f"k, m and nilpotency_tol, got {spec!r:.60}")
+    tol = spec.get("nilpotency_tol", 5e-2)
+    if not (is_finite_number(tol) and tol > 0):
+        raise ScenarioError(f"gains.nilpotency_tol must be finite and "
+                            f"positive, got {tol!r:.60}")
     given = {name: as_matrix(spec[name]) for name in ("k", "m") if name in spec}
     for name, shape in (("k", (dp.n_u, dp.n_x)), ("m", (dp.n_x, dp.n_y))):
         if name in given and given[name].shape != shape:
@@ -236,7 +250,6 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
         k = given["k"]
         if protocol:
             residual = verify_nilpotent(dp.a_d, dp.b_d, k, dp.eta)
-            tol = spec.get("nilpotency_tol", 5e-2)
             bound = tol * inf_norm(dp.a_d) ** dp.eta
             if residual > bound:
                 raise DoslabError(
@@ -441,9 +454,6 @@ def _resolve_pattern(cfg: SimConfig) -> np.ndarray:
         if cfg.dos_params is None:
             raise ScenarioError(
                 "either a pattern or DoS parameters are required")
-        if not (_finite(cfg.intensity) and 0.0 <= cfg.intensity <= 1.0):
-            raise ScenarioError(f"intensity must lie in [0, 1], got "
-                                f"{cfg.intensity!r:.60}")
         pattern = generate(cfg.dos_params, cfg.horizon_slots, cfg.seed,
                            cfg.intensity)
     elif pattern.horizon < cfg.horizon_slots:

@@ -9,10 +9,12 @@ budgets: the number of off-to-on switches over ``[0, q)`` stays below
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ScenarioError
+from .matrixcore import is_finite_number
 
 __all__ = [
     "DoSParams",
@@ -36,14 +38,14 @@ class DoSParams:
 
     def __post_init__(self):
         fields = (self.kappa_f, self.nu_f, self.kappa_d, self.nu_d)
-        if not all(map(math.isfinite, fields)):
-            raise ValueError("DoS budget fields must be finite")
+        if not all(map(is_finite_number, fields)):
+            raise ScenarioError("DoS budget fields must be finite numbers")
         if self.kappa_f < 0 or self.kappa_d < 0:
-            raise ValueError("chatter bounds must be nonnegative")
+            raise ScenarioError("chatter bounds must be nonnegative")
         if self.nu_f < 2:
-            raise ValueError("nu_f must be at least 2")
+            raise ScenarioError("nu_f must be at least 2")
         if int(self.nu_d) != self.nu_d or self.nu_d < 1:
-            raise ValueError("nu_d must be an integer >= 1")
+            raise ScenarioError("nu_d must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,4 +129,9 @@ def generate(
 
 
 def pattern_from_bools(values) -> DoSPattern:
+    """The pattern whose slot ``q`` is attacked where ``values[q]`` is 1."""
+    for v in values:
+        if v not in (0, 1):
+            raise ScenarioError(f"pattern entries must be 0 or 1, got "
+                                f"{v!r:.60}")
     return DoSPattern(slots=tuple(bool(v) for v in values))

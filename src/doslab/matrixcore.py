@@ -9,6 +9,8 @@ max norm on vectors.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -69,6 +71,12 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     if dim is not None and a.shape[0] != dim:
         raise InvalidMatrixError(f"expected dimension {dim}, got {a.shape[0]}")
     return a
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a number, not a bool, in the finite float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def inf_norm(m) -> float:

@@ -18,7 +18,6 @@ from doslab import (
     mat_exp,
     mat_pow,
     sample_plant,
-    verify_nilpotent,
 )
 from doslab.conditions import (
     ThetaVariant,
@@ -34,7 +33,7 @@ from doslab.controlloop import (
     run_scenario,
 )
 from doslab.dos import DoSParams, generate, prefix_counts, validate
-from doslab.gains import NILPOTENCY_RTOL, DecayConstants
+from doslab.gains import NILPOTENCY_RTOL, DecayConstants, verify_nilpotent
 from doslab.quantizer import UniformCodec, decode, encode
 
 from .conftest import (

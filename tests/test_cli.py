@@ -479,16 +479,17 @@ def test_schema_is_a_valid_draft_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(cli.SCENARIO_SCHEMA)
 
 
-# the scenario schema's oneOf branches exclude each other; these do not
+# the scenario schema's oneOf branches exclude each other; these do not (an
+# array keyword holds for every number)
 ONE_OF_OVERLAP = {"oneOf": [{"type": "number"},
-                            {"type": "number", "minimum": 0},
+                            {"type": "number", "minItems": 1},
                             {"type": "integer"}]}
 KEYWORD_CASES = {
     **{f"overlap_{v!r}": (ONE_OF_OVERLAP, v) for v in (3, 2.5, -1, -1.5, "x")},
     # a oneOf ranks below another keyword's violation at the same place
     "one_of_and_minimum": ({"oneOf": [{"type": "string"},
                                       {"type": "boolean"}],
-                            "minimum": 5}, 1),
+                            "minItems": 2}, [1]),
     # a branch whose type the value has ranks below one that names no type
     "gains_empty": (cli.SCENARIO_SCHEMA["properties"]["gains"], {}),
     "extras_sorted": (cli.SCENARIO_SCHEMA["properties"]["plant"],
@@ -519,14 +520,10 @@ def test_range_overflowing_the_codec_exits_5_without_traceback(tmp_path, name,
 
 
 SCHEMA_INVALID = {
-    "levels_n_below_minimum": _set(("levels",), {"n": 0}),
     "levels_triple_incomplete": _set(("levels",), {"n1": 3, "n2": 10}),
     "levels_fit_neither_branch": _set(("levels",), {"n": 4, "n1": 3}),
-    "dos_pattern_entry": _set(("dos",), {"pattern": [0, 2]}),
-    "dos_params_nu_f": _set(("dos", "params", "nu_f"), 1),
     "dos_fits_neither_branch": _set(("dos",), {"seed": 1}),
     "matrix_entry_string": _set(("plant", "a", 0, 0), "1.0"),
-    "horizon_zero": _set(("horizon_slots",), 0),
     "scenario_missing": lambda doc: doc.pop("scenario"),
     "unknown_key": _set(("unexpected",), 1),
 }
@@ -543,6 +540,66 @@ def test_schema_errors_match_jsonschema_validate(tmp_path, mutation):
     where = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
     assert str(got.value) == (f"scenario schema violation at {where}: "
                               f"{want.value.message}")
+
+
+DUAL = "batch_reactor_dual.json"
+LEVELS_TRIPLE = ("dual_channel runs need an (n1, n2, n3) triple of integers "
+                 "in [1, 2**53]")
+# (scenario file, mutation, command line options, message): a value outside
+# a rule of the library code that reads the field; the schema checks only
+# a document's structure
+OUTSIDE_A_RULE = {
+    "big_delta_zero": (DUAL, _set(("big_delta",), 0), (),
+                       "big_delta must be finite and positive"),
+    "x0_bound_negative": (DUAL, _set(("x0_bound",), -1), (),
+                          "x0_bound must be finite and nonnegative"),
+    **{f"levels_{n}_zero": (DUAL, _set(("levels", n), 0), (), LEVELS_TRIPLE)
+       for n in ("n1", "n2", "n3")},
+    "levels_n_below_minimum": (
+        "batch_reactor_ackfree.json", _set(("levels", "n"), 0), (),
+        "output_ackfree runs need a single level count of integers in "
+        "[1, 2**53]"),
+    "dos_pattern_entry": (DUAL, _set(("dos",), {"pattern": [0, 2]}), (),
+                          "pattern entries must be 0 or 1, got 2"),
+    **{f"dos_params_{name}": (DUAL, _set(("dos", "params", name), value), (),
+                              message)
+       for name, value, message in [
+           ("kappa_f", -1, "chatter bounds must be nonnegative"),
+           ("kappa_d", -1, "chatter bounds must be nonnegative"),
+           ("nu_f", 1, "nu_f must be at least 2"),
+           ("nu_d", 0, "nu_d must be an integer >= 1")]},
+    "dos_seed_negative": (DUAL, _set(("dos", "seed"), -1), (),
+                          "seed must be at least 0, got -1"),
+    "seed_option_negative": (DUAL, None, ("--seed", "-1"),
+                             "seed must be at least 0, got -1"),
+    "intensity_above_1": (DUAL, _set(("dos", "intensity"), 1.5), (),
+                          "intensity must lie in [0, 1], got 1.5"),
+    "nilpotency_tol_zero": (
+        DUAL, _set(("gains", "nilpotency_tol"), 0), (),
+        "gains.nilpotency_tol must be finite and positive, got 0"),
+    "control_weight_zero": (DUAL, _set(("control_weight",), 0), (),
+                            "control_weight must be finite and positive"),
+    "horizon_zero": (DUAL, _set(("horizon_slots",), 0), (),
+                     "horizon_slots must be at least 1, got 0"),
+    "oversample_zero": (DUAL, _set(("oversample",), 0), (),
+                        "oversample must be at least 1, got 0"),
+    "attack_slot_negative": (
+        "batch_reactor_mismatch.json", _set(("attack_slot",), -1), (),
+        "attack_slot must be at least 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("case", sorted(OUTSIDE_A_RULE))
+def test_values_outside_a_rule_exit_2(tmp_path, capsys, case, command):
+    name, mutation, options, message = OUTSIDE_A_RULE[case]
+    doc = load(name)
+    if mutation is not None:
+        mutation(doc)
+    code = cli.main([command, write(tmp_path, doc), *options,
+                     "--out", str(tmp_path / "out"), "--no-plots"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_odd_ackfree_levels_fail_the_report(tmp_path):

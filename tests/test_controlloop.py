@@ -497,7 +497,23 @@ OUT_OF_RULE = {
                               "x0_bound must be finite and nonnegative"),
     "control_weight_zero": ("control_weight", 0,
                             "control_weight must be finite and positive"),
+    "oversample_beyond_float": (
+        "oversample", 10 ** 400,
+        "big_delta 0.2 underflows to a zero input or plot period"),
+    "seed_negative": ("seed", -1, "seed must be at least 0, got -1"),
+    "attack_slot_negative": ("attack_slot", -1,
+                             "attack_slot must be at least 0, got -1"),
+    "nilpotency_tol_zero": (
+        "gains", {"nilpotency_tol": 0},
+        "gains.nilpotency_tol must be finite and positive, got 0"),
+    "nilpotency_tol_nan": (
+        "gains", {"k": np.zeros((2, 4)), "nilpotency_tol": math.nan},
+        "gains.nilpotency_tol must be finite and positive, got nan"),
+    # a callable value is built inside the check: the pattern refuses it
+    "pattern_entry_2": ("pattern", lambda: pattern_from_bools([0, 2] * 100),
+                        "pattern entries must be 0 or 1, got 2"),
 }
+DOS_FIELDS = ("kappa_f", "nu_f", "kappa_d", "nu_d")
 
 
 class TestLibraryBoundary:
@@ -519,10 +535,25 @@ class TestLibraryBoundary:
         except DoslabError:
             pass
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(name=st.sampled_from(ALL_BUNDLED),
+           field=st.sampled_from(DOS_FIELDS),
+           value=st.sampled_from(FUZZ_VALUES))
+    def test_dos_fields_raise_only_library_errors(self, name, field, value):
+        try:
+            params = dataclasses.replace(CASE_SINGLE,
+                                         **{field: copy.deepcopy(value)})
+            run_scenario(bundled_config(name, horizon_slots=20,
+                                        dos_params=params))
+        except DoslabError:
+            pass
+
     @pytest.mark.parametrize("case", sorted(OUT_OF_RULE))
     def test_values_outside_a_rule_are_scenario_errors(self, case):
         field, value, message = OUT_OF_RULE[case]
         with pytest.raises(ScenarioError) as info:
+            if callable(value):
+                value = value()
             run_scenario(bundled_config("batch_reactor_ack.json",
                                         **{field: value}))
         assert str(info.value) == message

@@ -12,6 +12,7 @@ from doslab.dos import (
     prefix_counts,
     validate,
 )
+from doslab.errors import ScenarioError
 
 from .oracles import validate_loop
 
@@ -132,13 +133,13 @@ class TestGenerate:
 
 class TestParams:
     def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             DoSParams(kappa_f=0, nu_f=1.5, kappa_d=0, nu_d=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             DoSParams(kappa_f=0, nu_f=2, kappa_d=0, nu_d=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             DoSParams(kappa_f=-1, nu_f=2, kappa_d=0, nu_d=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             DoSParams(kappa_f=0, nu_f=2, kappa_d=0, nu_d=1.5)
 
     @pytest.mark.parametrize("field", ["kappa_f", "nu_f", "kappa_d", "nu_d"])
@@ -146,5 +147,5 @@ class TestParams:
     def test_non_finite_rejected(self, field, value):
         fields = dict(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
         fields[field] = value
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ScenarioError, match="finite"):
             DoSParams(**fields)

@@ -24,9 +24,13 @@ from doslab import (
     make_gain_set,
     mat_pow,
     sample_plant,
+)
+from doslab.gains import (
+    NILPOTENCY_RTOL,
+    RICCATI_RTOL,
+    _scan_constants,
     verify_nilpotent,
 )
-from doslab.gains import NILPOTENCY_RTOL, RICCATI_RTOL, _scan_constants
 from doslab.matrixcore import stack_norms
 
 from .conftest import BIG_DELTA, K_REF, M_REF, rng
