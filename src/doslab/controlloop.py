@@ -13,10 +13,13 @@ read Python floats.
 
 The dual-channel and ACK-free schemes step one deadbeat slot loop,
 :func:`_step_deadbeat`, told apart by their data: the dual scheme has an
-input codec, the ACK-free one an ideal input channel.  The ACK scheme (a
-predictor on both sides) and the mismatch demonstration (the ACK scheme
-run without ACKs: a blind encoder-side predictor, a clipping encoder and
-a divergence cap) keep loops of their own.
+input codec, the ACK-free one an ideal input channel.  It computes only
+what a later slot reads and checks every slot's ``|C xhat|`` in one
+batched pass after stepping; the first slot with a failure still names
+it, codec before inference before residual.  The ACK scheme (a predictor
+on both sides) and the mismatch demonstration (the ACK scheme run without
+ACKs: a blind encoder-side predictor, a clipping encoder and a divergence
+cap) keep loops of their own.
 
 Plant propagation between sub-steps uses the exact discretization; an
 oversample factor adds intra-step points computed from the exponential on
@@ -40,7 +43,7 @@ from .discretize import (
     sample_plant,
     sample_plant_single_rate,
 )
-from .dos import DoSParams, DoSPattern, generate
+from .dos import DoSParams, DoSPattern, check_intensity, generate
 from .errors import (
     DeadbeatContractError,
     DoslabError,
@@ -164,11 +167,8 @@ class SimConfig:
         if not period > 0.0:
             raise ScenarioError(f"big_delta {self.big_delta!r} underflows to "
                                 f"a zero input or plot period")
-        if (self.pattern is None and self.dos_params is not None
-                and not (is_finite_number(self.intensity)
-                         and 0 <= self.intensity <= 1)):
-            raise ScenarioError(f"intensity must lie in [0, 1], got "
-                                f"{self.intensity!r:.60}")
+        if self.pattern is None and self.dos_params is not None:
+            check_intensity(self.intensity)
 
 
 def _count(value, name: str, least: int) -> int:
@@ -285,8 +285,13 @@ def compile_plan(cfg: SimConfig) -> Plan:
     if isinstance(cfg.gains, Plan):
         return cfg.gains
     levels = _level_counts(cfg)
-    if cfg.scenario is Scenario.MISMATCH_DEMO and cfg.attack_slot is None:
-        raise ScenarioError("mismatch demo needs attack_slot")
+    if cfg.scenario is Scenario.MISMATCH_DEMO:
+        if cfg.attack_slot is None:
+            raise ScenarioError("mismatch demo needs attack_slot")
+        if cfg.attack_slot >= cfg.horizon_slots:
+            raise ScenarioError(
+                f"mismatch demo needs attack_slot below horizon_slots "
+                f"{cfg.horizon_slots}, got {cfg.attack_slot!r:.60}")
     if cfg.observer not in ("kalman", "deadbeat"):
         raise ScenarioError(f"unknown observer mode {cfg.observer!r}")
     variant = _SCHEMES[cfg.scenario][0]
@@ -378,8 +383,10 @@ class _TraceBuilder:
 
     def stack(self):
         """Stack the rows into the arrays ``x``, ``x_hat``, ``u_*``."""
+        rows = len(self.rows)
         self.x, self.x_hat, self.u_sent, self.u_applied = (
-            np.array(column) for column in zip(*self.rows))
+            np.concatenate(column).reshape(rows, -1)
+            for column in zip(*self.rows))
 
     def add_slot(self, **values):
         for name, value in values.items():
@@ -490,9 +497,15 @@ def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
     successful slot resets the estimate to ``M q`` from the output quantized
     around zero and sends ``eta`` inputs, quantized around zero if the run
     has an input codec; an attacked slot holds the zero estimate (which
-    every slot starts from) and the zero input.  ``C xhat`` must vanish by each slot's end.  Without an
-    input codec the encoder infers an attack from an all-zero input run.
-    Returns the final state and the attacks the encoder acts on.
+    every slot starts from) and the zero input.  Without an input codec the
+    encoder infers an attack from an all-zero input run.
+
+    Only the state and the sent inputs carry over between slots, so the
+    estimate is stepped up to the last input sent and attacked slots share
+    one zero-input chain.  ``C xhat`` must vanish by each slot's end:
+    :func:`_slot_end_residuals` checks the slots after stepping, or those
+    before a failing slot before its failure is raised.  Returns the final
+    state and the attacks the encoder acts on.
     """
     dp, gs, plant = plan.dp, plan.gains, cfg.plant
     codec_y, y_ranges = output
@@ -502,56 +515,89 @@ def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
     c, m, kc, a, b = (w.dot for w in (plant.c, gs.observer_gain,
                                       gs.controller_gain, dp.a_d, dp.b_d))
     infer = codec_u is None
-    residuals, inferred, degenerate = [], [], []
+    inferred, degenerate = [], []
+    add = tb.add_substep
+    # an attacked slot's estimate chain, from the zero estimate under the
+    # zero input (an explicit branch, not arithmetic, gives the zero input)
+    b_zero = b(zero_u)
+    held = [zero_x]
+    for _ in range(dp.eta - 1):
+        held.append(a(held[-1]) + b_zero)
 
-    for q, (hit, y_rng, u_rngs) in enumerate(zip(tb.attacked.tolist(),
-                                                 y_ranges, u_ranges)):
-        if hit:
-            xh = zero_x  # default-zero reception, exact
-        else:
-            yq = _quantize(c(x), zero_y, y_rng, codec_y, "output", q)
+    try:
+        for q, (hit, y_rng, u_rngs) in enumerate(zip(tb.attacked.tolist(),
+                                                     y_ranges, u_ranges)):
+            if hit:
+                for xh in held:
+                    add(x, xh, zero_u, zero_u)
+                    x = a(x) + b_zero
+                if infer:
+                    degenerate.append(False)
+                    inferred.append(True)
+                continue
+            k = None  # the output channel
+            yq = quantize(c(x), zero_y, y_rng, codec_y)
             # the sum with the zero estimate turns -0.0 entries into +0.0
             xh = zero_x + m(yq)
-        all_zero = True
-        for k in range(dp.eta):
-            # an explicit branch, not arithmetic, gives the attacked zero
-            if hit:
-                u = ua = zero_u
-            elif infer:
-                u = ua = kc(xh)
-                all_zero = all_zero and not any(u.tolist())
-            else:
+            all_zero = True
+            for k in range(dp.eta):
+                if k:
+                    xh = a(xh) + b(u)
                 u = kc(xh)
-                ua = _quantize(u, zero_u, u_rngs[k], codec_u, "input", q, k)
-            tb.add_substep(x, xh, u, ua)
-            x = a(x) + b(ua)
-            xh = a(xh) + b(u)
+                if infer:
+                    ua = u
+                    all_zero = all_zero and not any(u.tolist())
+                else:
+                    ua = quantize(u, zero_u, u_rngs[k], codec_u)
+                add(x, xh, u, ua)
+                x = a(x) + b(ua)
+            if infer:
+                # at a zero range a successful slot sends zeros too: nothing
+                # to infer, and not a protocol failure
+                degenerate.append(y_rng == 0.0 and all_zero)
+                inferred.append(all_zero and not degenerate[-1])
+                if inferred[-1]:
+                    _slot_end_residuals(tb, plan, plant.c, y_ranges, q)
+                    raise InferenceMismatchError(
+                        f"zero-input inference disagreed with the pattern at "
+                        f"slot {q}", slot=q, channel="output")
+    except (SaturationError, InvalidMatrixError) as exc:
+        _slot_end_residuals(tb, plan, plant.c, y_ranges, q)
+        raise _placed(exc, "output" if k is None else "input", q, k) from exc
 
-        if infer:
-            # at a zero range a successful slot sends zeros too: nothing to
-            # infer, and not a protocol failure
-            degenerate.append(y_rng == 0.0 and all_zero and not hit)
-            inferred.append(all_zero and not degenerate[-1])
-            if inferred[-1] != hit:
-                raise InferenceMismatchError(
-                    f"zero-input inference disagreed with the pattern at "
-                    f"slot {q}", slot=q, channel="output")
-        # max returns a NaN only if it comes first; this key ranks it top
-        residual = max(map(abs, c(xh).tolist()), key=lambda v: (v != v, v))
-        if not residual <= DEADBEAT_NULL_TOL * max(1.0, y_rng):
-            raise DeadbeatContractError(
-                f"|C xhat| = {residual:.3e} at the end of slot {q}; "
-                "the feedback gain is not deadbeat for this plant",
-                slot=q, channel="output")
-        residuals.append(residual)
-
-    tb.stack()
+    residuals = _slot_end_residuals(tb, plan, plant.c, y_ranges,
+                                    len(tb.attacked))
     tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
                     deadbeat_residual=residuals)
     if not infer:
         return x, tb.attacked
     tb.slots["degenerate_inference"] = degenerate
     return x, np.array(inferred, dtype=bool)
+
+
+def _slot_end_residuals(tb: _TraceBuilder, plan: Plan, c, y_ranges, slots):
+    """``|C xhat|`` at the end of each of the first ``slots`` slots, from
+    their last sub-steps' rows, which it stacks; raises a
+    :class:`DeadbeatContractError` at the first above its tolerance,
+    ``DEADBEAT_NULL_TOL`` times ``max(1, range)``."""
+    if not slots:
+        return np.zeros(0)
+    tb.stack()
+    dp = plan.dp
+    last = slice(dp.eta - 1, slots * dp.eta, dp.eta)
+    xh = _matvecs(dp.a_d, tb.x_hat[last]) + _matvecs(dp.b_d, tb.u_sent[last])
+    # a NaN entry makes its row's max NaN, which fails the check
+    residuals = _norms(_matvecs(c, xh))
+    # fmax, as Python's max(1.0, range), takes 1.0 over a NaN range
+    tol = DEADBEAT_NULL_TOL * np.fmax(1.0, y_ranges[:slots])
+    bad = np.flatnonzero(~(residuals <= tol))
+    if bad.size:
+        q = int(bad[0])
+        raise DeadbeatContractError(
+            f"|C xhat| = {residuals[q]:.3e} at the end of slot {q}; "
+            "the feedback gain is not deadbeat for this plant",
+            slot=q, channel="output") from None
+    return residuals
 
 
 def _run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:

@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# splitmix64's increment and its two mixing multipliers
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,21 @@ def validate(p: DoSPattern, params: DoSParams) -> int | None:
     return None if ok.all() else int(ok.argmin()) + 1
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z = z ^ (z >> 31)
-    return state, z
+def check_intensity(intensity) -> None:
+    """Refuse an attack intensity that is not a number in [0, 1]."""
+    if not (is_finite_number(intensity) and 0 <= intensity <= 1):
+        raise ScenarioError(f"intensity must lie in [0, 1], got "
+                            f"{intensity!r:.60}")
+
+
+def _splitmix64(seed: int, horizon: int) -> np.ndarray:
+    """The first ``horizon`` outputs of the splitmix64 stream from ``seed``,
+    in uint64 arrays, whose arithmetic wraps modulo 2**64 silently."""
+    state = (np.uint64(seed & _MASK64)
+             + np.arange(1, horizon + 1, dtype=np.uint64) * _GOLDEN)
+    z = (state ^ (state >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 def generate(
@@ -105,26 +117,20 @@ def generate(
     always terminates and never emits an invalid pattern.
     """
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not 0.0 <= intensity <= 1.0:
-        raise ValueError("intensity must lie in [0, 1]")
-    state = seed & _MASK64
-    slots = []
+        raise ScenarioError(f"horizon must be at least 1, got {horizon!r:.60}")
+    check_intensity(intensity)
+    # 53-bit draws, exact as floats
+    draws = (_splitmix64(seed, horizon) >> np.uint64(11)).astype(float)
+    proposed = np.flatnonzero(draws / float(1 << 53) < intensity).tolist()
+    slots = [False] * horizon
     switches = 0
     attacks = 0
-    prev = False
-    for q0 in range(horizon):
-        state, draw = _splitmix64(state)
-        propose = (draw >> 11) / float(1 << 53) < intensity
-        attack = False
-        if propose:
-            new_switches = switches + (0 if prev else 1)
-            if _within_budget(params, q0 + 1, new_switches, attacks + 1):
-                attack = True
-                switches = new_switches
-                attacks += 1
-        slots.append(attack)
-        prev = attack
+    for q0 in proposed:
+        new_switches = switches + (0 if q0 and slots[q0 - 1] else 1)
+        if _within_budget(params, q0 + 1, new_switches, attacks + 1):
+            slots[q0] = True
+            switches = new_switches
+            attacks += 1
     return DoSPattern(slots=tuple(slots))
 
 

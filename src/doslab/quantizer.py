@@ -99,9 +99,13 @@ def encode(
         raise InvalidMatrixError("range times levels overflows the float range")
     if worst > rng:  # only under clip: these offsets take the edge cells
         offset = [min(max(o, -rng), rng) for o in offset]
-    return tuple([
-        min(max(math.ceil((o + rng) * n / width) - 1, 0), top) for o in offset
-    ])
+    # a loop with conditional clamps: min and max calls cost more than the
+    # rest of the cell arithmetic
+    cells = []
+    for o in offset:
+        k = math.ceil((o + rng) * n / width) - 1
+        cells.append(0 if k < 0 else top if k > top else k)
+    return tuple(cells)
 
 
 def decode(cells, center, rng: float, codec: UniformCodec) -> np.ndarray:
@@ -131,17 +135,20 @@ def decode(cells, center, rng: float, codec: UniformCodec) -> np.ndarray:
 
 def quantize(v, center, rng: float, codec: UniformCodec) -> np.ndarray:
     """``decode(encode(v, center, rng, codec), center, rng, codec)``, bit
-    for bit, and raising as :func:`encode` does.  The center and cells
-    :func:`encode` has accepted need no second check."""
+    for bit, and raising as :func:`encode` does.  The center is converted
+    once, before :func:`encode` checks it, and the cells :func:`encode` has
+    accepted need no second check."""
+    center = np.asarray(center, dtype=float)
     cells = encode(v, center, rng, codec)
-    return _box_centers(np.asarray(center, dtype=float).tolist(), cells, rng,
-                        codec.levels)
+    return _box_centers(center.tolist(), cells, rng, codec.levels)
 
 
 def _box_centers(center: list, cells, rng: float, n: int) -> np.ndarray:
     step = rng / n
-    return np.array([c + (2.0 * k + 1.0 - n) * step
-                     for c, k in zip(center, cells)])
+    boxes = []
+    for c, k in zip(center, cells):
+        boxes.append(c + (2.0 * k + 1.0 - n) * step)
+    return np.array(boxes)
 
 
 def update_range(e0: float, thetas: ThetaSet,

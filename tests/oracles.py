@@ -7,10 +7,14 @@ explicitly stacked blocks.  The codec, range-law, power-scan,
 mismatch-bound, trace-writer, chart-point and DoS-budget oracles keep the
 plain loops (the array expression, for decoding) the library replaced, as
 bit-exact references; so do the elimination and Riccati oracles, with the
-products and wrappers the library hoisted or replaced.
+products and wrappers the library hoisted or replaced.  The deadbeat-loop
+oracle steps every sub-step's estimate and checks each slot's ``|C xhat|``
+as it ends, through a decode of each encode; the DoS-generator oracle
+draws its splitmix64 stream one Python integer at a time.
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -25,6 +29,14 @@ from doslab import (
     mat_pow,
     rank_with_tol,
 )
+from doslab.controlloop import (
+    DEADBEAT_NULL_TOL,
+    _matvecs,
+    _norms,
+    _placed,
+)
+from doslab.dos import DoSPattern, _within_budget
+from doslab.errors import DeadbeatContractError, InferenceMismatchError
 from doslab.gains import (
     DECAY_SCAN_CAP,
     DECAY_SCAN_FLOOR,
@@ -32,6 +44,7 @@ from doslab.gains import (
     RICCATI_TOL,
 )
 from doslab.matrixcore import PIVOT_TOL, as_matrix, as_vector
+from doslab.quantizer import decode, encode
 
 
 def taylor_expm(a, t=1.0, max_terms=300):
@@ -348,3 +361,101 @@ def trace_to_csv_loop(trace, path):
 def polyline_points_loop(xs, ys, px, py):
     """Chart polyline points, mapped and formatted one point at a time."""
     return " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+
+
+def _quantize_roundtrip(v, center, rng, codec, channel, q, k=None):
+    """``decode(encode(...))``, naming the slot, sub-step and channel of a
+    codec failure as the engine does."""
+    try:
+        return decode(encode(v, center, rng, codec), center, rng, codec)
+    except (SaturationError, InvalidMatrixError) as exc:
+        raise _placed(exc, channel, q, k) from exc
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def deadbeat_loop(cfg, plan, tb, output, inputs=None):
+    """The deadbeat slot loop stepping every sub-step's estimate and
+    checking ``|C xhat|`` at the end of each slot, after the slot's codec
+    and inference checks; a drop-in for ``controlloop._step_deadbeat``."""
+    dp, gs, plant = plan.dp, plan.gains, cfg.plant
+    codec_y, y_ranges = output
+    codec_u, u_ranges = inputs or (None, repeat(None))
+    x = cfg.x0.copy()
+    zero_x, zero_y, zero_u = map(np.zeros, (plant.n_x, plant.n_y, plant.n_u))
+    c, m, kc, a, b = (w.dot for w in (plant.c, gs.observer_gain,
+                                      gs.controller_gain, dp.a_d, dp.b_d))
+    infer = codec_u is None
+    residuals, inferred, degenerate = [], [], []
+
+    for q, (hit, y_rng, u_rngs) in enumerate(zip(tb.attacked.tolist(),
+                                                 y_ranges, u_ranges)):
+        if hit:
+            xh = zero_x
+        else:
+            yq = _quantize_roundtrip(c(x), zero_y, y_rng, codec_y, "output",
+                                     q)
+            xh = zero_x + m(yq)
+        all_zero = True
+        for k in range(dp.eta):
+            if hit:
+                u = ua = zero_u
+            elif infer:
+                u = ua = kc(xh)
+                all_zero = all_zero and not any(u.tolist())
+            else:
+                u = kc(xh)
+                ua = _quantize_roundtrip(u, zero_u, u_rngs[k], codec_u,
+                                         "input", q, k)
+            tb.add_substep(x, xh, u, ua)
+            x = a(x) + b(ua)
+            xh = a(xh) + b(u)
+
+        if infer:
+            degenerate.append(y_rng == 0.0 and all_zero and not hit)
+            inferred.append(all_zero and not degenerate[-1])
+            if inferred[-1] != hit:
+                raise InferenceMismatchError(
+                    f"zero-input inference disagreed with the pattern at "
+                    f"slot {q}", slot=q, channel="output")
+        residual = max(map(abs, c(xh).tolist()), key=lambda v: (v != v, v))
+        if not residual <= DEADBEAT_NULL_TOL * max(1.0, y_rng):
+            raise DeadbeatContractError(
+                f"|C xhat| = {residual:.3e} at the end of slot {q}; "
+                "the feedback gain is not deadbeat for this plant",
+                slot=q, channel="output")
+        residuals.append(residual)
+
+    tb.stack()
+    tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
+                    deadbeat_residual=residuals)
+    if not infer:
+        return x, tb.attacked
+    tb.slots["degenerate_inference"] = degenerate
+    return x, np.array(inferred, dtype=bool)
+
+
+def generate_loop(params, horizon, seed, intensity):
+    """DoS pattern generation with the splitmix64 stream and both budgets
+    stepped one slot at a time on Python integers."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    slots = []
+    switches = 0
+    attacks = 0
+    prev = False
+    for q0 in range(horizon):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        draw = z ^ (z >> 31)
+        attack = False
+        if (draw >> 11) / float(1 << 53) < intensity:
+            new_switches = switches + (0 if prev else 1)
+            if _within_budget(params, q0 + 1, new_switches, attacks + 1):
+                attack = True
+                switches = new_switches
+                attacks += 1
+        slots.append(attack)
+        prev = attack
+    return DoSPattern(slots=tuple(slots))

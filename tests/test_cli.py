@@ -586,6 +586,9 @@ OUTSIDE_A_RULE = {
     "attack_slot_negative": (
         "batch_reactor_mismatch.json", _set(("attack_slot",), -1), (),
         "attack_slot must be at least 0, got -1"),
+    "attack_slot_past_horizon": (
+        "batch_reactor_mismatch.json", _set(("attack_slot",), 300), (),
+        "mismatch demo needs attack_slot below horizon_slots 300, got 300"),
 }
 
 

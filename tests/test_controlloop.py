@@ -14,6 +14,7 @@ from doslab import (
     SaturationError,
     ScenarioError,
     cli,
+    controlloop,
     inf_norm,
     make_gain_set,
 )
@@ -22,6 +23,7 @@ from doslab.controlloop import (
     LoopTrace,
     Scenario,
     SimConfig,
+    _matvecs,
     compile_plan,
     mismatch_bound,
     run_scenario,
@@ -30,7 +32,7 @@ from doslab.dos import DoSParams, pattern_from_bools
 from doslab.errors import DeadbeatContractError, InferenceMismatchError
 
 from .conftest import BIG_DELTA, K_REF, M_REF, X0
-from .oracles import mismatch_bound_loop, trace_to_csv_loop
+from .oracles import deadbeat_loop, mismatch_bound_loop, trace_to_csv_loop
 from .test_cli import ALL_BUNDLED, FUZZ_VALUES, bundled
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
@@ -251,7 +253,8 @@ class TestMismatchDemo:
         cfg = SimConfig(
             plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
             scenario=Scenario.MISMATCH_DEMO, horizon_slots=60, levels=100,
-            attack_slot=10 ** 6,  # never reached
+            # on the last slot: the attack moves only the state after it
+            attack_slot=59,
             control_weight=100.0, observer="deadbeat",
         )
         trace = run_scenario(cfg)
@@ -285,10 +288,10 @@ class TestMismatchDemo:
         assert np.array_equal(mismatch_bound(mismatch_trace), want)
 
     # the attack at the first slot, mid-run, and on the last three slots
-    # (one, two and three slots of bound after it), and never reached
+    # (one, two and three slots of bound after it)
     @pytest.mark.parametrize("attack_slot, levels, horizon", [
         (0, 100, 120), (12, 30, 200), (3, 1000, 150), (57, 100, 60),
-        (58, 100, 60), (59, 100, 60), (10 ** 6, 100, 20),
+        (58, 100, 60), (59, 100, 60),
     ])
     def test_bound_sequence_matches_loop_oracle_across_runs(
             self, reactor, attack_slot, levels, horizon):
@@ -474,7 +477,8 @@ SCALAR_FIELDS = ("scenario", "big_delta", "x0_bound", "horizon_slots",
 RUN_SIZE_CAPS = {"horizon_slots": 20, "oversample": 4}
 LEVELS_RULE = ("output_ack runs need a single level count of integers in "
                "[1, 2**53]")
-# (field, value, message) for the ACK scenario
+# (field, value, message) for the ACK scenario, or with a fourth entry
+# naming the scenario file
 OUT_OF_RULE = {
     "big_delta_negative": ("big_delta", -1,
                            "big_delta must be finite and positive"),
@@ -503,6 +507,10 @@ OUT_OF_RULE = {
     "seed_negative": ("seed", -1, "seed must be at least 0, got -1"),
     "attack_slot_negative": ("attack_slot", -1,
                              "attack_slot must be at least 0, got -1"),
+    "attack_slot_past_horizon": (
+        "attack_slot", 300,
+        "mismatch demo needs attack_slot below horizon_slots 300, got 300",
+        "batch_reactor_mismatch.json"),
     "nilpotency_tol_zero": (
         "gains", {"nilpotency_tol": 0},
         "gains.nilpotency_tol must be finite and positive, got 0"),
@@ -550,11 +558,11 @@ class TestLibraryBoundary:
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RULE))
     def test_values_outside_a_rule_are_scenario_errors(self, case):
-        field, value, message = OUT_OF_RULE[case]
+        field, value, message, *name = OUT_OF_RULE[case]
         with pytest.raises(ScenarioError) as info:
             if callable(value):
                 value = value()
-            run_scenario(bundled_config("batch_reactor_ack.json",
+            run_scenario(bundled_config(*name or ["batch_reactor_ack.json"],
                                         **{field: value}))
         assert str(info.value) == message
 
@@ -621,6 +629,104 @@ def test_bound_dot_rounds_as_matmul(order, shape):
             a = np.array(g.standard_normal(shape) * scale, order=order)
             v = g.standard_normal(shape[1]) * g.choice([1e-8, 1.0, 1e8])
             assert a.dot(v).tobytes() == (a @ v).tobytes()
+
+
+def run_outcome(cfg, directory):
+    """A run's trace CSV bytes and the dtype and bytes of each slot column,
+    or its error's type, message, slot, sub-step and channel."""
+    try:
+        trace = run_scenario(cfg)
+    except DoslabError as exc:
+        return (type(exc), str(exc), *(getattr(exc, name, None)
+                                       for name in ("slot", "substep",
+                                                    "channel")))
+    path = directory / "trace.csv"
+    trace.to_csv(path)
+    return path.read_bytes(), {
+        name: (np.asarray(v).dtype.str, np.asarray(v).tobytes())
+        for name, v in trace.slots.items()}
+
+
+def engine_and_oracle(cfg, directory):
+    """:func:`run_outcome` of ``cfg`` stepped by the engine's deadbeat loop
+    and by :func:`deadbeat_loop`, on one compiled plan."""
+    cfg = dataclasses.replace(cfg, gains=compile_plan(cfg))
+    engine = run_outcome(cfg, directory)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controlloop, "_step_deadbeat", deadbeat_loop)
+        oracle = run_outcome(cfg, directory)
+    return engine, oracle
+
+
+# a level count the bundled file gives (None) or one that may fail
+DUAL_LEVELS = st.sampled_from([None, None, 2, 3, 4, 10, 100])
+ACKFREE_LEVELS = st.sampled_from([None, None, 2, 4, 10])
+
+
+class TestDeadbeatLoopOracle:
+    """The deadbeat loop gives the bytes, slot columns and failure fields
+    of the loop that steps every estimate and checks each slot as it
+    ends."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(name=st.sampled_from(["batch_reactor_dual.json",
+                                 "batch_reactor_dual_deadbeat_observer.json",
+                                 "batch_reactor_ackfree.json"]),
+           horizon=st.integers(1, 250),
+           seed=st.integers(0, 2 ** 64 - 1),
+           intensity=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           data=st.data())
+    def test_random_patterns_match(self, tmp_path_factory, name, horizon,
+                                   seed, intensity, data):
+        changes = dict(horizon_slots=horizon, seed=seed, intensity=intensity)
+        if "dual" in name:
+            n2, n3 = data.draw(DUAL_LEVELS), data.draw(DUAL_LEVELS)
+            if n2 or n3:
+                changes["levels"] = (3, n2 or 10_000, n3 or 10_000)
+        elif (n := data.draw(ACKFREE_LEVELS)) is not None:
+            changes["levels"] = n
+        engine, oracle = engine_and_oracle(bundled_config(name, **changes),
+                                           tmp_path_factory.mktemp("run"))
+        assert engine == oracle
+
+    @pytest.mark.parametrize("case, error, slot", [
+        ("zero_feedback_gain", InferenceMismatchError, 0),
+        # a saturation at slot 0, sub-step 0 on the AVX-512 kernel; it rests
+        # on a last-bit tie, which other kernels break into a later overflow
+        ("too_few_levels", (SaturationError, InvalidMatrixError), None),
+        ("not_deadbeat", DeadbeatContractError, 0),
+        # the engine steps on to a codec overflow before it checks the slot
+        # ends; slot 0's residual still names the failure
+        ("not_deadbeat_then_overflow", DeadbeatContractError, 0),
+    ])
+    def test_failures_match(self, reactor, reactor_dp, tmp_path, case, error,
+                            slot):
+        not_deadbeat = {"k": K_REF, "m": M_REF, "nilpotency_tol": 1e300}
+        cfg = {
+            "zero_feedback_gain": lambda: ackfree_config(
+                reactor, make_gain_set(reactor_dp, np.zeros((2, 4)), M_REF)),
+            "too_few_levels": lambda: dual_config(reactor, {"m": M_REF},
+                                                  levels=(1, 3, 3)),
+            "not_deadbeat": lambda: ackfree_config(reactor, not_deadbeat),
+            "not_deadbeat_then_overflow": lambda: dual_config(
+                reactor, not_deadbeat, levels=(3, 4, 4)),
+        }[case]()
+        engine, oracle = engine_and_oracle(cfg, tmp_path)
+        assert engine == oracle
+        assert issubclass(engine[0], error)
+        assert slot is None or engine[2] == slot
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(rows=st.integers(0, 40), shape=st.tuples(st.integers(1, 9),
+                                                     st.integers(1, 9)),
+           order=st.sampled_from("CF"), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matvecs_round_as_each_dot(self, rows, shape, order, seed):
+        g = np.random.default_rng(seed)
+        a = np.array(g.standard_normal(shape)
+                     * g.choice([1e-8, 1.0, 1e8], size=shape), order=order)
+        vs = g.standard_normal((rows, shape[1])) * g.choice([1e-8, 1.0, 1e8])
+        want = np.array([a.dot(v) for v in vs]).reshape(rows, shape[0])
+        assert _matvecs(a, vs).tobytes() == want.tobytes()
 
 
 def _assert_csv_matches_loop_writer(trace, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from doslab.dos import (
 )
 from doslab.errors import ScenarioError
 
-from .oracles import validate_loop
+from .oracles import generate_loop, validate_loop
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 CASE_SINGLE = DoSParams(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
@@ -129,6 +130,47 @@ class TestGenerate:
         p = generate(CASE_SINGLE, 300, seed=131, intensity=0.3)
         assert totals(p) == (25, 27)
         assert validate(p, CASE_SINGLE) is None
+
+
+class TestGenerateOracle:
+    """The array-drawn generator gives the patterns of the one-slot-at-a-time
+    loop; a pattern is the prefix of any longer one with its seed."""
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64 + 5])
+    def test_every_horizon_to_1000(self, seed):
+        want = generate_loop(CASE_DUAL, 1000, seed, 0.6).slots
+        assert any(want) and not all(want)
+        for horizon in range(1, 1001):
+            assert generate(CASE_DUAL, horizon, seed, 0.6).slots == (
+                want[:horizon])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(params=st.sampled_from([CASE_DUAL, CASE_SINGLE,
+                                   DoSParams(0, 2, 0, 1),
+                                   DoSParams(5.5, 3.5, 7.25, 2)]),
+           horizon=st.integers(1, 1000),
+           seed=st.sampled_from([0, 2 ** 64 - 1, 2 ** 64, 2 ** 200 + 3])
+           | st.integers(0, 2 ** 70),
+           intensity=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    def test_matches_the_loop(self, params, horizon, seed, intensity):
+        with warnings.catch_warnings():
+            # uint64 wraparound must pass silently
+            warnings.simplefilter("error", RuntimeWarning)
+            got = generate(params, horizon, seed, intensity)
+        assert got == generate_loop(params, horizon, seed, intensity)
+
+    @pytest.mark.parametrize("horizon, intensity, message", [
+        (0, 0.5, "horizon must be at least 1, got 0"),
+        (10, 1.5, "intensity must lie in [0, 1], got 1.5"),
+        (10, -0.1, "intensity must lie in [0, 1], got -0.1"),
+        (10, math.nan, "intensity must lie in [0, 1], got nan"),
+        (10, "0.5", "intensity must lie in [0, 1], got '0.5'"),
+    ])
+    def test_direct_calls_refuse_with_scenario_errors(self, horizon,
+                                                       intensity, message):
+        with pytest.raises(ScenarioError) as info:
+            generate(CASE_SINGLE, horizon, 0, intensity)
+        assert str(info.value) == message
 
 
 class TestParams:
