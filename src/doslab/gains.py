@@ -17,7 +17,7 @@ conditions consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -76,7 +76,9 @@ class GainSet:
 
     ``error_transition`` is ``a_lift (I - observer_gain c)`` -- the slotwise
     transition of the estimation error; ``closed_loop`` is
-    ``a_d + b_d controller_gain``.
+    ``a_d + b_d controller_gain``.  ``compiled`` holds the last plan
+    :func:`doslab.controlloop.compile_plan` compiled from this gain set,
+    with the inputs it was compiled from; it is not an argument.
     """
 
     controller_gain: np.ndarray
@@ -84,6 +86,8 @@ class GainSet:
     error_transition: np.ndarray
     closed_loop: np.ndarray
     deadbeat_observer: bool = False
+    compiled: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Uniform hypercube quantizer codecs and the range-update law.
 
 A codec partitions the hypercube ``{v : |v - center| <= range}`` into
-``levels`` equal boxes per component; a tuple of per-component cells
-names the box holding the value and decodes to that box's center;
-:func:`quantize` is the round trip, with :func:`encode`'s checks run
-once.  The range law expands a range during attacked slots, pays a
-resynchronization factor on the first success after an attack, and
-contracts on consecutive successes, so a run's whole range sequence is
-fixed by its attack pattern.
+``levels`` equal boxes per component.  :func:`encode` takes the offset
+``v - center`` and returns a tuple of per-component cells naming the box
+that holds it; :func:`decode` maps cells and a center to that box's
+center; :func:`quantize` is the round trip around a zero center, with
+:func:`encode`'s checks run once.  The range law expands a range during
+attacked slots, pays a resynchronization factor on the first success
+after an attack, and contracts on consecutive successes, so a run's whole
+range sequence is fixed by its attack pattern.
 """
 
 from __future__ import annotations
@@ -51,41 +52,40 @@ class UniformCodec:
 
 
 def encode(
-    v,
-    center,
+    offset,
     rng: float,
     codec: UniformCodec,
     clip: bool = False,
 ) -> tuple[int, ...]:
-    """Cells of the box containing ``v`` in the hypercube around ``center``:
-    one index per component, each in ``[0, levels - 1]``.
+    """Cells of the box containing ``offset``, a value minus its center, in
+    the hypercube ``[-rng, rng]`` per component: one index per component,
+    each in ``[0, levels - 1]``.
 
-    Raises :class:`SaturationError` when any component of ``v - center``
+    Raises :class:`SaturationError` when any component of ``offset``
     exceeds ``rng`` in magnitude -- the failure mode the stability
     conditions preclude -- unless ``clip`` maps out-of-range values to the
     nearest box (used only by the divergence demonstration).  Points on a
     shared box boundary go to the lower-index box.  A non-finite entry in
-    ``v`` or ``center`` raises :class:`InvalidMatrixError` before the
-    saturation test, as does a negative or non-finite range, and after it
-    a range whose ``2 * rng * levels`` overflows.
+    ``offset`` raises :class:`InvalidMatrixError` before the saturation
+    test, as does a negative or non-finite range, and after it a range
+    whose ``2 * rng * levels`` overflows.
     """
-    shape = (codec.dim,)
-    v = np.asarray(v, dtype=float)
-    center = np.asarray(center, dtype=float)
-    if v.shape != shape or center.shape != shape:
+    offset = np.asarray(offset, dtype=float)
+    if offset.shape != (codec.dim,):
         raise InvalidMatrixError(
-            f"expected vectors of shape {shape}, got {v.shape} and "
-            f"{center.shape}"
+            f"expected an offset of shape ({codec.dim},), got {offset.shape}"
         )
     # the per-component work runs on Python floats: the same IEEE
     # operations in the same order as the array form, without its per-call
     # overhead on vectors of a few entries
-    offset = list(map(operator.sub, v.tolist(), center.tolist()))
-    worst = max(map(abs, offset))
-    if not all(map(math.isfinite, offset)):
+    offset = offset.tolist()
+    # a non-finite entry makes the sum non-finite; a finite sum is common
+    # and settles the check in one call, an overflowing one is checked in full
+    if not math.isfinite(sum(offset)) and not all(map(math.isfinite, offset)):
         raise InvalidMatrixError("vector entries must be finite")
     if not 0.0 <= rng < math.inf:
         raise InvalidMatrixError("range must be nonnegative and finite")
+    worst = max(map(abs, offset))
     if worst > rng and not clip:
         raise SaturationError(
             f"value leaves its quantization range: |v - center| = {worst:.6g} "
@@ -130,24 +130,26 @@ def decode(cells, center, rng: float, codec: UniformCodec) -> np.ndarray:
         raise ValueError("index dimension does not match codec")
     if min(cells) < 0 or max(cells) >= n:
         raise ValueError("index cells out of range for codec")
-    return _box_centers(center, cells, rng, n)
-
-
-def quantize(v, center, rng: float, codec: UniformCodec) -> np.ndarray:
-    """``decode(encode(v, center, rng, codec), center, rng, codec)``, bit
-    for bit, and raising as :func:`encode` does.  The center is converted
-    once, before :func:`encode` checks it, and the cells :func:`encode` has
-    accepted need no second check."""
-    center = np.asarray(center, dtype=float)
-    cells = encode(v, center, rng, codec)
-    return _box_centers(center.tolist(), cells, rng, codec.levels)
-
-
-def _box_centers(center: list, cells, rng: float, n: int) -> np.ndarray:
     step = rng / n
     boxes = []
     for c, k in zip(center, cells):
         boxes.append(c + (2.0 * k + 1.0 - n) * step)
+    return np.array(boxes)
+
+
+def quantize(offset, rng: float, codec: UniformCodec) -> np.ndarray:
+    """``decode(encode(offset, rng, codec), zeros, rng, codec)``, bit for
+    bit, and raising as :func:`encode` does: the box center of ``offset``
+    around a zero center.  The cells :func:`encode` has accepted need no
+    second check."""
+    cells = encode(offset, rng, codec)
+    n = codec.levels
+    step = rng / n
+    boxes = []
+    for k in cells:
+        # decode's box center at a zero center, whose sum turns a -0.0
+        # offset into +0.0
+        boxes.append(0.0 + (2.0 * k + 1.0 - n) * step)
     return np.array(boxes)
 
 

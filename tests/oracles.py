@@ -7,13 +7,16 @@ explicitly stacked blocks.  The codec, range-law, power-scan,
 mismatch-bound, trace-writer, chart-point and DoS-budget oracles keep the
 plain loops (the array expression, for decoding) the library replaced, as
 bit-exact references; so do the elimination and Riccati oracles, with the
-products and wrappers the library hoisted or replaced.  The deadbeat-loop
-oracle steps every sub-step's estimate and checks each slot's ``|C xhat|``
-as it ends, through a decode of each encode; the DoS-generator oracle
-draws its splitmix64 stream one Python integer at a time.
+products and wrappers the library hoisted or replaced, and the
+center-based encoder and round trip the offset codec replaced.  The
+deadbeat-loop oracle steps every sub-step's estimate and checks each
+slot's ``|C xhat|`` as it ends, through a decode of each encode; the
+DoS-generator oracle draws its splitmix64 stream one Python integer at a
+time.
 """
 
 import math
+import operator
 from itertools import repeat
 
 import numpy as np
@@ -114,6 +117,55 @@ def encode_loop(v, center, rng, codec, clip=False):
         cell = int(math.ceil(u)) - 1
         cells.append(min(max(cell, 0), n - 1))
     return tuple(cells)
+
+
+def encode_centered(v, center, rng, codec, clip=False):
+    """The center-based encoder the offset codec replaced: cells of the box
+    containing ``v`` in the hypercube around ``center``, with the offset
+    ``v - center`` formed here on Python floats, and the same checks,
+    errors and messages."""
+    shape = (codec.dim,)
+    v = np.asarray(v, dtype=float)
+    center = np.asarray(center, dtype=float)
+    if v.shape != shape or center.shape != shape:
+        raise InvalidMatrixError(
+            f"expected vectors of shape {shape}, got {v.shape} and "
+            f"{center.shape}"
+        )
+    offset = list(map(operator.sub, v.tolist(), center.tolist()))
+    worst = max(map(abs, offset))
+    if not all(map(math.isfinite, offset)):
+        raise InvalidMatrixError("vector entries must be finite")
+    if not 0.0 <= rng < math.inf:
+        raise InvalidMatrixError("range must be nonnegative and finite")
+    if worst > rng and not clip:
+        raise SaturationError(
+            f"value leaves its quantization range: |v - center| = {worst:.6g} "
+            f"> {rng:.6g}"
+        )
+    n = codec.levels
+    if rng == 0.0:
+        return ((n - 1) // 2,) * codec.dim
+    top, width = n - 1, 2.0 * rng
+    if not math.isfinite(width * n):
+        raise InvalidMatrixError("range times levels overflows the float range")
+    if worst > rng:
+        offset = [min(max(o, -rng), rng) for o in offset]
+    cells = []
+    for o in offset:
+        k = math.ceil((o + rng) * n / width) - 1
+        cells.append(0 if k < 0 else top if k > top else k)
+    return tuple(cells)
+
+
+def quantize_centered(v, center, rng, codec):
+    """The center-based round trip the offset codec replaced: the box center
+    of ``v`` around ``center``, raising as :func:`encode_centered` does."""
+    center = np.asarray(center, dtype=float)
+    cells = encode_centered(v, center, rng, codec)
+    step = rng / codec.levels
+    return np.array([c + (2.0 * k + 1.0 - codec.levels) * step
+                     for c, k in zip(center.tolist(), cells)])
 
 
 def decode_array(cells, center, rng, codec):
@@ -367,7 +419,7 @@ def _quantize_roundtrip(v, center, rng, codec, channel, q, k=None):
     """``decode(encode(...))``, naming the slot, sub-step and channel of a
     codec failure as the engine does."""
     try:
-        return decode(encode(v, center, rng, codec), center, rng, codec)
+        return decode(encode(v - center, rng, codec), center, rng, codec)
     except (SaturationError, InvalidMatrixError) as exc:
         raise _placed(exc, channel, q, k) from exc
 
@@ -406,7 +458,7 @@ def deadbeat_loop(cfg, plan, tb, output, inputs=None):
                 u = kc(xh)
                 ua = _quantize_roundtrip(u, zero_u, u_rngs[k], codec_u,
                                          "input", q, k)
-            tb.add_substep(x, xh, u, ua)
+            tb.rows.append((x, xh, u, ua))
             x = a(x) + b(ua)
             xh = a(xh) + b(u)
 

@@ -251,7 +251,7 @@ def test_criterion_09_codec_properties():
         draws = g.uniform(-1.0, 1.0, size=(100_000, 2))
         bound = 1.0 / levels
         for v in draws:
-            out = decode(encode(v, center, 1.0, codec), center, 1.0, codec)
+            out = decode(encode(v - center, 1.0, codec), center, 1.0, codec)
             if np.max(np.abs(out - v)) > bound:
                 ok = False
                 break

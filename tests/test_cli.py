@@ -44,6 +44,33 @@ def write(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+def count_preparations(monkeypatch) -> dict:
+    """Count plant samplings and decay-constant scans, under every doslab
+    module's binding of them; returns the live ``{name: calls}`` dict."""
+    # the package exports a function named like the discretize module
+    discretize = importlib.import_module("doslab.discretize")
+    gains = importlib.import_module("doslab.gains")
+    originals = {discretize.sample_plant: "sample_plant",
+                 discretize.sample_plant_single_rate: "sample_plant",
+                 gains.derive_decay_constants: "derive_decay_constants"}
+    calls = {}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items()
+               if n == "doslab" or n.startswith("doslab.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if callable(value) and value in originals:
+                monkeypatch.setattr(module, attr,
+                                    counting(value, originals[value]))
+    return calls
+
+
 class TestSchema:
     @pytest.mark.parametrize("name", ALL_BUNDLED)
     def test_bundled_scenarios_validate(self, name):
@@ -191,27 +218,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
                                       "batch_reactor_ack.json"])
     def test_one_preparation_per_run(self, name, tmp_path, monkeypatch):
-        # the package exports a function named like the discretize module
-        discretize = importlib.import_module("doslab.discretize")
-        gains = importlib.import_module("doslab.gains")
-        originals = {discretize.sample_plant: "sample_plant",
-                     discretize.sample_plant_single_rate: "sample_plant",
-                     gains.derive_decay_constants: "derive_decay_constants"}
-        calls = {}
-
-        def counting(fn, key):
-            def wrapper(*args, **kwargs):
-                calls[key] = calls.get(key, 0) + 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        modules = [m for n, m in sys.modules.items()
-                   if n == "doslab" or n.startswith("doslab.")]
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if callable(value) and value in originals:
-                    monkeypatch.setattr(module, attr,
-                                        counting(value, originals[value]))
+        calls = count_preparations(monkeypatch)
         doc = load(name)
         doc["horizon_slots"] = 20
         code = cli.main(["run", write(tmp_path, doc),

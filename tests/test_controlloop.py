@@ -33,7 +33,7 @@ from doslab.errors import DeadbeatContractError, InferenceMismatchError
 
 from .conftest import BIG_DELTA, K_REF, M_REF, X0
 from .oracles import deadbeat_loop, mismatch_bound_loop, trace_to_csv_loop
-from .test_cli import ALL_BUNDLED, FUZZ_VALUES, bundled
+from .test_cli import ALL_BUNDLED, FUZZ_VALUES, bundled, count_preparations
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 CASE_SINGLE = DoSParams(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
@@ -402,6 +402,109 @@ class TestConfigValidation:
         trace = run_scenario(cfg)
         assert isinstance(trace, LoopTrace)
         assert trace.scenario is Scenario.DUAL_CHANNEL
+
+
+class TestPlanChecks:
+    """A :class:`Plan` in ``cfg.gains`` is reused as is, after the rules
+    that read the config alone."""
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(attack_slot=25), "mismatch demo needs attack_slot below "
+                               "horizon_slots 20, got 25"),
+        (dict(attack_slot=None), "mismatch demo needs attack_slot$"),
+        (dict(observer="luenberger"), "unknown observer mode 'luenberger'"),
+        (dict(levels=(3, 100, 100)), "mismatch_demo runs need a single "
+                                     "level count"),
+    ])
+    def test_config_rules_hold_for_a_plan(self, changes, message):
+        cfg = bundled_config("batch_reactor_mismatch.json", horizon_slots=20)
+        plan = compile_plan(cfg)
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(dataclasses.replace(cfg, gains=plan, **changes))
+
+
+GAIN_MATRICES = ("controller_gain", "observer_gain", "error_transition",
+                 "closed_loop")
+
+
+def fresh_gain_set(gs):
+    """A copy of ``gs`` with no compiled plan: the same matrices, a new
+    object."""
+    return dataclasses.replace(gs)
+
+
+class TestPlanReuse:
+    """A ready :class:`GainSet` reuses the plan compiled from it while its
+    inputs are unchanged by value."""
+
+    def test_runs_sharing_a_gain_set_prepare_once(self, reactor,
+                                                  reactor_gains,
+                                                  monkeypatch):
+        gains = fresh_gain_set(reactor_gains)
+        calls = count_preparations(monkeypatch)
+        traces = [run_scenario(dual_config(
+            ContinuousPlant(reactor.a.copy(), reactor.b.copy(),
+                            reactor.c.copy()),
+            gains, horizon_slots=30, seed=seed, intensity=intensity))
+            for seed in (0, 1, 2) for intensity in (0.1, 0.9)]
+        assert calls == {"sample_plant": 1, "derive_decay_constants": 1}
+        assert all(t.plan is traces[0].plan for t in traces)
+
+    @pytest.mark.parametrize("change", [
+        *GAIN_MATRICES, "plant_in_place", "plant", "big_delta", "levels",
+        "dos_params", "horizon_fallback", "scenario",
+    ])
+    def test_a_changed_input_gets_a_fresh_plan(self, reactor, reactor_gains,
+                                               change):
+        # copies, so that an edit in place leaves the shared fixtures alone
+        gains = dataclasses.replace(reactor_gains, **{
+            name: getattr(reactor_gains, name).copy()
+            for name in GAIN_MATRICES})
+        plant = ContinuousPlant(reactor.a.copy(), reactor.b, reactor.c)
+        # a pattern and no DoS budget: the plan's budget comes from the
+        # horizon
+        cfg = dual_config(plant, gains, horizon_slots=30, dos_params=None,
+                          pattern=pattern_from_bools([False, True] * 20))
+        first = compile_plan(cfg)
+        assert compile_plan(dataclasses.replace(cfg)) is first
+        if change in GAIN_MATRICES:
+            getattr(gains, change)[0, 0] *= 1.0 + 1e-9
+        elif change == "plant_in_place":
+            plant.a[0, 0] += 1e-9
+        else:
+            cfg = dataclasses.replace(cfg, **{
+                "plant": dict(plant=ContinuousPlant(
+                    plant.a * (1.0 + 1e-9), plant.b, plant.c)),
+                "big_delta": dict(big_delta=BIG_DELTA * 1.01),
+                "levels": dict(levels=(3, 10_000, 9_999)),
+                "dos_params": dict(dos_params=CASE_SINGLE),
+                "horizon_fallback": dict(horizon_slots=31),
+                "scenario": dict(scenario=Scenario.OUTPUT_ACK_FREE,
+                                 levels=100),
+            }[change])
+        again = compile_plan(cfg)
+        want = compile_plan(dataclasses.replace(
+            cfg, gains=fresh_gain_set(gains)))
+        assert again is not first
+        assert (again.constants, again.thetas, again.params, again.levels) \
+            == (want.constants, want.thetas, want.params, want.levels)
+        assert again.dp.a_d.tobytes() == want.dp.a_d.tobytes()
+
+    @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
+                                      "batch_reactor_dual_deadbeat_observer"
+                                      ".json"])
+    def test_reused_traces_match_fresh_plans(self, tmp_path, name):
+        cfg = bundled_config(name, horizon_slots=200)
+        gains = compile_plan(cfg).gains
+        for seed in (0, 5, 11):
+            for intensity in (0.3, 0.9):
+                run = dataclasses.replace(cfg, seed=seed, intensity=intensity)
+                reused = run_outcome(dataclasses.replace(run, gains=gains),
+                                     tmp_path)
+                fresh = run_outcome(dataclasses.replace(
+                    run, gains=fresh_gain_set(gains)), tmp_path)
+                assert reused == fresh
+        assert gains.compiled is not None
 
 
 class TestFailureRecords:

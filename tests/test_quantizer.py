@@ -24,33 +24,45 @@ from doslab.quantizer import (
 )
 
 from .conftest import rng
-from .oracles import decode_array, encode_loop, range_law_loop
+from .oracles import (
+    decode_array,
+    encode_centered,
+    encode_loop,
+    quantize_centered,
+    range_law_loop,
+)
 
 THETAS = ThetaSet(theta_attack=3.0, theta_first=1.2, theta_steady=0.8,
                   variant=ThetaVariant.DUAL)
 
 
 def roundtrip(v, center, rng_val, codec):
-    return decode(encode(v, center, rng_val, codec), center, rng_val, codec)
+    return decode(encode(np.subtract(v, center), rng_val, codec), center,
+                  rng_val, codec)
+
+
+def roundtrip_at_zero(offset, rng_val, codec):
+    return decode(encode(offset, rng_val, codec), np.zeros(codec.dim),
+                  rng_val, codec)
 
 
 class TestEncodeDecode:
     def test_center_of_odd_grid(self):
         codec = UniformCodec(levels=3, dim=2)
-        cells = encode([0.5, 0.5], [0.5, 0.5], 1.0, codec)
+        cells = encode(np.subtract([0.5, 0.5], [0.5, 0.5]), 1.0, codec)
         assert cells == (1, 1)
         np.testing.assert_array_equal(decode(cells, [0.5, 0.5], 1.0, codec),
                                       [0.5, 0.5])
 
     def test_upper_boundary_clamps(self):
         codec = UniformCodec(levels=4, dim=1)
-        cells = encode([1.0], [0.0], 1.0, codec)
+        cells = encode([1.0], 1.0, codec)
         assert cells == (3,)
 
     def test_shared_boundary_goes_to_lower_box(self):
         codec = UniformCodec(levels=2, dim=1)
         # the exact midpoint is on the boundary of both boxes
-        assert encode([0.0], [0.0], 1.0, codec) == (0,)
+        assert encode([0.0], 1.0, codec) == (0,)
 
     def test_even_grid_decodes_off_zero(self):
         codec = UniformCodec(levels=2, dim=1)
@@ -59,19 +71,19 @@ class TestEncodeDecode:
 
     def test_zero_range_requires_exact_center(self):
         codec = UniformCodec(levels=3, dim=1)
-        cells = encode([2.0], [2.0], 0.0, codec)
+        cells = encode(np.subtract([2.0], [2.0]), 0.0, codec)
         assert decode(cells, [2.0], 0.0, codec)[0] == 2.0
         with pytest.raises(SaturationError):
-            encode([2.0 + 1e-12], [2.0], 0.0, codec)
+            encode(np.subtract([2.0 + 1e-12], [2.0]), 0.0, codec)
 
     def test_saturation_raises(self):
         codec = UniformCodec(levels=10, dim=2)
         with pytest.raises(SaturationError):
-            encode([1.5, 0.0], [0.0, 0.0], 1.0, codec)
+            encode([1.5, 0.0], 1.0, codec)
 
     def test_clip_mode_never_raises(self):
         codec = UniformCodec(levels=10, dim=1)
-        cells = encode([5.0], [0.0], 1.0, codec, clip=True)
+        cells = encode([5.0], 1.0, codec, clip=True)
         assert cells == (9,)
 
     def test_roundtrip_error_bound(self):
@@ -106,9 +118,9 @@ class TestEncodeDecode:
         codec = UniformCodec(levels=17, dim=4)
         g = rng(9)
         v = g.uniform(-1, 1, size=4)
-        first = encode(v, np.zeros(4), 1.5, codec)
+        first = encode(v, 1.5, codec)
         for _ in range(5):
-            assert encode(v, np.zeros(4), 1.5, codec) == first
+            assert encode(v, 1.5, codec) == first
 
 
 def oracle_or_saturation(v, center, rng_val, codec, clip):
@@ -121,7 +133,7 @@ def oracle_or_saturation(v, center, rng_val, codec, clip):
 
 def new_or_saturation(v, center, rng_val, codec, clip):
     try:
-        return encode(v, center, rng_val, codec, clip)
+        return encode(v - center, rng_val, codec, clip)
     except SaturationError:
         return SaturationError
 
@@ -178,10 +190,10 @@ class TestEncodeMatchesLoopOracle:
     def test_range_ends_and_zero_range(self):
         codec = UniformCodec(levels=4, dim=2)
         for v in ([-1.0, 1.0], [1.0, -1.0], [0.0, 0.0]):
-            assert (encode(v, [0.0, 0.0], 1.0, codec)
+            assert (encode(v, 1.0, codec)
                     == encode_loop(v, [0.0, 0.0], 1.0, codec))
-        assert encode([-1.0, 1.0], [0.0, 0.0], 1.0, codec) == (0, 3)
-        assert (encode([5.0, -5.0], [0.0, 0.0], 0.0, codec, clip=True)
+        assert encode([-1.0, 1.0], 1.0, codec) == (0, 3)
+        assert (encode([5.0, -5.0], 0.0, codec, clip=True)
                 == encode_loop([5.0, -5.0], [0.0, 0.0], 0.0, codec, clip=True))
 
     @settings(max_examples=200, deadline=None)
@@ -203,7 +215,7 @@ class TestEncodeMatchesLoopOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             want = cells_or_error(encode_loop, v, [0.0, 0.0], rng_val, codec,
                                   True)
-        got = cells_or_error(encode, v, [0.0, 0.0], rng_val, codec, True)
+        got = cells_or_error(encode, v, rng_val, codec, True)
         if not math.isfinite(2.0 * rng_val * levels):
             assert got is InvalidMatrixError
             return
@@ -216,11 +228,11 @@ class TestEncodeMatchesLoopOracle:
     def test_overflowing_range_is_invalid(self, clip):
         codec = UniformCodec(levels=10, dim=2)
         with pytest.raises(InvalidMatrixError, match="overflows"):
-            encode([0.0, 1e307], [0.0, 0.0], 1e308, codec, clip=clip)
+            encode([0.0, 1e307], 1e308, codec, clip=clip)
 
     def test_cells_are_python_ints(self):
         codec = UniformCodec(levels=10, dim=2)
-        cells = encode([0.3, -0.7], [0.0, 0.0], 1.0, codec)
+        cells = encode([0.3, -0.7], 1.0, codec)
         assert all(type(c) is int for c in cells)
 
 
@@ -275,9 +287,9 @@ class TestCodecInputErrors:
         # the other component saturates, so the finiteness check must come
         # first
         with pytest.raises(InvalidMatrixError):
-            encode([5.0, bad], [0.0, 0.0], 1.0, codec, clip=clip)
+            encode([5.0, bad], 1.0, codec, clip=clip)
         with pytest.raises(InvalidMatrixError):
-            encode([5.0, 0.0], [0.0, bad], 1.0, codec, clip=clip)
+            encode(np.subtract([5.0, 0.0], [0.0, bad]), 1.0, codec, clip=clip)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_center_rejected_by_decode(self, bad):
@@ -293,8 +305,13 @@ class TestCodecInputErrors:
         ([[0.1, 0.2]], [0.0, 0.0]),
     ])
     def test_wrong_dimension_rejected_by_encode(self, v, center):
-        with pytest.raises(InvalidMatrixError):
-            encode(v, center, 1.0, UniformCodec(levels=10, dim=2))
+        # no offset v - center exists: each vector of the wrong shape is
+        # refused as an offset
+        wrong = [w for w in (v, center) if np.shape(w) != (2,)]
+        assert wrong
+        for offset in wrong:
+            with pytest.raises(InvalidMatrixError):
+                encode(offset, 1.0, UniformCodec(levels=10, dim=2))
 
     def test_wrong_dimension_rejected_by_decode(self):
         codec = UniformCodec(levels=10, dim=2)
@@ -305,7 +322,7 @@ class TestCodecInputErrors:
 
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            encode([0.0], [0.0], -1.0, UniformCodec(levels=10, dim=1))
+            encode([0.0], -1.0, UniformCodec(levels=10, dim=1))
 
     @pytest.mark.parametrize("cells", [(-1, 0), (0, 10), (10, 10)])
     def test_out_of_range_cells_rejected(self, cells):
@@ -348,9 +365,11 @@ class TestQuantizeIsTheRoundTrip:
         v = data.draw(st.just([c + s * rng_val for c, s in zip(center, scale)])
                       | sizes.flatmap(lambda n: st.lists(ENTRIES, min_size=n,
                                                          max_size=n)))
+        # the offset from the center, or a vector of the wrong length as is
+        offset = [a - b for a, b in zip(v, center)] if len(v) == dim else v
         with np.errstate(all="ignore"):
-            want = outcome(roundtrip, v, center, rng_val, codec)
-            got = outcome(quantize, v, center, rng_val, codec)
+            want = outcome(roundtrip_at_zero, offset, rng_val, codec)
+            got = outcome(quantize, offset, rng_val, codec)
         assert got == want
 
     @pytest.mark.parametrize("v, center, rng_val, levels", [
@@ -358,11 +377,78 @@ class TestQuantizeIsTheRoundTrip:
         ([-0.1, 0.1], [-0.0, 0.0], 1.0, 1),     # one cell, the center
         ([0.0, 0.0], [0.0, 0.0], 5e-324, 2),
         ([1.0, -1.0], [0.0, 0.0], 1.0, 10_000),
+        ([-0.0, 0.0], [0.0, 0.0], 0.0, 2),      # a box at -0.0, a zero center
+        ([0.0, -0.0], [0.0, 0.0], 5e-324, 4),   # rng / n underflows to 0.0
     ])
     def test_signed_zeros_and_grid_edges(self, v, center, rng_val, levels):
         codec = UniformCodec(levels=levels, dim=2)
-        assert (quantize(v, center, rng_val, codec).tobytes()
-                == roundtrip(v, center, rng_val, codec).tobytes())
+        offset = np.subtract(v, center)
+        assert (quantize(offset, rng_val, codec).tobytes()
+                == roundtrip_at_zero(offset, rng_val, codec).tobytes())
+
+
+def codec_outcome(fn, *args):
+    """What ``fn`` returns (an array as its bytes), or the type and message
+    of the codec error it raises."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError, SaturationError) as exc:
+        return type(exc), str(exc)
+    return out.tobytes() if isinstance(out, np.ndarray) else out
+
+
+# zero ranges and ranges whose rng / n underflows to 0.0 decode a cell below
+# the middle to a -0.0 offset; the rest reach every check of the encoder
+ORACLE_RANGES = st.sampled_from([0.0, 5e-324, 1e-323, 2.5e-310, 1.0, 1e300,
+                                 1e308, -1.0, np.inf, np.nan]) \
+    | st.floats(0.0, 1e6)
+ORACLE_CENTERS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, np.inf,
+                                  np.nan]) | st.floats(-1e6, 1e6)
+
+
+class TestOffsetCodecMatchesCenteredOracle:
+    """``encode(v - center, ...)`` and ``quantize(v - center, ...)`` against
+    the center-based codec they replaced: the same cells, bytes and
+    errors."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 3),
+        levels=LEVELS,
+        rng_val=ORACLE_RANGES,
+        clip=st.booleans(),
+    )
+    def test_cells_bytes_and_errors(self, data, dim, levels, rng_val, clip):
+        codec = UniformCodec(levels=levels, dim=dim)
+        center = data.draw(st.lists(ORACLE_CENTERS, min_size=dim,
+                                    max_size=dim))
+        scale = data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, -1.0, 1.0]) | st.floats(-1.5, 1.5),
+            min_size=dim, max_size=dim))
+        v = data.draw(st.just([c + s * rng_val for c, s in zip(center, scale)])
+                      | st.lists(ENTRIES, min_size=dim, max_size=dim))
+        # the offset on Python floats, as the center-based encoder formed it
+        offset = [a - b for a, b in zip(v, center)]
+        cells = codec_outcome(encode, offset, rng_val, codec, clip)
+        assert cells == codec_outcome(encode_centered, v, center, rng_val,
+                                      codec, clip)
+        zeros = [0.0] * dim
+        assert (codec_outcome(quantize, offset, rng_val, codec)
+                == codec_outcome(quantize_centered, offset, zeros, rng_val,
+                                 codec))
+        try:
+            want = quantize_centered(v, center, rng_val, codec)
+        except (ValueError, SaturationError):
+            return
+        cells = encode(offset, rng_val, codec)
+        assert (decode(cells, center, rng_val, codec).tobytes()
+                == want.tobytes())
+        # the ACK engine adds the center back to the round trip and reads
+        # only the difference from it
+        with np.errstate(all="ignore"):
+            assert ((quantize(offset, rng_val, codec) + center - center)
+                    .tobytes() == (want - center).tobytes())
 
 
 def branch_names(attacked, thetas=THETAS):
