@@ -489,7 +489,7 @@ def cmd_run(args) -> int:
     if not report.passes and cfg.scenario is not Scenario.MISMATCH_DEMO:
         print("condition check failed; not running", file=sys.stderr)
         return EXIT_CONDITION
-    cfg.gains = plan
+    cfg.gains = plan.gains
     trace = run_scenario(cfg)
     out_dir = Path(args.out)
     outputs = doc.get("outputs", {})

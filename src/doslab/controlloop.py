@@ -4,14 +4,15 @@
 certificate -- sampled plant, gains, decay constants, theta factors --
 once, as a :class:`Plan`, and hands config and plan to the scheme's
 engine, which only steps plant, encoders, decoders and controller and
-records a full trace.  A ready :class:`GainSet` keeps the last plan
-compiled from it, so runs that share one and change only their attack
-pattern compile it once.  Every quantizer range is a function of the
-attack pattern alone, so each engine takes its range sequences from
-:func:`update_range` before it steps.  Each fixed matrix's ``ndarray.dot``
-is bound once per run (it rounds as ``@`` does, at half the call cost), a
-transmission is one :func:`quantize` round trip of the value's offset from
-its center and the per-slot checks read Python floats.
+records a full trace.  Every gain set keeps the last plan compiled with
+it, so runs that share one (a plan's ``plan.gains`` included) and change
+only their attack pattern compile it once.  Every quantizer range is a
+function of the attack pattern alone, so each engine takes its range
+sequences from :func:`update_range` before it steps.  Each fixed matrix's
+``ndarray.dot`` is bound once per run (it rounds as ``@`` does, at half
+the call cost), a transmission is one :func:`quantize` round trip of the
+value's offset from its center and the per-slot checks read Python
+floats.
 
 The dual-channel and ACK-free schemes step one deadbeat slot loop,
 :func:`_step_deadbeat`, told apart by their data: the dual scheme has an
@@ -117,13 +118,13 @@ class SimConfig:
 
     ``levels`` is an ``(n1, n2, n3)`` triple for the dual-channel scenario
     and a single integer for the output-channel scenarios.  ``gains`` may
-    be a ready :class:`GainSet` (see :func:`compile_plan` for the plan it
-    keeps), a :class:`Plan` already compiled for this config (reused as
-    is), or a scenario file's ``gains`` entry: ``None``
-    or ``"synthesize"``, or a dict giving ``k`` and/or ``m``.  The attack
-    pattern comes either ready-made or from ``(dos_params, seed,
-    intensity)``.  Each field's rule is checked here, with a
-    :class:`ScenarioError`; counts may be integral floats, stored as ints.
+    be a ready :class:`GainSet` or a scenario file's ``gains`` entry:
+    ``None`` or ``"synthesize"``, or a dict giving ``k`` and/or ``m``; to
+    reuse a compiled plan, pass its ``plan.gains`` (see
+    :func:`compile_plan`).  The attack pattern comes either ready-made or
+    from ``(dos_params, seed, intensity)``.  Every rule that reads the
+    config alone is checked here, with a :class:`ScenarioError`; counts
+    may be integral floats, stored as ints.
     """
 
     plant: ContinuousPlant
@@ -137,7 +138,7 @@ class SimConfig:
     dos_params: DoSParams | None = None
     seed: int = 0
     intensity: float = 0.5
-    gains: GainSet | Plan | dict | str | None = None
+    gains: GainSet | dict | str | None = None
     observer: str = "kalman"
     control_weight: float = 1.0
     oversample: int = 1
@@ -172,6 +173,29 @@ class SimConfig:
                                 f"a zero input or plot period")
         if self.pattern is None and self.dos_params is not None:
             check_intensity(self.intensity)
+        dual = self.scenario is Scenario.DUAL_CHANNEL
+        try:
+            levels = (tuple(_count(n, "levels", 1) for n in self.levels)
+                      if dual else (_count(self.levels, "levels", 1),))
+        except (TypeError, ScenarioError):
+            levels = ()
+        # the codec computes cells in float64, exact for integers up to 2**53
+        if len(levels) != (3 if dual else 1) or max(levels) > 2 ** 53:
+            shape = "an (n1, n2, n3) triple" if dual else "a single level count"
+            raise ScenarioError(
+                f"{self.scenario.value} runs need {shape} of integers in "
+                f"[1, 2**53]"
+            )
+        self.levels = levels if dual else levels[0]
+        if self.scenario is Scenario.MISMATCH_DEMO:
+            if self.attack_slot is None:
+                raise ScenarioError("mismatch demo needs attack_slot")
+            if self.attack_slot >= self.horizon_slots:
+                raise ScenarioError(
+                    f"mismatch demo needs attack_slot below horizon_slots "
+                    f"{self.horizon_slots}, got {self.attack_slot!r:.60}")
+        if self.observer not in ("kalman", "deadbeat"):
+            raise ScenarioError(f"unknown observer mode {self.observer!r}")
 
 
 def _count(value, name: str, least: int) -> int:
@@ -206,35 +230,6 @@ class Plan:
     params: DoSParams
 
 
-def _check_config(cfg: SimConfig):
-    """Check the rules that read the config alone and return ``cfg.levels``
-    as positive ints, in the shape its scenario needs.  The other rules are
-    a mismatch demo's ``attack_slot`` and the observer mode."""
-    dual = cfg.scenario is Scenario.DUAL_CHANNEL
-    try:
-        levels = (tuple(_count(n, "levels", 1) for n in cfg.levels) if dual
-                  else (_count(cfg.levels, "levels", 1),))
-    except (TypeError, ScenarioError):
-        levels = ()
-    # the codec computes cells in float64, exact for integers up to 2**53
-    if len(levels) != (3 if dual else 1) or max(levels) > 2 ** 53:
-        shape = "an (n1, n2, n3) triple" if dual else "a single level count"
-        raise ScenarioError(
-            f"{cfg.scenario.value} runs need {shape} of integers in "
-            f"[1, 2**53]"
-        )
-    if cfg.scenario is Scenario.MISMATCH_DEMO:
-        if cfg.attack_slot is None:
-            raise ScenarioError("mismatch demo needs attack_slot")
-        if cfg.attack_slot >= cfg.horizon_slots:
-            raise ScenarioError(
-                f"mismatch demo needs attack_slot below horizon_slots "
-                f"{cfg.horizon_slots}, got {cfg.attack_slot!r:.60}")
-    if cfg.observer not in ("kalman", "deadbeat"):
-        raise ScenarioError(f"unknown observer mode {cfg.observer!r}")
-    return levels if dual else levels[0]
-
-
 def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
                    protocol: bool) -> tuple[GainSet, str]:
     """Gain set for the gains entry in ``cfg.gains`` and its provenance.
@@ -249,8 +244,8 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
         spec = {}
     if not isinstance(spec, dict) or set(spec) - {"k", "m", "nilpotency_tol"}:
         raise ScenarioError(
-            "gains must be None, 'synthesize', a GainSet, a Plan or a dict of "
-            f"k, m and nilpotency_tol, got {spec!r:.60}")
+            "gains must be None, 'synthesize', a GainSet or a dict of k, m "
+            f"and nilpotency_tol, got {spec!r:.60}")
     tol = spec.get("nilpotency_tol", 5e-2)
     if not (is_finite_number(tol) and tol > 0):
         raise ScenarioError(f"gains.nilpotency_tol must be finite and "
@@ -290,35 +285,31 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
     return make_gain_set(dp, k, m, deadbeat_observer), source
 
 
-def _plan_inputs(cfg: SimConfig, variant: ThetaVariant, levels,
+def _plan_inputs(cfg: SimConfig, gs: GainSet, variant: ThetaVariant,
                  params: DoSParams):
-    """Every input of a plan compiled from the ready :class:`GainSet` in
-    ``cfg.gains``, each matrix as its shape and bytes so that an edit in
-    place shows; ``None`` when a matrix is not a float64 array."""
-    gs, plant = cfg.gains, cfg.plant
+    """Every input of a plan for ``cfg`` compiled from the gain set ``gs``,
+    each matrix as its shape and bytes so that an edit in place shows;
+    ``None`` when a matrix is not a float64 array."""
+    plant = cfg.plant
     matrices = (plant.a, plant.b, plant.c, gs.controller_gain,
                 gs.observer_gain, gs.error_transition, gs.closed_loop)
     if not all(isinstance(w, np.ndarray) and w.dtype == float
                for w in matrices):
         return None
-    return (variant, cfg.big_delta, levels, params,
+    return (variant, cfg.big_delta, cfg.levels, params,
             *((w.shape, w.tobytes()) for w in matrices))
 
 
 def compile_plan(cfg: SimConfig) -> Plan:
     """Sample the plant, fix the gains and derive the certificate for ``cfg``.
 
-    The rules that read the config alone are checked first, whatever
-    ``cfg.gains`` holds.  A :class:`Plan` in ``cfg.gains`` is then
-    returned as is, and a gains entry resolved by :func:`_resolve_gains`.
-    A :class:`GainSet` is used as given and keeps the last plan compiled
-    from it, which is returned again while every input it was compiled
-    from is unchanged by value: plant, ``big_delta``, scheme, levels, DoS
-    budget and gain matrices.
+    A gains entry in ``cfg.gains`` is resolved by :func:`_resolve_gains`,
+    and a :class:`GainSet` is used as given.  Either gain set keeps the
+    last plan compiled from it.  A given set's plan is returned again
+    while every input it was compiled from is unchanged by value: plant,
+    ``big_delta``, scheme, levels, DoS budget and gain matrices.  So a
+    plan is reused by passing its ``plan.gains``.
     """
-    levels = _check_config(cfg)
-    if isinstance(cfg.gains, Plan):
-        return cfg.gains
     variant = _SCHEMES[cfg.scenario][0]
     params = cfg.dos_params
     if params is None:
@@ -327,7 +318,7 @@ def compile_plan(cfg: SimConfig) -> Plan:
                            kappa_d=1, nu_d=max(1, cfg.horizon_slots))
     given = isinstance(cfg.gains, GainSet)
     if given:
-        inputs = _plan_inputs(cfg, variant, levels, params)
+        inputs = _plan_inputs(cfg, cfg.gains, variant, params)
         memo = cfg.gains.compiled
         if inputs is not None and memo is not None and memo[0] == inputs:
             return memo[1]
@@ -340,14 +331,15 @@ def compile_plan(cfg: SimConfig) -> Plan:
         gains, source = cfg.gains, "given"
     else:
         gains, source = _resolve_gains(cfg, dp, not single_rate)
+        inputs = _plan_inputs(cfg, gains, variant, params)
     l_obs = dp.a_d @ gains.observer_gain if single_rate else None
     constants = derive_decay_constants(gains, dp, l_obs=l_obs)
     plan = Plan(
-        dp=dp, gains=gains, gain_source=source, l_obs=l_obs, levels=levels,
-        constants=constants,
-        thetas=compute_thetas(variant, constants, dp, levels), params=params,
+        dp=dp, gains=gains, gain_source=source, l_obs=l_obs,
+        levels=cfg.levels, constants=constants, params=params,
+        thetas=compute_thetas(variant, constants, dp, cfg.levels),
     )
-    if given and inputs is not None:
+    if inputs is not None:
         object.__setattr__(gains, "compiled", (inputs, plan))
     return plan
 
@@ -505,14 +497,6 @@ def _resolve_pattern(cfg: SimConfig) -> np.ndarray:
         raise ScenarioError(f"pattern covers {pattern.horizon} slots, "
                             f"run needs {cfg.horizon_slots}")
     return np.array(pattern.slots[:cfg.horizon_slots], dtype=bool)
-
-
-def _quantize(offset, rng, codec, channel, q, k=None):
-    """:func:`quantize`, naming the slot, sub-step and channel of a failure."""
-    try:
-        return quantize(offset, rng, codec)
-    except (SaturationError, InvalidMatrixError) as exc:
-        raise _placed(exc, channel, q, k) from exc
 
 
 def _placed(exc, channel, q, k=None):
@@ -695,22 +679,26 @@ def _run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
                                        dps.b_d, l_obs))
 
-    for q, (hit, e_q) in enumerate(zip(tb.attacked.tolist(), e.tolist())):
-        u = kc(xh)
-        yh = c(xh)
-        if hit:
-            xh_next = a(xh) + b(u)
-        else:
-            y = c(x)
-            # the offset and the box overflow to inf silently, as Python
-            # floats and the range law do; qv differs from decode(cells, yh,
-            # ...) at most in the sign of a zero entry, which qv - yh drops
-            with np.errstate(over="ignore", invalid="ignore"):
-                qv = _quantize(y - yh, norm_c * e_q, codec, "output", q) + yh
-            xh_next = a(xh) + b(u) + lo(qv - yh)
-        tb.rows.append((x, xh, u, u))
-        x = a(x) + b(u)
-        xh = xh_next
+    try:
+        for q, (hit, e_q) in enumerate(zip(tb.attacked.tolist(), e.tolist())):
+            u = kc(xh)
+            yh = c(xh)
+            if hit:
+                xh_next = a(xh) + b(u)
+            else:
+                y = c(x)
+                # the offset and the box overflow to inf silently, as Python
+                # floats and the range law do; qv differs from decode(cells,
+                # yh, ...) at most in the sign of a zero entry, which qv - yh
+                # drops
+                with np.errstate(over="ignore", invalid="ignore"):
+                    qv = quantize(y - yh, norm_c * e_q, codec) + yh
+                xh_next = a(xh) + b(u) + lo(qv - yh)
+            tb.rows.append((x, xh, u, u))
+            x = a(x) + b(u)
+            xh = xh_next
+    except (SaturationError, InvalidMatrixError) as exc:
+        raise _placed(exc, "output", q) from exc
 
     tb.stack()
     starts = tb.starts(tb.x)
@@ -866,6 +854,6 @@ _SCHEMES = {
 
 
 def run_scenario(cfg: SimConfig) -> LoopTrace:
-    """Compile the plan for ``cfg`` (or reuse the one in ``cfg.gains``) and
-    run its scenario's engine."""
+    """Compile the plan for ``cfg`` (or reuse the one its gain set keeps)
+    and run its scenario's engine."""
     return _SCHEMES[cfg.scenario][1](cfg, compile_plan(cfg))

@@ -77,8 +77,9 @@ class GainSet:
     ``error_transition`` is ``a_lift (I - observer_gain c)`` -- the slotwise
     transition of the estimation error; ``closed_loop`` is
     ``a_d + b_d controller_gain``.  ``compiled`` holds the last plan
-    :func:`doslab.controlloop.compile_plan` compiled from this gain set,
-    with the inputs it was compiled from; it is not an argument.
+    :func:`doslab.controlloop.compile_plan` compiled with this gain set,
+    given or resolved, with the inputs it was compiled from; it is not an
+    argument.
     """
 
     controller_gain: np.ndarray

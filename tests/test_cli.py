@@ -215,8 +215,7 @@ class TestRunCommand:
                          "--out", str(tmp_path / "out"), "--no-plots"])
         assert code == cli.EXIT_OK
 
-    @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
-                                      "batch_reactor_ack.json"])
+    @pytest.mark.parametrize("name", ALL_BUNDLED)
     def test_one_preparation_per_run(self, name, tmp_path, monkeypatch):
         calls = count_preparations(monkeypatch)
         doc = load(name)

@@ -310,12 +310,11 @@ class TestMismatchDemo:
             mismatch_bound(ackfree_trace)
 
     def test_requires_attack_slot(self, reactor):
-        cfg = SimConfig(
-            plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
-            scenario=Scenario.MISMATCH_DEMO, horizon_slots=10, levels=100,
-        )
         with pytest.raises(ScenarioError):
-            run_scenario(cfg)
+            SimConfig(
+                plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
+                scenario=Scenario.MISMATCH_DEMO, horizon_slots=10, levels=100,
+            )
 
 
 class TestConfigValidation:
@@ -340,7 +339,7 @@ class TestConfigValidation:
             cfg = dual_config(reactor, reactor_gains, horizon_slots=30,
                               seed=seed)
             fresh = run_scenario(cfg)
-            cfg.gains = plan
+            cfg.gains = plan.gains
             reused = run_scenario(cfg)
             np.testing.assert_array_equal(reused.x, fresh.x)
             np.testing.assert_array_equal(reused.ranges["E2"],
@@ -405,8 +404,9 @@ class TestConfigValidation:
 
 
 class TestPlanChecks:
-    """A :class:`Plan` in ``cfg.gains`` is reused as is, after the rules
-    that read the config alone."""
+    """The rules that read the config alone hold for a config that reuses
+    a plan through ``plan.gains``, and a :class:`Plan` is not a gains
+    entry."""
 
     @pytest.mark.parametrize("changes, message", [
         (dict(attack_slot=25), "mismatch demo needs attack_slot below "
@@ -420,7 +420,16 @@ class TestPlanChecks:
         cfg = bundled_config("batch_reactor_mismatch.json", horizon_slots=20)
         plan = compile_plan(cfg)
         with pytest.raises(ScenarioError, match=message):
-            run_scenario(dataclasses.replace(cfg, gains=plan, **changes))
+            run_scenario(dataclasses.replace(cfg, gains=plan.gains,
+                                             **changes))
+
+    def test_a_plan_is_refused_as_gains(self):
+        cfg = bundled_config("batch_reactor_dual.json", horizon_slots=20)
+        plan = compile_plan(cfg)
+        with pytest.raises(ScenarioError, match="gains must be None, "
+                           "'synthesize', a GainSet or a dict of k, m and "
+                           "nilpotency_tol, got Plan"):
+            run_scenario(dataclasses.replace(cfg, gains=plan))
 
 
 GAIN_MATRICES = ("controller_gain", "observer_gain", "error_transition",
@@ -506,6 +515,28 @@ class TestPlanReuse:
                 assert reused == fresh
         assert gains.compiled is not None
 
+    # the plan of a scenario file's gains entry, reused through plan.gains
+    # with an input changed: stepped under the old plan, the levels run
+    # would start E2 at 13.43 instead of 10.74 and the big_delta run would
+    # mix 0.5 s slots with 0.1 s sub-steps; under a fresh plan the gains,
+    # deadbeat for 0.2 s slots only, saturate the big_delta run's input
+    @pytest.mark.parametrize("changes", [dict(levels=(3, 5, 5)),
+                                         dict(big_delta=0.5)],
+                             ids=["levels", "big_delta"])
+    def test_plan_gains_with_a_changed_input_get_a_fresh_plan(
+            self, tmp_path, changes):
+        cfg = bundled_config("batch_reactor_dual.json", horizon_slots=50)
+        plan = compile_plan(cfg)
+        assert compile_plan(dataclasses.replace(cfg, gains=plan.gains)) \
+            is plan
+        run = dataclasses.replace(cfg, gains=plan.gains, **changes)
+        again = compile_plan(run)
+        assert again is not plan
+        assert (again.dp.big_delta, again.levels) == (run.big_delta,
+                                                      run.levels)
+        fresh = dataclasses.replace(run, gains=fresh_gain_set(plan.gains))
+        assert run_outcome(run, tmp_path) == run_outcome(fresh, tmp_path)
+
 
 class TestFailureRecords:
     """A codec failure names the slot, sub-step and channel it hit."""
@@ -518,6 +549,18 @@ class TestFailureRecords:
         assert (err.slot, err.substep, err.channel) == (0, 0, "input")
         assert str(err).startswith(
             "input quantizer saturated at slot 0, sub-step 0: ")
+
+    def test_ack_range_overflow_names_its_place(self, reactor):
+        cfg = SimConfig(
+            plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
+            scenario=Scenario.OUTPUT_ACK, horizon_slots=1000, levels=1,
+            dos_params=CASE_SINGLE, seed=7, intensity=0.3,
+        )
+        with pytest.raises(InvalidMatrixError) as info:
+            run_scenario(cfg)
+        assert str(info.value) == (
+            "output quantizer at slot 715: range times levels overflows the "
+            "float range")
 
     @pytest.mark.parametrize("observer, gains, levels, where", [
         ("kalman", {"m": M_REF}, (3, 2, 100), "output quantizer at slot 421:"),
@@ -753,7 +796,7 @@ def run_outcome(cfg, directory):
 def engine_and_oracle(cfg, directory):
     """:func:`run_outcome` of ``cfg`` stepped by the engine's deadbeat loop
     and by :func:`deadbeat_loop`, on one compiled plan."""
-    cfg = dataclasses.replace(cfg, gains=compile_plan(cfg))
+    cfg = dataclasses.replace(cfg, gains=compile_plan(cfg).gains)
     engine = run_outcome(cfg, directory)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(controlloop, "_step_deadbeat", deadbeat_loop)
