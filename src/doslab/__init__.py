@@ -41,7 +41,6 @@ from .conditions import (
     ThetaVariant,
     build_report,
     decay_certificate,
-    sharpest_single_level_threshold,
     tradeoff_boundary,
 )
 from .controlloop import (

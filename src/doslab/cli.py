@@ -20,12 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditions import (
-    build_report,
-    report_rows,
-    report_text,
-    tradeoff_boundary,
-)
+from .conditions import report_rows, report_text, tradeoff_boundary
 from .controlloop import (
     Scenario,
     SimConfig,
@@ -434,9 +429,9 @@ def _compile(args):
 
 
 def _report(args, doc, plan):
-    """Build the condition report, write its CSV and print it."""
-    report = build_report(plan.thetas.variant, plan.constants, plan.dp,
-                          plan.levels, plan.params)
+    """Write the plan's condition report as a CSV and print it, after the
+    source of its gains."""
+    report = plan.report
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
@@ -445,7 +440,10 @@ def _report(args, doc, plan):
         fh.write("name,value\n")
         for key, value in report_rows(report, plan.params):
             fh.write(f"{key},{value}\n")
-    print(f"gains: {plan.gain_source}")
+    entry = doc.get("gains")
+    given = [n for n in ("k", "m") if isinstance(entry, dict) and n in entry]
+    print(f"gains: injected ({', '.join(given)})" if given
+          else "gains: synthesized")
     print(report_text(report, plan.params), end="")
     return report
 
@@ -489,8 +487,7 @@ def cmd_run(args) -> int:
     if not report.passes and cfg.scenario is not Scenario.MISMATCH_DEMO:
         print("condition check failed; not running", file=sys.stderr)
         return EXIT_CONDITION
-    cfg.gains = plan.gains
-    trace = run_scenario(cfg)
+    trace = run_scenario(dataclasses.replace(cfg, gains=plan.gains))
     out_dir = Path(args.out)
     outputs = doc.get("outputs", {})
     stem = Path(args.scenario).stem
@@ -519,10 +516,9 @@ def cmd_tradeoff(args) -> int:
     if args.grid < 2:
         raise ScenarioError("tradeoff needs a grid of at least 2 points")
     grid = np.linspace(0.0, 0.5, args.grid)
-    variant = plan.thetas.variant
-    finite = tradeoff_boundary(variant, plan.constants, plan.dp, plan.levels,
-                               grid)
-    limit = tradeoff_boundary(variant, plan.constants, plan.dp, None, grid)
+    variant, dc = plan.report.thetas.variant, plan.report.constants
+    finite = tradeoff_boundary(variant, dc, plan.dp, plan.levels, grid)
+    limit = tradeoff_boundary(variant, dc, plan.dp, None, grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem

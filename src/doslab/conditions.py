@@ -12,13 +12,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .discretize import DiscretePlant
 from .dos import DoSParams
-from .errors import CertificateUnavailableError, StabilityCertificationError
-from .gains import DECAY_SCAN_CAP, DecayConstants, GainSet, _scan_constants
-from .matrixcore import gelfand_radius, inf_norm, stack_norms
+from .errors import CertificateUnavailableError
+from .gains import DecayConstants
+from .matrixcore import inf_norm
 
 __all__ = [
     "ThetaVariant",
@@ -32,7 +30,6 @@ __all__ = [
     "tradeoff_boundary",
     "decay_certificate",
     "build_report",
-    "sharpest_single_level_threshold",
 ]
 
 
@@ -176,14 +173,20 @@ def _dos_rhs(thetas: ThetaSet, nu_f_inv: float) -> float:
     if th_a <= 1.0:
         return math.inf
     den = math.log(th_a / th_na)
-    return math.log(1.0 / th_na) / den - math.log(th_0 / th_na) / den * nu_f_inv
+    rhs = math.log(1.0 / th_na) / den
+    if nu_f_inv == 0.0:
+        return rhs
+    if th_0 == 0.0:  # log(0): the rhs rises without bound in 1/nu_f
+        return math.inf
+    return rhs - math.log(th_0 / th_na) / den * nu_f_inv
 
 
 def check_dos(thetas: ThetaSet, params: DoSParams) -> tuple[float, bool]:
     """Right side of the duration-budget inequality and whether it holds.
 
     The admissible region is ``1/nu_d <= rhs(1/nu_f)``.  Degenerate shapes
-    are reported through infinities: a contractive attacked slot admits any
+    are reported through infinities: a contractive attacked slot, or a
+    first success that contracts to zero under ``1/nu_f > 0``, admits any
     budget, a non-contractive steady slot admits none.
     """
     rhs = _dos_rhs(thetas, 1.0 / params.nu_f)
@@ -252,34 +255,6 @@ def input_envelope_gain(dc: DecayConstants, n3: int) -> float:
     """Factor mapping omega1 to the input-range envelope: the worst
     sub-step gain ``(n3-1)/n3 * max_k inf_norm(k rbar^k m)``."""
     return (n3 - 1) / n3 * max(dc.input_gains)
-
-
-def sharpest_single_level_threshold(
-    gs: GainSet, dp: DiscretePlant
-) -> tuple[float, float]:
-    """Least conservative single-channel level threshold over admissible rho.
-
-    The midpoint rho rule is deterministic but not the sharpest certificate;
-    this scans 400 rho between the certified spectral bound and one, takes
-    each one's envelope constant from the decay-constant scan (skipping a
-    rho whose tail it cannot certify), and minimizes
-    ``g1 * ||C|| / (1 - rho)``.  Returns ``(threshold, rho)``.
-    """
-    r = gs.error_transition
-    lifted_m = dp.a_lift @ gs.observer_gain
-    norm_c = inf_norm(dp.c)
-    radius = gelfand_radius(r, DECAY_SCAN_CAP)
-    best = (math.inf, math.nan)
-    for rho in np.linspace(radius + 1e-3, 0.995, 400).tolist():
-        try:
-            (g1,), _ = _scan_constants(
-                r, rho, (lambda p: stack_norms(p @ lifted_m),))
-        except StabilityCertificationError:
-            continue
-        threshold = g1 * norm_c / (1.0 - rho)
-        if threshold < best[0]:
-            best = (threshold, rho)
-    return best
 
 
 def build_report(

@@ -1,7 +1,7 @@
 """Closed-loop simulation engines.
 
 :func:`run_scenario` is the one way in.  It compiles a scenario's
-certificate -- sampled plant, gains, decay constants, theta factors --
+certificate -- sampled plant, gains, decay constants, condition report --
 once, as a :class:`Plan`, and hands config and plan to the scheme's
 engine, which only steps plant, encoders, decoders and controller and
 records a full trace.  Every gain set keeps the last plan compiled with
@@ -38,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .conditions import ThetaSet, ThetaVariant, compute_thetas
+from .conditions import ConditionReport, ThetaVariant, build_report
 from .discretize import (
     ContinuousPlant,
     DiscretePlant,
@@ -57,7 +57,6 @@ from .errors import (
 )
 from .gains import (
     DECAY_SCAN_CAP,
-    DecayConstants,
     GainSet,
     derive_decay_constants,
     design_deadbeat_gain,
@@ -112,7 +111,7 @@ class Scenario(Enum):
     MISMATCH_DEMO = "mismatch_demo"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Everything one closed-loop run needs.
 
@@ -124,7 +123,8 @@ class SimConfig:
     :func:`compile_plan`).  The attack pattern comes either ready-made or
     from ``(dos_params, seed, intensity)``.  Every rule that reads the
     config alone is checked here, with a :class:`ScenarioError`; counts
-    may be integral floats, stored as ints.
+    may be integral floats, stored as ints.  A config is frozen: change
+    one with :func:`dataclasses.replace`, which checks it again.
     """
 
     plant: ContinuousPlant
@@ -148,7 +148,7 @@ class SimConfig:
         if not isinstance(self.scenario, Scenario):
             raise ScenarioError(f"scenario must be a Scenario, got "
                                 f"{self.scenario!r:.60}")
-        self.x0 = as_vector(self.x0)
+        object.__setattr__(self, "x0", as_vector(self.x0))
         if len(self.x0) != self.plant.n_x:
             raise ScenarioError(f"x0 must have {self.plant.n_x} entries, "
                                 f"got {len(self.x0)}")
@@ -159,7 +159,8 @@ class SimConfig:
         for name, least in (("horizon_slots", 1), ("oversample", 1),
                             ("seed", 0), ("attack_slot", 0)):
             if name != "attack_slot" or self.attack_slot is not None:
-                setattr(self, name, _count(getattr(self, name), name, least))
+                object.__setattr__(self, name,
+                                   _count(getattr(self, name), name, least))
         for name in ("big_delta", "control_weight"):
             value = getattr(self, name)
             if not (is_finite_number(value) and value > 0):
@@ -186,7 +187,7 @@ class SimConfig:
                 f"{self.scenario.value} runs need {shape} of integers in "
                 f"[1, 2**53]"
             )
-        self.levels = levels if dual else levels[0]
+        object.__setattr__(self, "levels", levels if dual else levels[0])
         if self.scenario is Scenario.MISMATCH_DEMO:
             if self.attack_slot is None:
                 raise ScenarioError("mismatch demo needs attack_slot")
@@ -214,25 +215,24 @@ def _count(value, name: str, least: int) -> int:
 class Plan:
     """A scenario's fixed certificate, compiled by :func:`compile_plan`.
 
-    ``l_obs`` is the ACK variant's predictor gain ``a_d m`` (else ``None``),
-    ``constants.input_gains`` the per-sub-step input gains and ``params``
-    the DoS budget the condition report checks.  The attack pattern is
-    left out: each run resolves its own from its config.
+    ``l_obs`` is the ACK variant's predictor gain ``a_d m`` (else ``None``)
+    and ``params`` the DoS budget the condition ``report`` checks; the
+    report holds the decay constants (``input_gains`` among them) and the
+    theta factors.  The attack pattern is left out: each run resolves its
+    own from its config.
     """
 
     dp: DiscretePlant
     gains: GainSet
-    gain_source: str
     l_obs: np.ndarray | None
     levels: tuple[int, int, int] | int
-    constants: DecayConstants
-    thetas: ThetaSet
     params: DoSParams
+    report: ConditionReport
 
 
 def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
-                   protocol: bool) -> tuple[GainSet, str]:
-    """Gain set for the gains entry in ``cfg.gains`` and its provenance.
+                   protocol: bool) -> GainSet:
+    """Gain set for the gains entry in ``cfg.gains``.
 
     Gains the entry does not give are synthesized: deadbeat or, for the
     single-rate schemes, Schur-stabilizing feedback, and a filter or
@@ -281,23 +281,16 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
         m = design_observer_gain(dp.a_lift, dp.c)
     # an injected m whose error transition is not certified Schur is
     # rejected by derive_decay_constants
-    source = f"injected ({', '.join(given)})" if given else "synthesized"
-    return make_gain_set(dp, k, m, deadbeat_observer), source
+    return make_gain_set(dp, k, m, deadbeat_observer)
 
 
-def _plan_inputs(cfg: SimConfig, gs: GainSet, variant: ThetaVariant,
-                 params: DoSParams):
-    """Every input of a plan for ``cfg`` compiled from the gain set ``gs``,
-    each matrix as its shape and bytes so that an edit in place shows;
-    ``None`` when a matrix is not a float64 array."""
+def _plan_inputs(cfg: SimConfig, variant: ThetaVariant, params: DoSParams):
+    """Every input of a plan for ``cfg`` but its gain set, which cannot
+    change; each plant matrix as its shape and bytes, so that an edit in
+    place shows."""
     plant = cfg.plant
-    matrices = (plant.a, plant.b, plant.c, gs.controller_gain,
-                gs.observer_gain, gs.error_transition, gs.closed_loop)
-    if not all(isinstance(w, np.ndarray) and w.dtype == float
-               for w in matrices):
-        return None
     return (variant, cfg.big_delta, cfg.levels, params,
-            *((w.shape, w.tobytes()) for w in matrices))
+            *((w.shape, w.tobytes()) for w in (plant.a, plant.b, plant.c)))
 
 
 def compile_plan(cfg: SimConfig) -> Plan:
@@ -306,9 +299,9 @@ def compile_plan(cfg: SimConfig) -> Plan:
     A gains entry in ``cfg.gains`` is resolved by :func:`_resolve_gains`,
     and a :class:`GainSet` is used as given.  Either gain set keeps the
     last plan compiled from it.  A given set's plan is returned again
-    while every input it was compiled from is unchanged by value: plant,
-    ``big_delta``, scheme, levels, DoS budget and gain matrices.  So a
-    plan is reused by passing its ``plan.gains``.
+    while every other input it was compiled from is unchanged by value:
+    plant, ``big_delta``, scheme, levels and DoS budget.  So a plan is
+    reused by passing its ``plan.gains``.
     """
     variant = _SCHEMES[cfg.scenario][0]
     params = cfg.dos_params
@@ -316,31 +309,24 @@ def compile_plan(cfg: SimConfig) -> Plan:
         # pattern-only or demo scenarios: report against a unit budget
         params = DoSParams(kappa_f=1, nu_f=max(2.0, cfg.horizon_slots),
                            kappa_d=1, nu_d=max(1, cfg.horizon_slots))
+    inputs = _plan_inputs(cfg, variant, params)
     given = isinstance(cfg.gains, GainSet)
-    if given:
-        inputs = _plan_inputs(cfg, cfg.gains, variant, params)
-        memo = cfg.gains.compiled
-        if inputs is not None and memo is not None and memo[0] == inputs:
-            return memo[1]
+    memo = cfg.gains.compiled if given else None
+    if memo is not None and memo[0] == inputs:
+        return memo[1]
     single_rate = variant is ThetaVariant.ACK
     if single_rate:
         dp = sample_plant_single_rate(cfg.plant, cfg.big_delta)
     else:
         dp = sample_plant(cfg.plant, cfg.big_delta)
-    if given:
-        gains, source = cfg.gains, "given"
-    else:
-        gains, source = _resolve_gains(cfg, dp, not single_rate)
-        inputs = _plan_inputs(cfg, gains, variant, params)
+    gains = cfg.gains if given else _resolve_gains(cfg, dp, not single_rate)
     l_obs = dp.a_d @ gains.observer_gain if single_rate else None
     constants = derive_decay_constants(gains, dp, l_obs=l_obs)
     plan = Plan(
-        dp=dp, gains=gains, gain_source=source, l_obs=l_obs,
-        levels=cfg.levels, constants=constants, params=params,
-        thetas=compute_thetas(variant, constants, dp, cfg.levels),
+        dp=dp, gains=gains, l_obs=l_obs, levels=cfg.levels, params=params,
+        report=build_report(variant, constants, dp, cfg.levels, params),
     )
-    if inputs is not None:
-        object.__setattr__(gains, "compiled", (inputs, plan))
+    object.__setattr__(gains, "compiled", (inputs, plan))
     return plan
 
 
@@ -639,16 +625,17 @@ def _run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb = _TraceBuilder(cfg, plan.dp, _resolve_pattern(cfg))
     codec3 = UniformCodec(n3, plant.n_y)
     # the output range covers |C x0|
-    branch, e3 = update_range(inf_norm(plant.c) * cfg.x0_bound, plan.thetas,
-                              tb.attacked)
+    branch, e3 = update_range(inf_norm(plant.c) * cfg.x0_bound,
+                              plan.report.thetas, tb.attacked)
     # each sub-step's input range is set on a successful slot and held
     # through attacks, zero before the first success; a range that
     # overflows ends the run in encode, as a non-finite range
     held = np.maximum.accumulate(
         np.where(tb.attacked, 0, np.arange(1, len(e3))))
+    input_gains = np.array(plan.report.constants.input_gains)
     with np.errstate(over="ignore", invalid="ignore"):
-        e2 = derive_input_range(np.append(0.0, e3)[held, None],
-                                np.array(plan.constants.input_gains), codec3)
+        e2 = derive_input_range(np.append(0.0, e3)[held, None], input_gains,
+                                codec3)
     tb.slots["e3"] = e3
 
     x, inferred = _step_deadbeat(cfg, plan, tb, (codec3, e3.tolist()),
@@ -672,7 +659,7 @@ def _run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
     tb = _TraceBuilder(cfg, dps, _resolve_pattern(cfg))
-    branch, e = update_range(cfg.x0_bound, plan.thetas, tb.attacked)
+    branch, e = update_range(cfg.x0_bound, plan.report.thetas, tb.attacked)
     x = cfg.x0.copy()
     xh = np.zeros(plant.n_x)
     tb.slots["e"] = e
@@ -720,12 +707,12 @@ def _run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb = _TraceBuilder(cfg, plan.dp, _resolve_pattern(cfg))
     codec = UniformCodec(plan.levels, cfg.plant.n_y)
     norm_c = inf_norm(cfg.plant.c)
-    branch, e = update_range(cfg.x0_bound, plan.thetas, tb.attacked)
+    branch, e = update_range(cfg.x0_bound, plan.report.thetas, tb.attacked)
     tb.slots["e"] = e
     # a Python float overflows to inf silently, as the range law does
     x, inferred = _step_deadbeat(
         cfg, plan, tb, (codec, [norm_c * e_q for e_q in e.tolist()]))
-    _, e_enc = update_range(cfg.x0_bound, plan.thetas, inferred)
+    _, e_enc = update_range(cfg.x0_bound, plan.report.thetas, inferred)
     tb.slots.update(x_norm=_norms(tb.starts(tb.x)), enc_equals_dec=e_enc == e)
     return tb.build(x, plan, {"E": e}, branch, inferred)
 
@@ -747,8 +734,8 @@ def _run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     norm_c = inf_norm(plant.c)
 
     attacked = np.arange(cfg.horizon_slots) == cfg.attack_slot
-    branch, e_dec = update_range(cfg.x0_bound, plan.thetas, attacked)
-    _, e_enc = update_range(cfg.x0_bound, plan.thetas,
+    branch, e_dec = update_range(cfg.x0_bound, plan.report.thetas, attacked)
+    _, e_enc = update_range(cfg.x0_bound, plan.report.thetas,
                             np.zeros_like(attacked))
     x = cfg.x0.copy()
     xh = np.zeros(plant.n_x)  # decoder/controller side
@@ -810,7 +797,7 @@ def mismatch_bound(trace: LoopTrace) -> np.ndarray:
     plan = trace.plan
     e_enc = trace.slots["e_enc"]
     offs = trace.slots["offs"]
-    thetas, gs, l_obs = plan.thetas, plan.gains, plan.l_obs
+    thetas, gs, l_obs = plan.report.thetas, plan.gains, plan.l_obs
     th_a, th_0, th_na = (thetas.theta_attack, thetas.theta_first,
                          thetas.theta_steady)
     n = plan.levels

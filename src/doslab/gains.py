@@ -76,10 +76,11 @@ class GainSet:
 
     ``error_transition`` is ``a_lift (I - observer_gain c)`` -- the slotwise
     transition of the estimation error; ``closed_loop`` is
-    ``a_d + b_d controller_gain``.  ``compiled`` holds the last plan
-    :func:`doslab.controlloop.compile_plan` compiled with this gain set,
-    given or resolved, with the inputs it was compiled from; it is not an
-    argument.
+    ``a_d + b_d controller_gain``.  Each matrix is kept as a read-only
+    float64 copy, so a gain set cannot change.  ``compiled`` holds the last
+    plan :func:`doslab.controlloop.compile_plan` compiled with this gain
+    set, given or resolved, with the other inputs it was compiled from; it
+    is not an argument.
     """
 
     controller_gain: np.ndarray
@@ -89,6 +90,13 @@ class GainSet:
     deadbeat_observer: bool = False
     compiled: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
+
+    def __post_init__(self):
+        for name in ("controller_gain", "observer_gain", "error_transition",
+                     "closed_loop"):
+            matrix = as_matrix(getattr(self, name))
+            matrix.flags.writeable = False
+            object.__setattr__(self, name, matrix)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ center-based encoder and round trip the offset codec replaced.  The
 deadbeat-loop oracle steps every sub-step's estimate and checks each
 slot's ``|C xhat|`` as it ends, through a decode of each encode; the
 DoS-generator oracle draws its splitmix64 stream one Python integer at a
-time.
+time.  The sharpest single-level threshold is a reference value for the
+published level bound, which no library code computes.
 """
 
 import math
@@ -27,6 +28,7 @@ from doslab import (
     SaturationError,
     SingularMatrixError,
     StabilityCertificationError,
+    gelfand_radius,
     inf_norm,
     mat_exp,
     mat_pow,
@@ -45,8 +47,9 @@ from doslab.gains import (
     DECAY_SCAN_FLOOR,
     RICCATI_MAX_ITER,
     RICCATI_TOL,
+    _scan_constants,
 )
-from doslab.matrixcore import PIVOT_TOL, as_matrix, as_vector
+from doslab.matrixcore import PIVOT_TOL, as_matrix, as_vector, stack_norms
 from doslab.quantizer import decode, encode
 
 
@@ -231,7 +234,7 @@ def mismatch_bound_loop(trace, cfg, plan):
     e_enc = trace.slots["e_enc"]
     offs = trace.slots["offs"]
     q_a = cfg.attack_slot
-    thetas, gs, l_obs = plan.thetas, plan.gains, plan.l_obs
+    thetas, gs, l_obs = plan.report.thetas, plan.gains, plan.l_obs
     th_a, th_0, th_na = (thetas.theta_attack, thetas.theta_first,
                          thetas.theta_steady)
     n = plan.levels
@@ -379,6 +382,32 @@ def scan_constants_loop(r, rho, quantities):
         f"no power of the closed matrix dropped below {DECAY_SCAN_FLOOR} "
         f"within {DECAY_SCAN_CAP} steps"
     )
+
+
+def sharpest_single_level_threshold(gs, dp):
+    """Least conservative single-channel level threshold over admissible rho.
+
+    The midpoint rho rule is deterministic but not the sharpest certificate;
+    this scans 400 rho between the certified spectral bound and one, takes
+    each one's envelope constant from the decay-constant scan (skipping a
+    rho whose tail it cannot certify), and minimizes
+    ``g1 * ||C|| / (1 - rho)``.  Returns ``(threshold, rho)``.
+    """
+    r = gs.error_transition
+    lifted_m = dp.a_lift @ gs.observer_gain
+    norm_c = inf_norm(dp.c)
+    radius = gelfand_radius(r, DECAY_SCAN_CAP)
+    best = (math.inf, math.nan)
+    for rho in np.linspace(radius + 1e-3, 0.995, 400).tolist():
+        try:
+            (g1,), _ = _scan_constants(
+                r, rho, (lambda p: stack_norms(p @ lifted_m),))
+        except StabilityCertificationError:
+            continue
+        threshold = g1 * norm_c / (1.0 - rho)
+        if threshold < best[0]:
+            best = (threshold, rho)
+    return best
 
 
 def trace_to_csv_loop(trace, path):

@@ -23,7 +23,6 @@ from doslab.conditions import (
     ThetaVariant,
     build_report,
     decay_certificate,
-    sharpest_single_level_threshold,
     tradeoff_boundary,
 )
 from doslab.controlloop import (
@@ -45,7 +44,12 @@ from .conftest import (
     X0,
     rng,
 )
-from .oracles import random_controllable_pair, simpson_input_matrix, taylor_expm
+from .oracles import (
+    random_controllable_pair,
+    sharpest_single_level_threshold,
+    simpson_input_matrix,
+    taylor_expm,
+)
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 CASE_SINGLE = DoSParams(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
@@ -128,7 +132,7 @@ def test_criterion_04_dual_channel_case_study(dual_run, reactor, reactor_dp,
                                               reactor_gains):
     switches, attacks = prefix_counts(dual_run.slots["attacked"])
     assert (attacks[-1], switches[-1]) == (47, 44)
-    dc = dual_run.plan.constants
+    dc = dual_run.plan.report.constants
     report = build_report(ThetaVariant.DUAL, dc, reactor_dp, DUAL_LEVELS,
                           CASE_DUAL)
     lhs = 1.0 / CASE_DUAL.nu_d
@@ -154,7 +158,7 @@ def test_criterion_04_dual_channel_case_study(dual_run, reactor, reactor_dp,
     slots = dual_run.slots
     ok_e = bool(np.all(slots["y_err"] <= slots["e3"]))
     _report("4e", ok_e, "E3 dominates |y - decoded estimate center| each slot")
-    thetas = dual_run.plan.thetas
+    thetas = dual_run.plan.report.thetas
     cert = decay_certificate(thetas, CASE_DUAL, BIG_DELTA,
                              e0_scale=inf_norm(reactor.c))
     envelope = cert.omega1 * cert.gamma ** np.arange(800) * initial

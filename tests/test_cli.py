@@ -45,14 +45,17 @@ def write(tmp_path, doc, name="scenario.json"):
 
 
 def count_preparations(monkeypatch) -> dict:
-    """Count plant samplings and decay-constant scans, under every doslab
-    module's binding of them; returns the live ``{name: calls}`` dict."""
+    """Count plant samplings, decay-constant scans and condition reports,
+    under every doslab module's binding of them; returns the live
+    ``{name: calls}`` dict."""
     # the package exports a function named like the discretize module
     discretize = importlib.import_module("doslab.discretize")
     gains = importlib.import_module("doslab.gains")
+    conditions = importlib.import_module("doslab.conditions")
     originals = {discretize.sample_plant: "sample_plant",
                  discretize.sample_plant_single_rate: "sample_plant",
-                 gains.derive_decay_constants: "derive_decay_constants"}
+                 gains.derive_decay_constants: "derive_decay_constants",
+                 conditions.build_report: "build_report"}
     calls = {}
 
     def counting(fn, key):
@@ -223,7 +226,8 @@ class TestRunCommand:
         code = cli.main(["run", write(tmp_path, doc),
                          "--out", str(tmp_path / "out"), "--no-plots"])
         assert code == cli.EXIT_OK
-        assert calls == {"sample_plant": 1, "derive_decay_constants": 1}
+        assert calls == {"sample_plant": 1, "derive_decay_constants": 1,
+                         "build_report": 1}
 
     def test_dual_run_encodes_output_and_inputs_only(self, tmp_path,
                                                      monkeypatch):
@@ -619,7 +623,50 @@ def test_odd_ackfree_levels_fail_the_report(tmp_path):
     assert code == cli.EXIT_CONDITION
 
 
+# a plant that measures its whole state, with a deadbeat observer: the
+# error transition is exactly zero, so the first success after an attack
+# contracts the range to zero (theta_first = 0)
+@pytest.mark.parametrize("command", ["check", "run", "tradeoff"])
+@pytest.mark.parametrize("name", ["batch_reactor_ackfree.json",
+                                  "batch_reactor_ack.json",
+                                  "batch_reactor_dual.json"])
+def test_zero_theta_first_keeps_the_exit_code_contract(tmp_path, capsys,
+                                                       name, command):
+    doc = load(name)
+    doc["plant"]["c"] = np.eye(4).tolist()
+    doc.pop("gains", None)
+    doc["observer"] = "deadbeat"
+    code = cli.main([command, write(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--no-plots"])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CONDITION,
+                    cli.EXIT_SATURATION, cli.EXIT_NUMERICAL)
+    if command == "check":
+        assert code == cli.EXIT_OK
+        assert "dos_rhs = inf\n" in capsys.readouterr().out
+
+
 class TestCheckCommand:
+    @pytest.mark.parametrize("name, source", [
+        ("batch_reactor_dual.json", "injected (m)"),
+        ("batch_reactor_ackfree.json", "injected (m)"),
+        ("batch_reactor_ack.json", "synthesized"),
+        ("batch_reactor_mismatch.json", "synthesized"),
+        ("batch_reactor_dual_deadbeat_observer.json", "synthesized"),
+    ])
+    def test_gains_line_names_their_source(self, tmp_path, capsys, name,
+                                           source):
+        assert cli.main(["check", bundled(name),
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith(f"gains: {source}\n")
+
+    @pytest.mark.parametrize("name", ALL_BUNDLED)
+    def test_one_preparation_per_check(self, name, tmp_path, monkeypatch):
+        calls = count_preparations(monkeypatch)
+        assert cli.main(["check", bundled(name),
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert calls == {"sample_plant": 1, "derive_decay_constants": 1,
+                         "build_report": 1}
+
     def test_passing_check(self, tmp_path):
         assert cli.main(["check", bundled("batch_reactor_dual.json"),
                          "--out", str(tmp_path)]) == cli.EXIT_OK

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from doslab import DiscretePlant, inf_norm, mat_pow
+from doslab import DiscretePlant, conditions, inf_norm, mat_pow
 from doslab.conditions import (
     DecayCertificate,
     ThetaSet,
@@ -16,7 +16,6 @@ from doslab.conditions import (
     input_envelope_gain,
     report_rows,
     report_text,
-    sharpest_single_level_threshold,
     tradeoff_boundary,
 )
 from doslab.dos import DoSParams
@@ -26,6 +25,8 @@ from doslab.gains import (
     DecayConstants,
     derive_decay_constants,
 )
+
+from .oracles import sharpest_single_level_threshold
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 
@@ -147,6 +148,14 @@ class TestCheckDoS:
         thetas = ThetaSet(0.9, 0.8, 0.5, ThetaVariant.ACK_FREE)
         rhs, holds = check_dos(thetas, DoSParams(0, 2, 0, 1))
         assert rhs == math.inf and holds
+
+    def test_first_success_contracting_to_zero_admits_everything(self):
+        # theta_first = 0: +inf for 1/nu_f > 0, finite at 1/nu_f = 0
+        thetas = ThetaSet(3.0, 0.0, 0.5, ThetaVariant.ACK_FREE)
+        rhs, holds = check_dos(thetas, DoSParams(0, 2, 0, 1))
+        assert rhs == math.inf and holds
+        assert conditions._dos_rhs(thetas, 0.0) == pytest.approx(
+            math.log(2.0) / math.log(6.0), rel=1e-15)
 
     def test_noncontractive_steady_admits_nothing(self):
         thetas = ThetaSet(3.0, 1.5, 1.1, ThetaVariant.ACK_FREE)

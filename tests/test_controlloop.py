@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from doslab import (
     ContinuousPlant,
     DoslabError,
+    GainSet,
     InvalidMatrixError,
     SaturationError,
     ScenarioError,
@@ -18,7 +19,7 @@ from doslab import (
     inf_norm,
     make_gain_set,
 )
-from doslab.conditions import decay_certificate
+from doslab.conditions import ThetaVariant, build_report, decay_certificate
 from doslab.controlloop import (
     LoopTrace,
     Scenario,
@@ -30,6 +31,7 @@ from doslab.controlloop import (
 )
 from doslab.dos import DoSParams, pattern_from_bools
 from doslab.errors import DeadbeatContractError, InferenceMismatchError
+from doslab.gains import derive_decay_constants
 
 from .conftest import BIG_DELTA, K_REF, M_REF, X0
 from .oracles import deadbeat_loop, mismatch_bound_loop, trace_to_csv_loop
@@ -103,7 +105,7 @@ class TestDualChannel:
                           pattern=pattern_from_bools([False] * 60),
                           dos_params=None)
         trace = run_scenario(cfg)
-        thetas = trace.plan.thetas
+        thetas = trace.plan.report.thetas
         assert thetas.theta_steady < 1.0
         xn = trace.slots["x_norm"]
         # monotone until the state reaches the quantization noise floor
@@ -124,7 +126,7 @@ class TestDualChannel:
         assert inf_norm(dual_trace.final_state) <= 1e-3
 
     def test_exponential_envelope(self, dual_trace, reactor):
-        thetas = dual_trace.plan.thetas
+        thetas = dual_trace.plan.report.thetas
         cert = decay_certificate(thetas, CASE_DUAL, BIG_DELTA,
                                  e0_scale=inf_norm(reactor.c))
         q = np.arange(len(dual_trace.slots["e3"]))
@@ -188,7 +190,7 @@ class TestOutputAck:
             pattern=pattern_from_bools([False] * 40),
         )
         trace = run_scenario(cfg)
-        thetas = trace.plan.thetas
+        thetas = trace.plan.report.thetas
         e = trace.slots["e"]
         # initial slot pays the resynchronization factor, then pure decay
         want = 1.0
@@ -236,7 +238,7 @@ class TestOutputAckFree:
         assert not ackfree_trace.slots["degenerate_inference"].any()
 
     def test_envelope(self, ackfree_trace):
-        thetas = ackfree_trace.plan.thetas
+        thetas = ackfree_trace.plan.report.thetas
         cert = decay_certificate(thetas, CASE_SINGLE, BIG_DELTA)
         q = np.arange(len(ackfree_trace.slots["e"]))
         envelope = cert.omega1 * cert.gamma ** q
@@ -339,8 +341,7 @@ class TestConfigValidation:
             cfg = dual_config(reactor, reactor_gains, horizon_slots=30,
                               seed=seed)
             fresh = run_scenario(cfg)
-            cfg.gains = plan.gains
-            reused = run_scenario(cfg)
+            reused = run_scenario(dataclasses.replace(cfg, gains=plan.gains))
             np.testing.assert_array_equal(reused.x, fresh.x)
             np.testing.assert_array_equal(reused.ranges["E2"],
                                           fresh.ranges["E2"])
@@ -396,6 +397,12 @@ class TestConfigValidation:
         assert type(info.value) is DoslabError
         assert str(info.value) == "injected feedback gain not certified stable"
 
+    def test_a_config_is_frozen(self):
+        cfg = bundled_config("batch_reactor_dual.json")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.levels = "abc"
+        assert cfg.levels == (3, 10_000, 10_000)
+
     def test_run_scenario_dispatch(self, reactor, reactor_gains):
         cfg = dual_config(reactor, reactor_gains, horizon_slots=3)
         trace = run_scenario(cfg)
@@ -436,6 +443,51 @@ GAIN_MATRICES = ("controller_gain", "observer_gain", "error_transition",
                  "closed_loop")
 
 
+class TestGainSet:
+    """A gain set holds read-only float64 copies of its matrices."""
+
+    def test_nested_lists_run(self, reactor, reactor_gains, dual_trace):
+        gains = GainSet(**{name: getattr(reactor_gains, name).tolist()
+                           for name in GAIN_MATRICES})
+        assert all(getattr(gains, name).dtype == float
+                   and not getattr(gains, name).flags.writeable
+                   for name in GAIN_MATRICES)
+        trace = run_scenario(dual_config(reactor, gains))
+        np.testing.assert_array_equal(trace.x, dual_trace.x)
+
+    @pytest.mark.parametrize("name", GAIN_MATRICES)
+    def test_a_nan_entry_is_an_invalid_matrix(self, reactor_gains, name):
+        bad = getattr(reactor_gains, name).copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(InvalidMatrixError, match="finite"):
+            dataclasses.replace(reactor_gains, **{name: bad})
+
+    def test_a_given_matrix_is_copied(self, reactor_gains):
+        k = reactor_gains.controller_gain.copy()
+        gains = dataclasses.replace(reactor_gains, controller_gain=k)
+        k[0, 0] += 1.0
+        assert gains.controller_gain[0, 0] \
+            == reactor_gains.controller_gain[0, 0]
+
+
+# the theta variant each bundled scenario's report is built for
+VARIANTS = {
+    "batch_reactor_dual.json": ThetaVariant.DUAL,
+    "batch_reactor_dual_deadbeat_observer.json": ThetaVariant.DUAL,
+    "batch_reactor_ackfree.json": ThetaVariant.ACK_FREE,
+    "batch_reactor_ack.json": ThetaVariant.ACK,
+    "batch_reactor_mismatch.json": ThetaVariant.ACK,
+}
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_plan_report_is_the_positional_build_report(name):
+    plan = compile_plan(bundled_config(name))
+    dc = derive_decay_constants(plan.gains, plan.dp, plan.l_obs)
+    assert plan.report == build_report(VARIANTS[name], dc, plan.dp,
+                                       plan.levels, plan.params)
+
+
 def fresh_gain_set(gs):
     """A copy of ``gs`` with no compiled plan: the same matrices, a new
     object."""
@@ -444,7 +496,8 @@ def fresh_gain_set(gs):
 
 class TestPlanReuse:
     """A ready :class:`GainSet` reuses the plan compiled from it while its
-    inputs are unchanged by value."""
+    other inputs are unchanged by value; the gain set itself cannot
+    change."""
 
     def test_runs_sharing_a_gain_set_prepare_once(self, reactor,
                                                   reactor_gains,
@@ -456,7 +509,8 @@ class TestPlanReuse:
                             reactor.c.copy()),
             gains, horizon_slots=30, seed=seed, intensity=intensity))
             for seed in (0, 1, 2) for intensity in (0.1, 0.9)]
-        assert calls == {"sample_plant": 1, "derive_decay_constants": 1}
+        assert calls == {"sample_plant": 1, "derive_decay_constants": 1,
+                         "build_report": 1}
         assert all(t.plan is traces[0].plan for t in traces)
 
     @pytest.mark.parametrize("change", [
@@ -465,10 +519,8 @@ class TestPlanReuse:
     ])
     def test_a_changed_input_gets_a_fresh_plan(self, reactor, reactor_gains,
                                                change):
-        # copies, so that an edit in place leaves the shared fixtures alone
-        gains = dataclasses.replace(reactor_gains, **{
-            name: getattr(reactor_gains, name).copy()
-            for name in GAIN_MATRICES})
+        gains = fresh_gain_set(reactor_gains)
+        # a copy, so that an edit in place leaves the shared fixture alone
         plant = ContinuousPlant(reactor.a.copy(), reactor.b, reactor.c)
         # a pattern and no DoS budget: the plan's budget comes from the
         # horizon
@@ -477,8 +529,12 @@ class TestPlanReuse:
         first = compile_plan(cfg)
         assert compile_plan(dataclasses.replace(cfg)) is first
         if change in GAIN_MATRICES:
-            getattr(gains, change)[0, 0] *= 1.0 + 1e-9
-        elif change == "plant_in_place":
+            # a gain set's matrices are read-only, so its plan stands
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(gains, change)[0, 0] *= 1.0 + 1e-9
+            assert compile_plan(cfg) is first
+            return
+        if change == "plant_in_place":
             plant.a[0, 0] += 1e-9
         else:
             cfg = dataclasses.replace(cfg, **{
@@ -495,8 +551,8 @@ class TestPlanReuse:
         want = compile_plan(dataclasses.replace(
             cfg, gains=fresh_gain_set(gains)))
         assert again is not first
-        assert (again.constants, again.thetas, again.params, again.levels) \
-            == (want.constants, want.thetas, want.params, want.levels)
+        assert (again.report, again.params, again.levels) \
+            == (want.report, want.params, want.levels)
         assert again.dp.a_d.tobytes() == want.dp.a_d.tobytes()
 
     @pytest.mark.parametrize("name", ["batch_reactor_dual.json",

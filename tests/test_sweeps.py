@@ -38,7 +38,7 @@ def test_dual_channel_worst_admissible_patterns(reactor, reactor_gains, seed):
     assert not trace.saturated.any()
     assert np.all(slots["y_err"] <= slots["e3"])
     assert slots["deadbeat_residual"].max() <= 1e-9
-    cert = decay_certificate(trace.plan.thetas, CASE_DUAL, BIG_DELTA,
+    cert = decay_certificate(trace.plan.report.thetas, CASE_DUAL, BIG_DELTA,
                              e0_scale=inf_norm(reactor.c))
     envelope = cert.omega1 * cert.gamma ** np.arange(250)
     assert np.all(slots["e3"] <= envelope * (1 + 1e-12))
