@@ -1,48 +1,20 @@
-"""doslab: deterministic simulation of quantized control under DoS attacks."""
+"""doslab: deterministic simulation of quantized control under DoS attacks.
 
-from .discretize import (
-    ContinuousPlant,
-    DiscretePlant,
-    controllability_index,
-    discretize,
-    observability_index,
-    sample_plant,
-    sample_plant_single_rate,
-)
-from .errors import (
-    CertificateUnavailableError,
-    DoslabError,
-    ExpOverflowError,
-    IllConditionedBasisError,
-    InvalidMatrixError,
-    RiccatiConvergenceError,
-    SaturationError,
-    ScenarioError,
-    SingularMatrixError,
-    StabilityCertificationError,
-    UncontrollablePairError,
-    UnobservablePairError,
-)
+The package root holds the documented library API (the README's "Package
+root" list); every other name stays in its module.
+"""
+
+from .discretize import ContinuousPlant, sample_plant
+from .errors import DoslabError, InvalidMatrixError, SaturationError, ScenarioError
 from .gains import (
-    DecayConstants,
     GainSet,
-    build_gain_set,
     derive_decay_constants,
     design_deadbeat_gain,
     design_deadbeat_observer,
     design_observer_gain,
-    design_stabilizing_gain,
     make_gain_set,
 )
-from .conditions import (
-    ConditionReport,
-    DecayCertificate,
-    ThetaSet,
-    ThetaVariant,
-    build_report,
-    decay_certificate,
-    tradeoff_boundary,
-)
+from .conditions import ConditionReport, ThetaVariant, build_report
 from .controlloop import (
     LoopTrace,
     Plan,
@@ -52,27 +24,12 @@ from .controlloop import (
     mismatch_bound,
     run_scenario,
 )
-from .dos import (
-    DoSParams,
-    DoSPattern,
-    generate,
-    prefix_counts,
-    validate,
-)
-from .matrixcore import (
-    gelfand_radius,
-    inf_norm,
-    mat_exp,
-    mat_pow,
-    rank_with_tol,
-    schur_certified,
-    solve_linear,
-)
+from .dos import DoSParams, DoSPattern, generate, prefix_counts, validate
+from .matrixcore import gelfand_radius, inf_norm, schur_certified
 from .quantizer import (
     BRANCHES,
     UniformCodec,
     decode,
-    derive_input_range,
     encode,
     quantize,
     update_range,

@@ -228,7 +228,9 @@ def decay_certificate(
     fraction pay the resynchronization factor, the rest contract by
     theta_steady.  Chatter bounds enter ``omega1`` only.  ``e0_scale`` is
     the ratio of the initial range to the initial state bound (``||C||``
-    for the dual-channel scheme, one for the output-only schemes).
+    for the dual-channel scheme, one for the output-only schemes).  A first
+    success that contracts to zero (``theta_first = 0``) gives ``gamma = 0``
+    and ``sigma = inf``, as :func:`check_dos` reports degenerate shapes.
     """
     rhs, holds = check_dos(thetas, params)
     if not holds:
@@ -237,9 +239,12 @@ def decay_certificate(
         )
     th_a, th_0, th_na = thetas.theta_attack, thetas.theta_first, thetas.theta_steady
     f, d = 1.0 / params.nu_f, 1.0 / params.nu_d
-    gamma = math.exp(
-        f * math.log(th_0) + d * math.log(th_a) + (1.0 - f - d) * math.log(th_na)
-    )
+    if th_0 == 0.0:  # log(0): a 1/nu_f > 0 share of zero factors
+        gamma, sigma = 0.0, math.inf
+    else:
+        gamma = math.exp(f * math.log(th_0) + d * math.log(th_a)
+                         + (1.0 - f - d) * math.log(th_na))
+        sigma = math.log(1.0 / gamma) / big_delta
     ratio_first = max(th_0 / th_na, 1.0)
     ratio_attack = max(th_a / th_na, 1.0)
     omega1 = max(
@@ -247,7 +252,6 @@ def decay_certificate(
         e0_scale * ratio_first ** (params.kappa_f + 1) * ratio_attack ** params.kappa_d,
     )
     omega2 = None if input_envelope_gain is None else input_envelope_gain * omega1
-    sigma = math.log(1.0 / gamma) / big_delta
     return DecayCertificate(omega1=omega1, omega2=omega2, gamma=gamma, sigma=sigma)
 
 

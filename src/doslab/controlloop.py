@@ -56,7 +56,6 @@ from .errors import (
     ScenarioError,
 )
 from .gains import (
-    DECAY_SCAN_CAP,
     GainSet,
     derive_decay_constants,
     design_deadbeat_gain,
@@ -265,7 +264,7 @@ def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
                     f"injected feedback gain is not deadbeat: residual "
                     f"{residual:.3e} > {bound:.3e}"
                 )
-        elif not schur_certified(dp.a_d + dp.b_d @ k, DECAY_SCAN_CAP):
+        elif not schur_certified(dp.a_d + dp.b_d @ k):
             raise DoslabError("injected feedback gain not certified stable")
     elif protocol:
         k = design_deadbeat_gain(dp)
@@ -669,9 +668,10 @@ def _run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     try:
         for q, (hit, e_q) in enumerate(zip(tb.attacked.tolist(), e.tolist())):
             u = kc(xh)
+            bu = b(u)
             yh = c(xh)
             if hit:
-                xh_next = a(xh) + b(u)
+                xh_next = a(xh) + bu
             else:
                 y = c(x)
                 # the offset and the box overflow to inf silently, as Python
@@ -680,9 +680,9 @@ def _run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
                 # drops
                 with np.errstate(over="ignore", invalid="ignore"):
                     qv = quantize(y - yh, norm_c * e_q, codec) + yh
-                xh_next = a(xh) + b(u) + lo(qv - yh)
+                xh_next = a(xh) + bu + lo(qv - yh)
             tb.rows.append((x, xh, u, u))
-            x = a(x) + b(u)
+            x = a(x) + bu
             xh = xh_next
     except (SaturationError, InvalidMatrixError) as exc:
         raise _placed(exc, "output", q) from exc

@@ -31,6 +31,7 @@ from .errors import (
     UncontrollablePairError,
 )
 from .matrixcore import (
+    DECAY_SCAN_CAP,
     as_matrix,
     gelfand_radius,
     inf_norm,
@@ -58,8 +59,7 @@ __all__ = [
 # are verified by callers against their own looser threshold.
 NILPOTENCY_RTOL = 1e-8
 
-# Power scan limits for decay-constant extraction.
-DECAY_SCAN_CAP = 512
+# Decay-constant scans stop below this power norm, at DECAY_SCAN_CAP powers.
 DECAY_SCAN_FLOOR = 1e-14
 
 # Staircase column independence; the Riccati stall thresholds, absolute and
@@ -242,9 +242,9 @@ def design_observer_gain(a_lift, c, rtol: float = RICCATI_RTOL) -> np.ndarray:
     at, ct, eye_x, eye_y = a.T, c.T, np.eye(n), np.eye(c.shape[0])
     p = eye_x
     for _ in range(RICCATI_MAX_ITER):
-        cp = c @ p
-        gain = solve_linear(cp @ ct + eye_y, cp)  # s^-1 c p
-        p_next = a @ (p - p @ ct @ gain) @ at + eye_x
+        cp = c.dot(p)
+        gain = solve_linear(cp.dot(ct) + eye_y, cp)  # s^-1 c p
+        p_next = a.dot(p - p.dot(ct).dot(gain)).dot(at) + eye_x
         p_next = 0.5 * (p_next + p_next.T)
         if inf_norm(p_next - p) < RICCATI_TOL + rtol * inf_norm(p_next):
             p = p_next
@@ -257,8 +257,8 @@ def design_observer_gain(a_lift, c, rtol: float = RICCATI_RTOL) -> np.ndarray:
     s = c @ p @ ct + eye_y
     m = solve_linear(s.T, (p @ ct).T).T
     closed = a @ (eye_x - m @ c)
-    if not schur_certified(closed, DECAY_SCAN_CAP):
-        bound = gelfand_radius(closed, DECAY_SCAN_CAP)
+    if not schur_certified(closed):
+        bound = gelfand_radius(closed)
         raise StabilityCertificationError(
             f"error transition not certified Schur (Gelfand bound {bound:.4f})"
         )
@@ -301,8 +301,8 @@ def design_stabilizing_gain(a_d, b_d, control_weight: float = 1.0) -> np.ndarray
     scaled = b / np.sqrt(control_weight)
     m_dual = design_observer_gain(a.T, scaled.T, rtol=1e-12)
     k = -(m_dual.T @ a) / np.sqrt(control_weight)
-    if not schur_certified(a + b @ k, DECAY_SCAN_CAP):
-        bound = gelfand_radius(a + b @ k, DECAY_SCAN_CAP)
+    if not schur_certified(a + b @ k):
+        bound = gelfand_radius(a + b @ k)
         raise StabilityCertificationError(
             f"closed loop not certified Schur (Gelfand bound {bound:.4f})"
         )
@@ -381,12 +381,12 @@ def derive_decay_constants(
     geometric tail is covered by the floor assertion in the scan.
     """
     r = gs.error_transition
-    radii = [gelfand_radius(r, DECAY_SCAN_CAP)]
+    radii = [gelfand_radius(r)]
     pi_l = None
     if l_obs is not None:
         l_obs = as_matrix(l_obs)
         pi_l = dp.a_lift - l_obs @ dp.c
-        radii.append(gelfand_radius(pi_l, DECAY_SCAN_CAP))
+        radii.append(gelfand_radius(pi_l))
     worst = max(radii)
     if worst >= 1.0:
         raise StabilityCertificationError(

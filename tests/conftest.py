@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from doslab import ContinuousPlant, build_gain_set, make_gain_set, sample_plant
+from doslab import ContinuousPlant, make_gain_set, sample_plant
+from doslab.gains import build_gain_set
 
 # Unstable batch reactor, as printed in the case study this library ships.
 BATCH_A = [

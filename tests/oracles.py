@@ -22,18 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from doslab import (
-    InvalidMatrixError,
-    RiccatiConvergenceError,
-    SaturationError,
-    SingularMatrixError,
-    StabilityCertificationError,
-    gelfand_radius,
-    inf_norm,
-    mat_exp,
-    mat_pow,
-    rank_with_tol,
-)
+from doslab import InvalidMatrixError, SaturationError, gelfand_radius, inf_norm
 from doslab.controlloop import (
     DEADBEAT_NULL_TOL,
     _matvecs,
@@ -41,7 +30,13 @@ from doslab.controlloop import (
     _placed,
 )
 from doslab.dos import DoSPattern, _within_budget
-from doslab.errors import DeadbeatContractError, InferenceMismatchError
+from doslab.errors import (
+    DeadbeatContractError,
+    InferenceMismatchError,
+    RiccatiConvergenceError,
+    SingularMatrixError,
+    StabilityCertificationError,
+)
 from doslab.gains import (
     DECAY_SCAN_CAP,
     DECAY_SCAN_FLOOR,
@@ -49,7 +44,15 @@ from doslab.gains import (
     RICCATI_TOL,
     _scan_constants,
 )
-from doslab.matrixcore import PIVOT_TOL, as_matrix, as_vector, stack_norms
+from doslab.matrixcore import (
+    PIVOT_TOL,
+    as_matrix,
+    as_vector,
+    mat_exp,
+    mat_pow,
+    rank_with_tol,
+    stack_norms,
+)
 from doslab.quantizer import decode, encode
 
 
@@ -81,12 +84,12 @@ def simpson_input_matrix(a, b, delta, panels=10_000):
     return total * h / 3.0
 
 
-def kalman_controllability_index(a, b, tol=1e-9):
+def kalman_controllability_index(a, b):
     """Smallest block count reaching full rank, by explicit stacking."""
     n = a.shape[0]
     blocks = b
     for eta in range(1, n + 1):
-        if rank_with_tol(blocks, tol) == n:
+        if rank_with_tol(blocks) == n:
             return eta
         blocks = np.hstack([blocks, np.linalg.matrix_power(a, eta) @ b])
     return None
@@ -104,8 +107,9 @@ def random_controllable_pair(generator, n, m):
 def encode_loop(v, center, rng, codec, clip=False):
     """Uniform-codec cell indices, validated and computed one component at
     a time."""
-    v = as_vector(v, codec.dim)
-    center = as_vector(center, codec.dim)
+    v, center = as_vector(v), as_vector(center)
+    if v.shape != (codec.dim,) or center.shape != (codec.dim,):
+        raise InvalidMatrixError(f"expected vectors of dimension {codec.dim}")
     if rng < 0.0:
         raise ValueError("range must be nonnegative")
     offset = v - center

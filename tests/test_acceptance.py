@@ -15,8 +15,6 @@ from doslab import (
     gelfand_radius,
     inf_norm,
     make_gain_set,
-    mat_exp,
-    mat_pow,
     sample_plant,
 )
 from doslab.conditions import (
@@ -33,6 +31,7 @@ from doslab.controlloop import (
 )
 from doslab.dos import DoSParams, generate, prefix_counts, validate
 from doslab.gains import NILPOTENCY_RTOL, DecayConstants, verify_nilpotent
+from doslab.matrixcore import mat_exp, mat_pow
 from doslab.quantizer import UniformCodec, decode, encode
 
 from .conftest import (

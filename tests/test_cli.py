@@ -1,7 +1,6 @@
 import copy
 import csv
 import hashlib
-import importlib
 import json
 import os
 import subprocess
@@ -16,6 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import doslab.conditions
+import doslab.discretize
+import doslab.gains
+import doslab.quantizer
 from doslab import cli
 
 SCENARIOS = resources.files("doslab") / "scenarios"
@@ -48,14 +51,10 @@ def count_preparations(monkeypatch) -> dict:
     """Count plant samplings, decay-constant scans and condition reports,
     under every doslab module's binding of them; returns the live
     ``{name: calls}`` dict."""
-    # the package exports a function named like the discretize module
-    discretize = importlib.import_module("doslab.discretize")
-    gains = importlib.import_module("doslab.gains")
-    conditions = importlib.import_module("doslab.conditions")
-    originals = {discretize.sample_plant: "sample_plant",
-                 discretize.sample_plant_single_rate: "sample_plant",
-                 gains.derive_decay_constants: "derive_decay_constants",
-                 conditions.build_report: "build_report"}
+    originals = {doslab.discretize.sample_plant: "sample_plant",
+                 doslab.discretize.sample_plant_single_rate: "sample_plant",
+                 doslab.gains.derive_decay_constants: "derive_decay_constants",
+                 doslab.conditions.build_report: "build_report"}
     calls = {}
 
     def counting(fn, key):
@@ -235,14 +234,13 @@ class TestRunCommand:
         # always return the zero center: a successful slot encodes the
         # output once and the input at each of its eta sub-steps, each in
         # a quantize round trip
-        quantizer = importlib.import_module("doslab.quantizer")
-        encode, calls = quantizer.encode, []
+        encode, calls = doslab.quantizer.encode, []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return encode(*args, **kwargs)
 
-        monkeypatch.setattr(quantizer, "encode", counting)
+        monkeypatch.setattr(doslab.quantizer, "encode", counting)
         name = "batch_reactor_dual.json"
         out = tmp_path / "out"
         code = cli.main(["run", bundled(name), "--out", str(out),

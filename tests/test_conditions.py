@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from doslab import DiscretePlant, conditions, inf_norm, mat_pow
+from doslab import cli, compile_plan, conditions, inf_norm
 from doslab.conditions import (
     DecayCertificate,
     ThetaSet,
@@ -18,6 +18,7 @@ from doslab.conditions import (
     report_text,
     tradeoff_boundary,
 )
+from doslab.discretize import DiscretePlant
 from doslab.dos import DoSParams
 from doslab.errors import CertificateUnavailableError
 from doslab.gains import (
@@ -25,8 +26,10 @@ from doslab.gains import (
     DecayConstants,
     derive_decay_constants,
 )
+from doslab.matrixcore import mat_pow
 
 from .oracles import sharpest_single_level_threshold
+from .test_cli import load
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 
@@ -257,6 +260,21 @@ class TestDecayCertificate:
             for k in range(reactor_dp.eta)
         ) * (9999 / 10000)
         assert cert.omega2 == pytest.approx(want * cert.omega1, rel=1e-12)
+
+    def test_first_success_contracting_to_zero(self):
+        # the ACK-free reactor measuring its whole state, with a deadbeat
+        # observer: the error transition is zero, so theta_first = 0
+        doc = load("batch_reactor_ackfree.json")
+        doc["plant"]["c"] = np.eye(4).tolist()
+        doc.pop("gains", None)
+        doc["observer"] = "deadbeat"
+        plan = compile_plan(cli._build_config(doc))
+        thetas = plan.report.thetas
+        assert thetas.theta_first == 0.0 and plan.report.dos_holds
+        cert = decay_certificate(thetas, plan.params, plan.dp.big_delta)
+        assert cert.gamma == 0.0 and cert.sigma == math.inf
+        ratio_attack = max(thetas.theta_attack / thetas.theta_steady, 1.0)
+        assert cert.omega1 == max(1.0, ratio_attack ** plan.params.kappa_d)
 
 
 class TestSharpestThreshold:

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from doslab import (
-    ContinuousPlant,
-    UncontrollablePairError,
-    UnobservablePairError,
+from doslab import ContinuousPlant, inf_norm, sample_plant
+from doslab.discretize import (
     controllability_index,
     discretize,
-    inf_norm,
-    mat_pow,
     observability_index,
-    rank_with_tol,
-    sample_plant,
     sample_plant_single_rate,
 )
+from doslab.errors import UncontrollablePairError, UnobservablePairError
+from doslab.matrixcore import mat_pow, rank_with_tol
 
 from .conftest import BATCH_A, BATCH_B, BATCH_C, BIG_DELTA, rng
 from .oracles import kalman_controllability_index, simpson_input_matrix

@@ -7,31 +7,30 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from doslab import (
-    DiscretePlant,
     DoslabError,
-    StabilityCertificationError,
     cli,
     compile_plan,
-    build_gain_set,
     derive_decay_constants,
     design_deadbeat_gain,
     design_deadbeat_observer,
     design_observer_gain,
-    design_stabilizing_gain,
-    discretize,
     gelfand_radius,
     inf_norm,
     make_gain_set,
-    mat_pow,
     sample_plant,
+    schur_certified,
 )
+from doslab.discretize import DiscretePlant, discretize
+from doslab.errors import StabilityCertificationError
 from doslab.gains import (
     NILPOTENCY_RTOL,
     RICCATI_RTOL,
     _scan_constants,
+    build_gain_set,
+    design_stabilizing_gain,
     verify_nilpotent,
 )
-from doslab.matrixcore import stack_norms
+from doslab.matrixcore import mat_pow, stack_norms
 
 from .conftest import BIG_DELTA, K_REF, M_REF, rng
 from .oracles import (
@@ -47,7 +46,7 @@ def _toy_dp(a_d, b_d, c=None, eta=None):
     b_d = np.atleast_2d(np.array(b_d, dtype=float))
     n = a_d.shape[0]
     c = np.eye(n) if c is None else np.atleast_2d(np.array(c, dtype=float))
-    from doslab import controllability_index
+    from doslab.discretize import controllability_index
 
     eta = controllability_index(a_d, b_d) if eta is None else eta
     return DiscretePlant(a_d=a_d, b_d=b_d, c=c, delta=1.0, big_delta=float(eta),
@@ -247,6 +246,21 @@ class TestRiccatiMatchesLoopOracle:
             _gain_or_error(stabilizing_gain_loop, a, b, weight))
 
 
+class TestDefaultScanCap:
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.name)
+    def test_agrees_with_the_plan_certificate(self, path):
+        # a call with no cap scans as far as the plan's certificate did:
+        # its bounds give the plan's rho
+        plan = compile_plan(cli._build_config(cli.load_scenario(path)))
+        closed = [plan.gains.error_transition]
+        if plan.l_obs is not None:
+            closed.append(plan.dp.a_lift - plan.l_obs @ plan.dp.c)
+            assert schur_certified(plan.gains.closed_loop)
+        assert all(schur_certified(m) for m in closed)
+        worst = max(gelfand_radius(m) for m in closed)
+        assert (worst + 1.0) / 2.0 == plan.report.constants.rho
+
+
 class TestDecayConstants:
     def test_scalar_half(self):
         # zero observer gain keeps the error transition at a_lift = 0.5,
@@ -288,7 +302,7 @@ class TestDecayConstants:
         assert inf_norm(mat_pow(gs.error_transition, reactor_dp.mu)) <= 1e-12
 
     def test_predictor_constants(self, reactor):
-        from doslab import sample_plant_single_rate
+        from doslab.discretize import sample_plant_single_rate
 
         dps = sample_plant_single_rate(reactor, BIG_DELTA)
         m = design_observer_gain(dps.a_d, dps.c)
@@ -305,7 +319,7 @@ class TestDecayConstants:
 
     @pytest.mark.parametrize("case", ["reference", "deadbeat", "predictor"])
     def test_matches_loop_oracle(self, case, reactor, reactor_dp, reactor_gains):
-        from doslab import sample_plant_single_rate
+        from doslab.discretize import sample_plant_single_rate
 
         dp, gs, l_obs = reactor_dp, reactor_gains, None
         if case == "deadbeat":

@@ -10,9 +10,9 @@ from doslab import (
     SaturationError,
     derive_decay_constants,
     inf_norm,
-    mat_pow,
 )
 from doslab.conditions import ThetaSet, ThetaVariant
+from doslab.matrixcore import mat_pow
 from doslab.quantizer import (
     BRANCHES,
     UniformCodec,

@@ -1,8 +1,14 @@
-"""The README's library examples run as written."""
+"""The README's library examples run as written, and its package root
+list is what ``import doslab`` binds."""
 
+import importlib
 import re
+import types
 from pathlib import Path
 
+import pytest
+
+import doslab
 from doslab import cli
 
 from .test_cli import bundled
@@ -32,3 +38,59 @@ def test_library_use_examples_run(tmp_path, monkeypatch):
     assert (tmp_path / "trace.csv").exists()
     assert len(names["traces"]) == 10
     assert len(names["bound"]) == len(names["demo"].slots["e_enc"])
+
+
+def package_root_list():
+    """``{module: names}`` from the README's "Package root" bullets."""
+    section = README.read_text().split("\n## Package root\n")[1]
+    section = section.split("\n## ")[0]
+    bullets = re.findall(r"^- `(doslab\.\w+)`: (.*?)(?=^- |\Z)", section,
+                         re.MULTILINE | re.DOTALL)
+    return {module: re.findall(r"`(\w+)`", body) for module, body in bullets}
+
+
+def test_the_package_root_is_the_documented_list():
+    listed = package_root_list()
+    public = {name for name, value in vars(doslab).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == {name for names in listed.values() for name in names}
+    for module, names in listed.items():
+        for name in names:
+            assert getattr(doslab, name) is getattr(
+                importlib.import_module(module), name)
+
+
+# names the package root dropped; each stays in its module
+DROPPED = {
+    "doslab.discretize": ["discretize", "controllability_index",
+                          "observability_index", "sample_plant_single_rate",
+                          "DiscretePlant"],
+    "doslab.matrixcore": ["mat_exp", "mat_pow", "rank_with_tol",
+                          "solve_linear"],
+    "doslab.gains": ["DecayConstants", "build_gain_set",
+                     "design_stabilizing_gain"],
+    "doslab.conditions": ["ThetaSet", "DecayCertificate", "decay_certificate",
+                          "tradeoff_boundary"],
+    "doslab.quantizer": ["derive_input_range"],
+    "doslab.errors": ["CertificateUnavailableError", "ExpOverflowError",
+                      "IllConditionedBasisError", "RiccatiConvergenceError",
+                      "SingularMatrixError", "StabilityCertificationError",
+                      "UncontrollablePairError", "UnobservablePairError"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(DROPPED))
+def test_dropped_names_import_from_their_module(module):
+    for name in DROPPED[module]:
+        value = getattr(importlib.import_module(module), name)
+        assert callable(value)
+        assert getattr(doslab, name, None) is not value
+
+
+def test_doslab_discretize_is_the_module():
+    import doslab.discretize as d
+
+    assert isinstance(d, types.ModuleType)
+    assert doslab.discretize is d
+    assert d.sample_plant is doslab.sample_plant
