@@ -68,6 +68,7 @@ from .gains import (
 from .matrixcore import (
     as_matrix,
     as_vector,
+    frozen_matrix,
     inf_norm,
     is_finite_number,
     mat_pow,
@@ -101,6 +102,10 @@ DEADBEAT_NULL_TOL = 1e-9
 # The divergence demo stops stepping once the state norm passes this; the
 # point has been made and further arithmetic would overflow.
 DIVERGENCE_CAP = 1e12
+
+# LoopTrace.to_csv turns this many rows at a time into Python values, so a
+# write holds one block of them, not the whole trace.
+CSV_BLOCK_ROWS = 256
 
 
 class Scenario(Enum):
@@ -214,11 +219,12 @@ def _count(value, name: str, least: int) -> int:
 class Plan:
     """A scenario's fixed certificate, compiled by :func:`compile_plan`.
 
-    ``l_obs`` is the ACK variant's predictor gain ``a_d m`` (else ``None``)
-    and ``params`` the DoS budget the condition ``report`` checks; the
-    report holds the decay constants (``input_gains`` among them) and the
-    theta factors.  The attack pattern is left out: each run resolves its
-    own from its config.
+    ``l_obs`` is the ACK variant's predictor gain ``a_d m`` (else ``None``),
+    read-only as the matrices of ``dp`` and ``gains`` are, and ``params``
+    the DoS budget the condition ``report`` checks; the report holds the
+    decay constants (``input_gains`` among them) and the theta factors.
+    The attack pattern is left out: each run resolves its own from its
+    config.
     """
 
     dp: DiscretePlant
@@ -319,7 +325,8 @@ def compile_plan(cfg: SimConfig) -> Plan:
     else:
         dp = sample_plant(cfg.plant, cfg.big_delta)
     gains = cfg.gains if given else _resolve_gains(cfg, dp, not single_rate)
-    l_obs = dp.a_d @ gains.observer_gain if single_rate else None
+    l_obs = (frozen_matrix(dp.a_d @ gains.observer_gain) if single_rate
+             else None)
     constants = derive_decay_constants(gains, dp, l_obs=l_obs)
     plan = Plan(
         dp=dp, gains=gains, l_obs=l_obs, levels=cfg.levels, params=params,
@@ -351,32 +358,40 @@ class LoopTrace:
     final_state: np.ndarray
 
     def to_csv(self, path):
+        """Write the trace to ``path`` as CSV, one line per row, each float
+        as ``%.17g``; rows are formatted ``CSV_BLOCK_ROWS`` at a time."""
+        floats = {"x": self.x, "xhat": self.x_hat, "u_sent": self.u_sent,
+                  "u_applied": self.u_applied, "y": self.y}
         header = ["t", "q", "k"]
-        header += [f"x_{i}" for i in range(self.x.shape[1])]
-        header += [f"xhat_{i}" for i in range(self.x_hat.shape[1])]
-        header += [f"u_sent_{i}" for i in range(self.u_sent.shape[1])]
-        header += [f"u_applied_{i}" for i in range(self.u_applied.shape[1])]
-        header += [f"y_{i}" for i in range(self.y.shape[1])]
-        header += list(self.ranges.keys())
-        header += ["outcome", "saturated", "inferred_attack"]
-        floats = [self.x, self.x_hat, self.u_sent, self.u_applied, self.y]
-        columns = [col for block in floats for col in block.T.tolist()]
-        columns += [col.tolist() for col in self.ranges.values()]
-        template = ("%.17g,%d,%d," + "%.17g," * len(columns)
-                    + "%s,%d,%d\n")
-        rows = zip(self.t.tolist(), self.q.tolist(), self.k.tolist(), *columns,
-                   self.outcome, self.saturated.tolist(),
-                   self.inferred_attack.tolist())
+        header += [f"{name}_{i}" for name, block in floats.items()
+                   for i in range(block.shape[1])]
+        header += [*self.ranges, "outcome", "saturated", "inferred_attack"]
+        values = [col for block in floats.values() for col in block.T]
+        values += self.ranges.values()
+        template = "%.17g,%d,%d," + "%.17g," * len(values) + "%s,%d,%d\n"
+        columns = [self.t, self.q, self.k, *values]
+        flags = [self.saturated, self.inferred_attack]
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(template % row for row in rows)
+            for start in range(0, len(self.t), CSV_BLOCK_ROWS):
+                block = slice(start, start + CSV_BLOCK_ROWS)
+                rows = zip(*(col[block].tolist() for col in columns),
+                           self.outcome[block],
+                           *(col[block].tolist() for col in flags))
+                fh.writelines(template % row for row in rows)
 
 
 class _TraceBuilder:
-    """Sub-step rows of a run, appended to ``rows`` as stepped and stacked
-    once by :meth:`stack`; :meth:`build` adds the oversampled points and the
+    """Sub-step rows of a run, packed as stepped and viewed as arrays by
+    :meth:`stack`; :meth:`build` adds the oversampled points and the
     outputs and expands the per-slot quantities into the per-row columns
-    of the trace."""
+    of the trace.
+
+    Each sub-step's start values ``x``, ``x_hat``, ``u_sent`` and
+    ``u_applied`` (float64 vectors) are appended as raw bytes to four
+    growing columns through the bound ``extend`` methods in ``add``, so
+    no per-row object outlives its sub-step.
+    """
 
     def __init__(self, cfg: SimConfig, dp: DiscretePlant, attacked):
         self.cfg, self.dp, self.attacked = cfg, dp, attacked
@@ -385,23 +400,21 @@ class _TraceBuilder:
             discretize(cfg.plant.a, cfg.plant.b, j * dp.delta / cfg.oversample)
             for j in range(1, cfg.oversample)
         ]
-        # each row is one sub-step's start values (x, x_hat, u_sent,
-        # u_applied), appended as stepped
-        self.rows = []
+        self.columns = tuple(bytearray() for _ in range(4))
+        self.add = tuple(column.extend for column in self.columns)
         self.slots = {"attacked": attacked}
 
     def stack(self):
-        """Stack the rows into the arrays ``x``, ``x_hat``, ``u_*``.
+        """View the columns as the arrays ``x``, ``x_hat``, ``u_*``, one
+        row per sub-step.
 
-        Every row entry is a float64 vector, so a column's joined bytes are
-        its stacked array: a join copies thousands of small vectors faster
-        than ``np.concatenate`` does.
+        The arrays are writable views of the columns, which no row may be
+        appended to after this.
         """
-        rows, to_bytes = len(self.rows), np.ndarray.tobytes
+        n_x, n_u = self.dp.n_x, self.dp.n_u
         self.x, self.x_hat, self.u_sent, self.u_applied = (
-            np.frombuffer(bytearray(b"".join(map(to_bytes, column))))
-            .reshape(rows, -1)
-            for column in zip(*self.rows))
+            np.frombuffer(column).reshape(-1, width)
+            for column, width in zip(self.columns, (n_x, n_x, n_u, n_u)))
 
     def add_slot(self, **values):
         for name, value in values.items():
@@ -418,7 +431,8 @@ class _TraceBuilder:
         slot (a range per slot and sub-step), or one for all slots."""
         ov, substeps = self.cfg.oversample, self.dp.eta
         per_slot = substeps * ov
-        x, u_applied = self.x, self.u_applied
+        x, x_hat, u_sent, u_applied = (self.x, self.x_hat, self.u_sent,
+                                       self.u_applied)
         slots = len(x) // substeps
         if ov > 1:
             # each point propagated exactly from its sub-step's start under
@@ -426,14 +440,19 @@ class _TraceBuilder:
             points = [x] + [_matvecs(a_t, x) + _matvecs(b_t, u_applied)
                             for a_t, b_t in self.os_maps]
             x = np.stack(points, axis=1).reshape(-1, x.shape[1])
+            x_hat, u_sent, u_applied = (
+                np.repeat(column, ov, axis=0)
+                for column in (x_hat, u_sent, u_applied))
 
         def rows(values):
             values = np.asarray(values)
             if values.ndim == 0:
                 return np.full(slots * per_slot, values)
             values = values[:slots]
-            return np.repeat(values.ravel(), per_slot if values.ndim == 1
-                             else ov)
+            if values.ndim == 1:
+                return np.repeat(values, per_slot)
+            values = values.ravel()  # one value per slot and sub-step
+            return values if ov == 1 else np.repeat(values, ov)
 
         q = np.repeat(np.arange(slots), per_slot)
         k = np.tile(np.repeat(np.arange(substeps), ov), slots)
@@ -442,10 +461,7 @@ class _TraceBuilder:
         t = q * self.cfg.big_delta + k * delta + j * delta / ov
         return LoopTrace(
             scenario=self.cfg.scenario, plan=plan, t=t, q=q, k=k,
-            x=x,
-            x_hat=np.repeat(self.x_hat, ov, axis=0),
-            u_sent=np.repeat(self.u_sent, ov, axis=0),
-            u_applied=np.repeat(u_applied, ov, axis=0),
+            x=x, x_hat=x_hat, u_sent=u_sent, u_applied=u_applied,
             y=_matvecs(self.cfg.plant.c, x),
             ranges={name: rows(v) for name, v in ranges.items()},
             outcome=[BRANCHES[b] for b in rows(branch).tolist()],
@@ -524,20 +540,26 @@ def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
                                       gs.controller_gain, dp.a_d, dp.b_d))
     infer = codec_u is None
     inferred, degenerate = [], []
-    add, quant = tb.rows.append, quantize
+    add_x, add_xh, add_u, add_ua = tb.add
+    quant = quantize
     # an attacked slot's estimate chain, from the zero estimate under the
-    # zero input (an explicit branch, not arithmetic, gives the zero input)
+    # zero input (an explicit branch, not arithmetic, gives the zero input),
+    # and its estimate and input rows, packed once
     b_zero = b(zero_u)
     held = [zero_x]
     for _ in range(dp.eta - 1):
         held.append(a(held[-1]) + b_zero)
+    held_xh, held_u = np.concatenate(held), np.zeros(dp.eta * plant.n_u)
 
     try:
         for q, (hit, y_rng, u_rngs) in enumerate(zip(tb.attacked.tolist(),
                                                      y_ranges, u_ranges)):
             if hit:
-                for xh in held:
-                    add((x, xh, zero_u, zero_u))
+                add_xh(held_xh)
+                add_u(held_u)
+                add_ua(held_u)
+                for _ in range(dp.eta):
+                    add_x(x)
                     x = a(x) + b_zero
                 if infer:
                     degenerate.append(False)
@@ -557,7 +579,10 @@ def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
                     all_zero = all_zero and not any(u.tolist())
                 else:
                     ua = quant(u, u_rngs[k], codec_u)
-                add((x, xh, u, ua))
+                add_x(x)
+                add_xh(xh)
+                add_u(u)
+                add_ua(ua)
                 x = a(x) + b(ua)
             if infer:
                 # at a zero range a successful slot sends zeros too: nothing
@@ -664,6 +689,7 @@ def _run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb.slots["e"] = e
     kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
                                        dps.b_d, l_obs))
+    add_x, add_xh, add_u, add_ua = tb.add
 
     try:
         for q, (hit, e_q) in enumerate(zip(tb.attacked.tolist(), e.tolist())):
@@ -681,7 +707,10 @@ def _run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
                 with np.errstate(over="ignore", invalid="ignore"):
                     qv = quantize(y - yh, norm_c * e_q, codec) + yh
                 xh_next = a(xh) + bu + lo(qv - yh)
-            tb.rows.append((x, xh, u, u))
+            add_x(x)
+            add_xh(xh)
+            add_u(u)
+            add_ua(u)
             x = a(x) + bu
             xh = xh_next
     except (SaturationError, InvalidMatrixError) as exc:
@@ -744,6 +773,7 @@ def _run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
     tb.slots.update(e_enc=e_enc, e_dec=e_dec)
     kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
                                        dps.b_d, l_obs))
+    add_x, add_xh, add_u, add_ua = tb.add
 
     for q, (hit, e_enc_q, e_dec_q) in enumerate(zip(
             attacked.tolist(), e_enc.tolist(), e_dec.tolist())):
@@ -763,7 +793,10 @@ def _run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
             enc_err=inf_norm(x - xt), predictor_gap=inf_norm(xh - xt),
             offs=offs, saturated=saturated,
         )
-        tb.rows.append((x, xh, u, u))
+        add_x(x)
+        add_xh(xh)
+        add_u(u)
+        add_ua(u)
         xt_next = a(xt) + b(kc(xt)) + lo(qe - yt)
         if hit:
             xh_next = a(xh) + b(u)

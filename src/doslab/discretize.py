@@ -17,7 +17,13 @@ from .errors import (
     UncontrollablePairError,
     UnobservablePairError,
 )
-from .matrixcore import as_matrix, mat_exp, mat_pow, rank_with_tol
+from .matrixcore import (
+    as_matrix,
+    frozen_matrix,
+    mat_exp,
+    mat_pow,
+    rank_with_tol,
+)
 
 __all__ = [
     "ContinuousPlant",
@@ -72,6 +78,8 @@ class DiscretePlant:
     controllability index of ``(a_d, b_d)`` and ``mu`` the observability
     index of ``(c, a_lift)``, except for single-rate models (see
     :func:`sample_plant_single_rate`) where ``eta`` is fixed to one.
+    Each matrix is kept as a read-only, C-contiguous float64 copy, so a
+    sampled plant cannot change.
     """
 
     a_d: np.ndarray
@@ -82,6 +90,10 @@ class DiscretePlant:
     eta: int
     mu: int
     a_lift: np.ndarray
+
+    def __post_init__(self):
+        for name in ("a_d", "b_d", "c", "a_lift"):
+            object.__setattr__(self, name, frozen_matrix(getattr(self, name)))
 
     @property
     def n_x(self) -> int:

@@ -94,6 +94,8 @@ class GainSet:
     def __post_init__(self):
         for name in ("controller_gain", "observer_gain", "error_transition",
                      "closed_loop"):
+            # in the layout given: a C-order copy of a Fortran-order gain
+            # rounds the engine's products differently on some BLAS kernels
             matrix = as_matrix(getattr(self, name))
             matrix.flags.writeable = False
             object.__setattr__(self, name, matrix)

@@ -19,6 +19,7 @@ from .errors import ExpOverflowError, InvalidMatrixError, SingularMatrixError
 __all__ = [
     "as_matrix",
     "as_vector",
+    "frozen_matrix",
     "inf_norm",
     "mat_exp",
     "mat_pow",
@@ -72,6 +73,13 @@ def as_vector(v) -> np.ndarray:
         raise InvalidMatrixError(f"expected a vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrixError("vector entries must be finite")
+    return a
+
+
+def frozen_matrix(m) -> np.ndarray:
+    """A read-only, C-contiguous float64 copy of the matrix ``m``."""
+    a = np.array(m, dtype=float, order="C")
+    a.flags.writeable = False
     return a
 
 

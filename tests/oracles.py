@@ -471,6 +471,7 @@ def deadbeat_loop(cfg, plan, tb, output, inputs=None):
                                       gs.controller_gain, dp.a_d, dp.b_d))
     infer = codec_u is None
     residuals, inferred, degenerate = [], [], []
+    add_x, add_xh, add_u, add_ua = tb.add
 
     for q, (hit, y_rng, u_rngs) in enumerate(zip(tb.attacked.tolist(),
                                                  y_ranges, u_ranges)):
@@ -491,7 +492,10 @@ def deadbeat_loop(cfg, plan, tb, output, inputs=None):
                 u = kc(xh)
                 ua = _quantize_roundtrip(u, zero_u, u_rngs[k], codec_u,
                                          "input", q, k)
-            tb.rows.append((x, xh, u, ua))
+            add_x(x)
+            add_xh(xh)
+            add_u(u)
+            add_ua(ua)
             x = a(x) + b(ua)
             xh = a(xh) + b(u)
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from doslab import (
 )
 from doslab.conditions import ThetaVariant, build_report, decay_certificate
 from doslab.controlloop import (
+    CSV_BLOCK_ROWS,
     LoopTrace,
     Scenario,
     SimConfig,
@@ -594,6 +596,35 @@ class TestPlanReuse:
         assert run_outcome(run, tmp_path) == run_outcome(fresh, tmp_path)
 
 
+class TestReadOnlyPlan:
+    """A plan's sampled plant blocks and predictor gain are read-only,
+    C-contiguous float64 copies, so a plan reused through ``plan.gains`` is
+    the one compiled; the config's plant stays editable, so that the plan
+    memo sees an edit of it."""
+
+    @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
+                                      "batch_reactor_ack.json"])
+    def test_an_edit_in_place_is_refused(self, tmp_path, name):
+        cfg = bundled_config(name, horizon_slots=50)
+        plan = compile_plan(cfg)
+        arrays = [plan.dp.a_d, plan.dp.b_d, plan.dp.c, plan.dp.a_lift]
+        if "ack" in name:
+            arrays.append(plan.l_obs)
+        for array in arrays:
+            assert array.dtype == np.float64 and array.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] += 1e-3
+        assert cfg.plant.c.flags.writeable and plan.dp.c is not cfg.plant.c
+        # an edited a_d, reused, would fail the dual run's |C xhat| contract
+        # at slot 0
+        run = dataclasses.replace(cfg, gains=plan.gains)
+        assert compile_plan(run) is plan
+        reused = run_outcome(run, tmp_path)
+        assert isinstance(reused[0], bytes)
+        assert reused == run_outcome(dataclasses.replace(
+            cfg, gains=fresh_gain_set(plan.gains)), tmp_path)
+
+
 class TestFailureRecords:
     """A codec failure names the slot, sub-step and channel it hit."""
 
@@ -939,6 +970,41 @@ class TestDeadbeatLoopOracle:
         assert _matvecs(a, vs).tobytes() == want.tobytes()
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most memory, in bytes, that Python and numpy
+    allocations made during the call held at once (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTraceMemory:
+    """A run keeps each sub-step's values as packed floats, not as per-row
+    objects, and a CSV write holds one block of rows as Python values, so
+    neither grows by more than the trace itself with the horizon."""
+
+    def test_a_dual_run_peaks_below_500_bytes_per_row(self):
+        cfg = bundled_config("batch_reactor_dual.json", horizon_slots=2000)
+        cfg = dataclasses.replace(cfg, gains=compile_plan(cfg).gains)
+        trace, peak = traced_peak(run_scenario, cfg)
+        assert len(trace.t) == 4000
+        assert peak / len(trace.t) < 500
+
+    @pytest.mark.parametrize("slots", [2000, 4000])
+    def test_a_write_peaks_below_half_a_megabyte(self, tmp_path, slots):
+        trace = run_scenario(bundled_config("batch_reactor_dual.json",
+                                            horizon_slots=slots))
+        _, peak = traced_peak(trace.to_csv, tmp_path / "trace.csv")
+        assert peak < 0.5e6
+
+
+# trace rows per slot at oversample 1: the reactor's protocol schemes send
+# eta = 2 inputs a slot
+ROWS_PER_SLOT = {"dual": 2, "ack": 1, "ackfree": 2, "mismatch": 1}
+
+
 def _assert_csv_matches_loop_writer(trace, tmp_path):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     trace.to_csv(got)
@@ -967,28 +1033,45 @@ class TestTraceCsv:
         # every E3 row value round-trips exactly through the text form
         np.testing.assert_array_equal(values, dual_trace.ranges["E3"])
 
-    @pytest.mark.parametrize("engine, oversample", [
-        ("dual", 1), ("dual", 2), ("ack", 1), ("ack", 2), ("ackfree", 1),
-        ("ackfree", 2), ("mismatch", 1),
+    @pytest.mark.parametrize("engine, oversample, rows", [
+        # 60 slots, shorter than one block
+        *(pytest.param(engine, oversample,
+                       60 * oversample * ROWS_PER_SLOT[engine],
+                       id=f"{engine}-{oversample}")
+          for engine, oversample in [
+              ("dual", 1), ("dual", 2), ("ack", 1), ("ack", 2),
+              ("ackfree", 1), ("ackfree", 2), ("mismatch", 1)]),
+        pytest.param("dual", 1, CSV_BLOCK_ROWS, id="dual-1-one_block"),
+        pytest.param("ack", 1, CSV_BLOCK_ROWS + 1,
+                     id="ack-1-one_block_and_a_row"),
+        pytest.param("ack", 2, 2 * CSV_BLOCK_ROWS + 2,
+                     id="ack-2-two_blocks_and_two_rows"),
+        pytest.param("ackfree", 2, 4 * CSV_BLOCK_ROWS,
+                     id="ackfree-2-four_blocks"),
+        pytest.param("dual", 2, 4 * CSV_BLOCK_ROWS + 4,
+                     id="dual-2-four_blocks_and_four_rows"),
     ])
     def test_matches_loop_writer(self, reactor, reactor_gains, tmp_path,
-                                 engine, oversample):
+                                 engine, oversample, rows):
+        horizon = rows // (ROWS_PER_SLOT[engine] * oversample)
         if engine == "dual":
-            cfg = dual_config(reactor, reactor_gains, horizon_slots=60,
+            cfg = dual_config(reactor, reactor_gains, horizon_slots=horizon,
                               oversample=oversample)
         elif engine == "ackfree":
-            cfg = ackfree_config(reactor, reactor_gains, horizon_slots=60,
-                                 oversample=oversample)
+            cfg = ackfree_config(reactor, reactor_gains,
+                                 horizon_slots=horizon, oversample=oversample)
         else:
             cfg = SimConfig(
                 plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
-                horizon_slots=60, levels=100, oversample=oversample,
+                horizon_slots=horizon, levels=100, oversample=oversample,
                 **(dict(scenario=Scenario.OUTPUT_ACK, dos_params=CASE_SINGLE,
                         seed=7, intensity=0.3) if engine == "ack" else
                    dict(scenario=Scenario.MISMATCH_DEMO, attack_slot=5,
                         control_weight=100.0, observer="deadbeat")),
             )
-        _assert_csv_matches_loop_writer(run_scenario(cfg), tmp_path)
+        trace = run_scenario(cfg)
+        assert len(trace.t) == rows
+        _assert_csv_matches_loop_writer(trace, tmp_path)
 
     def test_special_values_match_loop_writer(self, dual_trace, tmp_path):
         rows = slice(0, 6)
