@@ -19,10 +19,10 @@ The dual-channel and ACK-free schemes step one deadbeat slot loop,
 input codec, the ACK-free one an ideal input channel.  It computes only
 what a later slot reads and checks every slot's ``|C xhat|`` in one
 batched pass after stepping; the first slot with a failure still names
-it, codec before inference before residual.  The ACK scheme (a predictor
-on both sides) and the mismatch demonstration (the ACK scheme run without
-ACKs: a blind encoder-side predictor, a clipping encoder and a divergence
-cap) keep loops of their own.
+it, codec before inference before residual.  The ACK scheme and the
+mismatch demonstration step one predictor loop, :func:`_run_predictor`,
+told apart by the attacks the encoder learns of: every one with ACKs,
+none in the demonstration.
 
 Plant propagation between sub-steps uses the exact discretization; an
 oversample factor adds intra-step points computed from the exponential on
@@ -32,8 +32,10 @@ the residual interval, so no integrator error enters the invariants.
 from __future__ import annotations
 
 import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -199,6 +201,12 @@ class SimConfig:
                 raise ScenarioError(
                     f"mismatch demo needs attack_slot below horizon_slots "
                     f"{self.horizon_slots}, got {self.attack_slot!r:.60}")
+            if self.pattern is not None:
+                raise ScenarioError("mismatch demo takes no pattern: its one "
+                                    "attack is at attack_slot")
+        elif self.attack_slot is not None:
+            raise ScenarioError(f"{self.scenario.value} runs take no "
+                                f"attack_slot: only the mismatch demo has one")
         if self.observer not in ("kalman", "deadbeat"):
             raise ScenarioError(f"unknown observer mode {self.observer!r}")
 
@@ -424,11 +432,11 @@ class _TraceBuilder:
         """The first sub-step row of every slot of stacked ``rows``."""
         return rows[::self.dp.eta]
 
-    def build(self, final_state, plan: Plan, ranges, branch, inferred,
-              saturated=False):
+    def build(self, final_state, plan: Plan, ranges, branch, inferred):
         """The trace of the stacked rows.  Each range column, and
-        ``branch``, ``inferred`` and ``saturated``, gives one value per
-        slot (a range per slot and sub-step), or one for all slots."""
+        ``branch`` and ``inferred``, gives one value per slot (a range per
+        slot and sub-step), or one for all slots.  The saturation flags are
+        the run's ``saturated`` slot record, if it keeps one."""
         ov, substeps = self.cfg.oversample, self.dp.eta
         per_slot = substeps * ov
         x, x_hat, u_sent, u_applied = (self.x, self.x_hat, self.u_sent,
@@ -465,7 +473,7 @@ class _TraceBuilder:
             y=_matvecs(self.cfg.plant.c, x),
             ranges={name: rows(v) for name, v in ranges.items()},
             outcome=[BRANCHES[b] for b in rows(branch).tolist()],
-            saturated=rows(saturated),
+            saturated=rows(self.slots.get("saturated", False)),
             inferred_attack=rows(inferred),
             slots={n: np.asarray(v)[:slots]
                    for n, v in self.slots.items()},
@@ -670,57 +678,87 @@ def _run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
                     inferred)
 
 
-def _run_output_ack(cfg: SimConfig, plan: Plan) -> LoopTrace:
-    """Output channel with instant acknowledgments, single-rate predictors.
+def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
+    """Output channel with single-rate predictors, input channel ideal.
 
-    The encoder and decoder each run the predictor; acknowledgments tell
-    the encoder every attack, so both sides take their ranges from the
-    same pattern.  The input channel is ideal: the plant receives the
-    computed input.
+    The encoder sends the cells of ``y`` around its predicted output, and
+    the decoder corrects its predictor with them on a successful slot.
+    With ACKs the encoder learns of every attack, so its predictor is the
+    decoder's and a saturation fails the run.  The mismatch demonstration
+    runs the scheme without them: the encoder never learns of the attack
+    at ``attack_slot`` and keeps a predictor ``xt`` of its own, with ranges
+    from a pattern with no attack.  It transmits every slot, clips past
+    saturation (divergence is the point), records the encoder-side error
+    and the offsets :func:`mismatch_bound` reads, and stops once the state
+    passes ``DIVERGENCE_CAP``.
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
-    plant = cfg.plant
+    plant, thetas = cfg.plant, plan.report.thetas
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
-    tb = _TraceBuilder(cfg, dps, _resolve_pattern(cfg))
-    branch, e = update_range(cfg.x0_bound, plan.report.thetas, tb.attacked)
+    acked = cfg.scenario is Scenario.OUTPUT_ACK
+    if acked:
+        attacked = known = _resolve_pattern(cfg)
+    else:
+        attacked = np.arange(cfg.horizon_slots) == cfg.attack_slot
+        known = np.zeros_like(attacked)
+    branch, e_dec = update_range(cfg.x0_bound, thetas, attacked)
+    e_enc = e_dec if acked else update_range(cfg.x0_bound, thetas, known)[1]
+    tb = _TraceBuilder(cfg, dps, attacked)
+    tb.slots.update(dict(e=e_dec) if acked else dict(e_enc=e_enc, e_dec=e_dec))
+    # with ACKs the offset overflows to inf silently, as Python floats and
+    # the range law do, and encode names it
+    quiet = (partial(np.errstate, over="ignore", invalid="ignore") if acked
+             else nullcontext)
     x = cfg.x0.copy()
-    xh = np.zeros(plant.n_x)
-    tb.slots["e"] = e
+    xh = xt = np.zeros(plant.n_x)  # decoder and encoder side
     kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
                                        dps.b_d, l_obs))
     add_x, add_xh, add_u, add_ua = tb.add
 
     try:
-        for q, (hit, e_q) in enumerate(zip(tb.attacked.tolist(), e.tolist())):
+        for q, (hit, told, e_enc_q, e_dec_q) in enumerate(zip(
+                attacked.tolist(), known.tolist(), e_enc.tolist(),
+                e_dec.tolist())):
             u = kc(xh)
             bu = b(u)
             yh = c(xh)
-            if hit:
-                xh_next = a(xh) + bu
-            else:
+            if not told:  # the encoder transmits
+                yt = yh if acked else c(xt)
+                rng_e = norm_c * e_enc_q
                 y = c(x)
-                # the offset and the box overflow to inf silently, as Python
-                # floats and the range law do; qv differs from decode(cells,
-                # yh, ...) at most in the sign of a zero entry, which qv - yh
-                # drops
-                with np.errstate(over="ignore", invalid="ignore"):
-                    qv = quantize(y - yh, norm_c * e_q, codec) + yh
-                xh_next = a(xh) + bu + lo(qv - yh)
+                with quiet():
+                    offset = y - yt
+                cells = encode(offset, rng_e, codec, clip=not acked)
+                if not acked:
+                    qe = decode(cells, yt, rng_e, codec)
+                    tb.add_slot(
+                        enc_err=inf_norm(x - xt),
+                        predictor_gap=inf_norm(xh - xt),
+                        offs=((qe - yt) * codec.levels / rng_e if rng_e > 0
+                              else np.zeros_like(qe)),
+                        saturated=bool(np.max(np.abs(offset)) > rng_e))
+                    xt = a(xt) + b(kc(xt)) + lo(qe - yt)
             add_x(x)
             add_xh(xh)
             add_u(u)
             add_ua(u)
             x = a(x) + bu
-            xh = xh_next
+            xh = a(xh) + bu
+            if not hit:
+                xh += lo(decode(cells, yh, norm_c * e_dec_q, codec) - yh)
+            if not acked and inf_norm(x) > DIVERGENCE_CAP:
+                break
     except (SaturationError, InvalidMatrixError) as exc:
         raise _placed(exc, "output", q) from exc
 
     tb.stack()
     starts = tb.starts(tb.x)
-    tb.slots.update(err_norm=_norms(starts - tb.starts(tb.x_hat)),
-                    x_norm=_norms(starts))
-    return tb.build(x, plan, {"E": e}, branch, tb.attacked)
+    if acked:
+        tb.slots["err_norm"] = _norms(starts - tb.starts(tb.x_hat))
+    tb.slots["x_norm"] = _norms(starts)
+    ranges = {"E": e_dec} if acked else {"E_e": e_enc, "E_d": e_dec}
+    return tb.build(x, plan, ranges, branch, known)
 
 
 def _run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
@@ -744,75 +782,6 @@ def _run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     _, e_enc = update_range(cfg.x0_bound, plan.report.thetas, inferred)
     tb.slots.update(x_norm=_norms(tb.starts(tb.x)), enc_equals_dec=e_enc == e)
     return tb.build(x, plan, {"E": e}, branch, inferred)
-
-
-def _run_mismatch_demo(cfg: SimConfig, plan: Plan) -> LoopTrace:
-    """ACK-based scheme run without ACKs: one attack, growing mismatch.
-
-    The decoder-side predictor switches to its open-loop branch on the
-    attacked slot while the encoder-side predictor, blind to the attack,
-    keeps applying corrections and takes its ranges from a pattern with no
-    attack.  The run records both ranges, the true encoder-side error and
-    the quantization offsets that :func:`mismatch_bound` reads; encoding
-    past saturation clips to the nearest box instead of failing, because
-    divergence is the point.
-    """
-    dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
-    plant = cfg.plant
-    codec = UniformCodec(plan.levels, plant.n_y)
-    norm_c = inf_norm(plant.c)
-
-    attacked = np.arange(cfg.horizon_slots) == cfg.attack_slot
-    branch, e_dec = update_range(cfg.x0_bound, plan.report.thetas, attacked)
-    _, e_enc = update_range(cfg.x0_bound, plan.report.thetas,
-                            np.zeros_like(attacked))
-    x = cfg.x0.copy()
-    xh = np.zeros(plant.n_x)  # decoder/controller side
-    xt = np.zeros(plant.n_x)  # encoder side
-    tb = _TraceBuilder(cfg, dps, attacked)
-    tb.slots.update(e_enc=e_enc, e_dec=e_dec)
-    kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
-                                       dps.b_d, l_obs))
-    add_x, add_xh, add_u, add_ua = tb.add
-
-    for q, (hit, e_enc_q, e_dec_q) in enumerate(zip(
-            attacked.tolist(), e_enc.tolist(), e_dec.tolist())):
-        y = c(x)
-        u = kc(xh)
-        yt = c(xt)
-        rng_e = norm_c * e_enc_q
-        offset = y - yt
-        saturated = bool(np.max(np.abs(offset)) > rng_e)
-        try:
-            cells = encode(offset, rng_e, codec, clip=True)
-        except InvalidMatrixError as exc:
-            raise _placed(exc, "output", q) from exc
-        qe = decode(cells, yt, rng_e, codec)
-        offs = (qe - yt) * codec.levels / rng_e if rng_e > 0 else np.zeros_like(qe)
-        tb.add_slot(
-            enc_err=inf_norm(x - xt), predictor_gap=inf_norm(xh - xt),
-            offs=offs, saturated=saturated,
-        )
-        add_x(x)
-        add_xh(xh)
-        add_u(u)
-        add_ua(u)
-        xt_next = a(xt) + b(kc(xt)) + lo(qe - yt)
-        if hit:
-            xh_next = a(xh) + b(u)
-        else:
-            yh = c(xh)
-            qd = decode(cells, yh, norm_c * e_dec_q, codec)
-            xh_next = a(xh) + b(u) + lo(qd - yh)
-        x = a(x) + b(u)
-        xh, xt = xh_next, xt_next
-        if inf_norm(x) > DIVERGENCE_CAP:
-            break
-
-    tb.stack()
-    tb.slots.update(x_norm=_norms(tb.starts(tb.x)))
-    return tb.build(x, plan, {"E_e": e_enc, "E_d": e_dec}, branch, False,
-                    saturated=tb.slots["saturated"])
 
 
 def mismatch_bound(trace: LoopTrace) -> np.ndarray:
@@ -867,9 +836,9 @@ def mismatch_bound(trace: LoopTrace) -> np.ndarray:
 
 _SCHEMES = {
     Scenario.DUAL_CHANNEL: (ThetaVariant.DUAL, _run_dual_channel),
-    Scenario.OUTPUT_ACK: (ThetaVariant.ACK, _run_output_ack),
+    Scenario.OUTPUT_ACK: (ThetaVariant.ACK, _run_predictor),
     Scenario.OUTPUT_ACK_FREE: (ThetaVariant.ACK_FREE, _run_output_ackfree),
-    Scenario.MISMATCH_DEMO: (ThetaVariant.ACK, _run_mismatch_demo),
+    Scenario.MISMATCH_DEMO: (ThetaVariant.ACK, _run_predictor),
 }
 
 

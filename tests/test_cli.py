@@ -597,6 +597,14 @@ OUTSIDE_A_RULE = {
     "attack_slot_past_horizon": (
         "batch_reactor_mismatch.json", _set(("attack_slot",), 300), (),
         "mismatch demo needs attack_slot below horizon_slots 300, got 300"),
+    "attack_slot_outside_the_demo": (
+        DUAL, _set(("attack_slot",), 3), (),
+        "dual_channel runs take no attack_slot: only the mismatch demo has "
+        "one"),
+    "dos_pattern_on_the_demo": (
+        "batch_reactor_mismatch.json", _set(("dos",), {"pattern": [1] * 300}),
+        (), "mismatch demo takes no pattern: its one attack is at "
+            "attack_slot"),
 }
 
 

@@ -309,6 +309,27 @@ class TestMismatchDemo:
         want = mismatch_bound_loop(trace, cfg, compile_plan(cfg))
         assert np.array_equal(mismatch_bound(trace), want)
 
+    # the attack at the first slot, mid-run and on the last slot
+    @pytest.mark.parametrize("attack_slot", [0, 5, 59])
+    def test_steps_as_the_ack_scheme_up_to_the_attack(self, reactor,
+                                                       attack_slot):
+        demo = SimConfig(
+            plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
+            scenario=Scenario.MISMATCH_DEMO, horizon_slots=60, levels=100,
+            attack_slot=attack_slot, control_weight=100.0,
+            observer="deadbeat",
+        )
+        ack = dataclasses.replace(demo, scenario=Scenario.OUTPUT_ACK,
+                                  attack_slot=None,
+                                  pattern=pattern_from_bools([0] * 60))
+        got, want = run_scenario(demo), run_scenario(ack)
+        # the attack moves only the rows after its slot
+        upto = got.q <= attack_slot
+        assert upto.sum() == attack_slot + 1
+        for name in ("x", "x_hat", "u_sent", "u_applied"):
+            assert np.array_equal(getattr(got, name)[upto],
+                                  getattr(want, name)[upto]), name
+
     def test_bound_needs_a_mismatch_trace(self, ackfree_trace):
         with pytest.raises(ScenarioError, match="mismatch_demo"):
             mismatch_bound(ackfree_trace)
@@ -751,6 +772,13 @@ OUT_OF_RULE = {
     "attack_slot_past_horizon": (
         "attack_slot", 300,
         "mismatch demo needs attack_slot below horizon_slots 300, got 300",
+        "batch_reactor_mismatch.json"),
+    "attack_slot_outside_the_demo": (
+        "attack_slot", 3,
+        "output_ack runs take no attack_slot: only the mismatch demo has one"),
+    "pattern_on_the_demo": (
+        "pattern", pattern_from_bools([1] * 300),
+        "mismatch demo takes no pattern: its one attack is at attack_slot",
         "batch_reactor_mismatch.json"),
     "nilpotency_tol_zero": (
         "gains", {"nilpotency_tol": 0},

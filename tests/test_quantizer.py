@@ -444,8 +444,9 @@ class TestOffsetCodecMatchesCenteredOracle:
         cells = encode(offset, rng_val, codec)
         assert (decode(cells, center, rng_val, codec).tobytes()
                 == want.tobytes())
-        # the ACK engine adds the center back to the round trip and reads
-        # only the difference from it
+        # the round trip with the center added back, once the center is
+        # taken off again, is decode's box at that center less the center:
+        # the predictor loop's decoder reads only that difference
         with np.errstate(all="ignore"):
             assert ((quantize(offset, rng_val, codec) + center - center)
                     .tobytes() == (want - center).tobytes())
