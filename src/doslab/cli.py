@@ -52,8 +52,11 @@ _MATRIX = {
 }
 _VECTOR = {"type": "array", "minItems": 1, "items": {"type": "number"}}
 
-# The schema states structure only.  Each rule on a value belongs to the
-# library code that reads the field, so a library caller meets it too.
+# The schema states structure only: each section's keys and their types.
+# Each rule on a value belongs to the library code that reads the field, so
+# a library caller meets it too.  The form a section takes (which of its
+# keys go together) belongs to the code that reads the section:
+# _build_config for levels and dos, compile_plan for gains.
 SCENARIO_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -71,72 +74,40 @@ SCENARIO_SCHEMA = {
         "x0": _VECTOR,
         "x0_bound": {"type": "number"},
         "levels": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["n1", "n2", "n3"],
-                    "properties": {
-                        "n1": {"type": "integer"},
-                        "n2": {"type": "integer"},
-                        "n3": {"type": "integer"},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["n"],
-                    "properties": {"n": {"type": "integer"}},
-                },
-            ]
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {name: {"type": "integer"}
+                           for name in ("n", "n1", "n2", "n3")},
         },
         "dos": {
-            "oneOf": [
-                {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "pattern": {"type": "array", "items": {"type": "integer"}},
+                "params": {
                     "type": "object",
                     "additionalProperties": False,
-                    "required": ["pattern"],
+                    "required": ["kappa_f", "nu_f", "kappa_d", "nu_d"],
                     "properties": {
-                        "pattern": {"type": "array",
-                                    "items": {"type": "integer"}},
+                        "kappa_f": {"type": "number"},
+                        "nu_f": {"type": "number"},
+                        "kappa_d": {"type": "number"},
+                        "nu_d": {"type": "integer"},
                     },
                 },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["params"],
-                    "properties": {
-                        "params": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["kappa_f", "nu_f", "kappa_d", "nu_d"],
-                            "properties": {
-                                "kappa_f": {"type": "number"},
-                                "nu_f": {"type": "number"},
-                                "kappa_d": {"type": "number"},
-                                "nu_d": {"type": "integer"},
-                            },
-                        },
-                        "seed": {"type": "integer"},
-                        "intensity": {"type": "number"},
-                    },
-                },
-            ]
+                "seed": {"type": "integer"},
+                "intensity": {"type": "number"},
+            },
         },
         "gains": {
-            "oneOf": [
-                {"const": "synthesize"},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "minProperties": 1,
-                    "properties": {
-                        "k": _MATRIX,
-                        "m": _MATRIX,
-                        "nilpotency_tol": {"type": "number"},
-                    },
-                },
-            ]
+            "type": ["string", "object"],
+            "additionalProperties": False,
+            "minProperties": 1,
+            "properties": {
+                "k": _MATRIX,
+                "m": _MATRIX,
+                "nilpotency_tol": {"type": "number"},
+            },
         },
         "observer": {"enum": ["kalman", "deadbeat"]},
         "control_weight": {"type": "number"},
@@ -188,33 +159,34 @@ _TYPES = {
 }
 
 
+def _has_type(v, names) -> bool:
+    """Whether ``v`` has the type named by ``names``, a name or a list."""
+    if isinstance(names, str):
+        return _TYPES[names](v)
+    return any(_TYPES[name](v) for name in names)
+
+
 class _Violation(NamedTuple):
     path: tuple  # from the value the walk started at
     message: str
-    keyword: str
     matches_type: bool  # the value has the type its subschema names
-    context: list  # for oneOf: the violations of every branch
 
 
 # Each keyword check yields messages about the value itself and the
 # violations of the subschemas it descends into.
 
-def _kw_type(name, v, path, schema):
-    if not _TYPES[name](v):
-        yield f"{v!r} is not of type {name!r}"
+def _kw_type(names, v, path, schema):
+    if not _has_type(v, names):
+        names = [names] if isinstance(names, str) else names
+        yield f"{v!r} is not of type {', '.join(map(repr, names))}"
 
 
-# The schema's enum and const values are strings, for which == is JSON
-# equality (for numbers it is not: True == 1).
+# The schema's enum values are strings, for which == is JSON equality (for
+# numbers it is not: True == 1).
 
 def _kw_enum(options, v, path, schema):
     if v not in options:
         yield f"{v!r} is not one of {options!r}"
-
-
-def _kw_const(want, v, path, schema):
-    if v != want:
-        yield f"{want!r} was expected"
 
 
 def _kw_required(names, v, path, schema):
@@ -259,41 +231,20 @@ def _kw_min_properties(least, v, path, schema):
                            else "does not have enough properties")
 
 
-def _kw_one_of(branches, v, path, schema):
-    context = []
-    for i, sub in enumerate(branches):
-        found = list(_violations(sub, v))
-        if not found:
-            break
-        context.extend(found)
-    else:
-        yield _Violation(path, f"{v!r} is not valid under any of the given "
-                         f"schemas", "oneOf", _matches_type(schema, v),
-                         context)
-        return
-    also = [s for s in branches[i + 1:] if next(_violations(s, v), None)
-            is None]
-    if also:
-        reprs = ", ".join(map(repr, also + [sub]))
-        yield f"{v!r} is valid under each of {reprs}"
-
-
 _KEYWORDS = {
     "type": _kw_type,
     "enum": _kw_enum,
-    "const": _kw_const,
     "required": _kw_required,
     "additionalProperties": _kw_additional_properties,
     "properties": _kw_properties,
     "items": _kw_items,
     "minItems": _kw_min_items,
     "minProperties": _kw_min_properties,
-    "oneOf": _kw_one_of,
 }
 
 
 def _matches_type(schema: dict, v) -> bool:
-    return "type" in schema and _TYPES[schema["type"]](v)
+    return "type" in schema and _has_type(v, schema["type"])
 
 
 def _violations(schema: dict, v, path=()):
@@ -301,36 +252,18 @@ def _violations(schema: dict, v, path=()):
     for keyword, arg in schema.items():
         for found in _KEYWORDS[keyword](arg, v, path, schema):
             if isinstance(found, str):
-                found = _Violation(path, found, keyword,
-                                   _matches_type(schema, v), [])
+                found = _Violation(path, found, _matches_type(schema, v))
             yield found
-
-
-def _relevance(v: _Violation):
-    """jsonschema's ``relevance`` key: a shallow, early violation of a
-    keyword other than oneOf, on a value not of its subschema's type,
-    ranks highest."""
-    return (-len(v.path), v.path, v.keyword != "oneOf", False,
-            not v.matches_type)
 
 
 def _best_violation(violations):
     """The path from the root and the message of the violation that
-    ``best_match`` picks, or ``None``.
-
-    That is the most relevant violation; for a oneOf, the least relevant
-    of its branches' violations instead, as long as it is unique."""
-    best = max(violations, key=_relevance, default=None)
-    if best is None:
-        return None
-    where = best.path
-    while best.context:
-        first, *rest = sorted(best.context, key=_relevance)[:2]
-        if rest and _relevance(first) == _relevance(rest[0]):
-            break
-        best = first
-        where += best.path
-    return where, best.message
+    jsonschema's ``best_match`` picks, or ``None``: the shallowest, then
+    the one at the greatest path, then one on a value not of its
+    subschema's type."""
+    best = max(violations, default=None,
+               key=lambda v: (-len(v.path), v.path, not v.matches_type))
+    return None if best is None else (best.path, best.message)
 
 
 def load_scenario(path) -> dict:
@@ -386,8 +319,10 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     The scenario keys that are :class:`SimConfig` fields go in as they are,
     as the config states each field's rule and default.  This checks only
     what a JSON document alone can get wrong -- non-finite numbers, ragged
-    rows, the ``dos`` section -- with a :class:`ScenarioError`; the
-    library's :class:`InvalidMatrixError` becomes one too.
+    rows, and the form of ``levels`` (``n``, or ``n1``, ``n2`` and ``n3``)
+    and of ``dos`` (a pattern alone, or params with an optional seed and
+    intensity) -- with a :class:`ScenarioError`; the library's
+    :class:`InvalidMatrixError` becomes one too.
     """
     bad = _nonfinite_path(doc)
     if bad is not None:
@@ -401,16 +336,26 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
         fields["gains"] = gains | {name: _matrix(gains[name], f"gains.{name}")
                                    for name in ("k", "m") if name in gains}
     levels = doc["levels"]
-    fields["levels"] = (levels["n"] if "n" in levels
-                        else (levels["n1"], levels["n2"], levels["n3"]))
-    dos_doc = doc.get("dos", {})
-    if "pattern" in dos_doc:
+    if set(levels) == {"n"}:
+        fields["levels"] = levels["n"]
+    elif set(levels) == {"n1", "n2", "n3"}:
+        fields["levels"] = (levels["n1"], levels["n2"], levels["n3"])
+    else:
+        raise ScenarioError(f"levels must give n, or n1, n2 and n3, got "
+                            f"{sorted(levels)}")
+    dos_doc = doc.get("dos")
+    if dos_doc is None:
+        if fields["scenario"] is not Scenario.MISMATCH_DEMO:
+            raise ScenarioError("scenario needs a dos section")
+    elif set(dos_doc) == {"pattern"}:
         fields["pattern"] = pattern_from_bools(dos_doc["pattern"])
-    elif "params" in dos_doc:  # with the optional seed and intensity
+    elif "params" in dos_doc and "pattern" not in dos_doc:
         fields["dos_params"] = DoSParams(**dos_doc["params"])
         fields.update((k, v) for k, v in dos_doc.items() if k != "params")
-    elif fields["scenario"] is not Scenario.MISMATCH_DEMO:
-        raise ScenarioError("scenario needs a dos section")
+    else:
+        raise ScenarioError(f"dos must give a pattern alone, or params with "
+                            f"an optional seed and intensity, got "
+                            f"{sorted(dos_doc)}")
     if seed_override is not None:
         fields["seed"] = seed_override
     try:

@@ -10,19 +10,20 @@ only their attack pattern compile it once.  Every quantizer range is a
 function of the attack pattern alone, so each engine takes its range
 sequences from :func:`update_range` before it steps.  Each fixed matrix's
 ``ndarray.dot`` is bound once per run (it rounds as ``@`` does, at half
-the call cost), a transmission is one :func:`quantize` round trip of the
-value's offset from its center and the per-slot checks read Python
-floats.
+the call cost) and the per-slot checks read Python floats.
 
 The dual-channel and ACK-free schemes step one deadbeat slot loop,
 :func:`_step_deadbeat`, told apart by their data: the dual scheme has an
-input codec, the ACK-free one an ideal input channel.  It computes only
-what a later slot reads and checks every slot's ``|C xhat|`` in one
-batched pass after stepping; the first slot with a failure still names
-it, codec before inference before residual.  The ACK scheme and the
-mismatch demonstration step one predictor loop, :func:`_run_predictor`,
-told apart by the attacks the encoder learns of: every one with ACKs,
-none in the demonstration.
+input codec, the ACK-free one an ideal input channel.  A transmission is
+one :func:`quantize` round trip of the value around the zero center.  The
+loop computes only what a later slot reads and checks every slot's
+``|C xhat|`` in one batched pass after stepping; the first slot with a
+failure still names it, codec before inference before residual.  The ACK
+scheme and the mismatch demonstration step one predictor loop,
+:func:`_run_predictor`, told apart by the attacks the encoder learns of:
+every one with ACKs, none in the demonstration.  It encodes ``y`` minus
+the encoder's predicted output once per transmission and decodes the
+cells at each side's own center.
 
 Plant propagation between sub-steps uses the exact discretization; an
 oversample factor adds intra-step points computed from the exponential on

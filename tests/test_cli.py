@@ -465,8 +465,7 @@ def test_check_runs_without_jsonschema(tmp_path):
 def _subschemas(schema):
     """Every schema nested in ``schema``, itself included."""
     yield schema
-    nested = [*schema.get("properties", {}).values(),
-              *schema.get("oneOf", ())]
+    nested = list(schema.get("properties", {}).values())
     if "items" in schema:
         nested.append(schema["items"])
     for sub in nested:
@@ -474,32 +473,31 @@ def _subschemas(schema):
 
 
 def test_schema_uses_only_interpreted_keywords():
+    used = set()
     for schema in _subschemas(cli.SCENARIO_SCHEMA):
+        used |= set(schema)
         assert set(schema) <= set(cli._KEYWORDS), schema
-        assert schema.get("type", "object") in cli._TYPES, schema
+        names = schema.get("type", "object")
+        assert set([names] if isinstance(names, str) else names) \
+            <= set(cli._TYPES), schema
         assert schema.get("additionalProperties", False) is False, schema
         assert isinstance(schema.get("items", {}), dict), schema
-        assert all(isinstance(value, str) for value in
-                   [*schema.get("enum", ()), schema.get("const", "")]), schema
+        assert all(isinstance(value, str)
+                   for value in schema.get("enum", ())), schema
+    # and no keyword's code outlives its last use
+    assert used == set(cli._KEYWORDS)
 
 
 def test_schema_is_a_valid_draft_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(cli.SCENARIO_SCHEMA)
 
 
-# the scenario schema's oneOf branches exclude each other; these do not (an
-# array keyword holds for every number)
-ONE_OF_OVERLAP = {"oneOf": [{"type": "number"},
-                            {"type": "number", "minItems": 1},
-                            {"type": "integer"}]}
 KEYWORD_CASES = {
-    **{f"overlap_{v!r}": (ONE_OF_OVERLAP, v) for v in (3, 2.5, -1, -1.5, "x")},
-    # a oneOf ranks below another keyword's violation at the same place
-    "one_of_and_minimum": ({"oneOf": [{"type": "string"},
-                                      {"type": "boolean"}],
-                            "minItems": 2}, [1]),
-    # a branch whose type the value has ranks below one that names no type
+    # gains' object keywords read an object only, and a list of types is
+    # named in full
     "gains_empty": (cli.SCENARIO_SCHEMA["properties"]["gains"], {}),
+    "gains_not_string_or_object": (
+        cli.SCENARIO_SCHEMA["properties"]["gains"], 5),
     "extras_sorted": (cli.SCENARIO_SCHEMA["properties"]["plant"],
                       {"z": 1, "y": 2, "a": [[1.0]]}),
 }
@@ -528,9 +526,6 @@ def test_range_overflowing_the_codec_exits_5_without_traceback(tmp_path, name,
 
 
 SCHEMA_INVALID = {
-    "levels_triple_incomplete": _set(("levels",), {"n1": 3, "n2": 10}),
-    "levels_fit_neither_branch": _set(("levels",), {"n": 4, "n1": 3}),
-    "dos_fits_neither_branch": _set(("dos",), {"seed": 1}),
     "matrix_entry_string": _set(("plant", "a", 0, 0), "1.0"),
     "scenario_missing": lambda doc: doc.pop("scenario"),
     "unknown_key": _set(("unexpected",), 1),
@@ -553,10 +548,28 @@ def test_schema_errors_match_jsonschema_validate(tmp_path, mutation):
 DUAL = "batch_reactor_dual.json"
 LEVELS_TRIPLE = ("dual_channel runs need an (n1, n2, n3) triple of integers "
                  "in [1, 2**53]")
+DOS_FORM = ("dos must give a pattern alone, or params with an optional seed "
+            "and intensity, got ")
 # (scenario file, mutation, command line options, message): a value outside
-# a rule of the library code that reads the field; the schema checks only
-# a document's structure
+# a rule of the library code that reads the field, or a section in a form
+# the code that reads it does not take; the schema checks only a document's
+# keys and their types
 OUTSIDE_A_RULE = {
+    **{f"levels_{case}": (DUAL, _set(("levels",), levels), (),
+                          f"levels must give n, or n1, n2 and n3, got "
+                          f"{sorted(levels)}")
+       for case, levels in [("empty", {}),
+                            ("triple_incomplete", {"n1": 3, "n2": 10}),
+                            ("fit_neither_branch", {"n": 4, "n1": 3})]},
+    "dos_empty": (DUAL, _set(("dos",), {}), (), DOS_FORM + "[]"),
+    "dos_fits_neither_branch": (DUAL, _set(("dos",), {"seed": 1}), (),
+                                DOS_FORM + "['seed']"),
+    "dos_pattern_with_seed": (DUAL, _set(("dos",), {"pattern": [0, 1],
+                                                    "seed": 1}), (),
+                              DOS_FORM + "['pattern', 'seed']"),
+    "gains_string": (DUAL, _set(("gains",), "keep"), (),
+                     "gains must be None, 'synthesize', a GainSet or a dict "
+                     "of k, m and nilpotency_tol, got 'keep'"),
     "big_delta_zero": (DUAL, _set(("big_delta",), 0), (),
                        "big_delta must be finite and positive"),
     "x0_bound_negative": (DUAL, _set(("x0_bound",), -1), (),

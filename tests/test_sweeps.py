@@ -6,14 +6,17 @@ case-study one, so these runs regenerate worst-case patterns at full
 proposal intensity across seeds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from doslab import inf_norm
+from doslab import ContinuousPlant, SaturationError, inf_norm
 from doslab.conditions import decay_certificate
 from doslab.controlloop import (
     Scenario,
     SimConfig,
+    compile_plan,
     mismatch_bound,
     run_scenario,
 )
@@ -77,3 +80,43 @@ def test_mismatch_demo_any_attack_placement(reactor, attack_slot):
     post = bound[attack_slot + 3:]
     assert post.size > 10
     assert np.all(np.diff(post) > 0)
+
+
+# ROADMAP item 1's 2x2 plant: its ACK-free report passes at 2 and at 4
+# output levels, under a budget that admits an attack on every slot
+ITEM1_CFG = SimConfig(
+    plant=ContinuousPlant(
+        a=[[-1.3946162850439405, -1.8077213328925508],
+           [-0.2566960498620898, -1.1373880293462002]],
+        b=[[-0.0869890397980444], [1.2807859169629987]],
+        c=[[1.5417151214283717, -1.652740695063137],
+           [-0.9716405440504432, -0.7805565253495286]]),
+    big_delta=0.5, x0=[-0.6512648625608888, -0.0659431439201037],
+    x0_bound=1.0, scenario=Scenario.OUTPUT_ACK_FREE, horizon_slots=300,
+    levels=4, dos_params=DoSParams(kappa_f=1, nu_f=200, kappa_d=1, nu_d=200),
+    intensity=1.0,
+)
+
+
+def _clean_runs_of_a_passing_report(levels):
+    """Run the 2x2 plant at DoS seeds 0-3 if its report passes, asserting
+    that no run saturates or leaves its range; whether the report passed."""
+    plan = compile_plan(dataclasses.replace(ITEM1_CFG, levels=levels))
+    if plan.report.passes:
+        for seed in range(4):
+            trace = run_scenario(dataclasses.replace(
+                ITEM1_CFG, levels=levels, seed=seed, gains=plan.gains))
+            assert not trace.saturated.any()
+            assert np.all(trace.slots["x_norm"] <= trace.slots["e"])
+    return plan.report.passes
+
+
+def test_item1_plant_runs_clean_at_four_levels():
+    assert _clean_runs_of_a_passing_report(4)
+
+
+# the report passes (threshold 0.5696), yet every run saturates at slot 201
+@pytest.mark.xfail(strict=True, raises=SaturationError,
+                   reason="ROADMAP item 1")
+def test_item1_plant_runs_clean_at_two_levels_if_its_report_passes():
+    _clean_runs_of_a_passing_report(2)
