@@ -52,30 +52,18 @@ from .discretize import (
 from .dos import DoSParams, DoSPattern, check_intensity, generate
 from .errors import (
     DeadbeatContractError,
-    DoslabError,
     InferenceMismatchError,
     InvalidMatrixError,
     SaturationError,
     ScenarioError,
 )
-from .gains import (
-    GainSet,
-    derive_decay_constants,
-    design_deadbeat_gain,
-    design_deadbeat_observer,
-    design_observer_gain,
-    design_stabilizing_gain,
-    make_gain_set,
-    verify_nilpotent,
-)
+from .gains import GainSet, build_gain_set, derive_decay_constants
 from .matrixcore import (
-    as_matrix,
     as_vector,
     frozen_matrix,
     inf_norm,
     is_finite_number,
     mat_pow,
-    schur_certified,
 )
 from .quantizer import (
     BRANCHES,
@@ -202,9 +190,10 @@ class SimConfig:
                 raise ScenarioError(
                     f"mismatch demo needs attack_slot below horizon_slots "
                     f"{self.horizon_slots}, got {self.attack_slot!r:.60}")
-            if self.pattern is not None:
-                raise ScenarioError("mismatch demo takes no pattern: its one "
-                                    "attack is at attack_slot")
+            for name in ("pattern", "dos_params"):
+                if getattr(self, name) is not None:
+                    raise ScenarioError(f"mismatch demo takes no {name}: its "
+                                        f"one attack is at attack_slot")
         elif self.attack_slot is not None:
             raise ScenarioError(f"{self.scenario.value} runs take no "
                                 f"attack_slot: only the mismatch demo has one")
@@ -244,60 +233,6 @@ class Plan:
     report: ConditionReport
 
 
-def _resolve_gains(cfg: SimConfig, dp: DiscretePlant,
-                   protocol: bool) -> GainSet:
-    """Gain set for the gains entry in ``cfg.gains``.
-
-    Gains the entry does not give are synthesized: deadbeat or, for the
-    single-rate schemes, Schur-stabilizing feedback, and a filter or
-    deadbeat observer gain.  An injected gain must fit the plant, and an
-    injected feedback gain is verified first.
-    """
-    spec = cfg.gains
-    if spec is None or isinstance(spec, str) and spec == "synthesize":
-        spec = {}
-    if not isinstance(spec, dict) or set(spec) - {"k", "m", "nilpotency_tol"}:
-        raise ScenarioError(
-            "gains must be None, 'synthesize', a GainSet or a dict of k, m "
-            f"and nilpotency_tol, got {spec!r:.60}")
-    tol = spec.get("nilpotency_tol", 5e-2)
-    if not (is_finite_number(tol) and tol > 0):
-        raise ScenarioError(f"gains.nilpotency_tol must be finite and "
-                            f"positive, got {tol!r:.60}")
-    given = {name: as_matrix(spec[name]) for name in ("k", "m") if name in spec}
-    for name, shape in (("k", (dp.n_u, dp.n_x)), ("m", (dp.n_x, dp.n_y))):
-        if name in given and given[name].shape != shape:
-            raise ScenarioError(f"gains.{name} must have shape {shape}, "
-                                f"got {given[name].shape}")
-    if "k" in given:
-        k = given["k"]
-        if protocol:
-            residual = verify_nilpotent(dp.a_d, dp.b_d, k, dp.eta)
-            bound = tol * inf_norm(dp.a_d) ** dp.eta
-            if residual > bound:
-                raise DoslabError(
-                    f"injected feedback gain is not deadbeat: residual "
-                    f"{residual:.3e} > {bound:.3e}"
-                )
-        elif not schur_certified(dp.a_d + dp.b_d @ k):
-            raise DoslabError("injected feedback gain not certified stable")
-    elif protocol:
-        k = design_deadbeat_gain(dp)
-    else:
-        k = design_stabilizing_gain(dp.a_d, dp.b_d, cfg.control_weight)
-
-    deadbeat_observer = "m" not in spec and cfg.observer == "deadbeat"
-    if "m" in given:
-        m = given["m"]
-    elif deadbeat_observer:
-        m = design_deadbeat_observer(dp.a_lift, dp.c, dp.mu)
-    else:
-        m = design_observer_gain(dp.a_lift, dp.c)
-    # an injected m whose error transition is not certified Schur is
-    # rejected by derive_decay_constants
-    return make_gain_set(dp, k, m, deadbeat_observer)
-
-
 def _plan_inputs(cfg: SimConfig, variant: ThetaVariant, params: DoSParams):
     """Every input of a plan for ``cfg`` but its gain set, which cannot
     change; each plant matrix as its shape and bytes, so that an edit in
@@ -310,12 +245,15 @@ def _plan_inputs(cfg: SimConfig, variant: ThetaVariant, params: DoSParams):
 def compile_plan(cfg: SimConfig) -> Plan:
     """Sample the plant, fix the gains and derive the certificate for ``cfg``.
 
-    A gains entry in ``cfg.gains`` is resolved by :func:`_resolve_gains`,
-    and a :class:`GainSet` is used as given.  Either gain set keeps the
-    last plan compiled from it.  A given set's plan is returned again
-    while every other input it was compiled from is unchanged by value:
-    plant, ``big_delta``, scheme, levels and DoS budget.  So a plan is
-    reused by passing its ``plan.gains``.
+    A gains entry in ``cfg.gains`` is resolved by
+    :func:`doslab.gains.build_gain_set` with the config's observer and
+    control weight, deadbeat feedback for the lifted schemes (dual and
+    ACK-free) and Schur-stabilizing feedback for the single-rate ones (ACK
+    and the demo); a :class:`GainSet` is used as given.  Either gain set
+    keeps the last plan compiled from it.  A given set's plan is returned
+    again while every other input it was compiled from is unchanged by
+    value: plant, ``big_delta``, scheme, levels and DoS budget.  So a plan
+    is reused by passing its ``plan.gains``.
     """
     variant = _SCHEMES[cfg.scenario][0]
     params = cfg.dos_params
@@ -333,7 +271,8 @@ def compile_plan(cfg: SimConfig) -> Plan:
         dp = sample_plant_single_rate(cfg.plant, cfg.big_delta)
     else:
         dp = sample_plant(cfg.plant, cfg.big_delta)
-    gains = cfg.gains if given else _resolve_gains(cfg, dp, not single_rate)
+    gains = cfg.gains if given else build_gain_set(
+        dp, cfg.observer, cfg.gains, not single_rate, cfg.control_weight)
     l_obs = (frozen_matrix(dp.a_d @ gains.observer_gain) if single_rate
              else None)
     constants = derive_decay_constants(gains, dp, l_obs=l_obs)

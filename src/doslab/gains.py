@@ -1,14 +1,20 @@
 """Controller and observer gain synthesis plus decay-constant extraction.
 
-Three synthesis routines live here:
+Four synthesis routines live here:
 
 * :func:`design_deadbeat_gain` builds a feedback gain making the closed
   loop nilpotent with index equal to the controllability index, via a
   staircase basis of the controllability matrix and block-companion
   coefficient zeroing.
+* :func:`design_stabilizing_gain` builds a Schur-stabilizing feedback gain
+  from the control Riccati dual.
 * :func:`design_observer_gain` iterates the filtering Riccati recursion to
   the steady-state gain and certifies the closed error transition.
 * :func:`design_deadbeat_observer` is the dual deadbeat construction.
+
+:func:`build_gain_set` resolves a scenario file's ``gains`` entry to a
+:class:`GainSet` with them, for library callers and
+:func:`doslab.controlloop.compile_plan` alike.
 
 :func:`derive_decay_constants` scans powers of the closed matrices and
 extracts the geometric-decay constants the encoding schemes and stability
@@ -25,8 +31,10 @@ import numpy as np
 
 from .discretize import DiscretePlant
 from .errors import (
+    DoslabError,
     IllConditionedBasisError,
     RiccatiConvergenceError,
+    ScenarioError,
     StabilityCertificationError,
     UncontrollablePairError,
 )
@@ -35,6 +43,7 @@ from .matrixcore import (
     as_matrix,
     gelfand_radius,
     inf_norm,
+    is_finite_number,
     mat_pow,
     power_chunks,
     schur_certified,
@@ -311,17 +320,67 @@ def design_stabilizing_gain(a_d, b_d, control_weight: float = 1.0) -> np.ndarray
     return k
 
 
-def build_gain_set(dp: DiscretePlant, observer: str = "kalman") -> GainSet:
-    """Synthesize the full gain set for a protocol-form plant."""
-    k = design_deadbeat_gain(dp)
-    if observer == "kalman":
-        m = design_observer_gain(dp.a_lift, dp.c)
-        deadbeat_observer = False
-    elif observer == "deadbeat":
-        m = design_deadbeat_observer(dp.a_lift, dp.c, dp.mu)
-        deadbeat_observer = True
-    else:
+def build_gain_set(dp: DiscretePlant, observer: str = "kalman", entry=None,
+                   deadbeat: bool = True,
+                   control_weight: float = 1.0) -> GainSet:
+    """Gain set for ``dp`` from a scenario file's ``gains`` entry.
+
+    ``entry`` is ``None`` or ``"synthesize"``, or a dict giving ``k``
+    and/or ``m`` and the injected feedback's ``nilpotency_tol`` (default
+    0.05).  Gains the entry does not give are synthesized: deadbeat
+    feedback if ``deadbeat`` (the dual and ACK-free schemes), else
+    Schur-stabilizing feedback weighted by ``control_weight`` (the ACK
+    scheme and the demo), and a filter (``observer="kalman"``) or deadbeat
+    observer gain.  An
+    injected gain must fit the plant, and an injected feedback gain is
+    verified first: nilpotent within ``nilpotency_tol`` times
+    ``inf_norm(a_d)**eta`` if ``deadbeat``, else certified Schur.
+    """
+    if observer not in ("kalman", "deadbeat"):
         raise ValueError(f"unknown observer mode {observer!r}")
+    if entry is None or isinstance(entry, str) and entry == "synthesize":
+        entry = {}
+    if (not isinstance(entry, dict)
+            or set(entry) - {"k", "m", "nilpotency_tol"}):
+        raise ScenarioError(
+            "gains must be None, 'synthesize', a GainSet or a dict of k, m "
+            f"and nilpotency_tol, got {entry!r:.60}")
+    tol = entry.get("nilpotency_tol", 5e-2)
+    if not (is_finite_number(tol) and tol > 0):
+        raise ScenarioError(f"gains.nilpotency_tol must be finite and "
+                            f"positive, got {tol!r:.60}")
+    given = {name: as_matrix(entry[name]) for name in ("k", "m")
+             if name in entry}
+    for name, shape in (("k", (dp.n_u, dp.n_x)), ("m", (dp.n_x, dp.n_y))):
+        if name in given and given[name].shape != shape:
+            raise ScenarioError(f"gains.{name} must have shape {shape}, "
+                                f"got {given[name].shape}")
+    if "k" in given:
+        k = given["k"]
+        if deadbeat:
+            residual = verify_nilpotent(dp.a_d, dp.b_d, k, dp.eta)
+            bound = tol * inf_norm(dp.a_d) ** dp.eta
+            if residual > bound:
+                raise DoslabError(
+                    f"injected feedback gain is not deadbeat: residual "
+                    f"{residual:.3e} > {bound:.3e}"
+                )
+        elif not schur_certified(dp.a_d + dp.b_d @ k):
+            raise DoslabError("injected feedback gain not certified stable")
+    elif deadbeat:
+        k = design_deadbeat_gain(dp)
+    else:
+        k = design_stabilizing_gain(dp.a_d, dp.b_d, control_weight)
+
+    deadbeat_observer = "m" not in entry and observer == "deadbeat"
+    if "m" in given:
+        m = given["m"]
+    elif deadbeat_observer:
+        m = design_deadbeat_observer(dp.a_lift, dp.c, dp.mu)
+    else:
+        m = design_observer_gain(dp.a_lift, dp.c)
+    # an injected m whose error transition is not certified Schur is
+    # rejected by derive_decay_constants
     return make_gain_set(dp, k, m, deadbeat_observer)
 
 

@@ -618,6 +618,13 @@ OUTSIDE_A_RULE = {
         "batch_reactor_mismatch.json", _set(("dos",), {"pattern": [1] * 300}),
         (), "mismatch demo takes no pattern: its one attack is at "
             "attack_slot"),
+    "dos_params_on_the_demo": (
+        "batch_reactor_mismatch.json",
+        _set(("dos",), {"params": {"kappa_f": 1, "nu_f": 11, "kappa_d": 1,
+                                   "nu_d": 11},
+                        "seed": 3, "intensity": 0.9}),
+        (), "mismatch demo takes no dos_params: its one attack is at "
+            "attack_slot"),
 }
 
 

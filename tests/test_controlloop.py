@@ -780,6 +780,12 @@ OUT_OF_RULE = {
         "pattern", pattern_from_bools([1] * 300),
         "mismatch demo takes no pattern: its one attack is at attack_slot",
         "batch_reactor_mismatch.json"),
+    # the demo's report would read the budget its run never meets
+    "dos_params_on_the_demo": (
+        "dos_params", CASE_SINGLE,
+        "mismatch demo takes no dos_params: its one attack is at "
+        "attack_slot",
+        "batch_reactor_mismatch.json"),
     "nilpotency_tol_zero": (
         "gains", {"nilpotency_tol": 0},
         "gains.nilpotency_tol must be finite and positive, got 0"),

@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from doslab import (
     DoslabError,
+    Scenario,
+    ScenarioError,
     cli,
     compile_plan,
     derive_decay_constants,
@@ -259,6 +261,58 @@ class TestDefaultScanCap:
         assert all(schur_certified(m) for m in closed)
         worst = max(gelfand_radius(m) for m in closed)
         assert (worst + 1.0) / 2.0 == plan.report.constants.rho
+
+
+# a malformed or injected gains entry, or a bad observer, on the dual
+# plant: build_gain_set keyword arguments, error type and message
+GAIN_SET_REFUSALS = {
+    "k_misshaped": (dict(entry={"k": K_REF[:1]}), ScenarioError,
+                    "gains.k must have shape (2, 4), got (1, 4)"),
+    "m_misshaped": (dict(entry={"m": M_REF[:3]}), ScenarioError,
+                    "gains.m must have shape (4, 2), got (3, 2)"),
+    "unknown_key": (dict(entry={"mm": 1}), ScenarioError,
+                    "gains must be None, 'synthesize', a GainSet or a dict of "
+                    "k, m and nilpotency_tol, got {'mm': 1}"),
+    "nilpotency_tol_zero": (
+        dict(entry={"nilpotency_tol": 0}), ScenarioError,
+        "gains.nilpotency_tol must be finite and positive, got 0"),
+    # the reference feedback gain is deadbeat for the textbook variant only
+    "loose_k": (dict(entry={"k": K_REF}), DoslabError,
+                "injected feedback gain is not deadbeat: residual 6.796e-01 "
+                "> 2.296e-01"),
+    "zero_k_not_deadbeat": (
+        dict(entry={"k": np.zeros((2, 4))}, deadbeat=False), DoslabError,
+        "injected feedback gain not certified stable"),
+    "bogus_observer": (dict(observer="bogus"), ValueError,
+                       "unknown observer mode 'bogus'"),
+}
+
+
+class TestBuildGainSet:
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.name)
+    def test_a_files_entry_gives_the_plan_gains(self, path):
+        doc = cli.load_scenario(path)
+        cfg = cli._build_config(doc)
+        plan = compile_plan(cfg)
+        single_rate = cfg.scenario in (Scenario.OUTPUT_ACK,
+                                       Scenario.MISMATCH_DEMO)
+        got = build_gain_set(plan.dp, cfg.observer, doc.get("gains"),
+                             not single_rate, cfg.control_weight)
+        # bit for bit and in the same layout, which moves the engine's bits
+        for name in ("controller_gain", "observer_gain", "error_transition",
+                     "closed_loop"):
+            mine, theirs = getattr(got, name), getattr(plan.gains, name)
+            assert mine.tobytes() == theirs.tobytes()
+            assert mine.strides == theirs.strides
+        assert got.deadbeat_observer == plan.gains.deadbeat_observer
+
+    @pytest.mark.parametrize("case", sorted(GAIN_SET_REFUSALS))
+    def test_refusals_keep_their_messages(self, reactor_dp, case):
+        kwargs, error, message = GAIN_SET_REFUSALS[case]
+        with pytest.raises(error) as info:
+            build_gain_set(reactor_dp, **kwargs)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestDecayConstants:
