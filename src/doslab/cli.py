@@ -28,7 +28,7 @@ from .controlloop import (
     run_scenario,
 )
 from .discretize import ContinuousPlant
-from .dos import DoSParams, pattern_from_bools
+from .dos import DoSParams, DoSPattern
 from .errors import (
     DoslabError,
     InferenceMismatchError,
@@ -343,16 +343,13 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     else:
         raise ScenarioError(f"levels must give n, or n1, n2 and n3, got "
                             f"{sorted(levels)}")
-    dos_doc = doc.get("dos")
-    if dos_doc is None:
-        if fields["scenario"] is not Scenario.MISMATCH_DEMO:
-            raise ScenarioError("scenario needs a dos section")
-    elif set(dos_doc) == {"pattern"}:
-        fields["pattern"] = pattern_from_bools(dos_doc["pattern"])
+    dos_doc = doc.get("dos", {})
+    if set(dos_doc) == {"pattern"}:
+        fields["pattern"] = DoSPattern(tuple(dos_doc["pattern"]))
     elif "params" in dos_doc and "pattern" not in dos_doc:
         fields["dos_params"] = DoSParams(**dos_doc["params"])
         fields.update((k, v) for k, v in dos_doc.items() if k != "params")
-    else:
+    elif "dos" in doc:
         raise ScenarioError(f"dos must give a pattern alone, or params with "
                             f"an optional seed and intensity, got "
                             f"{sorted(dos_doc)}")

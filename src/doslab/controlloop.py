@@ -49,7 +49,13 @@ from .discretize import (
     sample_plant,
     sample_plant_single_rate,
 )
-from .dos import DoSParams, DoSPattern, check_intensity, generate
+from .dos import (
+    DoSParams,
+    DoSPattern,
+    check_intensity,
+    generate,
+    pattern_from_bools,
+)
 from .errors import (
     DeadbeatContractError,
     InferenceMismatchError,
@@ -106,7 +112,7 @@ class Scenario(Enum):
     MISMATCH_DEMO = "mismatch_demo"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Everything one closed-loop run needs.
 
@@ -115,11 +121,12 @@ class SimConfig:
     be a ready :class:`GainSet` or a scenario file's ``gains`` entry:
     ``None`` or ``"synthesize"``, or a dict giving ``k`` and/or ``m``; to
     reuse a compiled plan, pass its ``plan.gains`` (see
-    :func:`compile_plan`).  The attack pattern comes either ready-made or
-    from ``(dos_params, seed, intensity)``.  Every rule that reads the
-    config alone is checked here, with a :class:`ScenarioError`; counts
-    may be integral floats, stored as ints.  A config is frozen: change
-    one with :func:`dataclasses.replace`, which checks it again.
+    :func:`compile_plan`).  The attacks come from ``attack_slot`` (demo),
+    ``pattern`` or ``(dos_params, seed, intensity)``.  Every rule that
+    reads the config alone is checked here, with a :class:`ScenarioError`;
+    counts may be integral floats, stored as ints.  A config is frozen:
+    change one with :func:`dataclasses.replace`, which checks it again.
+    It compares and hashes by identity, as every record holding arrays.
     """
 
     plant: ContinuousPlant
@@ -140,9 +147,14 @@ class SimConfig:
     attack_slot: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.scenario, Scenario):
-            raise ScenarioError(f"scenario must be a Scenario, got "
-                                f"{self.scenario!r:.60}")
+        for name, kind in (("scenario", Scenario), ("plant", ContinuousPlant),
+                           ("pattern", DoSPattern), ("dos_params", DoSParams)):
+            value = getattr(self, name)
+            optional = name in ("pattern", "dos_params")
+            if not (isinstance(value, kind) or optional and value is None):
+                raise ScenarioError(
+                    f"{name} must be a {kind.__name__}"
+                    f"{' or None' if optional else ''}, got {value!r:.60}")
         object.__setattr__(self, "x0", as_vector(self.x0))
         if len(self.x0) != self.plant.n_x:
             raise ScenarioError(f"x0 must have {self.plant.n_x} entries, "
@@ -167,8 +179,6 @@ class SimConfig:
         if not period > 0.0:
             raise ScenarioError(f"big_delta {self.big_delta!r} underflows to "
                                 f"a zero input or plot period")
-        if self.pattern is None and self.dos_params is not None:
-            check_intensity(self.intensity)
         dual = self.scenario is Scenario.DUAL_CHANNEL
         try:
             levels = (tuple(_count(n, "levels", 1) for n in self.levels)
@@ -197,6 +207,17 @@ class SimConfig:
         elif self.attack_slot is not None:
             raise ScenarioError(f"{self.scenario.value} runs take no "
                                 f"attack_slot: only the mismatch demo has one")
+        elif self.pattern is not None:
+            object.__setattr__(self, "pattern",
+                               pattern_from_bools(self.pattern.slots))
+            if self.pattern.horizon < self.horizon_slots:
+                raise ScenarioError(f"pattern covers {self.pattern.horizon} "
+                                    f"slots, run needs {self.horizon_slots}")
+        elif self.dos_params is not None:
+            check_intensity(self.intensity)
+        else:
+            raise ScenarioError(f"{self.scenario.value} runs need a pattern or"
+                                f" dos_params (a scenario file's dos section)")
         if self.observer not in ("kalman", "deadbeat"):
             raise ScenarioError(f"unknown observer mode {self.observer!r}")
 
@@ -213,7 +234,7 @@ def _count(value, name: str, least: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plan:
     """A scenario's fixed certificate, compiled by :func:`compile_plan`.
 
@@ -284,7 +305,7 @@ def compile_plan(cfg: SimConfig) -> Plan:
     return plan
 
 
-@dataclass
+@dataclass(eq=False)
 class LoopTrace:
     """Per-sub-step time series, per-slot diagnostic tables and the plan."""
 
@@ -341,8 +362,8 @@ class _TraceBuilder:
     no per-row object outlives its sub-step.
     """
 
-    def __init__(self, cfg: SimConfig, dp: DiscretePlant, attacked):
-        self.cfg, self.dp, self.attacked = cfg, dp, attacked
+    def __init__(self, cfg: SimConfig, dp: DiscretePlant):
+        self.cfg, self.dp, self.attacked = cfg, dp, _resolve_pattern(cfg)
         # (a_tau, b_tau) pairs for the intra-step offsets j*delta/oversample
         self.os_maps = [
             discretize(cfg.plant.a, cfg.plant.b, j * dp.delta / cfg.oversample)
@@ -350,7 +371,7 @@ class _TraceBuilder:
         ]
         self.columns = tuple(bytearray() for _ in range(4))
         self.add = tuple(column.extend for column in self.columns)
-        self.slots = {"attacked": attacked}
+        self.slots = {"attacked": self.attacked}
 
     def stack(self):
         """View the columns as the arrays ``x``, ``x_hat``, ``u_*``, one
@@ -434,17 +455,11 @@ def _norms(rows):
 
 
 def _resolve_pattern(cfg: SimConfig) -> np.ndarray:
-    """The run's attacked slots over the horizon."""
-    pattern = cfg.pattern
-    if pattern is None:
-        if cfg.dos_params is None:
-            raise ScenarioError(
-                "either a pattern or DoS parameters are required")
-        pattern = generate(cfg.dos_params, cfg.horizon_slots, cfg.seed,
-                           cfg.intensity)
-    elif pattern.horizon < cfg.horizon_slots:
-        raise ScenarioError(f"pattern covers {pattern.horizon} slots, "
-                            f"run needs {cfg.horizon_slots}")
+    """The run's attacked slots, from the source :class:`SimConfig` took."""
+    if cfg.scenario is Scenario.MISMATCH_DEMO:
+        return np.arange(cfg.horizon_slots) == cfg.attack_slot
+    pattern = cfg.pattern or generate(cfg.dos_params, cfg.horizon_slots,
+                                      cfg.seed, cfg.intensity)
     return np.array(pattern.slots[:cfg.horizon_slots], dtype=bool)
 
 
@@ -594,7 +609,7 @@ def _run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     if n1 % 2 == 0:
         raise ScenarioError("n1 must be odd")
     plant = cfg.plant
-    tb = _TraceBuilder(cfg, plan.dp, _resolve_pattern(cfg))
+    tb = _TraceBuilder(cfg, plan.dp)
     codec3 = UniformCodec(n3, plant.n_y)
     # the output range covers |C x0|
     branch, e3 = update_range(inf_norm(plant.c) * cfg.x0_bound,
@@ -637,14 +652,10 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
     codec = UniformCodec(plan.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
     acked = cfg.scenario is Scenario.OUTPUT_ACK
-    if acked:
-        attacked = known = _resolve_pattern(cfg)
-    else:
-        attacked = np.arange(cfg.horizon_slots) == cfg.attack_slot
-        known = np.zeros_like(attacked)
-    branch, e_dec = update_range(cfg.x0_bound, thetas, attacked)
+    tb = _TraceBuilder(cfg, dps)
+    known = tb.attacked if acked else np.zeros_like(tb.attacked)
+    branch, e_dec = update_range(cfg.x0_bound, thetas, tb.attacked)
     e_enc = e_dec if acked else update_range(cfg.x0_bound, thetas, known)[1]
-    tb = _TraceBuilder(cfg, dps, attacked)
     tb.slots.update(dict(e=e_dec) if acked else dict(e_enc=e_enc, e_dec=e_dec))
     # with ACKs the offset overflows to inf silently, as Python floats and
     # the range law do, and encode names it
@@ -658,7 +669,7 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
 
     try:
         for q, (hit, told, e_enc_q, e_dec_q) in enumerate(zip(
-                attacked.tolist(), known.tolist(), e_enc.tolist(),
+                tb.attacked.tolist(), known.tolist(), e_enc.tolist(),
                 e_dec.tolist())):
             u = kc(xh)
             bu = b(u)
@@ -711,7 +722,7 @@ def _run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """
     if plan.levels % 2 != 0:
         raise ScenarioError("the ACK-free scheme needs an even level count")
-    tb = _TraceBuilder(cfg, plan.dp, _resolve_pattern(cfg))
+    tb = _TraceBuilder(cfg, plan.dp)
     codec = UniformCodec(plan.levels, cfg.plant.n_y)
     norm_c = inf_norm(cfg.plant.c)
     branch, e = update_range(cfg.x0_bound, plan.report.thetas, tb.attacked)

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuousPlant:
     """Continuous LTI triple: x' = a x + b u, y = c x."""
 
@@ -69,7 +69,7 @@ class ContinuousPlant:
         return self.c.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePlant:
     """Sampled plant with the protocol indices.
 

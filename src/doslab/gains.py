@@ -79,7 +79,7 @@ RICCATI_RTOL = 1e-13
 RICCATI_MAX_ITER = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainSet:
     """Synthesized or injected closed-loop gains.
 
@@ -97,8 +97,7 @@ class GainSet:
     error_transition: np.ndarray
     closed_loop: np.ndarray
     deadbeat_observer: bool = False
-    compiled: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
+    compiled: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("controller_gain", "observer_gain", "error_transition",

@@ -582,6 +582,11 @@ OUTSIDE_A_RULE = {
         "[1, 2**53]"),
     "dos_pattern_entry": (DUAL, _set(("dos",), {"pattern": [0, 2]}), (),
                           "pattern entries must be 0 or 1, got 2"),
+    "dos_pattern_short": (DUAL, _set(("dos",), {"pattern": [0, 1, 0]}), (),
+                          "pattern covers 3 slots, run needs 800"),
+    "dos_missing": (DUAL, lambda doc: doc.pop("dos"), (),
+                    "dual_channel runs need a pattern or dos_params (a "
+                    "scenario file's dos section)"),
     **{f"dos_params_{name}": (DUAL, _set(("dos", "params", name), value), (),
                               message)
        for name, value, message in [
@@ -628,7 +633,7 @@ OUTSIDE_A_RULE = {
 }
 
 
-@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("command", ["check", "run", "tradeoff"])
 @pytest.mark.parametrize("case", sorted(OUTSIDE_A_RULE))
 def test_values_outside_a_rule_exit_2(tmp_path, capsys, case, command):
     name, mutation, options, message = OUTSIDE_A_RULE[case]

@@ -31,7 +31,7 @@ from doslab.controlloop import (
     mismatch_bound,
     run_scenario,
 )
-from doslab.dos import DoSParams, pattern_from_bools
+from doslab.dos import DoSParams, DoSPattern, pattern_from_bools
 from doslab.errors import DeadbeatContractError, InferenceMismatchError
 from doslab.gains import derive_decay_constants
 
@@ -352,10 +352,10 @@ class TestConfigValidation:
             )
 
     def test_pattern_must_cover_horizon(self, reactor, reactor_gains):
-        cfg = dual_config(reactor, reactor_gains, horizon_slots=100,
-                          pattern=pattern_from_bools([False] * 50),
-                          dos_params=None)
         with pytest.raises(ScenarioError):
+            cfg = dual_config(reactor, reactor_gains, horizon_slots=100,
+                              pattern=pattern_from_bools([False] * 50),
+                              dos_params=None)
             run_scenario(cfg)
 
     def test_one_plan_serves_many_patterns(self, reactor, reactor_gains):
@@ -509,6 +509,19 @@ def test_plan_report_is_the_positional_build_report(name):
     dc = derive_decay_constants(plan.gains, plan.dp, plan.l_obs)
     assert plan.report == build_report(VARIANTS[name], dc, plan.dp,
                                        plan.levels, plan.params)
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    # a generated value __eq__ would compare array fields and raise
+    runs = []
+    for _ in range(2):
+        cfg = bundled_config("batch_reactor_dual.json", horizon_slots=20)
+        trace = run_scenario(cfg)
+        plan = trace.plan
+        runs.append((cfg, cfg.plant, plan, plan.gains, plan.dp, trace))
+    for one, twin in zip(*runs):
+        assert one == one and one != twin
+        assert len({one, twin, one}) == 2
 
 
 def fresh_gain_set(gs):
@@ -795,7 +808,34 @@ OUT_OF_RULE = {
     # a callable value is built inside the check: the pattern refuses it
     "pattern_entry_2": ("pattern", lambda: pattern_from_bools([0, 2] * 100),
                         "pattern entries must be 0 or 1, got 2"),
+    # a pattern built directly is read by the same rule
+    "pattern_short": ("pattern", DoSPattern((False, True, False)),
+                      "pattern covers 3 slots, run needs 200"),
+    "pattern_built_with_entry_2": ("pattern", DoSPattern((0, 2) * 100),
+                                   "pattern entries must be 0 or 1, got 2"),
+    "pattern_built_with_entry_x": ("pattern", DoSPattern(("x",) * 200),
+                                   "pattern entries must be 0 or 1, got 'x'"),
+    "pattern_built_with_entry_half": (
+        "pattern", DoSPattern((0.5,) * 200),
+        "pattern entries must be 0 or 1, got 0.5"),
+    "no_attack_source": (
+        "dos_params", None,
+        "output_ack runs need a pattern or dos_params (a scenario file's dos "
+        "section)"),
+    "pattern_list": ("pattern", [0, 1],
+                     "pattern must be a DoSPattern or None, got [0, 1]"),
+    "dos_params_dict": (
+        "dos_params", {"kappa_f": 1, "nu_f": 11, "kappa_d": 1, "nu_d": 11},
+        "dos_params must be a DoSParams or None, got {'kappa_f': 1, "
+        "'nu_f': 11, 'kappa_d': 1, 'nu_d': 11}"),
+    "plant_dict": ("plant", {"a": [[0.0]], "b": [[1.0]], "c": [[1.0]]},
+                   "plant must be a ContinuousPlant, got {'a': [[0.0]], "
+                   "'b': [[1.0]], 'c': [[1.0]]}"),
 }
+# the gains entry is resolved when a plan is compiled, not when the config
+# is built
+CONFIG_RULES = sorted(case for case, (field, *_) in OUT_OF_RULE.items()
+                      if field != "gains")
 DOS_FIELDS = ("kappa_f", "nu_f", "kappa_d", "nu_d")
 
 
@@ -839,6 +879,16 @@ class TestLibraryBoundary:
                 value = value()
             run_scenario(bundled_config(*name or ["batch_reactor_ack.json"],
                                         **{field: value}))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", CONFIG_RULES)
+    def test_a_config_outside_a_rule_is_refused_when_built(self, case):
+        field, value, message, *name = OUT_OF_RULE[case]
+        with pytest.raises(ScenarioError) as info:
+            if callable(value):
+                value = value()
+            bundled_config(*name or ["batch_reactor_ack.json"],
+                           **{field: value})
         assert str(info.value) == message
 
     @pytest.mark.parametrize("name, field, value", [
