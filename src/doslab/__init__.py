@@ -21,7 +21,6 @@ from .controlloop import (
     Scenario,
     SimConfig,
     compile_plan,
-    mismatch_bound,
     run_scenario,
 )
 from .dos import DoSParams, DoSPattern, generate, prefix_counts, validate

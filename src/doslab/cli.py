@@ -5,7 +5,8 @@ compiles its plan (sampled plant, synthesized or verified gains, decay
 constants), evaluates the stability conditions, runs the requested
 simulation, and emits trace CSVs, condition reports, and SVG charts.
 Exit codes: 0 success, 2 configuration error, 3 condition check failed,
-4 saturation or synchronization failure, 5 numerical failure.
+4 saturation or synchronization failure, 5 numerical failure (an
+allocation that fails included).
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ EXIT_CONFIG = 2
 EXIT_CONDITION = 3
 EXIT_SATURATION = 4
 EXIT_NUMERICAL = 5
+
+# tradeoff --grid takes at most this many points: a 1/nu_f step of 5e-5
+TRADEOFF_GRID_MAX = 10_001
 
 _MATRIX = {
     "type": "array",
@@ -455,8 +459,9 @@ def cmd_check(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     doc, _, plan = _compile(args)
-    if args.grid < 2:
-        raise ScenarioError("tradeoff needs a grid of at least 2 points")
+    if not 2 <= args.grid <= TRADEOFF_GRID_MAX:
+        raise ScenarioError(f"tradeoff needs a grid of 2 to "
+                            f"{TRADEOFF_GRID_MAX} points, got {args.grid}")
     grid = np.linspace(0.0, 0.5, args.grid)
     variant, dc = plan.report.thetas.variant, plan.report.constants
     finite = tradeoff_boundary(variant, dc, plan.dp, plan.levels, grid)
@@ -530,6 +535,10 @@ def main(argv=None) -> int:
         return EXIT_SATURATION
     except DoslabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print("numerical failure: out of memory", *exc.args, sep=": ",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
 

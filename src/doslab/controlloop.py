@@ -55,6 +55,7 @@ from .dos import (
     check_intensity,
     generate,
     pattern_from_bools,
+    validate,
 )
 from .errors import (
     DeadbeatContractError,
@@ -69,7 +70,6 @@ from .matrixcore import (
     frozen_matrix,
     inf_norm,
     is_finite_number,
-    mat_pow,
 )
 from .quantizer import (
     BRANCHES,
@@ -88,7 +88,6 @@ __all__ = [
     "LoopTrace",
     "compile_plan",
     "run_scenario",
-    "mismatch_bound",
 ]
 
 # |C xhat| at the end of every slot must vanish under a deadbeat gain; the
@@ -99,6 +98,11 @@ DEADBEAT_NULL_TOL = 1e-9
 # The divergence demo stops stepping once the state norm passes this; the
 # point has been made and further arithmetic would overflow.
 DIVERGENCE_CAP = 1e12
+
+# A run keeps about 250 B per trace row, so this ceiling on
+# horizon_slots x n_x x oversample (n_x bounds the sub-steps a slot) keeps
+# a trace near 1 GB at most.
+MAX_TRACE_ROWS = 4_000_000
 
 # LoopTrace.to_csv turns this many rows at a time into Python values, so a
 # write holds one block of them, not the whole trace.
@@ -179,6 +183,11 @@ class SimConfig:
         if not period > 0.0:
             raise ScenarioError(f"big_delta {self.big_delta!r} underflows to "
                                 f"a zero input or plot period")
+        rows = self.horizon_slots * self.plant.n_x * self.oversample
+        if rows > MAX_TRACE_ROWS:
+            raise ScenarioError(f"horizon_slots x n_x x oversample is {rows} "
+                                f"trace rows, above the {MAX_TRACE_ROWS} "
+                                f"row ceiling")
         dual = self.scenario is Scenario.DUAL_CHANNEL
         try:
             levels = (tuple(_count(n, "levels", 1) for n in self.levels)
@@ -213,6 +222,12 @@ class SimConfig:
             if self.pattern.horizon < self.horizon_slots:
                 raise ScenarioError(f"pattern covers {self.pattern.horizon} "
                                     f"slots, run needs {self.horizon_slots}")
+            if self.dos_params is not None:
+                run = DoSPattern(self.pattern.slots[:self.horizon_slots])
+                q = validate(run, self.dos_params)
+                if q is not None:
+                    raise ScenarioError(f"pattern breaks the dos_params budget "
+                                        f"at prefix q = {q}")
         elif self.dos_params is not None:
             check_intensity(self.intensity)
         else:
@@ -644,8 +659,8 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
     at ``attack_slot`` and keeps a predictor ``xt`` of its own, with ranges
     from a pattern with no attack.  It transmits every slot, clips past
     saturation (divergence is the point), records the encoder-side error
-    and the offsets :func:`mismatch_bound` reads, and stops once the state
-    passes ``DIVERGENCE_CAP``.
+    and the quantization offsets that its derived bound is computed from,
+    and stops once the state passes ``DIVERGENCE_CAP``.
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
     plant, thetas = cfg.plant, plan.report.thetas
@@ -733,56 +748,6 @@ def _run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     _, e_enc = update_range(cfg.x0_bound, plan.report.thetas, inferred)
     tb.slots.update(x_norm=_norms(tb.starts(tb.x)), enc_equals_dec=e_enc == e)
     return tb.build(x, plan, {"E": e}, branch, inferred)
-
-
-def mismatch_bound(trace: LoopTrace) -> np.ndarray:
-    """Derived upper-bound sequence on the encoder-side error of a
-    mismatch-demonstration trace, one value per slot it stepped.
-
-    Before the attack the bound is the encoder range itself.  After it, the
-    recorded quantization offsets feed the kick terms accumulated by the
-    predictor mismatch recursion: the phantom correction injected at the
-    attacked slot, the range-law divergence one slot later, and the
-    per-slot mis-scaled corrections after that.
-    """
-    if trace.scenario is not Scenario.MISMATCH_DEMO:
-        raise ScenarioError("mismatch_bound needs a mismatch_demo trace")
-    plan = trace.plan
-    e_enc = trace.slots["e_enc"]
-    offs = trace.slots["offs"]
-    thetas, gs, l_obs = plan.report.thetas, plan.gains, plan.l_obs
-    th_a, th_0, th_na = (thetas.theta_attack, thetas.theta_first,
-                         thetas.theta_steady)
-    n = plan.levels
-    norm_c = inf_norm(plan.dp.c)
-    bk = plan.dp.b_d @ gs.controller_gain
-    closed = gs.closed_loop
-    slots = len(e_enc)
-    bound = np.array(e_enc, dtype=float)
-    hits = np.flatnonzero(trace.slots["attacked"])
-    if not hits.size or hits[0] >= slots - 1:  # no slot after the attack
-        return bound
-    q_a = int(hits[0])
-    base = e_enc[q_a]
-    steps = slots - q_a
-    bk_pow = np.array([bk @ mat_pow(closed, i) for i in range(steps - 1)])
-    kicks = np.matmul(l_obs, offs[q_a:, :, None])
-    # every inf_norm(bk closed^i kick_j) is one batched matvec, as in a
-    # slot-by-slot sum; one matrix product over many kicks rounds differently
-    kick0, kick1 = abs(np.matmul(bk_pow, kicks[:2, None])).max(axis=(2, 3))
-    denom = np.array([n * th_na ** ell for ell in range(2, steps)])
-    total = e_enc[q_a + 1:].astype(float)  # slot q_a + ell is total[ell - 1]
-    total[1:] += kick0[1:] * norm_c * base / denom
-    total[1:] += kick1[:-1] * norm_c * (th_a - th_na) * base / denom
-    # slot q_a + ell adds its corrections i < ell - 2 in increasing i, so
-    # each slot keeps its left-to-right sum
-    mis_scale = th_0 * th_a - th_na ** 2
-    for i in range(steps - 3):
-        later = abs(np.matmul(bk_pow[i], kicks[2:steps - i - 1])).max(axis=(1, 2))
-        total[i + 2:] += (later * norm_c * mis_scale * base
-                          / (n * th_na ** (i + 3)))
-    bound[q_a + 1:] = total
-    return bound
 
 
 _SCHEMES = {

@@ -136,6 +136,11 @@ def generate(
 
 def pattern_from_bools(values) -> DoSPattern:
     """The pattern whose slot ``q`` is attacked where ``values[q]`` is 1."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ScenarioError(f"pattern slots must be iterable, got "
+                            f"{values!r:.60}") from None
     for v in values:
         if v not in (0, 1):
             raise ScenarioError(f"pattern entries must be 0 or 1, got "

@@ -4,16 +4,17 @@ Each oracle deliberately avoids the code path it checks: the exponential
 oracle is a plain truncated series, the input-matrix oracle is composite
 Simpson quadrature, and the index oracles are direct Kalman rank tests on
 explicitly stacked blocks.  The codec, range-law, power-scan,
-mismatch-bound, trace-writer, chart-point and DoS-budget oracles keep the
-plain loops (the array expression, for decoding) the library replaced, as
-bit-exact references; so do the elimination and Riccati oracles, with the
+trace-writer, chart-point and DoS-budget oracles keep the plain loops
+(the array expression, for decoding) the library replaced, as bit-exact
+references; so do the elimination and Riccati oracles, with the
 products and wrappers the library hoisted or replaced, and the
 center-based encoder and round trip the offset codec replaced.  The
 deadbeat-loop oracle steps every sub-step's estimate and checks each
 slot's ``|C xhat|`` as it ends, through a decode of each encode; the
 DoS-generator oracle draws its splitmix64 stream one Python integer at a
 time.  The sharpest single-level threshold is a reference value for the
-published level bound, which no library code computes.
+published level bound, and the mismatch bound the one computation of the
+demonstration's derived error bound; no library code computes either.
 """
 
 import math
@@ -233,8 +234,16 @@ def validate_loop(p, params):
 
 
 def mismatch_bound_loop(trace, cfg, plan):
-    """Mismatch-demo error bound, with every ``bk closed^i`` and kick formed
-    inside the double loop."""
+    """Derived upper-bound sequence on the encoder-side error of a
+    mismatch-demonstration trace, one value per slot it stepped.
+
+    Before the attack the bound is the encoder range itself.  After it, the
+    recorded quantization offsets feed the kick terms of the predictor
+    mismatch recursion: the phantom correction injected at the attacked
+    slot, the range-law divergence one slot later, and the per-slot
+    mis-scaled corrections after that.  Every ``bk closed^i`` and kick is
+    formed inside the double loop.
+    """
     e_enc = trace.slots["e_enc"]
     offs = trace.slots["offs"]
     q_a = cfg.attack_slot

@@ -26,7 +26,7 @@ from doslab.conditions import (
 from doslab.controlloop import (
     Scenario,
     SimConfig,
-    mismatch_bound,
+    compile_plan,
     run_scenario,
 )
 from doslab.dos import DoSParams, generate, prefix_counts, validate
@@ -44,6 +44,7 @@ from .conftest import (
     rng,
 )
 from .oracles import (
+    mismatch_bound_loop,
     random_controllable_pair,
     sharpest_single_level_threshold,
     simpson_input_matrix,
@@ -237,7 +238,7 @@ def test_criterion_08_mismatch_demo(reactor):
     run = trace.q[-1] + 1
     sat = np.flatnonzero(trace.slots["saturated"][:run])
     ok_sat = sat.size > 0 and sat[0] < 300
-    bound = mismatch_bound(trace)[:run]
+    bound = mismatch_bound_loop(trace, cfg, compile_plan(cfg))[:run]
     post = bound[cfg.attack_slot + 3:]
     ok_inc = post.size > 10 and bool(np.all(np.diff(post) > 0))
     _report(8, ok_sat and ok_inc,

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ import doslab.discretize
 import doslab.gains
 import doslab.quantizer
 from doslab import cli
+from doslab.dos import DoSPattern
 
 SCENARIOS = resources.files("doslab") / "scenarios"
 SVG_TEXT = "{http://www.w3.org/2000/svg}text"
@@ -607,6 +609,11 @@ OUTSIDE_A_RULE = {
                             "control_weight must be finite and positive"),
     "horizon_zero": (DUAL, _set(("horizon_slots",), 0), (),
                      "horizon_slots must be at least 1, got 0"),
+    # refused before anything is allocated
+    "horizon_past_the_row_ceiling": (
+        DUAL, _set(("horizon_slots",), 1e15), (),
+        "horizon_slots x n_x x oversample is 4000000000000000 trace rows, "
+        "above the 4000000 row ceiling"),
     "oversample_zero": (DUAL, _set(("oversample",), 0), (),
                         "oversample must be at least 1, got 0"),
     "attack_slot_negative": (
@@ -644,6 +651,42 @@ def test_values_outside_a_rule_exit_2(tmp_path, capsys, case, command):
                      "--out", str(tmp_path / "out"), "--no-plots"])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+# A file's pattern is a list, and never comes with params, so these library
+# rules are met through a config changed after it is built.
+@pytest.mark.parametrize("command", ["check", "run", "tradeoff"])
+@pytest.mark.parametrize("pattern, message", [
+    (DoSPattern(5), "pattern slots must be iterable, got 5"),
+    (DoSPattern((True,) * 800),
+     "pattern breaks the dos_params budget at prefix q = 4"),
+], ids=["slots_int", "breaks_dos_params"])
+def test_library_pattern_rules_exit_2(tmp_path, capsys, monkeypatch, command,
+                                      pattern, message):
+    build = cli._build_config
+    monkeypatch.setattr(cli, "_build_config", lambda doc, seed: (
+        dataclasses.replace(build(doc, seed), pattern=pattern)))
+    code = cli.main([command, bundled(DUAL), "--out", str(tmp_path / "out"),
+                     "--no-plots"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+# an allocation that fails in any stage of a command is a numerical failure
+@pytest.mark.parametrize("command, stage", [
+    ("check", "compile_plan"), ("tradeoff", "compile_plan"),
+    ("run", "compile_plan"), ("run", "run_scenario")])
+def test_a_failed_allocation_exits_5(tmp_path, capsys, monkeypatch, command,
+                                     stage):
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 7.11 PiB")
+
+    monkeypatch.setattr(cli, stage, out_of_memory)
+    code = cli.main([command, bundled(DUAL), "--out", str(tmp_path / "out"),
+                     "--no-plots"])
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: out of memory: "
+                                       "Unable to allocate 7.11 PiB\n")
 
 
 def test_odd_ackfree_levels_fail_the_report(tmp_path):
@@ -756,6 +799,22 @@ class TestTradeoffCommand:
         code = cli.main(["tradeoff", bundled("batch_reactor_dual.json"),
                          "--out", str(tmp_path / "o"), "--grid", "1"])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid, code", [
+        (cli.TRADEOFF_GRID_MAX, cli.EXIT_OK),
+        (cli.TRADEOFF_GRID_MAX + 1, cli.EXIT_CONFIG)])
+    def test_grid_ceiling(self, tmp_path, capsys, grid, code):
+        out = tmp_path / "out"
+        assert cli.main(["tradeoff", bundled("batch_reactor_dual.json"),
+                         "--out", str(out), "--grid", str(grid),
+                         "--no-plots"]) == code
+        if code == cli.EXIT_OK:
+            lines = (out / "batch_reactor_dual_tradeoff.csv").read_text()
+            assert lines.count("\n") == grid + 1
+        else:
+            assert capsys.readouterr().err == (
+                f"configuration error: tradeoff needs a grid of 2 to "
+                f"{cli.TRADEOFF_GRID_MAX} points, got {grid}\n")
 
 
 # Values a mutation may put anywhere: other JSON types, non-finite and huge

@@ -28,7 +28,6 @@ from doslab.controlloop import (
     SimConfig,
     _matvecs,
     compile_plan,
-    mismatch_bound,
     run_scenario,
 )
 from doslab.dos import DoSParams, DoSPattern, pattern_from_bools
@@ -279,35 +278,12 @@ class TestMismatchDemo:
     def test_bound_sequence_strictly_increasing(self, reactor,
                                                 mismatch_trace):
         run = mismatch_trace.q[-1] + 1
-        q_a = mismatch_config(reactor).attack_slot
-        bound = mismatch_bound(mismatch_trace)[:run]
-        post = bound[q_a + 3:]
+        cfg = mismatch_config(reactor)
+        bound = mismatch_bound_loop(mismatch_trace, cfg,
+                                    compile_plan(cfg))[:run]
+        post = bound[cfg.attack_slot + 3:]
         assert post.size > 10
         assert np.all(np.diff(post) > 0)
-
-    def test_bound_sequence_matches_loop_oracle(self, reactor,
-                                                mismatch_trace):
-        cfg = mismatch_config(reactor)
-        want = mismatch_bound_loop(mismatch_trace, cfg, compile_plan(cfg))
-        assert np.array_equal(mismatch_bound(mismatch_trace), want)
-
-    # the attack at the first slot, mid-run, and on the last three slots
-    # (one, two and three slots of bound after it)
-    @pytest.mark.parametrize("attack_slot, levels, horizon", [
-        (0, 100, 120), (12, 30, 200), (3, 1000, 150), (57, 100, 60),
-        (58, 100, 60), (59, 100, 60),
-    ])
-    def test_bound_sequence_matches_loop_oracle_across_runs(
-            self, reactor, attack_slot, levels, horizon):
-        cfg = SimConfig(
-            plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
-            scenario=Scenario.MISMATCH_DEMO, horizon_slots=horizon,
-            levels=levels, attack_slot=attack_slot, control_weight=100.0,
-            observer="deadbeat",
-        )
-        trace = run_scenario(cfg)
-        want = mismatch_bound_loop(trace, cfg, compile_plan(cfg))
-        assert np.array_equal(mismatch_bound(trace), want)
 
     # the attack at the first slot, mid-run and on the last slot
     @pytest.mark.parametrize("attack_slot", [0, 5, 59])
@@ -329,10 +305,6 @@ class TestMismatchDemo:
         for name in ("x", "x_hat", "u_sent", "u_applied"):
             assert np.array_equal(getattr(got, name)[upto],
                                   getattr(want, name)[upto]), name
-
-    def test_bound_needs_a_mismatch_trace(self, ackfree_trace):
-        with pytest.raises(ScenarioError, match="mismatch_demo"):
-            mismatch_bound(ackfree_trace)
 
     def test_requires_attack_slot(self, reactor):
         with pytest.raises(ScenarioError):
@@ -578,7 +550,9 @@ class TestPlanReuse:
                     plant.a * (1.0 + 1e-9), plant.b, plant.c)),
                 "big_delta": dict(big_delta=BIG_DELTA * 1.01),
                 "levels": dict(levels=(3, 10_000, 9_999)),
-                "dos_params": dict(dos_params=CASE_SINGLE),
+                # a budget the alternating pattern meets
+                "dos_params": dict(dos_params=DoSParams(kappa_f=1, nu_f=2,
+                                                        kappa_d=1, nu_d=2)),
                 "horizon_fallback": dict(horizon_slots=31),
                 "scenario": dict(scenario=Scenario.OUTPUT_ACK_FREE,
                                  levels=100),
@@ -818,6 +792,20 @@ OUT_OF_RULE = {
     "pattern_built_with_entry_half": (
         "pattern", DoSPattern((0.5,) * 200),
         "pattern entries must be 0 or 1, got 0.5"),
+    # slots that cannot be iterated are refused, not a bare TypeError
+    "pattern_slots_int": ("pattern", DoSPattern(5),
+                          "pattern slots must be iterable, got 5"),
+    "pattern_slots_none": ("pattern", DoSPattern(None),
+                           "pattern slots must be iterable, got None"),
+    # a pattern given with dos_params must meet that budget, which the
+    # report certifies: the second attack breaks (1, 11, 1, 11)
+    "pattern_breaks_dos_params": (
+        "pattern", pattern_from_bools([1] * 200),
+        "pattern breaks the dos_params budget at prefix q = 2"),
+    "horizon_past_the_row_ceiling": (
+        "horizon_slots", 1e15,
+        "horizon_slots x n_x x oversample is 4000000000000000 trace rows, "
+        "above the 4000000 row ceiling"),
     "no_attack_source": (
         "dos_params", None,
         "output_ack runs need a pattern or dos_params (a scenario file's dos "
@@ -890,6 +878,14 @@ class TestLibraryBoundary:
             bundled_config(*name or ["batch_reactor_ack.json"],
                            **{field: value})
         assert str(info.value) == message
+
+    # the 20,000-slot runs a long-horizon regression needs, at oversample
+    # 16, are built; none is run
+    @pytest.mark.parametrize("name", ALL_BUNDLED)
+    def test_the_row_ceiling_admits_long_oversampled_runs(self, name):
+        cfg = bundled_config(name, horizon_slots=20_000, oversample=16)
+        rows = cfg.horizon_slots * cfg.plant.n_x * cfg.oversample
+        assert rows <= controlloop.MAX_TRACE_ROWS
 
     @pytest.mark.parametrize("name, field, value", [
         ("batch_reactor_ack.json", "horizon_slots", 200),

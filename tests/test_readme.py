@@ -37,7 +37,9 @@ def test_library_use_examples_run(tmp_path, monkeypatch):
         exec(compile(code, str(README), "exec"), names)
     assert (tmp_path / "trace.csv").exists()
     assert len(names["traces"]) == 10
-    assert len(names["bound"]) == len(names["demo"].slots["e_enc"])
+    # the error leaves the encoder's range only after the one attack
+    assert names["escaped"].size > 0
+    assert names["escaped"][0] > names["mismatch_cfg"].attack_slot
 
 
 def package_root_list():

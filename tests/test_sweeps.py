@@ -17,12 +17,12 @@ from doslab.controlloop import (
     Scenario,
     SimConfig,
     compile_plan,
-    mismatch_bound,
     run_scenario,
 )
 from doslab.dos import DoSParams
 
 from .conftest import BIG_DELTA, X0
+from .oracles import mismatch_bound_loop
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 CASE_SINGLE = DoSParams(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
@@ -76,7 +76,7 @@ def test_mismatch_demo_any_attack_placement(reactor, attack_slot):
     run = trace.q[-1] + 1
     sat = np.flatnonzero(trace.slots["saturated"][:run])
     assert sat.size > 0 and sat[0] > attack_slot
-    bound = mismatch_bound(trace)[:run]
+    bound = mismatch_bound_loop(trace, cfg, compile_plan(cfg))[:run]
     post = bound[attack_slot + 3:]
     assert post.size > 10
     assert np.all(np.diff(post) > 0)
