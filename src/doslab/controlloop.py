@@ -64,7 +64,7 @@ from .errors import (
     SaturationError,
     ScenarioError,
 )
-from .gains import GainSet, build_gain_set, derive_decay_constants
+from .gains import GainSet, build_gain_set, check_fit, derive_decay_constants
 from .matrixcore import (
     as_vector,
     frozen_matrix,
@@ -285,11 +285,11 @@ def compile_plan(cfg: SimConfig) -> Plan:
     :func:`doslab.gains.build_gain_set` with the config's observer and
     control weight, deadbeat feedback for the lifted schemes (dual and
     ACK-free) and Schur-stabilizing feedback for the single-rate ones (ACK
-    and the demo); a :class:`GainSet` is used as given.  Either gain set
-    keeps the last plan compiled from it.  A given set's plan is returned
-    again while every other input it was compiled from is unchanged by
-    value: plant, ``big_delta``, scheme, levels and DoS budget.  So a plan
-    is reused by passing its ``plan.gains``.
+    and the demo); a :class:`GainSet` that fits the sampled plant is used
+    as given, and certified on that plant.  Either gain set keeps the last
+    plan compiled from it, which is returned again while every other input
+    is unchanged by value: plant, ``big_delta``, scheme, levels and DoS
+    budget.  So a plan is reused by passing its ``plan.gains``.
     """
     variant = _SCHEMES[cfg.scenario][0]
     params = cfg.dos_params
@@ -309,6 +309,7 @@ def compile_plan(cfg: SimConfig) -> Plan:
         dp = sample_plant(cfg.plant, cfg.big_delta)
     gains = cfg.gains if given else build_gain_set(
         dp, cfg.observer, cfg.gains, not single_rate, cfg.control_weight)
+    check_fit(dp, gains.controller_gain, gains.observer_gain)
     l_obs = (frozen_matrix(dp.a_d @ gains.observer_gain) if single_rate
              else None)
     constants = derive_decay_constants(gains, dp, l_obs=l_obs)

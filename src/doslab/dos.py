@@ -142,7 +142,11 @@ def pattern_from_bools(values) -> DoSPattern:
         raise ScenarioError(f"pattern slots must be iterable, got "
                             f"{values!r:.60}") from None
     for v in values:
-        if v not in (0, 1):
+        try:
+            valid = v in (0, 1)
+        except ValueError:  # an array of several entries has no truth value
+            valid = False
+        if not valid:
             raise ScenarioError(f"pattern entries must be 0 or 1, got "
                                 f"{v!r:.60}")
     return DoSPattern(slots=tuple(bool(v) for v in values))

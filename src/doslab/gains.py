@@ -81,27 +81,23 @@ RICCATI_MAX_ITER = 100_000
 
 @dataclass(frozen=True, eq=False)
 class GainSet:
-    """Synthesized or injected closed-loop gains.
+    """Synthesized or injected closed-loop gains, and no plant.
 
-    ``error_transition`` is ``a_lift (I - observer_gain c)`` -- the slotwise
-    transition of the estimation error; ``closed_loop`` is
-    ``a_d + b_d controller_gain``.  Each matrix is kept as a read-only
-    float64 copy, so a gain set cannot change.  ``compiled`` holds the last
-    plan :func:`doslab.controlloop.compile_plan` compiled with this gain
-    set, given or resolved, with the other inputs it was compiled from; it
-    is not an argument.
+    ``controller_gain`` k and ``observer_gain`` m are read-only float64
+    copies, so a gain set cannot change; the plant a plan samples gives its
+    closed matrices.  ``compiled`` holds the last plan
+    :func:`doslab.controlloop.compile_plan` compiled with this gain set,
+    given or resolved, with the other inputs it was compiled from; it is
+    not an argument.
     """
 
     controller_gain: np.ndarray
     observer_gain: np.ndarray
-    error_transition: np.ndarray
-    closed_loop: np.ndarray
     deadbeat_observer: bool = False
     compiled: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("controller_gain", "observer_gain", "error_transition",
-                     "closed_loop"):
+        for name in ("controller_gain", "observer_gain"):
             # in the layout given: a C-order copy of a Fortran-order gain
             # rounds the engine's products differently on some BLAS kernels
             matrix = as_matrix(getattr(self, name))
@@ -113,8 +109,9 @@ class GainSet:
 class DecayConstants:
     """Geometric envelopes on powers of the closed matrices.
 
-    With ``r`` the error transition and ``rbar`` the closed loop, for every
-    scanned power ``l``::
+    On the sampled plant they are derived for, with ``r = a_lift (I - m c)``
+    the error transition and ``rbar = a_d + b_d k`` the closed loop, for
+    every scanned power ``l``::
 
         inf_norm(r^l)                                   <= a0 * rho^l
         inf_norm(r^l a_lift m)                          <= a1 * rho^l
@@ -348,14 +345,10 @@ def build_gain_set(dp: DiscretePlant, observer: str = "kalman", entry=None,
     if not (is_finite_number(tol) and tol > 0):
         raise ScenarioError(f"gains.nilpotency_tol must be finite and "
                             f"positive, got {tol!r:.60}")
-    given = {name: as_matrix(entry[name]) for name in ("k", "m")
-             if name in entry}
-    for name, shape in (("k", (dp.n_u, dp.n_x)), ("m", (dp.n_x, dp.n_y))):
-        if name in given and given[name].shape != shape:
-            raise ScenarioError(f"gains.{name} must have shape {shape}, "
-                                f"got {given[name].shape}")
-    if "k" in given:
-        k = given["k"]
+    k, m = (as_matrix(entry[name]) if name in entry else None
+            for name in ("k", "m"))
+    check_fit(dp, k, m)
+    if k is not None:
         if deadbeat:
             residual = verify_nilpotent(dp.a_d, dp.b_d, k, dp.eta)
             bound = tol * inf_norm(dp.a_d) ** dp.eta
@@ -371,12 +364,10 @@ def build_gain_set(dp: DiscretePlant, observer: str = "kalman", entry=None,
     else:
         k = design_stabilizing_gain(dp.a_d, dp.b_d, control_weight)
 
-    deadbeat_observer = "m" not in entry and observer == "deadbeat"
-    if "m" in given:
-        m = given["m"]
-    elif deadbeat_observer:
+    deadbeat_observer = m is None and observer == "deadbeat"
+    if deadbeat_observer:
         m = design_deadbeat_observer(dp.a_lift, dp.c, dp.mu)
-    else:
+    elif m is None:
         m = design_observer_gain(dp.a_lift, dp.c)
     # an injected m whose error transition is not certified Schur is
     # rejected by derive_decay_constants
@@ -384,17 +375,19 @@ def build_gain_set(dp: DiscretePlant, observer: str = "kalman", entry=None,
 
 
 def make_gain_set(dp: DiscretePlant, k, m, deadbeat_observer: bool = False) -> GainSet:
-    """Assemble a GainSet from explicit (possibly injected) gains."""
-    k = as_matrix(k)
-    m = as_matrix(m)
-    n = dp.n_x
-    return GainSet(
-        controller_gain=k,
-        observer_gain=m,
-        error_transition=dp.a_lift @ (np.eye(n) - m @ dp.c),
-        closed_loop=dp.a_d + dp.b_d @ k,
-        deadbeat_observer=deadbeat_observer,
-    )
+    """A GainSet of explicit (possibly injected) gains that fit ``dp``."""
+    gs = GainSet(k, m, deadbeat_observer)
+    check_fit(dp, gs.controller_gain, gs.observer_gain)
+    return gs
+
+
+def check_fit(dp: DiscretePlant, k=None, m=None) -> None:
+    """Refuse a gain ``k`` or ``m`` (``None``: not given) unfit for ``dp``."""
+    for name, gain, shape in (("k", k, (dp.n_u, dp.n_x)),
+                              ("m", m, (dp.n_x, dp.n_y))):
+        if gain is not None and gain.shape != shape:
+            raise ScenarioError(f"gains.{name} must have shape {shape}, "
+                                f"got {gain.shape}")
 
 
 def _scan_constants(r: np.ndarray, rho: float, quantities) -> tuple[list[float], int]:
@@ -432,15 +425,19 @@ def _scan_constants(r: np.ndarray, rho: float, quantities) -> tuple[list[float],
 def derive_decay_constants(
     gs: GainSet, dp: DiscretePlant, l_obs=None
 ) -> DecayConstants:
-    """Extract the geometric decay constants for a gain set.
+    """Extract the geometric decay constants for a gain set on ``dp``.
 
-    ``rho`` is the midpoint between the certified Gelfand bound of the
-    closed matrices and one -- deterministic and reproducible.  Every
-    constant is the max of its quantity over the scanned powers divided by
-    ``rho^l``, so the defining inequalities hold exhaustively there and the
-    geometric tail is covered by the floor assertion in the scan.
+    ``r`` and ``rbar`` are formed from ``dp``, the plant the gains run on,
+    as :class:`DecayConstants` defines them.  ``rho`` is the midpoint
+    between their certified Gelfand bound and one -- deterministic and
+    reproducible.  Every constant is the max of its quantity over the
+    scanned powers divided by ``rho^l``, so the defining inequalities hold
+    exhaustively there and the geometric tail is covered by the floor
+    assertion in the scan.
     """
-    r = gs.error_transition
+    k, m = gs.controller_gain, gs.observer_gain
+    r = dp.a_lift @ (np.eye(dp.n_x) - m @ dp.c)
+    rbar = dp.a_d + dp.b_d @ k
     radii = [gelfand_radius(r)]
     pi_l = None
     if l_obs is not None:
@@ -454,14 +451,12 @@ def derive_decay_constants(
         )
     rho = (worst + 1.0) / 2.0
 
-    lifted_m = dp.a_lift @ gs.observer_gain
+    lifted_m = dp.a_lift @ m
     input_cols = [
         mat_pow(dp.a_d, dp.eta - i - 1) @ dp.b_d for i in range(dp.eta)
     ]
-    input_gains = tuple(
-        inf_norm(gs.controller_gain @ mat_pow(gs.closed_loop, i) @ gs.observer_gain)
-        for i in range(dp.eta)
-    )
+    input_gains = tuple(inf_norm(k @ mat_pow(rbar, i) @ m)
+                        for i in range(dp.eta))
     (a0, a1, a2), used = _scan_constants(
         r,
         rho,

@@ -233,6 +233,13 @@ def validate_loop(p, params):
     return None
 
 
+def closed_matrices(gs, dp):
+    """The error transition ``a_lift (I - m c)`` and the closed loop
+    ``a_d + b_d k`` of gain set ``gs`` on the sampled plant ``dp``."""
+    r = dp.a_lift @ (np.eye(dp.n_x) - gs.observer_gain @ dp.c)
+    return r, dp.a_d + dp.b_d @ gs.controller_gain
+
+
 def mismatch_bound_loop(trace, cfg, plan):
     """Derived upper-bound sequence on the encoder-side error of a
     mismatch-demonstration trace, one value per slot it stepped.
@@ -253,7 +260,7 @@ def mismatch_bound_loop(trace, cfg, plan):
     n = plan.levels
     norm_c = inf_norm(cfg.plant.c)
     bk = plan.dp.b_d @ gs.controller_gain
-    closed = gs.closed_loop
+    _, closed = closed_matrices(gs, plan.dp)
     slots = len(e_enc)
     bound = np.array(e_enc, dtype=float)
     if q_a >= slots:
@@ -406,7 +413,7 @@ def sharpest_single_level_threshold(gs, dp):
     rho whose tail it cannot certify), and minimizes
     ``g1 * ||C|| / (1 - rho)``.  Returns ``(threshold, rho)``.
     """
-    r = gs.error_transition
+    r, _ = closed_matrices(gs, dp)
     lifted_m = dp.a_lift @ gs.observer_gain
     norm_c = inf_norm(dp.c)
     radius = gelfand_radius(r, DECAY_SCAN_CAP)

@@ -44,6 +44,7 @@ from .conftest import (
     rng,
 )
 from .oracles import (
+    closed_matrices,
     mismatch_bound_loop,
     random_controllable_pair,
     sharpest_single_level_threshold,
@@ -301,11 +302,11 @@ def test_criterion_11_numerics(reactor_dp):
 
     gs = make_gain_set(reactor_dp, design_deadbeat_gain(reactor_dp), M_REF)
     dc = derive_decay_constants(gs, reactor_dp)
-    r = gs.error_transition
+    r, rbar = closed_matrices(gs, reactor_dp)
     lifted_m = reactor_dp.a_lift @ gs.observer_gain
     cols = [mat_pow(reactor_dp.a_d, reactor_dp.eta - i - 1) @ reactor_dp.b_d
             for i in range(reactor_dp.eta)]
-    weights = [inf_norm(gs.controller_gain @ mat_pow(gs.closed_loop, i)
+    weights = [inf_norm(gs.controller_gain @ mat_pow(rbar, i)
                         @ gs.observer_gain) for i in range(reactor_dp.eta)]
     ok_decay = True
     power = np.eye(4)

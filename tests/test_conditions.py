@@ -28,7 +28,7 @@ from doslab.gains import (
 )
 from doslab.matrixcore import mat_pow
 
-from .oracles import sharpest_single_level_threshold
+from .oracles import closed_matrices, sharpest_single_level_threshold
 from .test_cli import load
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
@@ -253,9 +253,10 @@ class TestDecayCertificate:
         gain = input_envelope_gain(dc, 10_000)
         cert = decay_certificate(thetas, CASE_DUAL, 0.2, e0_scale=3.0,
                                  input_envelope_gain=gain)
+        _, rbar = closed_matrices(reactor_gains, reactor_dp)
         want = max(
             inf_norm(reactor_gains.controller_gain
-                     @ mat_pow(reactor_gains.closed_loop, k)
+                     @ mat_pow(rbar, k)
                      @ reactor_gains.observer_gain)
             for k in range(reactor_dp.eta)
         ) * (9999 / 10000)
@@ -288,7 +289,7 @@ class TestSharpestThreshold:
         # the first power below the scan floor must sit under rho^L, or the
         # powers past the scan are not bounded by the constant it found
         _, rho = sharpest_single_level_threshold(reactor_gains, reactor_dp)
-        r = reactor_gains.error_transition
+        r, _ = closed_matrices(reactor_gains, reactor_dp)
         power, rho_l = r, rho
         while inf_norm(power) >= DECAY_SCAN_FLOOR:
             power, rho_l = power @ r, rho_l * rho

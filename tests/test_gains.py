@@ -36,6 +36,7 @@ from doslab.matrixcore import mat_pow, stack_norms
 
 from .conftest import BIG_DELTA, K_REF, M_REF, rng
 from .oracles import (
+    closed_matrices,
     observer_gain_loop,
     random_controllable_pair,
     scan_constants_loop,
@@ -103,7 +104,8 @@ class TestDeadbeatGain:
     def test_deadbeat_estimate_law(self, reactor_dp, reactor_synth_gains):
         # C (a_d + b_d k)^eta v = 0: the mechanism that freezes the
         # estimated-output channel
-        closed_eta = mat_pow(reactor_synth_gains.closed_loop, reactor_dp.eta)
+        _, rbar = closed_matrices(reactor_synth_gains, reactor_dp)
+        closed_eta = mat_pow(rbar, reactor_dp.eta)
         g = rng(1)
         for _ in range(20):
             v = g.uniform(-5, 5, size=4)
@@ -254,17 +256,19 @@ class TestDefaultScanCap:
         # a call with no cap scans as far as the plan's certificate did:
         # its bounds give the plan's rho
         plan = compile_plan(cli._build_config(cli.load_scenario(path)))
-        closed = [plan.gains.error_transition]
+        r, rbar = closed_matrices(plan.gains, plan.dp)
+        closed = [r]
         if plan.l_obs is not None:
             closed.append(plan.dp.a_lift - plan.l_obs @ plan.dp.c)
-            assert schur_certified(plan.gains.closed_loop)
+            assert schur_certified(rbar)
         assert all(schur_certified(m) for m in closed)
         worst = max(gelfand_radius(m) for m in closed)
         assert (worst + 1.0) / 2.0 == plan.report.constants.rho
 
 
 # a malformed or injected gains entry, or a bad observer, on the dual
-# plant: build_gain_set keyword arguments, error type and message
+# plant: build_gain_set keyword arguments, error type and message, or with a
+# fourth entry naming the function called instead
 GAIN_SET_REFUSALS = {
     "k_misshaped": (dict(entry={"k": K_REF[:1]}), ScenarioError,
                     "gains.k must have shape (2, 4), got (1, 4)"),
@@ -285,6 +289,10 @@ GAIN_SET_REFUSALS = {
         "injected feedback gain not certified stable"),
     "bogus_observer": (dict(observer="bogus"), ValueError,
                        "unknown observer mode 'bogus'"),
+    "make_m_misshaped": (dict(k=np.zeros((2, 4)), m=np.zeros((4, 1))),
+                         ScenarioError,
+                         "gains.m must have shape (4, 2), got (4, 1)",
+                         make_gain_set),
 }
 
 
@@ -299,8 +307,7 @@ class TestBuildGainSet:
         got = build_gain_set(plan.dp, cfg.observer, doc.get("gains"),
                              not single_rate, cfg.control_weight)
         # bit for bit and in the same layout, which moves the engine's bits
-        for name in ("controller_gain", "observer_gain", "error_transition",
-                     "closed_loop"):
+        for name in ("controller_gain", "observer_gain"):
             mine, theirs = getattr(got, name), getattr(plan.gains, name)
             assert mine.tobytes() == theirs.tobytes()
             assert mine.strides == theirs.strides
@@ -308,9 +315,9 @@ class TestBuildGainSet:
 
     @pytest.mark.parametrize("case", sorted(GAIN_SET_REFUSALS))
     def test_refusals_keep_their_messages(self, reactor_dp, case):
-        kwargs, error, message = GAIN_SET_REFUSALS[case]
+        kwargs, error, message, *call = GAIN_SET_REFUSALS[case]
         with pytest.raises(error) as info:
-            build_gain_set(reactor_dp, **kwargs)
+            (call or [build_gain_set])[0](reactor_dp, **kwargs)
         assert type(info.value) is error
         assert str(info.value) == message
 
@@ -321,20 +328,20 @@ class TestDecayConstants:
         # which is already contractive, so the scan sees a pure geometric
         dp = _toy_dp([[0.5]], [[1.0]])
         gs = make_gain_set(dp, [[-0.5]], [[0.0]])
-        assert gs.error_transition[0, 0] == 0.5
+        assert closed_matrices(gs, dp)[0][0, 0] == 0.5
         dc = derive_decay_constants(gs, dp)
         assert dc.rho == pytest.approx(0.75, abs=1e-12)
         assert dc.a0 == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_inequalities_hold_exhaustively(self, reactor_dp, reactor_gains):
         dc = derive_decay_constants(reactor_gains, reactor_dp)
-        r = reactor_gains.error_transition
+        r, rbar = closed_matrices(reactor_gains, reactor_dp)
         lifted_m = reactor_dp.a_lift @ reactor_gains.observer_gain
         cols = [mat_pow(reactor_dp.a_d, reactor_dp.eta - i - 1) @ reactor_dp.b_d
                 for i in range(reactor_dp.eta)]
         weights = [
             inf_norm(reactor_gains.controller_gain
-                     @ mat_pow(reactor_gains.closed_loop, i)
+                     @ mat_pow(rbar, i)
                      @ reactor_gains.observer_gain)
             for i in range(reactor_dp.eta)
         ]
@@ -353,7 +360,8 @@ class TestDecayConstants:
         dc = derive_decay_constants(gs, reactor_dp)
         assert dc.max_power_used == reactor_dp.mu
         assert np.isfinite(dc.a0) and np.isfinite(dc.a2)
-        assert inf_norm(mat_pow(gs.error_transition, reactor_dp.mu)) <= 1e-12
+        r, _ = closed_matrices(gs, reactor_dp)
+        assert inf_norm(mat_pow(r, reactor_dp.mu)) <= 1e-12
 
     def test_predictor_constants(self, reactor):
         from doslab.discretize import sample_plant_single_rate
@@ -387,7 +395,7 @@ class TestDecayConstants:
         lifted_m = dp.a_lift @ gs.observer_gain
         cols = [mat_pow(dp.a_d, dp.eta - i - 1) @ dp.b_d for i in range(dp.eta)]
         (a0, a1, a2), used = scan_constants_loop(
-            gs.error_transition, dc.rho,
+            closed_matrices(gs, dp)[0], dc.rho,
             (inf_norm, lambda p: inf_norm(p @ lifted_m),
              lambda p: sum(inf_norm(p @ col) * w
                            for col, w in zip(cols, dc.input_gains))),
@@ -403,7 +411,7 @@ class TestDecayConstants:
             == (a0, a1, a2, h0, h1, used)
 
     def test_observer_certificate_power_exists(self, reactor_dp, reactor_gains):
-        r = reactor_gains.error_transition
+        r, _ = closed_matrices(reactor_gains, reactor_dp)
         power = np.eye(4)
         found = False
         for _ in range(512):

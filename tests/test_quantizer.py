@@ -25,6 +25,7 @@ from doslab.quantizer import (
 
 from .conftest import rng
 from .oracles import (
+    closed_matrices,
     decode_array,
     encode_centered,
     encode_loop,
@@ -566,8 +567,9 @@ class TestUpdateRangeMatchesLoopOracle:
 class TestDeriveInputRange:
     def test_nilpotent_power_gives_zero(self, reactor_dp, reactor_gains):
         gs = reactor_gains
+        _, rbar = closed_matrices(gs, reactor_dp)
         gain = inf_norm(gs.controller_gain
-                        @ mat_pow(gs.closed_loop, reactor_dp.eta)
+                        @ mat_pow(rbar, reactor_dp.eta)
                         @ gs.observer_gain)
         codec3 = UniformCodec(levels=100, dim=2)
         assert derive_input_range(1.0, gain, codec3) <= 1e-12
