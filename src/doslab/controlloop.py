@@ -16,14 +16,14 @@ The dual-channel and ACK-free schemes step one deadbeat slot loop,
 :func:`_step_deadbeat`, told apart by their data: the dual scheme has an
 input codec, the ACK-free one an ideal input channel.  A transmission is
 one :func:`quantize` round trip of the value around the zero center.  The
-loop computes only what a later slot reads and checks every slot's
-``|C xhat|`` in one batched pass after stepping; the first slot with a
-failure still names it, codec before inference before residual.  The ACK
-scheme and the mismatch demonstration step one predictor loop,
-:func:`_run_predictor`, told apart by the attacks the encoder learns of:
-every one with ACKs, none in the demonstration.  It encodes ``y`` minus
-the encoder's predicted output once per transmission and decodes the
-cells at each side's own center.
+loop only steps, computing only what a later slot reads; every slot end's
+``|C xhat|`` and attack inference are checked in one batched pass after
+it, and the first slot with a failure names it, codec before inference
+before residual.  The ACK scheme and the mismatch demonstration step one
+predictor loop, :func:`_run_predictor`, told apart by the attacks the
+encoder learns of: every one with ACKs, none in the demonstration.  It
+encodes ``y`` minus the encoder's predicted output once per transmission
+and decodes the cells at each side's own center.
 
 Plant propagation between sub-steps uses the exact discretization; an
 oversample factor adds intra-step points computed from the exponential on
@@ -33,10 +33,8 @@ the residual interval, so no integrator error enters the invariants.
 from __future__ import annotations
 
 import numbers
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -53,6 +51,7 @@ from .dos import (
     DoSParams,
     DoSPattern,
     check_intensity,
+    fit_budget,
     generate,
     pattern_from_bools,
     validate,
@@ -255,10 +254,12 @@ class Plan:
 
     ``l_obs`` is the ACK variant's predictor gain ``a_d m`` (else ``None``),
     read-only as the matrices of ``dp`` and ``gains`` are, and ``params``
-    the DoS budget the condition ``report`` checks; the report holds the
-    decay constants (``input_gains`` among them) and the theta factors.
-    The attack pattern is left out: each run resolves its own from its
-    config.
+    the DoS budget the condition ``report`` checks: the config's
+    ``dos_params``, or without them the tightest budget with unit chatter
+    bounds that the run's own attacks meet (:func:`doslab.dos.fit_budget`).
+    The report holds the decay constants (``input_gains`` among them) and
+    the theta factors.  The attack pattern is left out: each run resolves
+    its own from its config.
     """
 
     dp: DiscretePlant
@@ -292,11 +293,7 @@ def compile_plan(cfg: SimConfig) -> Plan:
     budget.  So a plan is reused by passing its ``plan.gains``.
     """
     variant = _SCHEMES[cfg.scenario][0]
-    params = cfg.dos_params
-    if params is None:
-        # pattern-only or demo scenarios: report against a unit budget
-        params = DoSParams(kappa_f=1, nu_f=max(2.0, cfg.horizon_slots),
-                           kappa_d=1, nu_d=max(1, cfg.horizon_slots))
+    params = cfg.dos_params or fit_budget(_resolve_pattern(cfg))
     inputs = _plan_inputs(cfg, variant, params)
     given = isinstance(cfg.gains, GainSet)
     memo = cfg.gains.compiled if given else None
@@ -489,7 +486,7 @@ def _placed(exc, channel, q, k=None):
     return InvalidMatrixError(f"{channel} quantizer at {where}: {exc}")
 
 
-# an overflow is named by the next codec or fails the |C xhat| check
+# an overflow is named by the next codec or fails a slot-end check
 @np.errstate(over="ignore", invalid="ignore")
 def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
                    inputs=None):
@@ -500,15 +497,13 @@ def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
     around zero and sends ``eta`` inputs, quantized around zero if the run
     has an input codec; around zero a value is its own offset.  An attacked
     slot holds the zero estimate (which every slot starts from) and the
-    zero input.  Without an input codec the encoder infers an attack from
-    an all-zero input run.
+    zero input.
 
     Only the state and the sent inputs carry over between slots, so the
     estimate is stepped up to the last input sent and attacked slots share
-    one zero-input chain.  ``C xhat`` must vanish by each slot's end:
-    :func:`_slot_end_residuals` checks the slots after stepping, or those
-    before a failing slot before its failure is raised.  Returns the final
-    state and the attacks the encoder acts on.
+    one zero-input chain.  The loop only steps: :func:`_check_slots` checks
+    every slot end after it, or the slots before a failing one before its
+    codec failure is raised.  Returns the final state.
     """
     dp, gs, plant = plan.dp, plan.gains, cfg.plant
     codec_y, y_ranges = output
@@ -517,8 +512,6 @@ def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
     zero_x, zero_u = np.zeros(plant.n_x), np.zeros(plant.n_u)
     c, m, kc, a, b = (w.dot for w in (plant.c, gs.observer_gain,
                                       gs.controller_gain, dp.a_d, dp.b_d))
-    infer = codec_u is None
-    inferred, degenerate = [], []
     add_x, add_xh, add_u, add_ua = tb.add
     quant = quantize
     # an attacked slot's estimate chain, from the zero estimate under the
@@ -540,76 +533,74 @@ def _step_deadbeat(cfg: SimConfig, plan: Plan, tb: _TraceBuilder, output,
                 for _ in range(dp.eta):
                     add_x(x)
                     x = a(x) + b_zero
-                if infer:
-                    degenerate.append(False)
-                    inferred.append(True)
                 continue
             k = None  # the output channel
             yq = quant(c(x), y_rng, codec_y)
             # the sum with the zero estimate turns -0.0 entries into +0.0
             xh = zero_x + m(yq)
-            all_zero = True
             for k in range(dp.eta):
                 if k:
                     xh = a(xh) + b(u)
                 u = kc(xh)
-                if infer:
-                    ua = u
-                    all_zero = all_zero and not any(u.tolist())
-                else:
-                    ua = quant(u, u_rngs[k], codec_u)
+                ua = u if codec_u is None else quant(u, u_rngs[k], codec_u)
                 add_x(x)
                 add_xh(xh)
                 add_u(u)
                 add_ua(ua)
                 x = a(x) + b(ua)
-            if infer:
-                # at a zero range a successful slot sends zeros too: nothing
-                # to infer, and not a protocol failure
-                degenerate.append(y_rng == 0.0 and all_zero)
-                inferred.append(all_zero and not degenerate[-1])
-                if inferred[-1]:
-                    _slot_end_residuals(tb, plan, plant.c, y_ranges, q)
-                    raise InferenceMismatchError(
-                        f"zero-input inference disagreed with the pattern at "
-                        f"slot {q}", slot=q, channel="output")
     except (SaturationError, InvalidMatrixError) as exc:
-        _slot_end_residuals(tb, plan, plant.c, y_ranges, q)
+        _check_slots(tb, plan, plant.c, y_ranges, q, codec_u is None)
         raise _placed(exc, "output" if k is None else "input", q, k) from exc
 
-    residuals = _slot_end_residuals(tb, plan, plant.c, y_ranges,
-                                    len(tb.attacked))
-    tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
-                    deadbeat_residual=residuals)
-    if not infer:
-        return x, tb.attacked
-    tb.slots["degenerate_inference"] = degenerate
-    return x, np.array(inferred, dtype=bool)
+    _check_slots(tb, plan, plant.c, y_ranges, len(tb.attacked),
+                 codec_u is None)
+    tb.slots["y_err"] = _norms(_matvecs(plant.c, tb.starts(tb.x)))
+    return x
 
 
-def _slot_end_residuals(tb: _TraceBuilder, plan: Plan, c, y_ranges, slots):
-    """``|C xhat|`` at the end of each of the first ``slots`` slots, from
-    their last sub-steps' rows, which it stacks; raises a
-    :class:`DeadbeatContractError` at the first above its tolerance,
-    ``DEADBEAT_NULL_TOL`` times ``max(1, range)``."""
+def _check_slots(tb: _TraceBuilder, plan: Plan, c, y_ranges, slots, infer):
+    """Check the ends of the first ``slots`` slots in one pass over their
+    rows, which it stacks, and record ``deadbeat_residual`` and, if
+    ``infer``, ``degenerate_inference``.
+
+    ``|C xhat|`` after a slot's last sub-step above ``DEADBEAT_NULL_TOL``
+    times ``max(1, range)`` raises a :class:`DeadbeatContractError`.  If
+    ``infer``, the encoder infers an attack from an all-zero input run: a
+    successful slot sending only zeros at a nonzero output range raises an
+    :class:`InferenceMismatchError`; at a zero range, which quantizes the
+    output and so every input to zero, it is a degenerate inference.  The
+    first failing slot is raised, its inference before its residual.
+    """
     if not slots:
-        return np.zeros(0)
+        return
     tb.stack()
     dp = plan.dp
     last = slice(dp.eta - 1, slots * dp.eta, dp.eta)
     xh = _matvecs(dp.a_d, tb.x_hat[last]) + _matvecs(dp.b_d, tb.u_sent[last])
     # a NaN entry makes its row's max NaN, which fails the check
     residuals = _norms(_matvecs(c, xh))
+    ranges = np.array(y_ranges[:slots])
     # fmax, as Python's max(1.0, range), takes 1.0 over a NaN range
-    tol = DEADBEAT_NULL_TOL * np.fmax(1.0, y_ranges[:slots])
-    bad = np.flatnonzero(~(residuals <= tol))
-    if bad.size:
-        q = int(bad[0])
+    bad = ~(residuals <= DEADBEAT_NULL_TOL * np.fmax(1.0, ranges))
+    sent = ~tb.attacked[:slots]
+    silent = np.zeros(slots, dtype=bool)
+    if infer:  # a NaN input or range is nonzero
+        silent = (sent & (ranges != 0.0)
+                  & ~tb.u_sent[:slots * dp.eta].reshape(slots, -1).any(axis=1))
+    failed = np.flatnonzero(bad | silent)
+    if failed.size:
+        q = int(failed[0])
+        if silent[q]:
+            raise InferenceMismatchError(
+                f"zero-input inference disagreed with the pattern at slot "
+                f"{q}", slot=q, channel="output") from None
         raise DeadbeatContractError(
             f"|C xhat| = {residuals[q]:.3e} at the end of slot {q}; "
             "the feedback gain is not deadbeat for this plant",
             slot=q, channel="output") from None
-    return residuals
+    tb.slots["deadbeat_residual"] = residuals
+    if infer:
+        tb.slots["degenerate_inference"] = sent & (ranges == 0.0)
 
 
 def _run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
@@ -641,14 +632,17 @@ def _run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
                                 codec3)
     tb.slots["e3"] = e3
 
-    x, inferred = _step_deadbeat(cfg, plan, tb, (codec3, e3.tolist()),
-                                 (UniformCodec(n2, plant.n_u), e2.tolist()))
+    x = _step_deadbeat(cfg, plan, tb, (codec3, e3.tolist()),
+                       (UniformCodec(n2, plant.n_u), e2.tolist()))
     # the state after each slot
     tb.slots["x_norm"] = _norms(np.vstack((tb.starts(tb.x)[1:], x)))
     return tb.build(x, plan, {"E1": 0.0, "E2": e2, "E3": e3}, branch,
-                    inferred)
+                    tb.attacked)
 
 
+# with ACKs an offset that overflows to inf, as Python floats and the range
+# law do silently, is named by encode; the demo stops before any overflow
+@np.errstate(over="ignore", invalid="ignore")
 def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """Output channel with single-rate predictors, input channel ideal.
 
@@ -673,10 +667,6 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
     branch, e_dec = update_range(cfg.x0_bound, thetas, tb.attacked)
     e_enc = e_dec if acked else update_range(cfg.x0_bound, thetas, known)[1]
     tb.slots.update(dict(e=e_dec) if acked else dict(e_enc=e_enc, e_dec=e_dec))
-    # with ACKs the offset overflows to inf silently, as Python floats and
-    # the range law do, and encode names it
-    quiet = (partial(np.errstate, over="ignore", invalid="ignore") if acked
-             else nullcontext)
     x = cfg.x0.copy()
     xh = xt = np.zeros(plant.n_x)  # decoder and encoder side
     kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
@@ -693,9 +683,7 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
             if not told:  # the encoder transmits
                 yt = yh if acked else c(xt)
                 rng_e = norm_c * e_enc_q
-                y = c(x)
-                with quiet():
-                    offset = y - yt
+                offset = c(x) - yt
                 cells = encode(offset, rng_e, codec, clip=not acked)
                 if not acked:
                     qe = decode(cells, yt, rng_e, codec)
@@ -744,11 +732,10 @@ def _run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     branch, e = update_range(cfg.x0_bound, plan.report.thetas, tb.attacked)
     tb.slots["e"] = e
     # a Python float overflows to inf silently, as the range law does
-    x, inferred = _step_deadbeat(
-        cfg, plan, tb, (codec, [norm_c * e_q for e_q in e.tolist()]))
-    _, e_enc = update_range(cfg.x0_bound, plan.report.thetas, inferred)
-    tb.slots.update(x_norm=_norms(tb.starts(tb.x)), enc_equals_dec=e_enc == e)
-    return tb.build(x, plan, {"E": e}, branch, inferred)
+    x = _step_deadbeat(cfg, plan, tb,
+                       (codec, [norm_c * e_q for e_q in e.tolist()]))
+    tb.slots["x_norm"] = _norms(tb.starts(tb.x))
+    return tb.build(x, plan, {"E": e}, branch, tb.attacked)
 
 
 _SCHEMES = {

@@ -21,6 +21,7 @@ __all__ = [
     "DoSPattern",
     "prefix_counts",
     "validate",
+    "fit_budget",
     "generate",
 ]
 
@@ -87,6 +88,22 @@ def validate(p: DoSPattern, params: DoSParams) -> int | None:
     switches, attacks = prefix_counts(p.slots)
     ok = _within_budget(params, np.arange(1, p.horizon + 1), switches, attacks)
     return None if ok.all() else int(ok.argmin()) + 1
+
+
+def fit_budget(attacked) -> DoSParams:
+    """The tightest budget with ``kappa_f = kappa_d = 1`` that the pattern
+    ``attacked`` meets: ``nu_f`` the least ``q / (switches - 1)``, one ulp
+    down, since at the ratio itself ``1 + q / nu_f`` may round below the
+    count, and ``nu_d`` the floor of the least ``q / (attacks - 1)``, each
+    capped at the unit value ``max(2.0, H)`` or ``max(1, H)`` of an H-slot
+    pattern."""
+    switches, attacks = prefix_counts(attacked)
+    q = np.arange(1, len(switches) + 1)
+    nu_f, nu_d = (np.min(q[n > 1] / (n[n > 1] - 1), initial=np.inf)
+                  for n in (switches, attacks))
+    return DoSParams(
+        kappa_f=1, nu_f=min(max(2.0, len(q)), float(np.nextafter(nu_f, 0))),
+        kappa_d=1, nu_d=int(min(max(1, len(q)), nu_d)))
 
 
 def check_intensity(intensity) -> None:

@@ -476,8 +476,10 @@ def _quantize_roundtrip(v, center, rng, codec, channel, q, k=None):
 @np.errstate(over="ignore", invalid="ignore")
 def deadbeat_loop(cfg, plan, tb, output, inputs=None):
     """The deadbeat slot loop stepping every sub-step's estimate and
-    checking ``|C xhat|`` at the end of each slot, after the slot's codec
-    and inference checks; a drop-in for ``controlloop._step_deadbeat``."""
+    checking each slot as it ends: the slot's codecs, then, without an
+    input codec, the attack the encoder infers from an all-zero input run
+    against the pattern, then ``|C xhat|``; a drop-in for
+    ``controlloop._step_deadbeat``, returning the final state."""
     dp, gs, plant = plan.dp, plan.gains, cfg.plant
     codec_y, y_ranges = output
     codec_u, u_ranges = inputs or (None, repeat(None))
@@ -533,10 +535,9 @@ def deadbeat_loop(cfg, plan, tb, output, inputs=None):
     tb.stack()
     tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
                     deadbeat_residual=residuals)
-    if not infer:
-        return x, tb.attacked
-    tb.slots["degenerate_inference"] = degenerate
-    return x, np.array(inferred, dtype=bool)
+    if infer:
+        tb.slots["degenerate_inference"] = degenerate
+    return x
 
 
 def generate_loop(params, horizon, seed, intensity):

