@@ -3,7 +3,9 @@
 Builds the zero-order-hold discretization of a continuous plant and the
 controllability/observability indices that fix the transmission protocol:
 the input channel runs ``eta`` times faster than the output channel, so the
-input period is ``delta = big_delta / eta``.
+input period is ``delta = big_delta / eta``.  Both indices are read from
+:func:`doslab.matrixcore.select_chains`, the staircase the deadbeat gains
+are built on, so the synthesis accepts every pair sampling accepts.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ import numpy as np
 
 from .errors import (
     InvalidMatrixError,
+    ScenarioError,
     UncontrollablePairError,
     UnobservablePairError,
 )
 from .matrixcore import (
     as_matrix,
     frozen_matrix,
+    is_finite_number,
     mat_exp,
     mat_pow,
-    rank_with_tol,
+    select_chains,
 )
 
 __all__ = [
@@ -117,7 +121,7 @@ def discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_matrix(a, square=True)
     b = as_matrix(b)
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     n, m = a.shape[0], b.shape[1]
     aug = np.zeros((n + m, n + m))
@@ -128,36 +132,25 @@ def discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def controllability_index(a_d, b_d) -> int:
-    """Smallest eta with ``[b_d, a_d b_d, ..., a_d^(eta-1) b_d]`` full rank."""
+    """Smallest eta with ``[b_d, a_d b_d, ..., a_d^(eta-1) b_d]`` full rank:
+    the longest chain :func:`~doslab.matrixcore.select_chains` selects."""
     a_d = as_matrix(a_d, square=True)
-    b_d = as_matrix(b_d)
-    n = a_d.shape[0]
-    blocks = [b_d]
-    for eta in range(1, n + 1):
-        if rank_with_tol(np.hstack(blocks)) == n:
-            return eta
-        # an overflowing block is rejected by the next rank test
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks.append(a_d @ blocks[-1])
-    raise UncontrollablePairError(
-        f"rank of the controllability matrix never reached {n}"
-    )
+    lengths, _ = select_chains(a_d, as_matrix(b_d))
+    if sum(lengths) < a_d.shape[0]:
+        raise UncontrollablePairError(f"rank of the controllability matrix "
+                                      f"never reached {a_d.shape[0]}")
+    return max(lengths)
 
 
 def observability_index(c, a_lift) -> int:
-    """Smallest mu with ``[c; c a_lift; ...; c a_lift^(mu-1)]`` full rank."""
-    c = as_matrix(c)
+    """Smallest mu with ``[c; c a_lift; ...; c a_lift^(mu-1)]`` full rank:
+    the controllability index of the dual pair ``(a_lift', c')``."""
     a_lift = as_matrix(a_lift, square=True)
-    n = a_lift.shape[0]
-    blocks = [c]
-    for mu in range(1, n + 1):
-        if rank_with_tol(np.vstack(blocks)) == n:
-            return mu
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks.append(blocks[-1] @ a_lift)
-    raise UnobservablePairError(
-        f"rank of the observability matrix never reached {n}"
-    )
+    try:
+        return controllability_index(a_lift.T, as_matrix(c).T)
+    except UncontrollablePairError:
+        raise UnobservablePairError(f"rank of the observability matrix never "
+                                    f"reached {a_lift.shape[0]}") from None
 
 
 def sample_plant(plant: ContinuousPlant, big_delta: float) -> DiscretePlant:
@@ -168,8 +161,8 @@ def sample_plant(plant: ContinuousPlant, big_delta: float) -> DiscretePlant:
     reproduce the same index (this is the Kalman-rank consequence of a
     non-pathological ``delta``) or an error is raised.
     """
-    if big_delta <= 0:
-        raise ValueError("big_delta must be positive")
+    if not (is_finite_number(big_delta) and big_delta > 0):
+        raise ScenarioError("big_delta must be finite and positive")
     eta = controllability_index(plant.a, plant.b)
     delta = big_delta / eta
     a_d, b_d = discretize(plant.a, plant.b, delta)
@@ -193,8 +186,8 @@ def sample_plant_single_rate(plant: ContinuousPlant, big_delta: float) -> Discre
     Used by the output-channel-only schemes where the controller runs at
     the output rate; ``a_lift`` coincides with ``a_d``.
     """
-    if big_delta <= 0:
-        raise ValueError("big_delta must be positive")
+    if not (is_finite_number(big_delta) and big_delta > 0):
+        raise ScenarioError("big_delta must be finite and positive")
     a_d, b_d = discretize(plant.a, plant.b, big_delta)
     mu = observability_index(plant.c, a_d)
     return DiscretePlant(

@@ -18,11 +18,11 @@ class SingularMatrixError(DoslabError):
 
 
 class UncontrollablePairError(DoslabError):
-    """Kalman rank test never reached full rank."""
+    """The controllability staircase never reached full rank."""
 
 
 class UnobservablePairError(DoslabError):
-    """Stacked observability matrix never reached full rank."""
+    """The staircase of the dual pair never reached full rank."""
 
 
 class IllConditionedBasisError(DoslabError):

@@ -3,9 +3,9 @@
 Four synthesis routines live here:
 
 * :func:`design_deadbeat_gain` builds a feedback gain making the closed
-  loop nilpotent with index equal to the controllability index, via a
-  staircase basis of the controllability matrix and block-companion
-  coefficient zeroing.
+  loop nilpotent with index equal to the controllability index, via the
+  staircase basis :func:`doslab.matrixcore.select_chains` selects, the one
+  sampling reads that index from, and block-companion coefficient zeroing.
 * :func:`design_stabilizing_gain` builds a Schur-stabilizing feedback gain
   from the control Riccati dual.
 * :func:`design_observer_gain` iterates the filtering Riccati recursion to
@@ -47,6 +47,7 @@ from .matrixcore import (
     mat_pow,
     power_chunks,
     schur_certified,
+    select_chains,
     solve_linear,
     stack_norms,
 )
@@ -71,9 +72,8 @@ NILPOTENCY_RTOL = 1e-8
 # Decay-constant scans stop below this power norm, at DECAY_SCAN_CAP powers.
 DECAY_SCAN_FLOOR = 1e-14
 
-# Staircase column independence; the Riccati stall thresholds, absolute and
-# relative to the iterate, and step cap.
-CHAIN_TOL = 1e-9
+# The Riccati stall thresholds, absolute and relative to the iterate, and
+# step cap.
 RICCATI_TOL = 1e-12
 RICCATI_RTOL = 1e-13
 RICCATI_MAX_ITER = 100_000
@@ -133,52 +133,13 @@ class DecayConstants:
     input_gains: tuple[float, ...] = ()
 
 
-def _select_chains(a: np.ndarray, b: np.ndarray):
-    """Degree-first independent-column selection from [b, ab, a^2 b, ...].
-
-    Returns per-input chain lengths and the selected columns grouped by
-    input chain.  Once a power of an input column goes dependent, higher
-    powers of that input are dependent too, so the input is retired.
-    """
-    n = a.shape[0]
-    m = b.shape[1]
-    col_scale = max(1.0, float(np.max(np.abs(b))))
-    ortho: list[np.ndarray] = []
-    chains: list[list[np.ndarray]] = [[] for _ in range(m)]
-    current = [b[:, j].copy() for j in range(m)]
-    active = list(range(m))
-    selected = 0
-    while active and selected < n:
-        surviving = []
-        for j in active:
-            v = current[j]
-            w = v.copy()
-            for u in ortho:
-                w -= (u @ w) * u
-            # re-orthogonalize once; classical GS alone loses accuracy
-            for u in ortho:
-                w -= (u @ w) * u
-            norm_w = float(np.linalg.norm(w))
-            if norm_w > CHAIN_TOL * max(float(np.linalg.norm(v)), col_scale):
-                ortho.append(w / norm_w)
-                chains[j].append(v.copy())
-                surviving.append(j)
-                selected += 1
-                if selected == n:
-                    break
-        active = surviving
-        for j in active:
-            current[j] = a @ current[j]
-    return [len(ch) for ch in chains], chains
-
-
 def _deadbeat_feedback(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Feedback k with (a + b k)^eta = 0, eta the controllability index."""
     a = as_matrix(a, square=True)
     b = as_matrix(b)
     n = a.shape[0]
     m = b.shape[1]
-    lengths, chains = _select_chains(a, b)
+    lengths, chains = select_chains(a, b)
     if sum(lengths) != n:
         raise UncontrollablePairError(
             f"selected only {sum(lengths)} independent columns of {n}"

@@ -3,7 +3,8 @@
 Matrices are plain 2-D ``float64`` numpy arrays validated through
 :func:`as_matrix`; vectors are 1-D arrays.  The norm used throughout the
 library is the max-row-sum norm, i.e. the operator norm induced by the
-max norm on vectors.
+max norm on vectors.  One staircase, :func:`select_chains`, gives the
+sampled plant's protocol indices and the deadbeat gains' bases.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "mat_pow",
     "gelfand_radius",
     "schur_certified",
-    "rank_with_tol",
     "solve_linear",
 ]
 
@@ -34,7 +34,7 @@ __all__ = [
 EXP_MAGNITUDE_CAP = 200.0
 
 PIVOT_TOL = 1e-12  # solve_linear's relative singular-pivot threshold
-RANK_TOL = 1e-9  # rank_with_tol's relative zero-pivot threshold
+CHAIN_TOL = 1e-9  # select_chains' relative column-independence threshold
 
 # Powers a Gelfand bound scans by default: every certificate of a run uses it.
 DECAY_SCAN_CAP = 512
@@ -103,15 +103,15 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
     The argument is scaled so its norm is at most 0.5 before the Pade
     approximant is evaluated, then squared back up.  Raises
     :class:`ExpOverflowError` when ``inf_norm(m)*t`` exceeds
-    :data:`EXP_MAGNITUDE_CAP`.
+    :data:`EXP_MAGNITUDE_CAP` or is not finite.
     """
     a = as_matrix(m, square=True)
     if t < 0:
         raise ValueError("mat_exp is defined here for nonnegative t only")
-    with np.errstate(over="ignore"):  # an overflow fails the cap check
+    with np.errstate(over="ignore", invalid="ignore"):  # fails the cap
         a = a * t
-    norm = inf_norm(a)
-    if norm > EXP_MAGNITUDE_CAP:
+        norm = inf_norm(a)
+    if not norm <= EXP_MAGNITUDE_CAP:
         raise ExpOverflowError(
             f"inf_norm(m)*t = {norm:.3g} exceeds the cap {EXP_MAGNITUDE_CAP}"
         )
@@ -220,30 +220,46 @@ def schur_certified(m, max_power: int = DECAY_SCAN_CAP) -> bool:
     return any(root < 1.0 for root in _power_roots(m, max_power))
 
 
-def rank_with_tol(m) -> int:
-    """Numerical rank via row-echelon reduction with partial pivoting.
+# an overflowing power is refused by the next independence test
+@np.errstate(over="ignore", invalid="ignore")
+def select_chains(a: np.ndarray, b: np.ndarray):
+    """Degree-first independent-column selection from [b, ab, a^2 b, ...].
 
-    Pivots below ``RANK_TOL`` times the largest-magnitude entry of the input
-    count as zero.
+    Returns per-input chain lengths and the selected columns grouped by
+    input chain.  Once a power of an input column goes dependent, higher
+    powers of that input are dependent too, so the input is retired.  The
+    lengths sum to the controllability rank; the longest is the index.
     """
-    a = as_matrix(m).copy()
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return 0
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot_row = rank + int(np.argmax(np.abs(a[rank:, col])))
-        pivot = a[pivot_row, col]
-        if abs(pivot) <= RANK_TOL * scale:
-            continue
-        if pivot_row != rank:
-            a[[rank, pivot_row]] = a[[pivot_row, rank]]
-        a[rank + 1:, col:] -= np.outer(a[rank + 1:, col] / a[rank, col], a[rank, col:])
-        rank += 1
-    return rank
+    n = a.shape[0]
+    m = b.shape[1]
+    col_scale = max(1.0, float(np.max(np.abs(b))))
+    ortho: list[np.ndarray] = []
+    chains: list[list[np.ndarray]] = [[] for _ in range(m)]
+    current = [b[:, j].copy() for j in range(m)]
+    active = list(range(m))
+    selected = 0
+    while active and selected < n:
+        surviving = []
+        for j in active:
+            v = current[j]
+            w = v.copy()
+            for u in ortho:
+                w -= (u @ w) * u
+            # re-orthogonalize once; classical GS alone loses accuracy
+            for u in ortho:
+                w -= (u @ w) * u
+            norm_w = float(np.linalg.norm(w))
+            if norm_w > CHAIN_TOL * max(float(np.linalg.norm(v)), col_scale):
+                ortho.append(w / norm_w)
+                chains[j].append(v.copy())
+                surviving.append(j)
+                selected += 1
+                if selected == n:
+                    break
+        active = surviving
+        for j in active:
+            current[j] = a @ current[j]
+    return [len(ch) for ch in chains], chains
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it checks: the exponential
 oracle is a plain truncated series, the input-matrix oracle is composite
 Simpson quadrature, and the index oracles are direct Kalman rank tests on
-explicitly stacked blocks.  The codec, range-law, power-scan,
+explicitly stacked blocks, by a row-echelon rank of their own rather than
+the library's staircase.  The codec, range-law, power-scan,
 trace-writer, chart-point and DoS-budget oracles keep the plain loops
 (the array expression, for decoding) the library replaced, as bit-exact
 references; so do the elimination and Riccati oracles, with the
@@ -51,7 +52,6 @@ from doslab.matrixcore import (
     as_vector,
     mat_exp,
     mat_pow,
-    rank_with_tol,
     stack_norms,
 )
 from doslab.quantizer import decode, encode
@@ -83,6 +83,35 @@ def simpson_input_matrix(a, b, delta, panels=10_000):
         weight = 1 if i in (0, panels) else (4 if i % 2 else 2)
         total = total + weight * (mat_exp(a, i * h) @ b)
     return total * h / 3.0
+
+
+RANK_TOL = 1e-9  # rank_with_tol's relative zero-pivot threshold
+
+
+def rank_with_tol(m) -> int:
+    """Numerical rank via row-echelon reduction with partial pivoting.
+
+    Pivots below ``RANK_TOL`` times the largest-magnitude entry of the input
+    count as zero.
+    """
+    a = as_matrix(m).copy()
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        return 0
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        pivot_row = rank + int(np.argmax(np.abs(a[rank:, col])))
+        pivot = a[pivot_row, col]
+        if abs(pivot) <= RANK_TOL * scale:
+            continue
+        if pivot_row != rank:
+            a[[rank, pivot_row]] = a[[pivot_row, rank]]
+        a[rank + 1:, col:] -= np.outer(a[rank + 1:, col] / a[rank, col], a[rank, col:])
+        rank += 1
+    return rank
 
 
 def kalman_controllability_index(a, b):

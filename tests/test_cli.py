@@ -21,6 +21,7 @@ import doslab.discretize
 import doslab.gains
 import doslab.quantizer
 from doslab import cli
+from doslab.controlloop import _resolve_pattern
 from doslab.dos import DoSPattern
 
 SCENARIOS = resources.files("doslab") / "scenarios"
@@ -843,16 +844,40 @@ class TestTradeoffCommand:
 FUZZ_VALUES = ("x", None, True, [], {}, [1.0], {"n": 3}, 0, -1, 0.5, 2.0,
                float("nan"), float("inf"), -float("inf"), 1e308, -1e308,
                10 ** 400, 5e-324)
+
+
+def _pattern_only_variants(name):
+    """``name`` with a pattern alone: the attacks the file generates, and
+    attacks on five slots in six, which break the unit budget."""
+    cfg = cli._build_config(load(name))
+    for kind, pattern in (
+            ("own pattern", _resolve_pattern(cfg)),
+            ("five in six", ([1] * 5 + [0]) * -(-cfg.horizon_slots // 6))):
+        doc = load(name)
+        doc["dos"] = {"pattern": [int(slot) for slot in pattern]}
+        yield f"{name} {kind}", doc
+
+
+# The documents mutated: each bundled file, and pattern-only variants of the
+# ACK, ACK-free and dual files.
+FUZZ_DOCS = {name: load(name) for name in ALL_BUNDLED} | {
+    key: doc for name in ("batch_reactor_ack.json",
+                          "batch_reactor_ackfree.json", DUAL)
+    for key, doc in _pattern_only_variants(name)}
+
 # The largest run size a mutated scenario may ask for: the shipped horizon
 # and a few plot points per sub-step.
-SIZE_BOUNDS = {name: {"horizon_slots": load(name)["horizon_slots"],
-                      "oversample": 4} for name in ALL_BUNDLED}
+SIZE_BOUNDS = {name: {"horizon_slots": doc["horizon_slots"], "oversample": 4}
+               for name, doc in FUZZ_DOCS.items()}
 
 
 def _json_paths(node, path=()):
-    """Every path below ``node`` to a dict value or list element."""
+    """Every path below ``node`` to a dict value or list element, but not
+    to the entries of a list of more than 16: a DoS pattern is mutated as a
+    whole, so its slots do not crowd out the document's other keys."""
     items = (node.items() if isinstance(node, dict)
-             else enumerate(node) if isinstance(node, list) else ())
+             else enumerate(node) if isinstance(node, list) and len(node) <= 16
+             else ())
     for key, value in items:
         yield path + (key,)
         yield from _json_paths(value, path + (key,))
@@ -877,12 +902,12 @@ def _mutate(doc, data):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(data=st.data(), name=st.sampled_from(ALL_BUNDLED),
+@given(data=st.data(), name=st.sampled_from(sorted(FUZZ_DOCS)),
        command=st.sampled_from(["check", "run"]), mutations=st.integers(1, 3))
 def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, data,
                                                        name, command,
                                                        mutations):
-    doc = load(name)
+    doc = copy.deepcopy(FUZZ_DOCS[name])
     for _ in range(mutations):
         _mutate(doc, data)
     # a bound on run time and memory only: every outcome of a run of the

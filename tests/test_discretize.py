@@ -1,18 +1,31 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doslab import ContinuousPlant, inf_norm, sample_plant
+from doslab import ContinuousPlant, design_deadbeat_gain, inf_norm, sample_plant
 from doslab.discretize import (
     controllability_index,
     discretize,
     observability_index,
     sample_plant_single_rate,
 )
-from doslab.errors import UncontrollablePairError, UnobservablePairError
-from doslab.matrixcore import mat_pow, rank_with_tol
+from doslab.errors import (
+    IllConditionedBasisError,
+    ScenarioError,
+    UncontrollablePairError,
+    UnobservablePairError,
+)
+from doslab.matrixcore import mat_pow
 
 from .conftest import BATCH_A, BATCH_B, BATCH_C, BIG_DELTA, rng
-from .oracles import kalman_controllability_index, simpson_input_matrix
+from .oracles import (
+    kalman_controllability_index,
+    rank_with_tol,
+    simpson_input_matrix,
+)
 
 
 class TestDiscretize:
@@ -53,9 +66,10 @@ class TestDiscretize:
                 quad = simpson_input_matrix(a, b, 0.21, panels=400)
                 assert inf_norm(b_3 - quad) <= 1e-8
 
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            discretize(np.eye(2), np.eye(2), 0.0)
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
+    def test_rejects_nonpositive_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            discretize(np.eye(2), np.eye(2), delta)
 
 
 class TestControllabilityIndex:
@@ -140,8 +154,97 @@ class TestSamplePlant:
         with pytest.raises(UncontrollablePairError):
             sample_plant(plant, 2.0)  # delta = 1.0 hits the rotation period
 
+    @pytest.mark.parametrize("sampler", [sample_plant,
+                                         sample_plant_single_rate])
+    @pytest.mark.parametrize("big_delta", [0.0, -1.0, np.nan, np.inf])
+    def test_period_rule(self, reactor, sampler, big_delta):
+        # one rule and message, as SimConfig's, and no numpy error or warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError,
+                               match="^big_delta must be finite and positive$"):
+                sampler(reactor, big_delta)
+
     def test_single_rate(self, reactor):
         dps = sample_plant_single_rate(reactor, BIG_DELTA)
         assert dps.eta == 1
         assert dps.delta == dps.big_delta
         np.testing.assert_array_equal(dps.a_lift, dps.a_d)
+
+
+# A 5-state, single-input plant sampled at big_delta 0.1 (delta 0.02).  The
+# sampled controllability matrix has sigma_min/sigma_max 8.4e-11: a
+# row-echelon Kalman rank calls it full at eta = 5, but the staircase the
+# deadbeat gain is built on selects 4 columns, so sampling refuses it.
+NEAR_UNCONTROLLABLE = ContinuousPlant(
+    a=[[0.556357640614698, -1.3969432279280531, 0.7086761865503917,
+        -0.9200091270944255, 1.7911078328078762],
+       [1.6818027384879208, 0.23279059164214333, -1.340400988991441,
+        -1.0202257731284998, -1.4283288112502044],
+       [1.023283451012722, 0.9290383760223664, 1.483650168059515,
+        0.31630578971771994, 0.789266394158787],
+       [-1.7906025710100666, -0.04477068738086132, -0.9927585866528128,
+        -0.334570664127229, -0.8625479698167569],
+       [0.726542097780762, -0.6620447962398748, 1.4498750805712408,
+        0.6494787128522703, -0.6402286121842948]],
+    b=[[-1.5505537519637191], [-1.3012632940896793], [-1.313495393812742],
+       [1.7614038470809357], [-0.9517734149655008]],
+    c=[[0.6880739908054654, 1.77975307780802, 0.620992008039452,
+        -0.46914225585611513, -1.3567370116974988]],
+)
+
+
+def test_a_pair_the_staircase_refuses_is_refused_at_sampling():
+    plant = NEAR_UNCONTROLLABLE
+    assert controllability_index(plant.a, plant.b) == 5
+    a_d, b_d = discretize(plant.a, plant.b, 0.1 / 5)
+    assert kalman_controllability_index(a_d, b_d) == 5
+    with pytest.raises(UncontrollablePairError,
+                       match="controllability matrix never reached 5"):
+        sample_plant(plant, 0.1)
+
+
+def _conditioning(blocks):
+    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return s[-1] / s[0]
+
+
+# Item 1's harness plants (n 2-5, m and p 1-3, entries U(-2, 2), big_delta
+# 0.1, 0.2 or 0.5), generic, with a repeated input column, or a diagonal
+# that the input and couplings of 10^-U(0, 12) reach only weakly.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.integers(2, 5), m=st.integers(1, 3), p=st.integers(1, 3),
+       kind=st.sampled_from(["generic", "repeated", "weak"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       big_delta=st.sampled_from([0.1, 0.2, 0.5]))
+def test_sampling_and_synthesis_agree(n, m, p, kind, seed, big_delta):
+    g = np.random.default_rng(seed)
+    a, b, c = (g.uniform(-2, 2, size=shape) for shape in ((n, n), (n, m),
+                                                         (p, n)))
+    if kind == "repeated":
+        b[:, -1] = b[:, 0]
+    elif kind == "weak":
+        coupling = 10.0 ** -g.uniform(0, 12)
+        a = np.diag(a.diagonal()) + coupling * (a - np.diag(a.diagonal()))
+        b[1:] *= coupling
+    plant = ContinuousPlant(a=a, b=b, c=c)
+    pairs = [(a, b)]
+    try:
+        dp = sample_plant(plant, big_delta)
+    except (UncontrollablePairError, UnobservablePairError):
+        pass
+    else:
+        pairs.append((dp.a_d, dp.b_d))
+        # a pair sampling accepts has a full staircase
+        try:
+            design_deadbeat_gain(dp)
+        except IllConditionedBasisError:
+            pass
+    for pair_a, pair_b in pairs:
+        powers = [np.linalg.matrix_power(pair_a, k) for k in range(n)]
+        if _conditioning([power @ pair_b for power in powers]) > 1e-8:
+            assert controllability_index(pair_a, pair_b) == (
+                kalman_controllability_index(pair_a, pair_b))
+        if _conditioning([(c @ power).T for power in powers]) > 1e-8:
+            assert observability_index(c, pair_a) == (
+                kalman_controllability_index(pair_a.T, c.T))

@@ -12,12 +12,16 @@ from doslab.matrixcore import (
     as_vector,
     mat_exp,
     mat_pow,
-    rank_with_tol,
     solve_linear,
 )
 
 from .conftest import BATCH_A, rng
-from .oracles import gelfand_radius_loop, solve_linear_outer, taylor_expm
+from .oracles import (
+    gelfand_radius_loop,
+    rank_with_tol,
+    solve_linear_outer,
+    taylor_expm,
+)
 
 small_matrices = arrays(
     np.float64, (3, 3),
@@ -98,6 +102,17 @@ class TestMatExp:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             mat_exp(np.eye(2), -1.0)
+
+    def test_zero_time_is_the_identity(self):
+        np.testing.assert_array_equal(mat_exp(BATCH_A, 0.0), np.eye(4))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_is_past_the_cap(self, t):
+        # inf * 0 warns nothing either: the cap check names it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExpOverflowError, match="exceeds the cap"):
+                mat_exp(np.eye(2), t)
 
 
 class TestMatPow:
@@ -269,6 +284,8 @@ class TestSchurCertified:
 
 
 class TestRankWithTol:
+    """The Kalman-rank reference the index oracles use."""
+
     def test_identity(self):
         assert rank_with_tol(np.eye(4)) == 4
 

@@ -68,8 +68,7 @@ DROPPED = {
     "doslab.discretize": ["discretize", "controllability_index",
                           "observability_index", "sample_plant_single_rate",
                           "DiscretePlant"],
-    "doslab.matrixcore": ["mat_exp", "mat_pow", "rank_with_tol",
-                          "solve_linear"],
+    "doslab.matrixcore": ["mat_exp", "mat_pow", "solve_linear"],
     "doslab.gains": ["DecayConstants", "build_gain_set",
                      "design_stabilizing_gain"],
     "doslab.conditions": ["ThetaSet", "DecayCertificate", "decay_certificate",
