@@ -23,7 +23,7 @@ before residual.  The ACK scheme and the mismatch demonstration step one
 predictor loop, :func:`_run_predictor`, told apart by the attacks the
 encoder learns of: every one with ACKs, none in the demonstration.  It
 encodes ``y`` minus the encoder's predicted output once per transmission
-and decodes the cells at each side's own center.
+and decodes the cells at each side's own center; it only steps too.
 
 Plant propagation between sub-steps uses the exact discretization; an
 oversample factor adds intra-step points computed from the exponential on
@@ -398,10 +398,6 @@ class _TraceBuilder:
             np.frombuffer(column).reshape(-1, width)
             for column, width in zip(self.columns, (n_x, n_x, n_u, n_u)))
 
-    def add_slot(self, **values):
-        for name, value in values.items():
-            self.slots.setdefault(name, []).append(value)
-
     def starts(self, rows):
         """The first sub-step row of every slot of stacked ``rows``."""
         return rows[::self.dp.eta]
@@ -449,8 +445,7 @@ class _TraceBuilder:
             outcome=[BRANCHES[b] for b in rows(branch).tolist()],
             saturated=rows(self.slots.get("saturated", False)),
             inferred_attack=rows(inferred),
-            slots={n: np.asarray(v)[:slots]
-                   for n, v in self.slots.items()},
+            slots={n: v[:slots] for n, v in self.slots.items()},
             final_state=np.array(final_state),
         )
 
@@ -653,9 +648,9 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
     runs the scheme without them: the encoder never learns of the attack
     at ``attack_slot`` and keeps a predictor ``xt`` of its own, with ranges
     from a pattern with no attack.  It transmits every slot, clips past
-    saturation (divergence is the point), records the encoder-side error
-    and the quantization offsets that its derived bound is computed from,
-    and stops once the state passes ``DIVERGENCE_CAP``.
+    saturation (divergence is the point) and stops once the state passes
+    ``DIVERGENCE_CAP``; its slot records, the offsets its derived bound
+    reads among them, come from the encoder's rows after the loop.
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
     plant, thetas = cfg.plant, plan.report.thetas
@@ -672,6 +667,7 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
     kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
                                        dps.b_d, l_obs))
     add_x, add_xh, add_u, add_ua = tb.add
+    xts, kicks = [], []  # the demo encoder's predictor and its correction
 
     try:
         for q, (hit, told, e_enc_q, e_dec_q) in enumerate(zip(
@@ -683,17 +679,11 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
             if not told:  # the encoder transmits
                 yt = yh if acked else c(xt)
                 rng_e = norm_c * e_enc_q
-                offset = c(x) - yt
-                cells = encode(offset, rng_e, codec, clip=not acked)
+                cells = encode(c(x) - yt, rng_e, codec, clip=not acked)
                 if not acked:
-                    qe = decode(cells, yt, rng_e, codec)
-                    tb.add_slot(
-                        enc_err=inf_norm(x - xt),
-                        predictor_gap=inf_norm(xh - xt),
-                        offs=((qe - yt) * codec.levels / rng_e if rng_e > 0
-                              else np.zeros_like(qe)),
-                        saturated=bool(np.max(np.abs(offset)) > rng_e))
-                    xt = a(xt) + b(kc(xt)) + lo(qe - yt)
+                    xts.append(xt)
+                    kicks.append(decode(cells, yt, rng_e, codec) - yt)
+                    xt = a(xt) + b(kc(xt)) + lo(kicks[-1])
             add_x(x)
             add_xh(xh)
             add_u(u)
@@ -708,9 +698,18 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
         raise _placed(exc, "output", q) from exc
 
     tb.stack()
-    starts = tb.starts(tb.x)
+    starts, xh_starts = tb.starts(tb.x), tb.starts(tb.x_hat)
     if acked:
-        tb.slots["err_norm"] = _norms(starts - tb.starts(tb.x_hat))
+        tb.slots["err_norm"] = _norms(starts - xh_starts)
+    else:
+        xt, kick = np.array(xts), np.array(kicks)
+        rng = norm_c * e_enc[:len(xt), None]
+        tb.slots.update(enc_err=_norms(starts - xt),
+                        predictor_gap=_norms(xh_starts - xt),
+                        offs=np.divide(kick * codec.levels, rng,
+                                       out=np.zeros_like(kick), where=rng > 0),
+                        saturated=_norms(_matvecs(plant.c, starts)
+                                         - _matvecs(plant.c, xt)) > rng[:, 0])
     tb.slots["x_norm"] = _norms(starts)
     ranges = {"E": e_dec} if acked else {"E_e": e_enc, "E_d": e_dec}
     return tb.build(x, plan, ranges, branch, known)

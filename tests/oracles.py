@@ -11,8 +11,9 @@ references; so do the elimination and Riccati oracles, with the
 products and wrappers the library hoisted or replaced, and the
 center-based encoder and round trip the offset codec replaced.  The
 deadbeat-loop oracle steps every sub-step's estimate and checks each
-slot's ``|C xhat|`` as it ends, through a decode of each encode; the
-DoS-generator oracle draws its splitmix64 stream one Python integer at a
+slot's ``|C xhat|`` as it ends, through a decode of each encode, and the
+predictor-loop oracle records the mismatch demonstration's diagnostics
+slot by slot as it steps; the DoS-generator oracle draws its splitmix64 stream one Python integer at a
 time.  The sharpest single-level threshold is a reference value for the
 published level bound, and the mismatch bound the one computation of the
 demonstration's derived error bound; no library code computes either.
@@ -27,9 +28,12 @@ import numpy as np
 from doslab import InvalidMatrixError, SaturationError, gelfand_radius, inf_norm
 from doslab.controlloop import (
     DEADBEAT_NULL_TOL,
+    DIVERGENCE_CAP,
+    Scenario,
     _matvecs,
     _norms,
     _placed,
+    _TraceBuilder,
 )
 from doslab.dos import DoSPattern, _within_budget
 from doslab.errors import (
@@ -54,7 +58,7 @@ from doslab.matrixcore import (
     mat_pow,
     stack_norms,
 )
-from doslab.quantizer import decode, encode
+from doslab.quantizer import UniformCodec, decode, encode, update_range
 
 
 def taylor_expm(a, t=1.0, max_terms=300):
@@ -563,10 +567,81 @@ def deadbeat_loop(cfg, plan, tb, output, inputs=None):
 
     tb.stack()
     tb.slots.update(y_err=_norms(_matvecs(plant.c, tb.starts(tb.x))),
-                    deadbeat_residual=residuals)
+                    deadbeat_residual=np.array(residuals))
     if infer:
-        tb.slots["degenerate_inference"] = degenerate
+        tb.slots["degenerate_inference"] = np.array(degenerate)
     return x
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def predictor_loop(cfg, plan):
+    """The predictor loop recording the mismatch demonstration's slot
+    diagnostics as it steps: each slot's encoder-side error, predictor gap,
+    scaled quantization offset and saturation flag, from its own offset
+    and vectors; a drop-in for ``controlloop._run_predictor``."""
+    dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
+    plant, thetas = cfg.plant, plan.report.thetas
+    codec = UniformCodec(plan.levels, plant.n_y)
+    norm_c = inf_norm(plant.c)
+    acked = cfg.scenario is Scenario.OUTPUT_ACK
+    tb = _TraceBuilder(cfg, dps)
+    known = tb.attacked if acked else np.zeros_like(tb.attacked)
+    branch, e_dec = update_range(cfg.x0_bound, thetas, tb.attacked)
+    e_enc = e_dec if acked else update_range(cfg.x0_bound, thetas, known)[1]
+    tb.slots.update(dict(e=e_dec) if acked else dict(e_enc=e_enc, e_dec=e_dec))
+    x = cfg.x0.copy()
+    xh = xt = np.zeros(plant.n_x)  # decoder and encoder side
+    kc, c, a, b, lo = (w.dot for w in (gs.controller_gain, plant.c, dps.a_d,
+                                       dps.b_d, l_obs))
+    add_x, add_xh, add_u, add_ua = tb.add
+    records = {}
+
+    def add_slot(**values):
+        for name, value in values.items():
+            records.setdefault(name, []).append(value)
+
+    try:
+        for q, (hit, told, e_enc_q, e_dec_q) in enumerate(zip(
+                tb.attacked.tolist(), known.tolist(), e_enc.tolist(),
+                e_dec.tolist())):
+            u = kc(xh)
+            bu = b(u)
+            yh = c(xh)
+            if not told:  # the encoder transmits
+                yt = yh if acked else c(xt)
+                rng_e = norm_c * e_enc_q
+                offset = c(x) - yt
+                cells = encode(offset, rng_e, codec, clip=not acked)
+                if not acked:
+                    qe = decode(cells, yt, rng_e, codec)
+                    add_slot(
+                        enc_err=inf_norm(x - xt),
+                        predictor_gap=inf_norm(xh - xt),
+                        offs=((qe - yt) * codec.levels / rng_e if rng_e > 0
+                              else np.zeros_like(qe)),
+                        saturated=bool(np.max(np.abs(offset)) > rng_e))
+                    xt = a(xt) + b(kc(xt)) + lo(qe - yt)
+            add_x(x)
+            add_xh(xh)
+            add_u(u)
+            add_ua(u)
+            x = a(x) + bu
+            xh = a(xh) + bu
+            if not hit:
+                xh += lo(decode(cells, yh, norm_c * e_dec_q, codec) - yh)
+            if not acked and inf_norm(x) > DIVERGENCE_CAP:
+                break
+    except (SaturationError, InvalidMatrixError) as exc:
+        raise _placed(exc, "output", q) from exc
+
+    tb.stack()
+    starts = tb.starts(tb.x)
+    if acked:
+        tb.slots["err_norm"] = _norms(starts - tb.starts(tb.x_hat))
+    tb.slots.update({name: np.array(v) for name, v in records.items()})
+    tb.slots["x_norm"] = _norms(starts)
+    ranges = {"E": e_dec} if acked else {"E_e": e_enc, "E_d": e_dec}
+    return tb.build(x, plan, ranges, branch, known)
 
 
 def generate_loop(params, horizon, seed, intensity):

@@ -263,12 +263,12 @@ class TestDecayCertificate:
         assert cert.omega2 == pytest.approx(want * cert.omega1, rel=1e-12)
 
     def test_first_success_contracting_to_zero(self):
-        # the ACK-free reactor measuring its whole state, with a deadbeat
-        # observer: the error transition is zero, so theta_first = 0
+        # the ACK-free reactor measuring its whole state, with the injected
+        # observer gain m = I: the error transition a_lift (I - m c) is
+        # exactly zero on every BLAS kernel, so theta_first = 0
         doc = load("batch_reactor_ackfree.json")
         doc["plant"]["c"] = np.eye(4).tolist()
-        doc.pop("gains", None)
-        doc["observer"] = "deadbeat"
+        doc["gains"] = {"m": np.eye(4).tolist()}
         plan = compile_plan(cli._build_config(doc))
         thetas = plan.report.thetas
         assert thetas.theta_first == 0.0 and plan.report.dos_holds

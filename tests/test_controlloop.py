@@ -35,7 +35,12 @@ from doslab.errors import DeadbeatContractError, InferenceMismatchError
 from doslab.gains import derive_decay_constants
 
 from .conftest import BIG_DELTA, K_REF, M_REF, X0
-from .oracles import deadbeat_loop, mismatch_bound_loop, trace_to_csv_loop
+from .oracles import (
+    deadbeat_loop,
+    mismatch_bound_loop,
+    predictor_loop,
+    trace_to_csv_loop,
+)
 from .test_cli import ALL_BUNDLED, FUZZ_VALUES, bundled, count_preparations
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
@@ -1001,8 +1006,9 @@ def test_bound_dot_rounds_as_matmul(order, shape):
 
 
 def run_outcome(cfg, directory):
-    """A run's trace CSV bytes and the dtype and bytes of each slot column,
-    or its error's type, message, slot, sub-step and channel."""
+    """A run's trace CSV bytes, the bytes of its ``x``, ``x_hat``, ``u``
+    rows and final state, and the dtype and bytes of each slot column, or
+    its error's type, message, slot, sub-step and channel."""
     try:
         trace = run_scenario(cfg)
     except DoslabError as exc:
@@ -1011,18 +1017,23 @@ def run_outcome(cfg, directory):
                                                     "channel")))
     path = directory / "trace.csv"
     trace.to_csv(path)
-    return path.read_bytes(), {
-        name: (np.asarray(v).dtype.str, np.asarray(v).tobytes())
-        for name, v in trace.slots.items()}
+    rows = [getattr(trace, name).tobytes() for name in
+            ("x", "x_hat", "u_sent", "u_applied", "final_state")]
+    return path.read_bytes(), rows, {
+        name: (v.dtype.str, v.tobytes()) for name, v in trace.slots.items()}
 
 
 def engine_and_oracle(cfg, directory):
-    """:func:`run_outcome` of ``cfg`` stepped by the engine's deadbeat loop
-    and by :func:`deadbeat_loop`, on one compiled plan."""
+    """:func:`run_outcome` of ``cfg`` stepped by the engine's loops and by
+    their oracles, :func:`deadbeat_loop` and :func:`predictor_loop`, on one
+    compiled plan."""
     cfg = dataclasses.replace(cfg, gains=compile_plan(cfg).gains)
     engine = run_outcome(cfg, directory)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(controlloop, "_step_deadbeat", deadbeat_loop)
+        for scheme in (Scenario.OUTPUT_ACK, Scenario.MISMATCH_DEMO):
+            mp.setitem(controlloop._SCHEMES, scheme,
+                       (ThetaVariant.ACK, predictor_loop))
         oracle = run_outcome(cfg, directory)
     return engine, oracle
 
@@ -1109,6 +1120,36 @@ class TestDeadbeatLoopOracle:
         vs = g.standard_normal((rows, shape[1])) * g.choice([1e-8, 1.0, 1e8])
         want = np.array([a.dot(v) for v in vs]).reshape(rows, shape[0])
         assert _matvecs(a, vs).tobytes() == want.tobytes()
+
+
+class TestPredictorLoopOracle:
+    """The predictor loop gives the rows, final state and slot records of
+    the loop that records the demonstration's diagnostics slot by slot."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ack_runs_match(self, tmp_path, seed):
+        cfg = bundled_config("batch_reactor_ack.json", seed=seed)
+        engine, oracle = engine_and_oracle(cfg, tmp_path)
+        assert engine == oracle
+
+    # the file's x0 (a box corner) and two other corners of its box
+    @pytest.mark.parametrize("x0", [X0, [1.0] * 4, [-1.0, 1.0, 1.0, -1.0]])
+    # the first slot, the file's, one mid-run and the last
+    @pytest.mark.parametrize("attack_slot", [0, 5, 150, 299])
+    def test_demo_runs_match(self, tmp_path, x0, attack_slot):
+        cfg = bundled_config("batch_reactor_mismatch.json", x0=x0,
+                             attack_slot=attack_slot)
+        engine, oracle = engine_and_oracle(cfg, tmp_path)
+        assert engine == oracle
+
+    def test_zero_range_demo_matches(self, tmp_path):
+        # every encoder range is zero, so every offset takes the zero branch
+        cfg = bundled_config("batch_reactor_mismatch.json", x0=[0.0] * 4,
+                             x0_bound=0.0)
+        engine, oracle = engine_and_oracle(cfg, tmp_path)
+        assert engine == oracle
+        offs = np.frombuffer(engine[2]["offs"][1])
+        assert offs.size and not offs.any()
 
 
 def traced_peak(fn, *args):
