@@ -1,9 +1,12 @@
 """Configuration-driven command line entry point.
 
-``doslab run|check|tradeoff <scenario.json>`` loads a JSON scenario,
-compiles its plan (sampled plant, synthesized or verified gains, decay
-constants), evaluates the stability conditions, runs the requested
-simulation, and emits trace CSVs, condition reports, and SVG charts.
+``doslab run|check|tradeoff <scenario.json>`` loads a JSON scenario and
+compiles its plan once (sampled plant, synthesized or verified gains,
+decay constants and condition report); each command reads that plan.
+``check`` writes and prints the report's rows, ``run`` does so and then
+simulates, and ``tradeoff`` sweeps the report's theta factors against
+their infinite-level limit.  The file's ``outputs.plots`` and
+``--no-plots`` decide whether ``run`` and ``tradeoff`` draw SVG charts.
 Exit codes: 0 success, 2 configuration error, 3 condition check failed,
 4 saturation or synchronization failure, 5 numerical failure (an
 allocation that fails included).
@@ -21,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditions import report_rows, report_text, tradeoff_boundary
+from .conditions import compute_thetas, report_rows, tradeoff_boundary
 from .controlloop import (
     Scenario,
     SimConfig,
@@ -377,21 +380,22 @@ def _compile(args):
 def _report(args, doc, plan):
     """Write the plan's condition report as a CSV and print it, after the
     source of its gains."""
-    report = plan.report
+    rows = report_rows(plan.report, plan.params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
     name = doc.get("outputs", {}).get("report", f"{stem}_report.csv")
     with open(out_dir / name, "w") as fh:
         fh.write("name,value\n")
-        for key, value in report_rows(report, plan.params):
+        for key, value in rows:
             fh.write(f"{key},{value}\n")
     entry = doc.get("gains")
     given = [n for n in ("k", "m") if isinstance(entry, dict) and n in entry]
     print(f"gains: injected ({', '.join(given)})" if given
           else "gains: synthesized")
-    print(report_text(report, plan.params), end="")
-    return report
+    for key, value in rows:
+        print(f"{key} = {value}")
+    return plan.report
 
 
 def _emit_plots(trace, out_dir: Path, stem: str):
@@ -458,14 +462,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    doc, _, plan = _compile(args)
     if not 2 <= args.grid <= TRADEOFF_GRID_MAX:
         raise ScenarioError(f"tradeoff needs a grid of 2 to "
                             f"{TRADEOFF_GRID_MAX} points, got {args.grid}")
+    doc, _, plan = _compile(args)
     grid = np.linspace(0.0, 0.5, args.grid)
-    variant, dc = plan.report.thetas.variant, plan.report.constants
-    finite = tradeoff_boundary(variant, dc, plan.dp, plan.levels, grid)
-    limit = tradeoff_boundary(variant, dc, plan.dp, None, grid)
+    thetas = plan.report.thetas
+    finite = tradeoff_boundary(thetas, grid)
+    limit = tradeoff_boundary(
+        compute_thetas(thetas.variant, plan.report.constants, plan.dp, None),
+        grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
@@ -483,7 +489,7 @@ def cmd_tradeoff(args) -> int:
         label = ref.get("label", "reference")
         print(f"{label}: 1/nu_d = {ref['slope']:.4f} * 1/nu_f "
               f"+ {ref['intercept']:.4f}")
-    if not args.no_plots:
+    if doc.get("outputs", {}).get("plots", True) and not args.no_plots:
         series = [
             ("finite levels", [p[0] for p in finite], [p[1] for p in finite]),
             ("infinite levels", [p[0] for p in limit], [p[1] for p in limit]),

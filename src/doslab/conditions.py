@@ -193,19 +193,14 @@ def check_dos(thetas: ThetaSet, params: DoSParams) -> tuple[float, bool]:
     return rhs, (1.0 / params.nu_d) <= rhs
 
 
-def tradeoff_boundary(
-    variant: ThetaVariant,
-    dc: DecayConstants,
-    dp: DiscretePlant,
-    levels,
-    nu_f_inv_grid,
-) -> list[tuple[float, float]]:
-    """Admissible duration bound as a function of the frequency bound.
+def tradeoff_boundary(thetas: ThetaSet,
+                      nu_f_inv_grid) -> list[tuple[float, float]]:
+    """Admissible duration bound ``rhs(1/nu_f)`` of ``thetas`` at each
+    frequency bound of the grid.
 
-    ``levels=None`` selects the infinite-level limit of
-    :func:`compute_thetas`.
+    A plan's own line sweeps ``plan.report.thetas``; the infinite-level
+    limit sweeps ``compute_thetas(variant, dc, dp, None)``.
     """
-    thetas = compute_thetas(variant, dc, dp, levels)
     points = []
     for x in nu_f_inv_grid:
         if not 0.0 <= x <= 0.5:
@@ -311,8 +306,3 @@ def report_rows(report: ConditionReport, params: DoSParams) -> list[tuple[str, s
         rows.append((f"level_{lc.name}_passes", str(lc.passes)))
     rows.append(("all_pass", str(report.passes)))
     return rows
-
-
-def report_text(report: ConditionReport, params: DoSParams) -> str:
-    lines = [f"{name} = {value}" for name, value in report_rows(report, params)]
-    return "\n".join(lines) + "\n"

@@ -257,15 +257,15 @@ class Plan:
     the DoS budget the condition ``report`` checks: the config's
     ``dos_params``, or without them the tightest budget with unit chatter
     bounds that the run's own attacks meet (:func:`doslab.dos.fit_budget`).
-    The report holds the decay constants (``input_gains`` among them) and
-    the theta factors.  The attack pattern is left out: each run resolves
-    its own from its config.
+    The report holds the decay constants (``input_gains`` among them), the
+    theta factors and the level checks.  The levels and the attack pattern
+    are left out: a run reads its levels from its config (the plan memo
+    keys on them) and resolves its own attacks.
     """
 
     dp: DiscretePlant
     gains: GainSet
     l_obs: np.ndarray | None
-    levels: tuple[int, int, int] | int
     params: DoSParams
     report: ConditionReport
 
@@ -311,7 +311,7 @@ def compile_plan(cfg: SimConfig) -> Plan:
              else None)
     constants = derive_decay_constants(gains, dp, l_obs=l_obs)
     plan = Plan(
-        dp=dp, gains=gains, l_obs=l_obs, levels=cfg.levels, params=params,
+        dp=dp, gains=gains, l_obs=l_obs, params=params,
         report=build_report(variant, constants, dp, cfg.levels, params),
     )
     object.__setattr__(gains, "compiled", (inputs, plan))
@@ -607,7 +607,7 @@ def _run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     estimate in the middle cell and the output quantizer's center is the
     zero vector without a round trip.
     """
-    n1, n2, n3 = plan.levels
+    n1, n2, n3 = cfg.levels
     if n1 % 2 == 0:
         raise ScenarioError("n1 must be odd")
     plant = cfg.plant
@@ -654,7 +654,7 @@ def _run_predictor(cfg: SimConfig, plan: Plan) -> LoopTrace:
     """
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
     plant, thetas = cfg.plant, plan.report.thetas
-    codec = UniformCodec(plan.levels, plant.n_y)
+    codec = UniformCodec(cfg.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
     acked = cfg.scenario is Scenario.OUTPUT_ACK
     tb = _TraceBuilder(cfg, dps)
@@ -723,10 +723,10 @@ def _run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     which must match the true pattern in every valid run; its ranges
     follow the inferred attacks, the decoder's the true ones.
     """
-    if plan.levels % 2 != 0:
+    if cfg.levels % 2 != 0:
         raise ScenarioError("the ACK-free scheme needs an even level count")
     tb = _TraceBuilder(cfg, plan.dp)
-    codec = UniformCodec(plan.levels, cfg.plant.n_y)
+    codec = UniformCodec(cfg.levels, cfg.plant.n_y)
     norm_c = inf_norm(cfg.plant.c)
     branch, e = update_range(cfg.x0_bound, plan.report.thetas, tb.attacked)
     tb.slots["e"] = e

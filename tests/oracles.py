@@ -17,6 +17,7 @@ slot by slot as it steps; the DoS-generator oracle draws its splitmix64 stream o
 time.  The sharpest single-level threshold is a reference value for the
 published level bound, and the mismatch bound the one computation of the
 demonstration's derived error bound; no library code computes either.
+The harness draws ROADMAP item 1's random plants.
 """
 
 import math
@@ -25,7 +26,13 @@ from itertools import repeat
 
 import numpy as np
 
-from doslab import InvalidMatrixError, SaturationError, gelfand_radius, inf_norm
+from doslab import (
+    ContinuousPlant,
+    InvalidMatrixError,
+    SaturationError,
+    gelfand_radius,
+    inf_norm,
+)
 from doslab.controlloop import (
     DEADBEAT_NULL_TOL,
     DIVERGENCE_CAP,
@@ -35,7 +42,7 @@ from doslab.controlloop import (
     _placed,
     _TraceBuilder,
 )
-from doslab.dos import DoSPattern, _within_budget
+from doslab.dos import DoSParams, DoSPattern, _within_budget
 from doslab.errors import (
     DeadbeatContractError,
     InferenceMismatchError,
@@ -136,6 +143,31 @@ def random_controllable_pair(generator, n, m):
         b = generator.uniform(-2, 2, size=(n, m))
         if kalman_controllability_index(a, b) is not None:
             return a, b
+
+
+def harness_configs(count):
+    """ROADMAP item 1's random plants, as the :class:`SimConfig` fields of
+    each but its scheme and levels.
+
+    Plants come from ``np.random.default_rng(1)``: n from 2 to 5, m and p
+    from 1 to 3, entries from U(-2, 2), ``big_delta`` from {0.1, 0.2, 0.5}
+    and x0 from U(-1, 1) under ``x0_bound`` 1.  No plant is filtered, so
+    some are uncontrollable or unobservable.  Each runs 300 slots under the
+    budget (1, 200, 1, 200) at intensity 0.7, with DoS seed its index mod 4.
+    """
+    generator = np.random.default_rng(1)
+    budget = DoSParams(kappa_f=1, nu_f=200, kappa_d=1, nu_d=200)
+    for index in range(count):
+        n = int(generator.integers(2, 6))
+        m, p = (int(v) for v in generator.integers(1, 4, size=2))
+        a = generator.uniform(-2, 2, size=(n, n))
+        b = generator.uniform(-2, 2, size=(n, m))
+        c = generator.uniform(-2, 2, size=(p, n))
+        yield dict(plant=ContinuousPlant(a, b, c),
+                   big_delta=float(generator.choice((0.1, 0.2, 0.5))),
+                   x0=generator.uniform(-1, 1, size=n), x0_bound=1.0,
+                   horizon_slots=300, dos_params=budget, seed=index % 4,
+                   intensity=0.7)
 
 
 def encode_loop(v, center, rng, codec, clip=False):
@@ -290,7 +322,7 @@ def mismatch_bound_loop(trace, cfg, plan):
     thetas, gs, l_obs = plan.report.thetas, plan.gains, plan.l_obs
     th_a, th_0, th_na = (thetas.theta_attack, thetas.theta_first,
                          thetas.theta_steady)
-    n = plan.levels
+    n = cfg.levels
     norm_c = inf_norm(cfg.plant.c)
     bk = plan.dp.b_d @ gs.controller_gain
     _, closed = closed_matrices(gs, plan.dp)
@@ -581,7 +613,7 @@ def predictor_loop(cfg, plan):
     and vectors; a drop-in for ``controlloop._run_predictor``."""
     dps, gs, l_obs = plan.dp, plan.gains, plan.l_obs
     plant, thetas = cfg.plant, plan.report.thetas
-    codec = UniformCodec(plan.levels, plant.n_y)
+    codec = UniformCodec(cfg.levels, plant.n_y)
     norm_c = inf_norm(plant.c)
     acked = cfg.scenario is Scenario.OUTPUT_ACK
     tb = _TraceBuilder(cfg, dps)

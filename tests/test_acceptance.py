@@ -20,6 +20,7 @@ from doslab import (
 from doslab.conditions import (
     ThetaVariant,
     build_report,
+    compute_thetas,
     decay_certificate,
     tradeoff_boundary,
 )
@@ -195,8 +196,8 @@ def test_criterion_06_level_threshold(reactor_dp, reactor_gains):
 
 def test_criterion_07_tradeoff_line(reactor_dp, reactor_gains):
     dc = derive_decay_constants(reactor_gains, reactor_dp)
-    pts = tradeoff_boundary(ThetaVariant.DUAL, dc, reactor_dp, None,
-                            [0.0, 0.25, 0.5])
+    limit = compute_thetas(ThetaVariant.DUAL, dc, reactor_dp, None)
+    pts = tradeoff_boundary(limit, [0.0, 0.25, 0.5])
     (x0, y0), (x1, y1), (x2, y2) = pts
     cross = (y1 - y0) * (x2 - x0) - (y2 - y0) * (x1 - x0)
     ok_affine = abs(cross) <= 1e-12
@@ -219,8 +220,8 @@ def test_criterion_07_tradeoff_line(reactor_dp, reactor_gains):
     injected = DecayConstants(rho=rho_rec, a0=a0_rec, a1=dc.a1, a2=dc.a2,
                               h0=None, h1=None,
                               max_power_used=dc.max_power_used)
-    pts = tradeoff_boundary(ThetaVariant.DUAL, injected, reactor_dp, None,
-                            [0.0, 0.5])
+    limit = compute_thetas(ThetaVariant.DUAL, injected, reactor_dp, None)
+    pts = tradeoff_boundary(limit, [0.0, 0.5])
     intercept = pts[0][1]
     slope = (pts[1][1] - pts[0][1]) / 0.5
     ok_line = (abs(slope - target_slope) <= 1e-3

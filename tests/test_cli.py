@@ -772,13 +772,18 @@ class TestCheckCommand:
         assert cli.main(["check", write(tmp_path, doc),
                          "--out", str(tmp_path)]) == cli.EXIT_CONDITION
 
-    def test_report_written(self, tmp_path):
+    def test_report_written(self, tmp_path, capsys):
         out = tmp_path / "out"
         cli.main(["check", bundled("batch_reactor_ack.json"),
                   "--out", str(out)])
         report = (out / "ack_report.csv").read_text()  # scenario names it
         assert report.startswith("name,value")
         assert "dos_rhs" in report
+        # stdout prints the rows the CSV holds, after the gains line
+        rows = [line.split(",", 1) for line in report.splitlines()[1:]]
+        printed = capsys.readouterr().out.splitlines()[1:]
+        assert printed == [f"{key} = {value}" for key, value in rows]
+        assert any(line.startswith("dos_rhs = ") for line in printed)
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
@@ -815,6 +820,23 @@ class TestTradeoffCommand:
         stdout = capsys.readouterr().out
         assert "limit line" in stdout
         assert (out / "batch_reactor_dual_tradeoff.svg").exists()
+
+    def test_plots_false_document_draws_no_chart(self, tmp_path):
+        doc = load("batch_reactor_dual.json")
+        doc["outputs"]["plots"] = False
+        out = tmp_path / "out"
+        assert cli.main(["tradeoff", write(tmp_path, doc, "s.json"),
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "s_tradeoff.csv").exists()
+        assert not list(out.glob("*.svg"))
+
+    def test_grid_is_checked_before_the_scenario(self, tmp_path, capsys):
+        assert cli.main(["tradeoff", str(tmp_path / "missing.json"),
+                         "--out", str(tmp_path / "o"), "--grid", "1"]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: tradeoff needs a grid of 2 to "
+            f"{cli.TRADEOFF_GRID_MAX} points, got 1\n")
 
     def test_grid_too_small(self, tmp_path):
         code = cli.main(["tradeoff", bundled("batch_reactor_dual.json"),

@@ -15,7 +15,6 @@ from doslab.conditions import (
     decay_certificate,
     input_envelope_gain,
     report_rows,
-    report_text,
     tradeoff_boundary,
 )
 from doslab.discretize import DiscretePlant
@@ -183,8 +182,8 @@ class TestCheckDoS:
 class TestTradeoffBoundary:
     def test_affine_collinearity(self, reactor_dp, reactor_gains):
         dc = derive_decay_constants(reactor_gains, reactor_dp)
-        pts = tradeoff_boundary(ThetaVariant.DUAL, dc, reactor_dp, None,
-                                [0.0, 0.25, 0.5])
+        limit = compute_thetas(ThetaVariant.DUAL, dc, reactor_dp, None)
+        pts = tradeoff_boundary(limit, [0.0, 0.25, 0.5])
         (x0, y0), (x1, y1), (x2, y2) = pts
         cross = (y1 - y0) * (x2 - x0) - (y2 - y0) * (x1 - x0)
         assert abs(cross) <= 1e-12
@@ -192,16 +191,17 @@ class TestTradeoffBoundary:
     def test_finite_below_limit_pointwise(self, reactor_dp, reactor_gains):
         dc = derive_decay_constants(reactor_gains, reactor_dp)
         grid = np.linspace(0, 0.5, 11)
-        finite = tradeoff_boundary(ThetaVariant.DUAL, dc, reactor_dp,
-                                   (3, 100, 100), grid)
-        limit = tradeoff_boundary(ThetaVariant.DUAL, dc, reactor_dp, None, grid)
+        finite = tradeoff_boundary(compute_thetas(
+            ThetaVariant.DUAL, dc, reactor_dp, (3, 100, 100)), grid)
+        limit = tradeoff_boundary(compute_thetas(
+            ThetaVariant.DUAL, dc, reactor_dp, None), grid)
         for (_, yf), (_, yl) in zip(finite, limit):
             assert yf <= yl + 1e-12
 
     def test_slope_matches_formula(self, reactor_dp, reactor_gains):
         dc = derive_decay_constants(reactor_gains, reactor_dp)
-        pts = tradeoff_boundary(ThetaVariant.DUAL, dc, reactor_dp, None,
-                                [0.0, 0.5])
+        limit = compute_thetas(ThetaVariant.DUAL, dc, reactor_dp, None)
+        pts = tradeoff_boundary(limit, [0.0, 0.5])
         slope = (pts[1][1] - pts[0][1]) / 0.5
         th_a = inf_norm(reactor_dp.a_lift)
         want = -math.log(dc.a0) / math.log(th_a / dc.rho)
@@ -210,7 +210,8 @@ class TestTradeoffBoundary:
     def test_grid_domain_enforced(self, reactor_dp, reactor_gains):
         dc = derive_decay_constants(reactor_gains, reactor_dp)
         with pytest.raises(ValueError):
-            tradeoff_boundary(ThetaVariant.DUAL, dc, reactor_dp, None, [0.6])
+            tradeoff_boundary(compute_thetas(ThetaVariant.DUAL, dc,
+                                             reactor_dp, None), [0.6])
 
 
 class TestDecayCertificate:
@@ -305,5 +306,3 @@ class TestReport:
         rows = dict(report_rows(report, CASE_DUAL))
         assert rows["dos_holds"] == "True"
         assert "level_n2_threshold" in rows
-        text = report_text(report, CASE_DUAL)
-        assert "dos_rhs" in text

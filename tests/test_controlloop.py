@@ -481,10 +481,11 @@ VARIANTS = {
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_plan_report_is_the_positional_build_report(name):
-    plan = compile_plan(bundled_config(name))
+    cfg = bundled_config(name)
+    plan = compile_plan(cfg)
     dc = derive_decay_constants(plan.gains, plan.dp, plan.l_obs)
     assert plan.report == build_report(VARIANTS[name], dc, plan.dp,
-                                       plan.levels, plan.params)
+                                       cfg.levels, plan.params)
 
 
 def test_records_holding_arrays_compare_and_hash_by_identity():
@@ -566,8 +567,7 @@ class TestPlanReuse:
         want = compile_plan(dataclasses.replace(
             cfg, gains=fresh_gain_set(gains)))
         assert again is not first
-        assert (again.report, again.params, again.levels) \
-            == (want.report, want.params, want.levels)
+        assert (again.report, again.params) == (want.report, want.params)
         assert again.dp.a_d.tobytes() == want.dp.a_d.tobytes()
 
     @pytest.mark.parametrize("name", ["batch_reactor_dual.json",
@@ -603,8 +603,9 @@ class TestPlanReuse:
         run = dataclasses.replace(cfg, gains=plan.gains, **changes)
         again = compile_plan(run)
         assert again is not plan
-        assert (again.dp.big_delta, again.levels) == (run.big_delta,
-                                                      run.levels)
+        assert again.dp.big_delta == run.big_delta
+        assert tuple(lc.value for lc in again.report.level_checks) \
+            == run.levels
         fresh = dataclasses.replace(run, gains=fresh_gain_set(plan.gains))
         assert run_outcome(run, tmp_path) == run_outcome(fresh, tmp_path)
 

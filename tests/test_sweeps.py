@@ -7,12 +7,13 @@ each budget: the greedy one of full proposal intensity, which proposes
 every slot and so reads no seed, and eleven seeds at intensity 0.7.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 
-from doslab import ContinuousPlant, SaturationError, inf_norm
+from doslab import ContinuousPlant, DoslabError, SaturationError, inf_norm
 from doslab.conditions import decay_certificate
 from doslab.controlloop import (
     Scenario,
@@ -23,7 +24,7 @@ from doslab.controlloop import (
 from doslab.dos import DoSParams, generate
 
 from .conftest import BIG_DELTA, X0
-from .oracles import mismatch_bound_loop
+from .oracles import harness_configs, mismatch_bound_loop
 
 CASE_DUAL = DoSParams(kappa_f=2, nu_f=19, kappa_d=3, nu_d=18)
 CASE_SINGLE = DoSParams(kappa_f=1, nu_f=11, kappa_d=1, nu_d=11)
@@ -148,3 +149,21 @@ def test_item1_plant_runs_clean_at_four_levels():
                    reason="ROADMAP item 1")
 def test_item1_plant_runs_clean_at_two_levels_if_its_report_passes():
     _clean_runs_of_a_passing_report(2)
+
+
+HARNESS_PLANTS = list(harness_configs(50))
+
+
+# the exit-code contract on random plants: a compile or a run of a passing
+# report fails, if at all, with a DoslabError; a run need not be clean
+# (ROADMAP item 1)
+@pytest.mark.parametrize("scenario, levels", [
+    (Scenario.OUTPUT_ACK_FREE, 4), (Scenario.OUTPUT_ACK, 4),
+    (Scenario.DUAL_CHANNEL, (3, 50, 50))], ids=["ackfree", "ack", "dual"])
+def test_random_plants_raise_only_doslab_errors(scenario, levels):
+    for fields in HARNESS_PLANTS:
+        cfg = SimConfig(scenario=scenario, levels=levels, **fields)
+        with contextlib.suppress(DoslabError):
+            plan = compile_plan(cfg)
+            if plan.report.passes:
+                run_scenario(dataclasses.replace(cfg, gains=plan.gains))
