@@ -5,8 +5,10 @@ compiles its plan once (sampled plant, synthesized or verified gains,
 decay constants and condition report); each command reads that plan.
 ``check`` writes and prints the report's rows, ``run`` does so and then
 simulates, and ``tradeoff`` sweeps the report's theta factors against
-their infinite-level limit.  The file's ``outputs.plots`` and
-``--no-plots`` decide whether ``run`` and ``tradeoff`` draw SVG charts.
+their infinite-level limit.  A command refuses an option it does not
+read (exit 2): ``--seed``, for the file's DoS seed, is ``run``'s alone,
+and the file's ``outputs.plots`` and ``--no-plots`` decide whether
+``run`` and ``tradeoff`` draw SVG charts.
 Exit codes: 0 success, 2 configuration error, 3 condition check failed,
 4 saturation or synchronization failure, 5 numerical failure (an
 allocation that fails included).
@@ -370,10 +372,10 @@ def _build_config(doc: dict, seed_override: int | None = None) -> SimConfig:
         raise ScenarioError(str(exc)) from exc
 
 
-def _compile(args):
+def _compile(args, seed=None):
     """Scenario document, config and compiled plan for a command."""
     doc = load_scenario(args.scenario)
-    cfg = _build_config(doc, args.seed)
+    cfg = _build_config(doc, seed)
     return doc, cfg, compile_plan(cfg)
 
 
@@ -432,7 +434,7 @@ def _emit_plots(trace, out_dir: Path, stem: str):
 
 
 def cmd_run(args) -> int:
-    doc, cfg, plan = _compile(args)
+    doc, cfg, plan = _compile(args, args.seed)
     report = _report(args, doc, plan)
     if not report.passes and cfg.scenario is not Scenario.MISMATCH_DEMO:
         print("condition check failed; not running", file=sys.stderr)
@@ -519,12 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario's DoS seed")
-        p.add_argument("--no-plots", action="store_true")
+        if name == "run":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the scenario's DoS seed")
         if name == "tradeoff":
             p.add_argument("--grid", type=int, default=26,
                            help="number of 1/nu_f grid points in [0, 0.5]")
+        if name != "check":
+            p.add_argument("--no-plots", action="store_true")
         p.set_defaults(func=func)
     return parser
 

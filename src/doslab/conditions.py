@@ -79,7 +79,6 @@ class ConditionReport:
 @dataclass(frozen=True)
 class DecayCertificate:
     omega1: float
-    omega2: float | None
     gamma: float
     sigma: float
 
@@ -214,7 +213,6 @@ def decay_certificate(
     params: DoSParams,
     big_delta: float,
     e0_scale: float = 1.0,
-    input_envelope_gain: float | None = None,
 ) -> DecayCertificate:
     """Exponential envelope constants for the range sequence.
 
@@ -246,14 +244,7 @@ def decay_certificate(
         1.0,
         e0_scale * ratio_first ** (params.kappa_f + 1) * ratio_attack ** params.kappa_d,
     )
-    omega2 = None if input_envelope_gain is None else input_envelope_gain * omega1
-    return DecayCertificate(omega1=omega1, omega2=omega2, gamma=gamma, sigma=sigma)
-
-
-def input_envelope_gain(dc: DecayConstants, n3: int) -> float:
-    """Factor mapping omega1 to the input-range envelope: the worst
-    sub-step gain ``(n3-1)/n3 * max_k inf_norm(k rbar^k m)``."""
-    return (n3 - 1) / n3 * max(dc.input_gains)
+    return DecayCertificate(omega1=omega1, gamma=gamma, sigma=sigma)
 
 
 def build_report(

@@ -209,6 +209,9 @@ def gelfand_radius(m, max_power: int = DECAY_SCAN_CAP) -> float:
     bound never increases with ``max_power`` and converges to the spectral
     radius, so a return value below one certifies Schur stability.  A value
     of one or more at ``max_power`` is inconclusive; the caller decides.
+    Each root is rounded, so the bound can sit an ulp below the radius
+    (``diag(0.5, 0.2)`` gives ``0.49999999999999994``); ``< 1.0`` is not
+    affected, as the root of a norm of one or more does not round below one.
     """
     return min(_power_roots(m, max_power), default=math.inf)
 

@@ -33,6 +33,8 @@ ALL_BUNDLED = [
     "batch_reactor_mismatch.json",
     "batch_reactor_dual_deadbeat_observer.json",
 ]
+# the options that keep a command from drawing charts; check draws none
+PLOTS_OFF = {"check": [], "run": ["--no-plots"], "tradeoff": ["--no-plots"]}
 
 
 def bundled(name):
@@ -130,6 +132,21 @@ class TestRunCommand:
         a = (out_a / "ackfree_trace.csv").read_bytes()
         b = (out_b / "ackfree_trace.csv").read_bytes()
         assert a == b
+
+    def test_seed_option_is_the_files_dos_seed(self, tmp_path):
+        doc = load("batch_reactor_ackfree.json")
+        assert doc["dos"]["seed"] == 131
+        traces = {}
+        for key, (dos_seed, options) in {"option": (131, ["--seed", "5"]),
+                                         "file": (5, []),
+                                         "own": (131, [])}.items():
+            doc["dos"]["seed"] = dos_seed
+            out = tmp_path / key
+            assert cli.main(["run", write(tmp_path, doc), *options, "--out",
+                             str(out), "--no-plots"]) == cli.EXIT_OK
+            traces[key] = (out / "ackfree_trace.csv").read_bytes()
+        assert traces["option"] == traces["file"]
+        assert traces["option"] != traces["own"]
 
     def test_zero_initial_state(self, tmp_path):
         doc = load("batch_reactor_dual.json")
@@ -361,7 +378,7 @@ def test_level_shape_mismatch_exits_2(tmp_path, command, name, levels):
     doc = load(name)
     doc["levels"] = levels
     code = cli.main([command, write(tmp_path, doc),
-                     "--out", str(tmp_path / "out"), "--no-plots"])
+                     "--out", str(tmp_path / "out"), *PLOTS_OFF[command]])
     assert code == cli.EXIT_CONFIG
 
 
@@ -434,7 +451,7 @@ def test_unwritable_output_exits_2_without_traceback(tmp_path, command, key,
     else:
         doc["outputs"][key] = value
     proc = run_python("-m", "doslab.cli", command, write(tmp_path, doc),
-                      "--out", str(out), "--no-plots")
+                      "--out", str(out), *PLOTS_OFF[command])
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("configuration error:")
@@ -553,105 +570,125 @@ LEVELS_TRIPLE = ("dual_channel runs need an (n1, n2, n3) triple of integers "
                  "in [1, 2**53]")
 DOS_FORM = ("dos must give a pattern alone, or params with an optional seed "
             "and intensity, got ")
-# (scenario file, mutation, command line options, message): a value outside
-# a rule of the library code that reads the field, or a section in a form
-# the code that reads it does not take; the schema checks only a document's
-# keys and their types
+# (scenario file, mutation, message): a value outside a rule of the library
+# code that reads the field, or a section in a form the code that reads it
+# does not take; the schema checks only a document's keys and their types
 OUTSIDE_A_RULE = {
-    **{f"levels_{case}": (DUAL, _set(("levels",), levels), (),
+    **{f"levels_{case}": (DUAL, _set(("levels",), levels),
                           f"levels must give n, or n1, n2 and n3, got "
                           f"{sorted(levels)}")
        for case, levels in [("empty", {}),
                             ("triple_incomplete", {"n1": 3, "n2": 10}),
                             ("fit_neither_branch", {"n": 4, "n1": 3})]},
-    "dos_empty": (DUAL, _set(("dos",), {}), (), DOS_FORM + "[]"),
-    "dos_fits_neither_branch": (DUAL, _set(("dos",), {"seed": 1}), (),
+    "dos_empty": (DUAL, _set(("dos",), {}), DOS_FORM + "[]"),
+    "dos_fits_neither_branch": (DUAL, _set(("dos",), {"seed": 1}),
                                 DOS_FORM + "['seed']"),
     "dos_pattern_with_seed": (DUAL, _set(("dos",), {"pattern": [0, 1],
-                                                    "seed": 1}), (),
+                                                    "seed": 1}),
                               DOS_FORM + "['pattern', 'seed']"),
-    "gains_string": (DUAL, _set(("gains",), "keep"), (),
+    "gains_string": (DUAL, _set(("gains",), "keep"),
                      "gains must be None, 'synthesize', a GainSet or a dict "
                      "of k, m and nilpotency_tol, got 'keep'"),
-    "big_delta_zero": (DUAL, _set(("big_delta",), 0), (),
+    "big_delta_zero": (DUAL, _set(("big_delta",), 0),
                        "big_delta must be finite and positive"),
-    "x0_bound_negative": (DUAL, _set(("x0_bound",), -1), (),
+    "x0_bound_negative": (DUAL, _set(("x0_bound",), -1),
                           "x0_bound must be finite and nonnegative"),
-    **{f"levels_{n}_zero": (DUAL, _set(("levels", n), 0), (), LEVELS_TRIPLE)
+    **{f"levels_{n}_zero": (DUAL, _set(("levels", n), 0), LEVELS_TRIPLE)
        for n in ("n1", "n2", "n3")},
     "levels_n_below_minimum": (
-        "batch_reactor_ackfree.json", _set(("levels", "n"), 0), (),
+        "batch_reactor_ackfree.json", _set(("levels", "n"), 0),
         "output_ackfree runs need a single level count of integers in "
         "[1, 2**53]"),
-    "dos_pattern_entry": (DUAL, _set(("dos",), {"pattern": [0, 2]}), (),
+    "dos_pattern_entry": (DUAL, _set(("dos",), {"pattern": [0, 2]}),
                           "pattern entries must be 0 or 1, got 2"),
-    "dos_pattern_short": (DUAL, _set(("dos",), {"pattern": [0, 1, 0]}), (),
+    "dos_pattern_short": (DUAL, _set(("dos",), {"pattern": [0, 1, 0]}),
                           "pattern covers 3 slots, run needs 800"),
-    "dos_missing": (DUAL, lambda doc: doc.pop("dos"), (),
+    "dos_missing": (DUAL, lambda doc: doc.pop("dos"),
                     "dual_channel runs need a pattern or dos_params (a "
                     "scenario file's dos section)"),
-    **{f"dos_params_{name}": (DUAL, _set(("dos", "params", name), value), (),
+    **{f"dos_params_{name}": (DUAL, _set(("dos", "params", name), value),
                               message)
        for name, value, message in [
            ("kappa_f", -1, "chatter bounds must be nonnegative"),
            ("kappa_d", -1, "chatter bounds must be nonnegative"),
            ("nu_f", 1, "nu_f must be at least 2"),
            ("nu_d", 0, "nu_d must be an integer >= 1")]},
-    "dos_seed_negative": (DUAL, _set(("dos", "seed"), -1), (),
+    "dos_seed_negative": (DUAL, _set(("dos", "seed"), -1),
                           "seed must be at least 0, got -1"),
-    "seed_option_negative": (DUAL, None, ("--seed", "-1"),
-                             "seed must be at least 0, got -1"),
-    "intensity_above_1": (DUAL, _set(("dos", "intensity"), 1.5), (),
+    "intensity_above_1": (DUAL, _set(("dos", "intensity"), 1.5),
                           "intensity must lie in [0, 1], got 1.5"),
     "nilpotency_tol_zero": (
-        DUAL, _set(("gains", "nilpotency_tol"), 0), (),
+        DUAL, _set(("gains", "nilpotency_tol"), 0),
         "gains.nilpotency_tol must be finite and positive, got 0"),
-    "control_weight_zero": (DUAL, _set(("control_weight",), 0), (),
+    "control_weight_zero": (DUAL, _set(("control_weight",), 0),
                             "control_weight must be finite and positive"),
-    "horizon_zero": (DUAL, _set(("horizon_slots",), 0), (),
+    "horizon_zero": (DUAL, _set(("horizon_slots",), 0),
                      "horizon_slots must be at least 1, got 0"),
     # refused before anything is allocated
     "horizon_past_the_row_ceiling": (
-        DUAL, _set(("horizon_slots",), 1e15), (),
+        DUAL, _set(("horizon_slots",), 1e15),
         "horizon_slots x n_x x oversample is 4000000000000000 trace rows, "
         "above the 4000000 row ceiling"),
-    "oversample_zero": (DUAL, _set(("oversample",), 0), (),
+    "oversample_zero": (DUAL, _set(("oversample",), 0),
                         "oversample must be at least 1, got 0"),
     "attack_slot_negative": (
-        "batch_reactor_mismatch.json", _set(("attack_slot",), -1), (),
+        "batch_reactor_mismatch.json", _set(("attack_slot",), -1),
         "attack_slot must be at least 0, got -1"),
     "attack_slot_past_horizon": (
-        "batch_reactor_mismatch.json", _set(("attack_slot",), 300), (),
+        "batch_reactor_mismatch.json", _set(("attack_slot",), 300),
         "mismatch demo needs attack_slot below horizon_slots 300, got 300"),
     "attack_slot_outside_the_demo": (
-        DUAL, _set(("attack_slot",), 3), (),
+        DUAL, _set(("attack_slot",), 3),
         "dual_channel runs take no attack_slot: only the mismatch demo has "
         "one"),
     "dos_pattern_on_the_demo": (
         "batch_reactor_mismatch.json", _set(("dos",), {"pattern": [1] * 300}),
-        (), "mismatch demo takes no pattern: its one attack is at "
-            "attack_slot"),
+        "mismatch demo takes no pattern: its one attack is at "
+        "attack_slot"),
     "dos_params_on_the_demo": (
         "batch_reactor_mismatch.json",
         _set(("dos",), {"params": {"kappa_f": 1, "nu_f": 11, "kappa_d": 1,
                                    "nu_d": 11},
                         "seed": 3, "intensity": 0.9}),
-        (), "mismatch demo takes no dos_params: its one attack is at "
-            "attack_slot"),
+        "mismatch demo takes no dos_params: its one attack is at "
+        "attack_slot"),
 }
 
 
 @pytest.mark.parametrize("command", ["check", "run", "tradeoff"])
 @pytest.mark.parametrize("case", sorted(OUTSIDE_A_RULE))
 def test_values_outside_a_rule_exit_2(tmp_path, capsys, case, command):
-    name, mutation, options, message = OUTSIDE_A_RULE[case]
+    name, mutation, message = OUTSIDE_A_RULE[case]
     doc = load(name)
-    if mutation is not None:
-        mutation(doc)
-    code = cli.main([command, write(tmp_path, doc), *options,
-                     "--out", str(tmp_path / "out"), "--no-plots"])
+    mutation(doc)
+    code = cli.main([command, write(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), *PLOTS_OFF[command]])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_negative_seed_option_exits_2(tmp_path, capsys):
+    code = cli.main(["run", bundled(DUAL), "--seed", "-1",
+                     "--out", str(tmp_path / "out"), "--no-plots"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: seed must be at least 0, got -1\n")
+
+
+# a seed changes no certificate and check draws no chart, so argparse
+# refuses these before any command runs
+@pytest.mark.parametrize("command, options", [
+    ("check", ["--seed", "3"]), ("tradeoff", ["--seed", "3"]),
+    ("check", ["--no-plots"])])
+def test_an_option_the_command_does_not_read_exits_2(tmp_path, capsys,
+                                                     command, options):
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, bundled(DUAL), *options,
+                  "--out", str(tmp_path / "out")])
+    assert exited.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: " + " ".join(options) \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # A file's pattern is a list, and never comes with params, so these library
@@ -668,7 +705,7 @@ def test_library_pattern_rules_exit_2(tmp_path, capsys, monkeypatch, command,
     monkeypatch.setattr(cli, "_build_config", lambda doc, seed: (
         dataclasses.replace(build(doc, seed), pattern=pattern)))
     code = cli.main([command, bundled(DUAL), "--out", str(tmp_path / "out"),
-                     "--no-plots"])
+                     *PLOTS_OFF[command]])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
@@ -684,7 +721,7 @@ def test_a_failed_allocation_exits_5(tmp_path, capsys, monkeypatch, command,
 
     monkeypatch.setattr(cli, stage, out_of_memory)
     code = cli.main([command, bundled(DUAL), "--out", str(tmp_path / "out"),
-                     "--no-plots"])
+                     *PLOTS_OFF[command]])
     assert code == cli.EXIT_NUMERICAL
     assert capsys.readouterr().err == ("numerical failure: out of memory: "
                                        "Unable to allocate 7.11 PiB\n")
@@ -705,7 +742,7 @@ def test_pattern_only_documents_fail_the_budget_they_meet(tmp_path, capsys,
     doc = load(name)
     doc["dos"] = {"pattern": pattern}
     code = cli.main([command, write(tmp_path, doc),
-                     "--out", str(tmp_path / "out"), "--no-plots"])
+                     "--out", str(tmp_path / "out"), *PLOTS_OFF[command]])
     assert code == cli.EXIT_CONDITION
     assert "final |x|" not in capsys.readouterr().out
 
@@ -732,7 +769,7 @@ def test_zero_theta_first_keeps_the_exit_code_contract(tmp_path, capsys,
     doc["plant"]["c"] = np.eye(4).tolist()
     doc["gains"] = {"m": np.eye(4).tolist()}
     code = cli.main([command, write(tmp_path, doc),
-                     "--out", str(tmp_path / "out"), "--no-plots"])
+                     "--out", str(tmp_path / "out"), *PLOTS_OFF[command]])
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CONDITION,
                     cli.EXIT_SATURATION, cli.EXIT_NUMERICAL)
     if command == "check":
@@ -964,7 +1001,7 @@ def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, data,
             doc[key] = bound
     out = tmp_path_factory.mktemp("fuzz")
     code = cli.main([command, write(out, doc), "--out", str(out / "out"),
-                     "--no-plots"])
+                     *PLOTS_OFF[command]])
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CONDITION,
                     cli.EXIT_SATURATION, cli.EXIT_NUMERICAL)
 

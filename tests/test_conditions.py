@@ -5,7 +5,6 @@ import pytest
 
 from doslab import cli, compile_plan, conditions, inf_norm
 from doslab.conditions import (
-    DecayCertificate,
     ThetaSet,
     ThetaVariant,
     build_report,
@@ -13,7 +12,6 @@ from doslab.conditions import (
     check_levels,
     compute_thetas,
     decay_certificate,
-    input_envelope_gain,
     report_rows,
     tradeoff_boundary,
 )
@@ -25,7 +23,6 @@ from doslab.gains import (
     DecayConstants,
     derive_decay_constants,
 )
-from doslab.matrixcore import mat_pow
 
 from .oracles import closed_matrices, sharpest_single_level_threshold
 from .test_cli import load
@@ -246,22 +243,6 @@ class TestDecayCertificate:
         cert = decay_certificate(thetas, params, big_delta=0.4)
         assert cert.sigma == pytest.approx(math.log(1 / cert.gamma) / 0.4,
                                            rel=1e-12)
-
-    def test_omega2_scales_omega1(self, reactor_dp, reactor_gains):
-        dc = derive_decay_constants(reactor_gains, reactor_dp)
-        thetas = compute_thetas(ThetaVariant.DUAL, dc, reactor_dp,
-                                (3, 10_000, 10_000))
-        gain = input_envelope_gain(dc, 10_000)
-        cert = decay_certificate(thetas, CASE_DUAL, 0.2, e0_scale=3.0,
-                                 input_envelope_gain=gain)
-        _, rbar = closed_matrices(reactor_gains, reactor_dp)
-        want = max(
-            inf_norm(reactor_gains.controller_gain
-                     @ mat_pow(rbar, k)
-                     @ reactor_gains.observer_gain)
-            for k in range(reactor_dp.eta)
-        ) * (9999 / 10000)
-        assert cert.omega2 == pytest.approx(want * cert.omega1, rel=1e-12)
 
     def test_first_success_contracting_to_zero(self):
         # the ACK-free reactor measuring its whole state, with the injected

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -136,6 +137,9 @@ class TestGelfandRadius:
     def test_diagonal(self):
         value = gelfand_radius(np.diag([0.5, 0.2]), 32)
         assert 0.5 <= value <= 0.5 + 1e-9
+        # at the default cap a rounded root sits one ulp below the radius
+        value = gelfand_radius(np.diag([0.5, 0.2]))
+        assert math.nextafter(0.5, 0.0) <= value <= 0.5 + 1e-9
 
     def test_nilpotent_is_zero(self):
         assert gelfand_radius([[0, 1], [0, 0]], 8) == 0.0

@@ -1,6 +1,7 @@
-"""The README's library examples run as written, and its package root
-list is what ``import doslab`` binds."""
+"""The README's library examples run as written, its package root list
+is what ``import doslab`` binds, and its CLI synopsis is the parser."""
 
+import argparse
 import importlib
 import re
 import types
@@ -95,3 +96,24 @@ def test_doslab_discretize_is_the_module():
     assert isinstance(d, types.ModuleType)
     assert doslab.discretize is d
     assert d.sample_plant is doslab.sample_plant
+
+
+def cli_synopsis():
+    """``{command: options}`` from the README's "CLI" synopsis block."""
+    section = README.read_text().split("\n## CLI\n")[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    return {line.split()[1]: re.findall(r"\[(--[\w-]+)", line)
+            for line in block.splitlines()}
+
+
+def test_the_cli_synopsis_is_the_parser():
+    parser = cli.build_parser()
+    commands, = [action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    synopsis = cli_synopsis()
+    assert set(synopsis) == set(commands)
+    for name, options in synopsis.items():
+        parsed = [option for action in commands[name]._actions
+                  for option in action.option_strings
+                  if option not in ("-h", "--help")]
+        assert options == parsed, name
