@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -485,8 +486,13 @@ def cmd_tradeoff(args) -> int:
     print(f"boundary written to {csv_path}")
     for name, pts in (("finite", finite), ("limit", limit)):
         (x0, y0), (x1, y1) = pts[0], pts[-1]
-        slope = (y1 - y0) / (x1 - x0)
-        print(f"{name} line: 1/nu_d = {slope:.4f} * 1/nu_f + {y0:.4f}")
+        # an infinite endpoint (no admissible budget, or any) is no line
+        if math.isfinite(y0) and math.isfinite(y1):
+            slope = (y1 - y0) / (x1 - x0)
+            print(f"{name} line: 1/nu_d = {slope:.4f} * 1/nu_f + {y0:.4f}")
+        else:
+            print(f"{name} line: not a line: max 1/nu_d is {y0:.4f} at "
+                  f"1/nu_f = {x0:g} and {y1:.4f} at 1/nu_f = {x1:g}")
     for ref in doc.get("reference_lines", []):
         label = ref.get("label", "reference")
         print(f"{label}: 1/nu_d = {ref['slope']:.4f} * 1/nu_f "

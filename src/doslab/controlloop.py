@@ -126,10 +126,12 @@ class SimConfig:
     reuse a compiled plan, pass its ``plan.gains`` (see
     :func:`compile_plan`).  The attacks come from ``attack_slot`` (demo),
     ``pattern`` or ``(dos_params, seed, intensity)``.  Every rule that
-    reads the config alone is checked here, with a :class:`ScenarioError`;
-    counts may be integral floats, stored as ints.  A config is frozen:
-    change one with :func:`dataclasses.replace`, which checks it again.
-    It compares and hashes by identity, as every record holding arrays.
+    reads the config alone but the level parities (the report's, which
+    :func:`run_scenario` enforces) is checked here, with a
+    :class:`ScenarioError`; counts may be integral floats, stored as ints.
+    A config is frozen: change one with :func:`dataclasses.replace`, which
+    checks it again.  It compares and hashes by identity, as every record
+    holding arrays.
     """
 
     plant: ContinuousPlant
@@ -607,9 +609,7 @@ def _run_dual_channel(cfg: SimConfig, plan: Plan) -> LoopTrace:
     estimate in the middle cell and the output quantizer's center is the
     zero vector without a round trip.
     """
-    n1, n2, n3 = cfg.levels
-    if n1 % 2 == 0:
-        raise ScenarioError("n1 must be odd")
+    _, n2, n3 = cfg.levels
     plant = cfg.plant
     tb = _TraceBuilder(cfg, plan.dp)
     codec3 = UniformCodec(n3, plant.n_y)
@@ -723,8 +723,6 @@ def _run_output_ackfree(cfg: SimConfig, plan: Plan) -> LoopTrace:
     which must match the true pattern in every valid run; its ranges
     follow the inferred attacks, the decoder's the true ones.
     """
-    if cfg.levels % 2 != 0:
-        raise ScenarioError("the ACK-free scheme needs an even level count")
     tb = _TraceBuilder(cfg, plan.dp)
     codec = UniformCodec(cfg.levels, cfg.plant.n_y)
     norm_c = inf_norm(cfg.plant.c)
@@ -746,6 +744,11 @@ _SCHEMES = {
 
 
 def run_scenario(cfg: SimConfig) -> LoopTrace:
-    """Compile the plan for ``cfg`` (or reuse the one its gain set keeps)
-    and run its scenario's engine."""
-    return _SCHEMES[cfg.scenario][1](cfg, compile_plan(cfg))
+    """Compile the plan for ``cfg`` (or reuse the one its gain set keeps),
+    refuse a level that breaks a parity rule of its report (the dual odd
+    ``n1``, the ACK-free even ``n``) and run its scenario's engine."""
+    plan = compile_plan(cfg)
+    for lc in plan.report.level_checks:
+        if lc.parity and lc.parity != ("even", "odd")[lc.value % 2]:
+            raise ScenarioError(f"level {lc.name} must be {lc.parity}")
+    return _SCHEMES[cfg.scenario][1](cfg, plan)

@@ -133,12 +133,9 @@ def discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def controllability_index(a_d, b_d) -> int:
     """Smallest eta with ``[b_d, a_d b_d, ..., a_d^(eta-1) b_d]`` full rank:
-    the longest chain :func:`~doslab.matrixcore.select_chains` selects."""
-    a_d = as_matrix(a_d, square=True)
-    lengths, _ = select_chains(a_d, as_matrix(b_d))
-    if sum(lengths) < a_d.shape[0]:
-        raise UncontrollablePairError(f"rank of the controllability matrix "
-                                      f"never reached {a_d.shape[0]}")
+    the longest chain :func:`~doslab.matrixcore.select_chains` selects.
+    An uncontrollable pair is refused there."""
+    lengths, _ = select_chains(as_matrix(a_d, square=True), as_matrix(b_d))
     return max(lengths)
 
 

@@ -36,7 +36,6 @@ from .errors import (
     RiccatiConvergenceError,
     ScenarioError,
     StabilityCertificationError,
-    UncontrollablePairError,
 )
 from .matrixcore import (
     DECAY_SCAN_CAP,
@@ -140,10 +139,6 @@ def _deadbeat_feedback(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     m = b.shape[1]
     lengths, chains = select_chains(a, b)
-    if sum(lengths) != n:
-        raise UncontrollablePairError(
-            f"selected only {sum(lengths)} independent columns of {n}"
-        )
     basis = np.column_stack([col for ch in chains for col in ch])
     basis_inv = solve_linear(basis, np.eye(n))
     rcond = 1.0 / (inf_norm(basis) * inf_norm(basis_inv))
@@ -173,20 +168,31 @@ def _deadbeat_feedback(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def design_deadbeat_gain(dp: DiscretePlant) -> np.ndarray:
-    """Controller gain k with ``(a_d + b_d k)^eta = 0``.
-
-    The residual is checked against ``NILPOTENCY_RTOL`` relative to
-    ``inf_norm(a_d)**eta``; the construction is exact in real arithmetic so
-    anything larger signals a conditioning problem.
-    """
+    """Controller gain k with ``(a_d + b_d k)^eta = 0``, its residual
+    checked against ``NILPOTENCY_RTOL`` relative to ``inf_norm(a_d)**eta``."""
     k = _deadbeat_feedback(dp.a_d, dp.b_d)
-    residual = verify_nilpotent(dp.a_d, dp.b_d, k, dp.eta)
-    bound = NILPOTENCY_RTOL * inf_norm(dp.a_d) ** dp.eta
+    _check_deadbeat("deadbeat", dp.a_d + dp.b_d @ k, dp.a_d, dp.eta)
+    return k
+
+
+def _check_deadbeat(what: str, closed, a, p: int) -> None:
+    """Refuse a synthesized ``closed`` with ``inf_norm(closed**p)`` above
+    ``NILPOTENCY_RTOL * inf_norm(a)**p``: the construction is exact in real
+    arithmetic, so a larger residual signals a conditioning problem."""
+    residual = inf_norm(mat_pow(closed, p))
+    bound = NILPOTENCY_RTOL * inf_norm(a) ** p
     if residual > bound:
         raise IllConditionedBasisError(
-            f"deadbeat residual {residual:.3e} exceeds {bound:.3e}"
-        )
-    return k
+            f"{what} residual {residual:.3e} exceeds {bound:.3e}")
+
+
+def _check_schur(what: str, closed) -> None:
+    """Refuse a synthesized ``closed`` that is not certified Schur; only a
+    failure computes the whole Gelfand bound, for the message."""
+    if not schur_certified(closed):
+        raise StabilityCertificationError(
+            f"{what} not certified Schur "
+            f"(Gelfand bound {gelfand_radius(closed):.4f})")
 
 
 def verify_nilpotent(a_d, b_d, k, eta: int) -> float:
@@ -224,12 +230,7 @@ def design_observer_gain(a_lift, c, rtol: float = RICCATI_RTOL) -> np.ndarray:
         )
     s = c @ p @ ct + eye_y
     m = solve_linear(s.T, (p @ ct).T).T
-    closed = a @ (eye_x - m @ c)
-    if not schur_certified(closed):
-        bound = gelfand_radius(closed)
-        raise StabilityCertificationError(
-            f"error transition not certified Schur (Gelfand bound {bound:.4f})"
-        )
+    _check_schur("error transition", a @ (eye_x - m @ c))
     return m
 
 
@@ -244,13 +245,8 @@ def design_deadbeat_observer(a_lift, c, mu: int) -> np.ndarray:
     c = as_matrix(c)
     k_dual = _deadbeat_feedback(a.T, c.T)
     m = solve_linear(a, -k_dual.T)
-    closed = a @ (np.eye(a.shape[0]) - m @ c)
-    residual = inf_norm(mat_pow(closed, mu))
-    bound = NILPOTENCY_RTOL * inf_norm(a) ** mu
-    if residual > bound:
-        raise IllConditionedBasisError(
-            f"deadbeat observer residual {residual:.3e} exceeds {bound:.3e}"
-        )
+    _check_deadbeat("deadbeat observer", a @ (np.eye(a.shape[0]) - m @ c),
+                    a, mu)
     return m
 
 
@@ -269,11 +265,7 @@ def design_stabilizing_gain(a_d, b_d, control_weight: float = 1.0) -> np.ndarray
     scaled = b / np.sqrt(control_weight)
     m_dual = design_observer_gain(a.T, scaled.T, rtol=1e-12)
     k = -(m_dual.T @ a) / np.sqrt(control_weight)
-    if not schur_certified(a + b @ k):
-        bound = gelfand_radius(a + b @ k)
-        raise StabilityCertificationError(
-            f"closed loop not certified Schur (Gelfand bound {bound:.4f})"
-        )
+    _check_schur("closed loop", a + b @ k)
     return k
 
 

@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from .errors import ExpOverflowError, InvalidMatrixError, SingularMatrixError
+from .errors import (ExpOverflowError, InvalidMatrixError,
+                     SingularMatrixError, UncontrollablePairError)
 
 __all__ = [
     "as_matrix",
@@ -231,7 +232,8 @@ def select_chains(a: np.ndarray, b: np.ndarray):
     Returns per-input chain lengths and the selected columns grouped by
     input chain.  Once a power of an input column goes dependent, higher
     powers of that input are dependent too, so the input is retired.  The
-    lengths sum to the controllability rank; the longest is the index.
+    lengths sum to the state size, else :class:`UncontrollablePairError`
+    is raised; the longest is the controllability index.
     """
     n = a.shape[0]
     m = b.shape[1]
@@ -262,6 +264,9 @@ def select_chains(a: np.ndarray, b: np.ndarray):
         active = surviving
         for j in active:
             current[j] = a @ current[j]
+    if selected < n:
+        raise UncontrollablePairError(
+            f"rank of the controllability matrix never reached {n}")
     return [len(ch) for ch in chains], chains
 
 

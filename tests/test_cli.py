@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -857,6 +858,30 @@ class TestTradeoffCommand:
         stdout = capsys.readouterr().out
         assert "limit line" in stdout
         assert (out / "batch_reactor_dual_tradeoff.svg").exists()
+
+    # an infinite endpoint: no admissible budget at n = 2 (theta_steady >= 1,
+    # so every point is -inf), or, with the full state measured, a boundary
+    # that jumps to +inf at the end
+    @pytest.mark.parametrize("full_state, printed", [
+        (False, r"finite line: not a line: max 1/nu_d is -inf at 1/nu_f = 0 "
+                r"and -inf at 1/nu_f = 0\.5$"),
+        (True, r"limit line: not a line: max 1/nu_d is \d\.\d{4} at "
+               r"1/nu_f = 0 and inf at 1/nu_f = 0\.5$")],
+        ids=["no_budget", "jump_to_inf"])
+    def test_a_boundary_with_an_infinite_end_is_not_a_line(
+            self, tmp_path, capsys, full_state, printed):
+        doc = load("batch_reactor_ack.json")
+        if full_state:
+            eye = np.eye(4).tolist()
+            doc["plant"]["c"] = eye
+            doc["gains"] = {"m": eye}
+        else:
+            doc["levels"] = {"n": 2}
+        assert cli.main(["tradeoff", write(tmp_path, doc),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "nan" not in stdout
+        assert re.search(printed, stdout, re.MULTILINE)
 
     def test_plots_false_document_draws_no_chart(self, tmp_path):
         doc = load("batch_reactor_dual.json")

@@ -161,7 +161,7 @@ class TestDualChannel:
         assert a.read_bytes() == b.read_bytes()
 
     def test_even_n1_rejected(self, reactor, reactor_gains):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="^level n1 must be odd$"):
             run_scenario(dual_config(reactor, reactor_gains,
                                          levels=(2, 100, 100)))
 
@@ -251,7 +251,7 @@ class TestOutputAckFree:
         assert np.all(ackfree_trace.slots["e"] <= envelope * (1 + 1e-12))
 
     def test_odd_levels_rejected(self, reactor, reactor_gains):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="^level n must be even$"):
             run_scenario(ackfree_config(reactor, reactor_gains,
                                               levels=99))
 

@@ -22,8 +22,14 @@ from doslab import (
     sample_plant,
     schur_certified,
 )
+from doslab import gains
 from doslab.discretize import DiscretePlant, discretize
-from doslab.errors import StabilityCertificationError
+from doslab.errors import (
+    IllConditionedBasisError,
+    RiccatiConvergenceError,
+    StabilityCertificationError,
+    UncontrollablePairError,
+)
 from doslab.gains import (
     NILPOTENCY_RTOL,
     RICCATI_RTOL,
@@ -320,6 +326,76 @@ class TestBuildGainSet:
             (call or [build_gain_set])[0](reactor_dp, **kwargs)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+class TestSynthesisRefusals:
+    """Each refusal of a synthesized gain, on the dual plant unless named:
+    its type and message prefix, not its numbers, which depend on the BLAS
+    kernel."""
+
+    @staticmethod
+    def refuse(error, prefix, design, *args):
+        with pytest.raises(error) as info:
+            design(*args)
+        assert type(info.value) is error
+        assert str(info.value).startswith(prefix)
+
+    def test_deadbeat_residual(self, reactor_dp, monkeypatch):
+        monkeypatch.setattr(gains, "NILPOTENCY_RTOL", 0.0)
+        self.refuse(IllConditionedBasisError, "deadbeat residual ",
+                    design_deadbeat_gain, reactor_dp)
+
+    def test_deadbeat_observer_residual(self, reactor_dp, monkeypatch):
+        monkeypatch.setattr(gains, "NILPOTENCY_RTOL", 0.0)
+        self.refuse(IllConditionedBasisError, "deadbeat observer residual ",
+                    design_deadbeat_observer, reactor_dp.a_lift,
+                    reactor_dp.c, reactor_dp.mu)
+
+    def test_error_transition_not_schur(self, reactor_dp, monkeypatch):
+        monkeypatch.setattr(gains, "schur_certified", lambda m: False)
+        self.refuse(StabilityCertificationError,
+                    "error transition not certified Schur (Gelfand bound ",
+                    design_observer_gain, reactor_dp.a_lift, reactor_dp.c)
+
+    def test_closed_loop_not_schur(self, reactor_dp, monkeypatch):
+        # the dual filter gain is certified, the closed loop it gives is not
+        calls = []
+        monkeypatch.setattr(gains, "schur_certified",
+                            lambda m: calls.append(m) or len(calls) == 1)
+        self.refuse(StabilityCertificationError,
+                    "closed loop not certified Schur (Gelfand bound ",
+                    design_stabilizing_gain, reactor_dp.a_d, reactor_dp.b_d)
+        assert len(calls) == 2
+
+    def test_riccati_step_cap(self, reactor_dp, monkeypatch):
+        monkeypatch.setattr(gains, "RICCATI_MAX_ITER", 1)
+        self.refuse(RiccatiConvergenceError,
+                    "Riccati iteration did not stall within 1 steps",
+                    design_observer_gain, reactor_dp.a_lift, reactor_dp.c)
+
+    def test_ill_conditioned_staircase_basis(self):
+        # five nearly equal modes and one input: the Krylov basis is
+        # controllable but nearly singular
+        dp = _toy_dp(np.diag(1.0 + 0.00650967523045817 * np.arange(5)),
+                     np.ones((5, 1)))
+        self.refuse(IllConditionedBasisError,
+                    "staircase basis reciprocal condition ",
+                    design_deadbeat_gain, dp)
+
+    def test_unobservable_pair_is_refused_by_the_staircase(self):
+        self.refuse(UncontrollablePairError,
+                    "rank of the controllability matrix never reached 2",
+                    design_deadbeat_observer, np.diag([2.0, 3.0]),
+                    [[1.0, 0.0]], 1)
+
+    def test_check_reports_a_synthesis_refusal_as_numerical(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gains, "NILPOTENCY_RTOL", 0.0)
+        dual = resources.files("doslab") / "scenarios/batch_reactor_dual.json"
+        code = cli.main(["check", str(dual), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: deadbeat residual ")
 
 
 class TestDecayConstants:
